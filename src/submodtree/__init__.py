@@ -8,7 +8,6 @@ from .cube import (
     flip,
     fw_rank,
     fw_unrank,
-    point_probability,
     weight,
 )
 from .decompose import (

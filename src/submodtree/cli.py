@@ -215,7 +215,17 @@ def _pruning_rows_for_tree(tag: str, tree, alphas=PRUNING_ALPHAS) -> list[dict]:
                 direct = dtree.exact_distance(
                     tree, dtree.truncate(tree, d0), dist, "disagreement"
                 )
-                assert abs(direct - dis_by_d[d0]) < 1e-12
+                gap = abs(direct - float(dis_by_d[d0]))
+                if not gap < 1e-12:
+                    rows.append(
+                        {
+                            "instance": f"{tag}-truncate-d{d0}",
+                            "lhs": float(dis_by_d[d0]),
+                            "rhs": direct,
+                            "margin": -gap,
+                            "pass": False,
+                        }
+                    )
                 checked_against_truncate = True
             worst = None
             for d in range(depth + 1):
@@ -575,6 +585,20 @@ def cmd_spectrum(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _add_target_options(p) -> None:
     p.add_argument("--family", choices=funcs.FAMILIES)
     p.add_argument("--n", type=int)
@@ -590,13 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="build and certify a Lipschitz-leaf tree")
     _add_target_options(p)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_positive_float, required=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=_count, default=5)
     p.add_argument("--smax", type=int, default=16)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--out", help="directory for report files")
@@ -605,15 +629,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="run a learner against a target")
     p.add_argument("mode", choices=("pac", "agnostic-l2"))
     _add_target_options(p)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_positive_float, required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--degree", type=int)
-    p.add_argument("--samples", type=int, default=1 << 16)
+    p.add_argument("--samples", type=_count, default=1 << 16)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--L", type=float)
+    p.add_argument("--L", type=_positive_float)
     p.add_argument("--competitor", help="FamilySpec JSON of an explicit competitor")
-    p.add_argument("--bucket-samples", type=int, help="per-bucket weight samples (agnostic-l2)")
-    p.add_argument("--coeff-samples", type=int, help="per-coefficient samples (agnostic-l2)")
+    p.add_argument("--bucket-samples", type=_count, help="per-bucket weight samples (agnostic-l2)")
+    p.add_argument("--coeff-samples", type=_count, help="per-coefficient samples (agnostic-l2)")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("hardness", help="lower-bound demos")
@@ -622,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--samples", type=int, default=1 << 16)
+    p.add_argument("--trials", type=_count, default=30)
+    p.add_argument("--samples", type=_count, default=1 << 16)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--file", dest="file", help="Boolean truth_table JSON (embed demo)")
     p.add_argument("-f", dest="file", help=argparse.SUPPRESS)

@@ -21,10 +21,12 @@ import numpy as np
 
 DEFAULT_ENUM_CAP = 24
 _ENUM_CAP_ENV = "SUBMODTREE_ENUM_CAP"
+MAX_PACKED_N = 62  # n-bit points and 2^n sampling bounds fit in int64
 
 
 class DimensionTooLarge(ValueError):
-    """Raised when an operation would enumerate more than 2^cap points."""
+    """Raised when an operation would enumerate more than 2^cap points, or
+    when n does not fit the int64 point packing."""
 
 
 def enum_cap() -> int:
@@ -70,43 +72,55 @@ def flip(x: int, n: int) -> int:
     return x ^ ((1 << n) - 1)
 
 
-def fw_rank(x: int, n: int) -> int:
+# C(a, b) for 0 <= a, b <= 63 (zero when b > a); every entry fits int64
+_BINOMIAL = np.array([[math.comb(a, b) for b in range(64)] for a in range(64)], dtype=np.int64)
+
+
+def check_packable(n: int, what: str = "operation") -> None:
+    """Points of n coordinates must fit the int64 packing used by arrays."""
+    if not 1 <= n <= MAX_PACKED_N:
+        raise DimensionTooLarge(
+            f"{what} needs 1 <= n <= {MAX_PACKED_N} (int64 point packing), got n={n}"
+        )
+
+
+def fw_rank(x, n: int):
     """Position of ``x`` among all n-bit strings of its weight, in lex order.
 
     Lexicographic order compares coordinate tuples (x_1, ..., x_n) with
     0 < 1, so e.g. for n=4, weight 2: 0011 < 0101 < 0110 < 1001 < 1010 < 1100.
+    ``x`` is a point or an int64 array of points (elementwise); n <= 62.
     """
-    w = weight(x, (1 << n) - 1)
+    check_packable(n, "fixed-weight ranking")
+    w = popcount(x & ((1 << n) - 1))
     rank = 0
     for pos in range(n):
-        if w == 0:
-            break
-        if (x >> pos) & 1:
-            # strings with a 0 here and the remaining w ones placed later
-            rank += math.comb(n - 1 - pos, w)
-            w -= 1
-    return rank
+        bit = (x >> pos) & 1
+        # strings with a 0 here and the remaining w ones placed later
+        rank = rank + bit * _BINOMIAL[n - 1 - pos, w]
+        w = w - bit
+    return rank if isinstance(rank, np.ndarray) else int(rank)
 
 
-def fw_unrank(n: int, w: int, r: int) -> int:
+def fw_unrank(n: int, w: int, r):
     """Inverse of `fw_rank`: the rank-``r`` string of weight ``w``.
 
-    Runs in O(n) arithmetic operations.  Raises ValueError when
-    ``r`` is outside {0, ..., C(n,w)-1}.
+    ``r`` is a rank or an int64 array of ranks (elementwise); n <= 62.
+    Runs in O(n) arithmetic operations.  Raises ValueError when a rank is
+    outside {0, ..., C(n,w)-1}.
     """
+    check_packable(n, "fixed-weight unranking")
     total = math.comb(n, w)
-    if not 0 <= r < total:
+    if np.any((r < 0) | (r >= total)):
         raise ValueError(f"rank {r} out of range for C({n},{w}) = {total}")
     x = 0
     for pos in range(n):
-        if w == 0:
-            break
-        c = math.comb(n - 1 - pos, w)
-        if r >= c:
-            x |= 1 << pos
-            r -= c
-            w -= 1
-    return x
+        c = _BINOMIAL[n - 1 - pos, w]
+        take = r >= c
+        x = x | (take << pos)
+        r = r - take * c
+        w = w - take
+    return x if isinstance(x, np.ndarray) else int(x)
 
 
 @dataclass(frozen=True)
@@ -155,13 +169,6 @@ class ProductDistribution:
         for mu_i in self.mu:
             p = np.concatenate([p * (1.0 - mu_i), p * mu_i])
         return p
-
-
-def point_probability(dist: ProductDistribution, x: int, n: int | None = None) -> float:
-    """Probability of point ``x`` under ``dist`` (dimension checked)."""
-    if n is not None and n != dist.n:
-        raise ValueError(f"dimension mismatch: point has n={n}, distribution n={dist.n}")
-    return dist.point_probability(x)
 
 
 # --- textual forms (1-based, coordinate 1 first) ---

@@ -120,7 +120,9 @@ def _leaf_for(f: ValueOracle, fixed: dict[int, int]) -> OracleLeaf:
     return OracleLeaf(restrict(f, r), r.free)
 
 
-def _grow_monotone(f: ValueOracle, alpha: float, fixed: dict[int, int]) -> TreeNode:
+def _grow_monotone(f: ValueOracle, alpha: float, fixed: dict[int, int], leaf) -> TreeNode:
+    """Split until every derivative at the subcube's all-zero point is <= alpha;
+    ``leaf(fixed)`` builds the node that ends each path."""
     base = 0
     for i, b in fixed.items():
         if b:
@@ -130,10 +132,10 @@ def _grow_monotone(f: ValueOracle, alpha: float, fixed: dict[int, int]) -> TreeN
         if i in fixed:
             continue
         if f(base | (1 << i)) - f_base > alpha + SPLIT_TOL:
-            lo = _grow_monotone(f, alpha, {**fixed, i: 0})
-            hi = _grow_monotone(f, alpha, {**fixed, i: 1})
+            lo = _grow_monotone(f, alpha, {**fixed, i: 0}, leaf)
+            hi = _grow_monotone(f, alpha, {**fixed, i: 1}, leaf)
             return Node(i, lo, hi)
-    return _leaf_for(f, fixed)
+    return leaf(fixed)
 
 
 def _grow_flipped(f: ValueOracle, alpha: float, fixed: dict[int, int]) -> TreeNode:
@@ -205,7 +207,7 @@ def build_monotone_tree(
     _check_submodular(f, check)
     if f.n <= enum_cap():
         f.table()  # one bulk materialization makes the recursion O(1) per query
-    root = _grow_monotone(f, alpha, {})
+    root = _grow_monotone(f, alpha, {}, lambda fixed: _leaf_for(f, fixed))
     tree = DecisionTree(f.n, root)
     report = DecompositionReport(
         tree=tree,
@@ -224,29 +226,18 @@ def build_lipschitz_tree(
 ) -> DecompositionReport:
     """Exact tree representation with alpha-Lipschitz submodular leaves.
 
-    Phase 1 is `build_monotone_tree`; phase 2 rebuilds each leaf through the
-    bit-flipped restriction (derivatives bounded below), realized directly by
-    splitting while some derivative at the subcube's all-ones point is below
-    -alpha.  Rank <= ceil(2/alpha) for range-[0,1] inputs.
+    Phase 1 is the split rule of `build_monotone_tree`; phase 2 continues
+    inside each phase-1 leaf with the bit-flipped restriction (derivatives
+    bounded below), realized directly by splitting while some derivative at
+    the subcube's all-ones point is below -alpha.  Rank <= ceil(2/alpha) for
+    range-[0,1] inputs.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     _check_submodular(f, check)
     if f.n <= enum_cap():
         f.table()
-    phase1 = _grow_monotone(f, alpha, {})
-
-    # phase 2 needs each phase-1 leaf's fixed assignment, so walk with it
-    def grow(fixed: dict[int, int], node: TreeNode) -> TreeNode:
-        if isinstance(node, Node):
-            return Node(
-                node.var,
-                grow({**fixed, node.var: 0}, node.lo),
-                grow({**fixed, node.var: 1}, node.hi),
-            )
-        return _grow_flipped(f, alpha, fixed)
-
-    root = grow({}, phase1)
+    root = _grow_monotone(f, alpha, {}, lambda fixed: _grow_flipped(f, alpha, fixed))
     tree = DecisionTree(f.n, root)
     report = DecompositionReport(
         tree=tree,

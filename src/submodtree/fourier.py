@@ -124,11 +124,6 @@ def transform(f: ValueOracle) -> Spectrum:
     return Spectrum.from_dense(dense, f.n)
 
 
-def inverse_transform(sp: Spectrum) -> np.ndarray:
-    """Truth table reproducing the function the spectrum was built from."""
-    return sp.table()
-
-
 def spectral_l1(sp: Spectrum) -> float:
     """Sum of absolute coefficients."""
     return float(sum(abs(c) for c in sp.coeffs.values()))

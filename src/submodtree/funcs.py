@@ -1,9 +1,10 @@
-"""Value oracles over {0,1}^n: submodular families, restrictions, checkers.
+"""Value oracles over {0,1}^n: submodular families, views, checkers.
 
-A `ValueOracle` is point-by-point query access to a real function on the
-cube.  Restrictions and flipped views share the root oracle's query counter,
-so query-complexity reports survive the recursive constructions that work on
-subcubes.
+A `ValueOracle` evaluates a real function on arrays of packed points: its
+one evaluator maps an int64 point array to a float array, and a single query
+is a batch of one.  Views built by `view` (restrictions, flips, value maps)
+share the parent oracle's query counter, so query-complexity reports survive
+the recursive constructions that work on subcubes.
 
 All inequality checks use the tolerance TOL = 1e-9: ties at a bound count as
 satisfying it.
@@ -19,7 +20,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import cube
-from .cube import check_enumerable, format_point
+from .cube import check_enumerable, check_packable, format_point, popcount
 
 TOL = 1e-9
 
@@ -34,7 +35,7 @@ FAMILIES = (
 
 
 class InvalidFamilySpec(ValueError):
-    """Raised for internally inconsistent family parameters."""
+    """Raised for missing, mistyped or internally inconsistent family parameters."""
 
 
 class _QueryCounter:
@@ -56,16 +57,19 @@ class _QueryCounter:
 
 
 class ValueOracle:
-    """Deterministic real-valued function on {0,1}^n, queried point by point.
+    """Deterministic real-valued function on {0,1}^n, evaluated on arrays.
 
-    Evaluation is pure apart from the query counter.  ``table()`` caches the
-    full truth table (n <= enumeration cap) and charges 2^n queries once.
+    ``fn`` maps a 1-D int64 array of packed points to the float array of
+    their values.  Evaluation is pure apart from the query counter, which
+    charges one query per point.  ``table()`` caches the full truth table
+    (n <= enumeration cap) and charges 2^n queries once; later queries read
+    the cached table.
     """
 
     def __init__(
         self,
         n: int,
-        fn: Callable[[int], float],
+        fn: Callable[[np.ndarray], np.ndarray],
         *,
         label: str = "",
         counter: _QueryCounter | None = None,
@@ -84,30 +88,73 @@ class ValueOracle:
         n = size.bit_length() - 1
         if size != (1 << n):
             raise ValueError(f"table length {size} is not a power of two")
-        return ValueOracle(n, lambda x: float(values[x]), label=label, table=values)
+        return ValueOracle(n, values.__getitem__, label=label, table=values)
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
+        """Values at a 1-D int64 point array, charging no query."""
+        if self._table is not None:
+            return self._table[xs]
+        return self._fn(xs)
 
     def __call__(self, x: int) -> float:
         self._counter.charge()
-        return self._fn(x)
+        if self._table is not None:
+            return float(self._table[x])
+        return float(self._fn(np.array([x], dtype=np.int64))[0])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs)
+        xs = np.asarray(xs, dtype=np.int64)
         self._counter.charge(int(xs.size))
-        if self._table is not None:
-            return self._table[xs]
-        return np.array([self._fn(int(x)) for x in xs.reshape(-1)]).reshape(xs.shape)
+        return self._eval(xs.reshape(-1)).reshape(xs.shape)
 
     def table(self) -> np.ndarray:
         """Full truth table indexed by little-endian point integers."""
         if self._table is None:
             check_enumerable(self.n, "truth table")
             self._counter.charge(1 << self.n)
-            self._table = np.array([self._fn(x) for x in range(1 << self.n)], dtype=float)
+            self._table = self._fn(np.arange(1 << self.n, dtype=np.int64))
         return self._table
 
     @property
     def query_count(self) -> int:
         return self._counter.count
+
+
+def view(
+    f: ValueOracle,
+    label: str,
+    *,
+    n: int | None = None,
+    points: Callable[[np.ndarray], np.ndarray] | None = None,
+    values: Callable[[np.ndarray], np.ndarray] | None = None,
+    sub_table: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> ValueOracle:
+    """The oracle x -> values(f(points(x))) on n coordinates (default f.n).
+
+    ``points`` maps view points to f's points and ``values`` maps f's values
+    elementwise; either defaults to the identity.  The view shares f's query
+    counter and charges one query per point it is asked for, none for the
+    f evaluations behind it.  When f's table is cached the view's table is
+    derived from it at once, through ``sub_table`` when given (a cheaper
+    form of the point map) and through the maps otherwise.
+    """
+
+    def fn(xs: np.ndarray) -> np.ndarray:
+        ys = f._eval(points(xs) if points else xs)
+        return values(ys) if values else ys
+
+    n = f.n if n is None else n
+    label = f.label and f"{f.label}|{label}"
+    if f._table is None:
+        return ValueOracle(n, fn, label=label, counter=f._counter)
+    if sub_table is not None:
+        table = sub_table(f._table)
+    elif points is None:
+        table = values(f._table)
+    else:
+        table = fn(np.arange(1 << n, dtype=np.int64))
+    # a table-backed view holds only its table, not f and the maps
+    return ValueOracle(n, table.__getitem__, label=label, counter=f._counter, table=table)
 
 
 @dataclass(frozen=True)
@@ -149,50 +196,28 @@ def restrict(f: ValueOracle, restriction: Restriction) -> ValueOracle:
     free = restriction.free
     base = restriction.base_point()
 
-    def expand(z: int) -> int:
-        x = base
+    def expand(zs: np.ndarray) -> np.ndarray:
+        xs = np.full_like(zs, base)
         for local, g in enumerate(free):
-            if (z >> local) & 1:
-                x |= 1 << g
-        return x
+            xs |= ((zs >> local) & 1) << g
+        return xs
 
-    sub_table = None
-    if f._table is not None:
-        m = len(free)
-        full = f._table.reshape((2,) * f.n)
-        # axis (n-1-i) of the C-order reshape carries coordinate i
-        idx = tuple(
-            slice(None) if i in free else restriction.fixed[i]
-            for i in reversed(range(f.n))
-        )
-        sub_table = np.ascontiguousarray(full[idx]).reshape(1 << m)
-        return ValueOracle(
-            m,
-            lambda z: float(sub_table[z]),
-            label=f.label and f"{f.label}|restricted",
-            counter=f._counter,
-            table=sub_table,
-        )
-
-    return ValueOracle(
-        len(free),
-        lambda z: f._fn(expand(z)),
-        label=f.label and f"{f.label}|restricted",
-        counter=f._counter,
+    # axis (n-1-i) of the C-order reshape carries coordinate i; a slice is
+    # much cheaper than gathering through expand
+    idx = tuple(
+        slice(None) if i in free else restriction.fixed[i] for i in reversed(range(f.n))
     )
+
+    def sub_table(t: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(t.reshape((2,) * f.n)[idx]).reshape(1 << len(free))
+
+    return view(f, "restricted", n=len(free), points=expand, sub_table=sub_table)
 
 
 def flip_oracle(f: ValueOracle) -> ValueOracle:
     """The view x -> f(not x); an involution, submodularity-preserving."""
     full = (1 << f.n) - 1
-    table = f._table[::-1].copy() if f._table is not None else None
-    return ValueOracle(
-        f.n,
-        lambda x: f._fn(x ^ full),
-        label=f.label and f"{f.label}|flipped",
-        counter=f._counter,
-        table=table,
-    )
+    return view(f, "flipped", points=lambda xs: xs ^ full)
 
 
 # --- discrete derivatives -------------------------------------------------
@@ -328,6 +353,8 @@ class FamilySpec:
     @staticmethod
     def from_json(text: str) -> "FamilySpec":
         obj = json.loads(text)
+        if not isinstance(obj, dict) or not {"family", "n"} <= obj.keys():
+            raise InvalidFamilySpec('a family spec is a JSON object with fields "family" and "n"')
         family = obj.pop("family")
         n = obj.pop("n")
         return FamilySpec(family, n, obj)
@@ -347,10 +374,26 @@ def _validate_profile(profile: Sequence[float], n: int) -> None:
 
 
 def instantiate(spec: FamilySpec) -> ValueOracle:
-    """Build the normalized value oracle of a family instance (range [0,1])."""
+    """Build the normalized value oracle of a family instance (range [0,1]).
+
+    A missing field or a field of the wrong type raises InvalidFamilySpec,
+    as does n outside 1..62 (the int64 point packing).
+    """
+    try:
+        return _instantiate(spec)
+    except InvalidFamilySpec:
+        raise
+    except KeyError as e:
+        raise InvalidFamilySpec(f"{spec.family} spec is missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise InvalidFamilySpec(f"malformed {spec.family} spec: {e}") from None
+
+
+def _instantiate(spec: FamilySpec) -> ValueOracle:
     family, n, p = spec.family, spec.n, spec.params
-    if n < 1:
-        raise InvalidFamilySpec(f"dimension must be positive, got {n}")
+    if not isinstance(n, (int, np.integer)):
+        raise InvalidFamilySpec(f"dimension must be an integer, got {n!r}")
+    check_packable(n, "family instance")
     label = f"{family}-n{n}"
 
     if family == "coverage":
@@ -360,21 +403,18 @@ def instantiate(spec: FamilySpec) -> ValueOracle:
             raise InvalidFamilySpec("coverage universe is empty")
         if len(sets) != n:
             raise InvalidFamilySpec(f"coverage needs {n} sets, got {len(sets)}")
-        masks = []
-        for s in sets:
-            m = 0
+        owners: dict[int, int] = {}  # element -> mask of the sets holding it
+        for i, s in enumerate(sets):
             for e in s:
                 if not 1 <= e <= u:
                     raise InvalidFamilySpec(f"element {e} outside universe 1..{u}")
-                m |= 1 << (e - 1)
-            masks.append(m)
+                owners[e] = owners.get(e, 0) | (1 << i)
 
-        def cov(x: int) -> float:
-            covered = 0
-            for i, m in enumerate(masks):
-                if (x >> i) & 1:
-                    covered |= m
-            return covered.bit_count() / u
+        def cov(xs: np.ndarray) -> np.ndarray:
+            covered = np.zeros(xs.shape, dtype=np.int64)
+            for owner in owners.values():
+                covered += (xs & owner) != 0
+            return covered / u
 
         return ValueOracle(n, cov, label=label)
 
@@ -387,10 +427,10 @@ def instantiate(spec: FamilySpec) -> ValueOracle:
                 raise InvalidFamilySpec(f"bad edge ({a},{b}) for n={n}")
         m = len(edges)
 
-        def cut(x: int) -> float:
-            crossing = sum(
-                1 for a, b in edges if ((x >> (a - 1)) & 1) != ((x >> (b - 1)) & 1)
-            )
+        def cut(xs: np.ndarray) -> np.ndarray:
+            crossing = np.zeros(xs.shape, dtype=np.int64)
+            for a, b in edges:
+                crossing += ((xs >> (a - 1)) ^ (xs >> (b - 1))) & 1
             return crossing / m
 
         return ValueOracle(n, cut, label=label)
@@ -401,9 +441,12 @@ def instantiate(spec: FamilySpec) -> ValueOracle:
         if len(w) != n or any(v < 0 for v in w) or b <= 0:
             raise InvalidFamilySpec("budget_additive needs n nonnegative weights and budget > 0")
 
-        def badd(x: int) -> float:
-            total = sum(w[i] for i in range(n) if (x >> i) & 1)
-            return min(total, b) / b
+        def badd(xs: np.ndarray) -> np.ndarray:
+            # ascending coordinate order, as a scalar left-to-right sum adds
+            total = np.zeros(xs.shape)
+            for i in range(n):
+                total += ((xs >> i) & 1) * w[i]
+            return np.minimum(total, b) / b
 
         return ValueOracle(n, badd, label=label)
 
@@ -423,19 +466,19 @@ def instantiate(spec: FamilySpec) -> ValueOracle:
             raise InvalidFamilySpec("caps must be >= 1")
         total = sum(caps)
 
-        def rank(x: int) -> float:
-            return sum(min((x & blk).bit_count(), c) for blk, c in zip(blocks, caps)) / total
+        def rank(xs: np.ndarray) -> np.ndarray:
+            r = np.zeros(xs.shape, dtype=np.int64)
+            for blk, c in zip(blocks, caps):
+                r += np.minimum(popcount(xs & blk), c)
+            return r / total
 
         return ValueOracle(n, rank, label=label)
 
     if family == "concave_profile":
         profile = [float(v) for v in p["profile"]]
         _validate_profile(profile, n)
-
-        def prof(x: int) -> float:
-            return profile[x.bit_count()]
-
-        return ValueOracle(n, prof, label=label)
+        by_weight = np.array(profile)
+        return ValueOracle(n, lambda xs: by_weight[popcount(xs)], label=label)
 
     if family == "truth_table":
         values = np.asarray(p["values"], dtype=float)
@@ -443,14 +486,14 @@ def instantiate(spec: FamilySpec) -> ValueOracle:
             raise InvalidFamilySpec(f"truth_table needs 2^{n} values, got {values.size}")
         if values.min() < -TOL or values.max() > 1 + TOL:
             raise InvalidFamilySpec("truth_table values outside [0, 1]")
-        oracle = ValueOracle.from_table(values, label=label)
-        return oracle
+        return ValueOracle.from_table(values, label=label)
 
     raise InvalidFamilySpec(f"unknown family {family!r}")
 
 
 def generate_random(family: str, n: int, seed: int) -> FamilySpec:
     """Deterministic random instance of a family; always passes is_submodular."""
+    check_packable(n, "family instance")
     rng = np.random.default_rng((0x5EED, seed, n, FAMILIES.index(family)))
 
     if family == "coverage":

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import check_enumerable, fw_rank, fw_unrank
+from .cube import check_enumerable, fw_rank, fw_unrank, popcount
 from .fourier import parity_signs
 from .funcs import ValueOracle
 from .learn import Hypothesis, LabeledSample
@@ -87,13 +87,9 @@ def make_gadget(spec: GadgetSpec, n: int) -> ValueOracle:
     """Gadget as an oracle on n coordinates (constant outside the subset)."""
     if spec.subset >> n:
         raise ValueError(f"subset {spec.subset:b} reaches beyond n={n}")
-    profile = [float(v) for v in gadget_profile(spec.s, spec.kind)]
+    profile = np.array([float(v) for v in gadget_profile(spec.s, spec.kind)])
     subset = spec.subset
-
-    def g(x: int) -> float:
-        return profile[(x & subset).bit_count()]
-
-    return ValueOracle(n, g, label=f"{spec.kind}-s{spec.s}")
+    return ValueOracle(n, lambda xs: profile[popcount(xs & subset)], label=f"{spec.kind}-s{spec.s}")
 
 
 def correlation_brute_force(s: int, kind: str = "plateau") -> Fraction:
@@ -174,26 +170,21 @@ def embedding_spec_for(k: int) -> EmbeddingSpec:
     return EmbeddingSpec(k, t)
 
 
-def _lex_position(y: int, k: int) -> int:
-    """Position of a k-bit point in lexicographic order of coordinate tuples."""
-    pos = 0
+def _reverse_bits(v, k: int):
+    """The k low bits of v in reverse order (a point or an int64 array).
+
+    Maps a k-bit point to its position in lexicographic order of coordinate
+    tuples, and back.
+    """
+    out = 0 * v
     for i in range(k):
-        if (y >> i) & 1:
-            pos |= 1 << (k - 1 - i)
-    return pos
+        out |= ((v >> i) & 1) << (k - 1 - i)
+    return out
 
 
-def _from_lex_position(pos: int, k: int) -> int:
-    y = 0
-    for i in range(k):
-        if (pos >> (k - 1 - i)) & 1:
-            y |= 1 << i
-    return y
-
-
-def beta(spec: EmbeddingSpec, y: int) -> int:
+def beta(spec: EmbeddingSpec, y):
     """Lex-order-preserving injection of {0,1}^k into the weight-t layer."""
-    return fw_unrank(spec.n, spec.t, _lex_position(y, spec.k))
+    return fw_unrank(spec.n, spec.t, _reverse_bits(y, spec.k))
 
 
 def beta_inv(spec: EmbeddingSpec, x: int) -> int | None:
@@ -201,7 +192,7 @@ def beta_inv(spec: EmbeddingSpec, x: int) -> int | None:
     r = fw_rank(x, spec.n)
     if r >= (1 << spec.k):
         return None
-    return _from_lex_position(r, spec.k)
+    return _reverse_bits(r, spec.k)
 
 
 def embed_build(f: ValueOracle) -> tuple[ValueOracle, EmbeddingSpec]:
@@ -215,19 +206,18 @@ def embed_build(f: ValueOracle) -> tuple[ValueOracle, EmbeddingSpec]:
     t, n = spec.t, spec.n
     dip = 1.0 - 1.0 / (2 * t)
 
-    def h(x: int) -> float:
-        w = x.bit_count()
-        if w < t:
-            return w / t
-        if w > t:
-            return 1.0
-        y = beta_inv(spec, x)
-        if y is None:
-            return 1.0
-        fy = f(y)
-        if fy not in (0.0, 1.0):
-            raise ValueError(f"embedded function must be Boolean, got {fy}")
-        return dip if fy == 0 else 1.0
+    def h(xs: np.ndarray) -> np.ndarray:
+        w = popcount(xs)
+        out = np.where(w < t, w / t, 1.0)
+        middle = np.flatnonzero(w == t)
+        r = fw_rank(xs[middle], n)
+        inside = r < (1 << spec.k)
+        fy = f.eval_many(_reverse_bits(r[inside], spec.k))
+        bad = (fy != 0.0) & (fy != 1.0)
+        if np.any(bad):
+            raise ValueError(f"embedded function must be Boolean, got {fy[bad][0]}")
+        out[middle[inside][fy == 0.0]] = dip
+        return out
 
     return ValueOracle(n, h, label=f"embedded-k{f.n}"), spec
 
@@ -240,8 +230,8 @@ def embed_decode(g: ValueOracle, spec: EmbeddingSpec) -> ValueOracle:
     """
     cut = 1.0 - 1.0 / (4 * spec.t)
 
-    def f_tilde(y: int) -> float:
-        return 1.0 if g(beta(spec, y)) >= cut else 0.0
+    def f_tilde(ys: np.ndarray) -> np.ndarray:
+        return (g.eval_many(beta(spec, ys)) >= cut).astype(float)
 
     return ValueOracle(spec.k, f_tilde, label="decoded")
 

@@ -30,7 +30,7 @@ from . import fourier
 from .cube import mask_of, subset_members
 from .dtree import DecisionTree, map_leaves
 from .fourier import Spectrum, empirical_coefficients, parity_signs, sample_points, transform
-from .funcs import ValueOracle
+from .funcs import ValueOracle, view
 
 
 @dataclass(frozen=True)
@@ -303,16 +303,6 @@ def km_search(
     )
 
 
-def _rescaled_to_signed(f: ValueOracle) -> ValueOracle:
-    """x -> 2 f(x) - 1, sharing f's counter."""
-    table = None
-    if f._table is not None:
-        table = 2.0 * f._table - 1.0
-    return ValueOracle(
-        f.n, lambda x: 2.0 * f._fn(x) - 1.0, label=f"{f.label}|signed", counter=f._counter, table=table
-    )
-
-
 def agnostic_l2_learn(
     f: ValueOracle,
     epsilon: float,
@@ -338,7 +328,7 @@ def agnostic_l2_learn(
     if epsilon <= 0 or L <= 0:
         raise ValueError("epsilon and L must be positive")
     if unit_range:
-        F = _rescaled_to_signed(f)
+        F = view(f, "signed", values=lambda v: 2.0 * v - 1.0)
         eps_eff = 2.0 * epsilon
         L_eff = 2.0 * L + 1.0
     else:
@@ -363,16 +353,7 @@ def agnostic_l2_learn(
 
 def threshold_oracle(g: ValueOracle, theta: float) -> ValueOracle:
     """Boolean indicator of g(x) >= theta (one g query per call)."""
-    table = None
-    if g._table is not None:
-        table = (g._table >= theta).astype(float)
-    return ValueOracle(
-        g.n,
-        lambda x: 1.0 if g._fn(x) >= theta else 0.0,
-        label=f"{g.label}|>={theta:g}",
-        counter=g._counter,
-        table=table,
-    )
+    return view(g, f">={theta:g}", values=lambda v: (v >= theta).astype(float))
 
 
 def threshold_decompose(g: ValueOracle, epsilon: float) -> tuple[list[ValueOracle], ValueOracle]:
@@ -387,20 +368,13 @@ def threshold_decompose(g: ValueOracle, epsilon: float) -> tuple[list[ValueOracl
     count = int(math.floor(1.0 / epsilon))
     levels = [threshold_oracle(g, i * epsilon) for i in range(1, count + 1)]
 
-    def recombined(x: int) -> float:
-        v = g._fn(x)
-        return epsilon * sum(1.0 for i in range(1, count + 1) if v >= i * epsilon)
-
-    table = None
-    if g._table is not None:
-        acc = np.zeros_like(g._table)
+    def staircase(v: np.ndarray) -> np.ndarray:
+        steps = np.zeros_like(v)
         for i in range(1, count + 1):
-            acc += (g._table >= i * epsilon).astype(float)
-        table = epsilon * acc
-    gp = ValueOracle(
-        g.n, recombined, label=f"{g.label}|staircase", counter=g._counter, table=table
-    )
-    return levels, gp
+            steps += (v >= i * epsilon).astype(float)
+        return epsilon * steps
+
+    return levels, view(g, "staircase", values=staircase)
 
 
 def threshold_tree(tree: DecisionTree, theta: float) -> DecisionTree:

@@ -168,3 +168,44 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
     assert files1 == files2 and files1
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["decompose", "--file", "SPEC", "--alpha", "0.5"], {"n": 3}),
+        (["decompose", "--file", "SPEC", "--alpha", "0.5"], {"family": "cut", "n": 3}),
+        (["decompose", "--file", "SPEC", "--alpha", "0.5"], {"family": "cut", "n": 3, "edges": 5}),
+        (["spectrum", "--file", "SPEC"], {"family": "coverage", "n": "3"}),
+        (["spectrum", "--file", "SPEC"], [1, 2]),
+        (["decompose", "--family", "cut", "--n", "4", "--alpha", "inf"], None),
+        (["decompose", "--family", "cut", "--n", "4", "--alpha", "nan"], None),
+        (["decompose", "--family", "cut", "--n", "4", "--alpha", "-0.5"], None),
+        (["learn", "pac", "--family", "coverage", "--n", "8", "--epsilon", "nan"], None),
+        (["learn", "pac", "--family", "coverage", "--n", "8", "--epsilon", "0"], None),
+        (["learn", "pac", "--family", "coverage", "--n", "70", "--epsilon", "0.5"], None),
+        (["decompose", "--family", "cut", "--n", "0", "--alpha", "0.5"], None),
+        (["learn", "pac", "--family", "coverage", "--n", "8", "--epsilon", "0.5",
+          "--samples", "0"], None),
+        (["hardness", "lpn", "--trials", "0"], None),
+        (["verify", "variance", "--seeds", "0"], None),
+    ],
+)
+def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, argv, spec):
+    if spec is not None:
+        path = write_family(tmp_path, "spec.json", spec)
+        argv = [path if a == "SPEC" else a for a in argv]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def test_pruning_truncation_mismatch_is_a_failing_row(monkeypatch):
+    from submodtree import cli, dtree
+
+    tree = dtree.random_tree(6, seed=1)
+    assert all(r["pass"] for r in cli._pruning_rows_for_tree("t", tree))
+    monkeypatch.setattr(cli.dtree, "exact_distance", lambda *args: -1.0)
+    rows = cli._pruning_rows_for_tree("t", tree)
+    failed = [r for r in rows if not r["pass"]]
+    assert [r["instance"] for r in failed] == [f"t-truncate-d{dtree.tree_depth(tree) // 2}"]

@@ -17,7 +17,6 @@ from submodtree.cube import (
     mask_of,
     parse_point,
     parse_subset,
-    point_probability,
     weight,
 )
 
@@ -94,15 +93,10 @@ def test_fw_roundtrip_random(n, data):
 def test_point_probability_examples():
     uniform = ProductDistribution.uniform(3)
     for x in range(8):
-        assert point_probability(uniform, x) == pytest.approx(1 / 8)
-    assert point_probability(ProductDistribution((1.0, 1.0)), 0b11) == 1.0
+        assert uniform.point_probability(x) == pytest.approx(1 / 8)
+    assert ProductDistribution((1.0, 1.0)).point_probability(0b11) == 1.0
     quarter = ProductDistribution((0.25, 0.5))
-    assert point_probability(quarter, parse_point("10")[0]) == pytest.approx(0.125)
-
-
-def test_point_probability_dimension_mismatch():
-    with pytest.raises(ValueError):
-        point_probability(ProductDistribution.uniform(3), 0, n=4)
+    assert quarter.point_probability(parse_point("10")[0]) == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8, 12])

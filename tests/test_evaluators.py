@@ -1,0 +1,252 @@
+"""Array evaluators and views against scalar per-point references.
+
+The reference functions below are the per-point closures the package used
+before its oracles became array-native.  Each array evaluator must match its
+reference bit for bit, on random points with n up to 62.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from submodtree import cube
+from submodtree.funcs import (
+    GENERATED_FAMILIES,
+    Restriction,
+    ValueOracle,
+    flip_oracle,
+    generate_random,
+    instantiate,
+    restrict,
+    view,
+)
+from submodtree.hardness import (
+    GadgetSpec,
+    embed_build,
+    embed_decode,
+    gadget_profile,
+    make_gadget,
+)
+from submodtree.learn import threshold_decompose, threshold_oracle
+
+MAX_N = cube.MAX_PACKED_N
+
+
+# --- scalar references ------------------------------------------------------
+
+
+def ref_family(spec):
+    """Per-point evaluator of a generated family instance."""
+    n, p = spec.n, spec.params
+    if spec.family == "coverage":
+        u = p["universe_size"]
+        masks = [sum(1 << (e - 1) for e in s) for s in p["sets"]]
+
+        def cov(x):
+            covered = 0
+            for i, m in enumerate(masks):
+                if (x >> i) & 1:
+                    covered |= m
+            return covered.bit_count() / u
+
+        return cov
+    if spec.family == "cut":
+        edges = p["edges"]
+
+        def cut(x):
+            crossing = sum(1 for a, b in edges if ((x >> (a - 1)) & 1) != ((x >> (b - 1)) & 1))
+            return crossing / len(edges)
+
+        return cut
+    if spec.family == "budget_additive":
+        w, b = p["weights"], p["budget"]
+
+        def badd(x):
+            # left-to-right float sum (the plain sum() of Python <= 3.11)
+            total = 0
+            for i in range(n):
+                if (x >> i) & 1:
+                    total += w[i]
+            return min(total, b) / b
+
+        return badd
+    if spec.family == "matroid_rank_partition":
+        blocks = [sum(1 << (i - 1) for i in blk) for blk in p["blocks"]]
+        caps = p["caps"]
+
+        def rank(x):
+            return sum(min((x & blk).bit_count(), c) for blk, c in zip(blocks, caps)) / sum(caps)
+
+        return rank
+    if spec.family == "concave_profile":
+        profile = p["profile"]
+        return lambda x: profile[x.bit_count()]
+    raise AssertionError(spec.family)
+
+
+def ref_fw_rank(x, n):
+    w = (x & ((1 << n) - 1)).bit_count()
+    rank = 0
+    for pos in range(n):
+        if w == 0:
+            break
+        if (x >> pos) & 1:
+            rank += math.comb(n - 1 - pos, w)
+            w -= 1
+    return rank
+
+
+def ref_fw_unrank(n, w, r):
+    x = 0
+    for pos in range(n):
+        if w == 0:
+            break
+        c = math.comb(n - 1 - pos, w)
+        if r >= c:
+            x |= 1 << pos
+            r -= c
+            w -= 1
+    return x
+
+
+def ref_lex_position(y, k):
+    return sum(1 << (k - 1 - i) for i in range(k) if (y >> i) & 1)
+
+
+def ref_carrier(f, spec):
+    t, n, k = spec.t, spec.n, spec.k
+
+    def h(x):
+        w = x.bit_count()
+        if w < t:
+            return w / t
+        if w > t:
+            return 1.0
+        r = ref_fw_rank(x, n)
+        if r >= (1 << k):
+            return 1.0
+        return 1.0 - 1.0 / (2 * t) if f(ref_lex_position(r, k)) == 0 else 1.0
+
+    return h
+
+
+def assert_bitwise_equal(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+points = st.lists(st.integers(min_value=0), min_size=1, max_size=40)
+
+
+# --- array evaluators ---------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(GENERATED_FAMILIES),
+    n=st.integers(min_value=2, max_value=MAX_N),
+    seed=st.integers(min_value=0, max_value=10_000),
+    raw=points,
+)
+def test_family_evaluator_matches_scalar_reference(family, n, seed, raw):
+    spec = generate_random(family, n, seed)
+    xs = np.array([x % (1 << n) for x in raw], dtype=np.int64)
+    ref = ref_family(spec)
+    got = instantiate(spec).eval_many(xs)
+    assert_bitwise_equal(got, [ref(int(x)) for x in xs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=MAX_N),
+    kind=st.sampled_from(["plateau", "monotone"]),
+    data=st.data(),
+)
+def test_gadget_evaluator_matches_scalar_reference(n, kind, data):
+    subset = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    if subset.bit_count() < 2:
+        subset |= 0b11
+    spec = GadgetSpec(subset, kind)
+    profile = [float(v) for v in gadget_profile(spec.s, kind)]
+    xs = np.array([x % (1 << n) for x in data.draw(points)], dtype=np.int64)
+    got = make_gadget(spec, n).eval_many(xs)
+    assert_bitwise_equal(got, [profile[(int(x) & subset).bit_count()] for x in xs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=MAX_N), data=st.data())
+def test_fixed_weight_ranking_matches_scalar_reference(n, data):
+    xs = np.array([x % (1 << n) for x in data.draw(points)], dtype=np.int64)
+    assert cube.fw_rank(xs, n).tolist() == [ref_fw_rank(int(x), n) for x in xs]
+    w = data.draw(st.integers(min_value=0, max_value=n))
+    rs = data.draw(st.lists(st.integers(0, math.comb(n, w) - 1), min_size=1, max_size=20))
+    got = cube.fw_unrank(n, w, np.array(rs, dtype=np.int64))
+    assert got.tolist() == [ref_fw_unrank(n, w, r) for r in rs]
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(min_value=1, max_value=8), seed=st.integers(0, 1000))
+def test_embedding_carrier_and_decoder_match_scalar_reference(k, seed):
+    rng = np.random.default_rng(seed)
+    f = ValueOracle.from_table(rng.integers(0, 2, size=1 << k).astype(float))
+    h, spec = embed_build(f)
+    ref = ref_carrier(f, spec)
+    xs = np.arange(1 << spec.n, dtype=np.int64)
+    assert_bitwise_equal(h.eval_many(xs), [ref(int(x)) for x in xs])
+    # decoding the exact carrier reads f back
+    assert_bitwise_equal(embed_decode(h, spec).table(), f.table())
+
+
+def test_carrier_charges_one_source_query_per_embedded_point():
+    f = ValueOracle.from_table([0.0, 1.0, 1.0, 0.0])
+    h, spec = embed_build(f)
+    before = f.query_count
+    h.table()
+    assert f.query_count - before == 1 << spec.k
+
+
+# --- views ---------------------------------------------------------------------
+
+
+VIEWS = {
+    "restrict": lambda f: restrict(f, Restriction(f.n, {1: 1, 4: 0, 6: 1})),
+    "restrict-all": lambda f: restrict(f, Restriction(f.n, {i: i % 2 for i in range(f.n)})),
+    "flip": flip_oracle,
+    "threshold": lambda f: threshold_oracle(f, 0.5),
+    "staircase": lambda f: threshold_decompose(f, 0.3)[1],
+    "signed": lambda f: view(f, "signed", values=lambda v: 2.0 * v - 1.0),
+    "flip-then-signed": lambda f: view(flip_oracle(f), "signed", values=lambda v: 2.0 * v - 1.0),
+}
+
+
+@pytest.mark.parametrize("family", GENERATED_FAMILIES)
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_view_same_with_or_without_cached_parent_table(family, name):
+    spec = generate_random(family, 8, seed=5)
+    lazy, eager = instantiate(spec), instantiate(spec)
+    eager.table()
+    a, b = VIEWS[name](lazy), VIEWS[name](eager)
+    assert a.n == b.n
+    xs = np.arange(1 << a.n, dtype=np.int64)[::-3]
+
+    charges = []
+    for v in (a, b):
+        before = v.query_count
+        singles = [v(int(x)) for x in xs]
+        batch = v.eval_many(xs)
+        charges.append(v.query_count - before)
+        assert_bitwise_equal(batch, singles)
+    assert charges[0] == charges[1] == 2 * xs.size
+
+    # a cached parent table gives the view its table without further charges
+    before = b.query_count
+    eager_table = b.table()
+    assert b.query_count == before
+    before = a.query_count
+    lazy_table = a.table()
+    assert a.query_count - before == 1 << a.n
+    assert_bitwise_equal(lazy_table, eager_table)
