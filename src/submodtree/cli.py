@@ -169,8 +169,9 @@ def suite_pairwise(ns, seeds) -> tuple[list[dict], float]:
 def suite_rank(ns, seeds, alphas=ALPHA_GRID) -> list[dict]:
     rows = []
     for inst, f in funcs.iter_corpus(ns=ns, seeds=seeds):
-        for alpha in alphas:
-            report = dc.build_lipschitz_tree(f, alpha)
+        for a, alpha in enumerate(alphas):
+            # the input check does not depend on alpha: run it once per instance
+            report = dc.build_lipschitz_tree(f, alpha, check=a == 0)
             err = dtree.exact_distance(f, report.tree, metric="l1")
             ok = (
                 report.rank_bound_ok()
@@ -592,11 +593,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
+def _at_least(lo: int):
+    """argparse type: an integer >= lo."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def _add_target_options(p) -> None:
@@ -619,10 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--seeds", type=_count, default=5)
-    p.add_argument("--smax", type=int, default=16)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--n", type=_at_least(4), default=8, help="the corpus starts at n = 4")
+    p.add_argument("--seeds", type=_at_least(1), default=5)
+    p.add_argument("--smax", type=_at_least(2), default=16)
+    p.add_argument("--k", type=_at_least(1), default=4)
     p.add_argument("--out", help="directory for report files")
     p.set_defaults(func=cmd_verify)
 
@@ -632,12 +639,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_positive_float, required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--degree", type=int)
-    p.add_argument("--samples", type=_count, default=1 << 16)
+    p.add_argument("--samples", type=_at_least(1), default=1 << 16)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--L", type=_positive_float)
     p.add_argument("--competitor", help="FamilySpec JSON of an explicit competitor")
-    p.add_argument("--bucket-samples", type=_count, help="per-bucket weight samples (agnostic-l2)")
-    p.add_argument("--coeff-samples", type=_count, help="per-coefficient samples (agnostic-l2)")
+    p.add_argument(
+        "--bucket-samples", type=_at_least(1), help="per-bucket weight samples (agnostic-l2)"
+    )
+    p.add_argument(
+        "--coeff-samples", type=_at_least(1), help="per-coefficient samples (agnostic-l2)"
+    )
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("hardness", help="lower-bound demos")
@@ -646,8 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--trials", type=_count, default=30)
-    p.add_argument("--samples", type=_count, default=1 << 16)
+    p.add_argument("--trials", type=_at_least(1), default=30)
+    p.add_argument("--samples", type=_at_least(1), default=1 << 16)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--file", dest="file", help="Boolean truth_table JSON (embed demo)")
     p.add_argument("-f", dest="file", help=argparse.SUPPRESS)

@@ -24,6 +24,7 @@ rank is at most 2k.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,7 @@ from .dtree import (
     Node,
     OracleLeaf,
     TreeNode,
+    leaf_map,
     rank as tree_rank,
 )
 from .funcs import Restriction, TOL, ValueOracle, restrict
@@ -172,25 +174,42 @@ def _iter_leaves(node: TreeNode, out: list) -> None:
         out.append(node)
 
 
-def _certify_leaf(leaf: OracleLeaf, alpha: float) -> LeafCertificate:
-    if leaf.oracle.n > enum_cap():
-        return LeafCertificate(None, None, None)
-    mono = bool(funcs.is_alpha_monotone_decreasing(leaf.oracle, alpha))
-    lip = funcs.lipschitz_constant(leaf.oracle) <= alpha + TOL
-    sub = bool(funcs.is_submodular(leaf.oracle))
-    return LeafCertificate(mono, lip, sub)
+# certificates are immutable, so the leaves share one per outcome
+_CERTIFICATES = {
+    flags: LeafCertificate(*flags)
+    for flags in [*itertools.product((True, False), repeat=3), (None, None, None)]
+}
 
 
-def _certify(tree: DecisionTree, alpha: float) -> list[LeafCertificate]:
+def _certify(tree: DecisionTree, alpha: float, f: ValueOracle) -> list[LeafCertificate]:
+    """Certificates of the leaves of a decomposition of f, in `_iter_leaves` order.
+
+    Within the enumeration cap one strided pass over f's table checks every
+    leaf at once.  Beyond it each leaf within the cap is checked on its own
+    table, as a one-leaf tree, and a larger leaf gets None.  Constant leaves
+    pass.
+    """
     leaves: list = []
     _iter_leaves(tree.root, leaves)
-    certs = []
-    for lf in leaves:
-        if isinstance(lf, OracleLeaf):
-            certs.append(_certify_leaf(lf, alpha))
-        else:
-            certs.append(LeafCertificate(True, True, True))
-    return certs
+    if f.n <= enum_cap():
+        leaf_of, free = leaf_map(tree)
+        failed = funcs.leaf_violations(f.table(), f.n, leaf_of, free, alpha)
+        ok = zip(*(np.logical_not(bad).tolist() for bad in failed))
+    else:
+        ok = (_leaf_ok(lf.oracle, alpha) if isinstance(lf, OracleLeaf) else None for lf in leaves)
+    return [
+        _CERTIFICATES[flags if isinstance(lf, OracleLeaf) else (True, True, True)]
+        for lf, flags in zip(leaves, ok)
+    ]
+
+
+def _leaf_ok(g: ValueOracle, alpha: float) -> tuple:
+    """The three certificate flags of a leaf oracle checked on its own table."""
+    if g.n > enum_cap():
+        return (None, None, None)
+    whole = np.array([(1 << g.n) - 1])
+    failed = funcs.leaf_violations(g.table(), g.n, np.zeros(1 << g.n, dtype=np.int32), whole, alpha)
+    return tuple(not bad[0] for bad in failed)
 
 
 def build_monotone_tree(
@@ -217,7 +236,7 @@ def build_monotone_tree(
         phase="monotone",
     )
     if certify:
-        report.leaf_certificates = _certify(tree, alpha)
+        report.leaf_certificates = _certify(tree, alpha, f)
     return report
 
 
@@ -247,7 +266,7 @@ def build_lipschitz_tree(
         phase="lipschitz",
     )
     if certify:
-        report.leaf_certificates = _certify(tree, alpha)
+        report.leaf_certificates = _certify(tree, alpha, f)
     return report
 
 

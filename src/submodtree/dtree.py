@@ -21,7 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .cube import ProductDistribution, check_enumerable
+from .cube import ProductDistribution, check_enumerable, popcount
 from .funcs import ValueOracle
 
 TreeNode = Union["ConstLeaf", "OracleLeaf", "Node"]
@@ -131,6 +131,49 @@ def leaf_profile(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
     depths = np.empty(1 << tree.n, dtype=np.int64)
     _fill_profile(tree.root, np.arange(1 << tree.n, dtype=np.int64), 0, vals, depths)
     return vals, depths
+
+
+def leaf_map(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
+    """The leaf of every point and the free coordinates of every leaf.
+
+    Leaves are numbered in preorder, lo before hi.  Returns the int32 leaf id
+    of each point (little-endian point order) and, per leaf, the int64 mask
+    of the coordinates not tested on its path.  All points descend the
+    tree's node arrays together, one level per step.
+    """
+    check_enumerable(tree.n, "leaf map")
+    var: list[int] = []
+    child: list[int] = []  # child[2k + b]: the node after node k when the bit is b
+    leaf_id: list[int] = []
+    tested: list[int] = []  # per leaf, the mask of the coordinates on its path
+
+    def walk(node: TreeNode, path: int) -> int:
+        if isinstance(node, Node):
+            bit = 1 << node.var
+            lo, hi = walk(node.lo, path | bit), walk(node.hi, path | bit)
+            var.append(node.var)
+            leaf_id.append(-1)
+        else:
+            lo = hi = len(var)  # a leaf steps onto itself
+            var.append(0)
+            leaf_id.append(len(tested))
+            tested.append(path)
+        child.extend((lo, hi))
+        return len(var) - 1
+
+    root = walk(tree.root, 0)
+    var_a, child_a, paths = (np.array(a, dtype=np.int64) for a in (var, child, tested))
+    points = np.arange(1 << tree.n, dtype=np.int64)
+    at = np.full(1 << tree.n, root, dtype=np.int64)
+    for _ in range(int(popcount(paths).max())):  # the tree's depth
+        step = var_a[at]
+        np.right_shift(points, step, out=step)
+        step &= 1
+        step += at
+        step += at
+        at = child_a[step]
+    leaf_of = np.array(leaf_id, dtype=np.int32)[at]
+    return leaf_of, paths ^ ((1 << tree.n) - 1)
 
 
 def truncation_disagreements(tree: DecisionTree, dist: ProductDistribution | None = None) -> np.ndarray:

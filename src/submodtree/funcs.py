@@ -240,11 +240,49 @@ def second_derivative(f: ValueOracle, i: int, j: int, x: int) -> float:
     return f(base | bi | bj) - f(base | bi) - f(base | bj) + f(base)
 
 
-def _derivative_table(table: np.ndarray, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives along i at every point with x_i = 0, plus those points."""
-    idx = np.arange(1 << n)
-    lo = idx[(idx >> i) & 1 == 0]
-    return table[lo | (1 << i)] - table[lo], lo
+# --- exhaustive checkers ------------------------------------------------------
+#
+# t.reshape(-1, 2, 1 << i) puts coordinate i on the middle axis, so fixing x_i
+# is a strided view of the table, and what is left lists the other points in
+# ascending order when flattened in C order.
+
+
+def _halves(a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a per-point array at x_i = 0 and at x_i = 1."""
+    v = a.reshape(-1, 2, 1 << i)
+    return v[:, 0], v[:, 1]
+
+
+def _quarters(a: np.ndarray, i: int, j: int) -> tuple[np.ndarray, ...]:
+    """Views of a per-point array at (x_i, x_j) = 00, 10, 01, 11, for i < j."""
+    v = a.reshape(-1, 2, 1 << (j - 1 - i), 2, 1 << i)
+    return v[:, 0, :, 0], v[:, 0, :, 1], v[:, 1, :, 0], v[:, 1, :, 1]
+
+
+def _derivatives(t: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(i, derivatives along i at the points with x_i = 0) for each coordinate."""
+    for i in range(n):
+        lo, hi = _halves(t, i)
+        yield i, hi - lo
+
+
+def _mixed_differences(t: np.ndarray, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(i, j, t11 - t10 - t01 + t00 at the points with x_i = x_j = 0) for each
+    pair i < j, in lexicographic order; one array of 2^(n-2) values at a time."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            t00, t10, t01, t11 = _quarters(t, i, j)
+            dd = t11 - t10
+            dd -= t01
+            dd += t00
+            yield i, j, dd
+
+
+def _with_zero_bits(k: int, *bits: int) -> int:
+    """The point whose bits outside ``bits`` (ascending) read k, with zeros at ``bits``."""
+    for b in bits:
+        k = (k >> b << (b + 1)) | (k & ((1 << b) - 1))
+    return k
 
 
 @dataclass(frozen=True)
@@ -266,57 +304,73 @@ class CheckResult:
 def is_submodular(f: ValueOracle, tol: float = TOL) -> CheckResult:
     """Exhaustive check that every mixed second difference is <= tol."""
     check_enumerable(f.n, "submodularity check")
-    t = f.table()
-    n = f.n
-    idx = np.arange(1 << n)
     worst = -np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            bi, bj = 1 << i, 1 << j
-            base = idx[((idx >> i) & 1 == 0) & ((idx >> j) & 1 == 0)]
-            dd = t[base | bi | bj] - t[base | bi] - t[base | bj] + t[base]
-            k = int(np.argmax(dd))
-            if dd[k] > worst:
-                worst = float(dd[k])
-            if dd[k] > tol:
-                return CheckResult(False, (i, j, int(base[k])), float(dd[k]))
+    for i, j, dd in _mixed_differences(f.table(), f.n):
+        k = int(np.argmax(dd))
+        top = float(dd.flat[k])
+        worst = max(worst, top)
+        if top > tol:
+            return CheckResult(False, (i, j, _with_zero_bits(k, i, j)), top)
     return CheckResult(True, None, worst)
 
 
 def is_monotone(f: ValueOracle, tol: float = TOL) -> CheckResult:
     """Exhaustive check that all discrete derivatives are >= -tol."""
     check_enumerable(f.n, "monotonicity check")
-    t = f.table()
-    for i in range(f.n):
-        d, lo = _derivative_table(t, f.n, i)
+    for i, d in _derivatives(f.table(), f.n):
         k = int(np.argmin(d))
-        if d[k] < -tol:
-            return CheckResult(False, (i, int(lo[k])), float(d[k]))
+        if d.flat[k] < -tol:
+            return CheckResult(False, (i, _with_zero_bits(k, i)), float(d.flat[k]))
     return CheckResult(True)
 
 
 def is_alpha_monotone_decreasing(f: ValueOracle, alpha: float, tol: float = TOL) -> CheckResult:
     """Exhaustive check that every discrete derivative is <= alpha + tol."""
     check_enumerable(f.n, "alpha-monotone check")
-    t = f.table()
-    for i in range(f.n):
-        d, lo = _derivative_table(t, f.n, i)
+    for i, d in _derivatives(f.table(), f.n):
         k = int(np.argmax(d))
-        if d[k] > alpha + tol:
-            return CheckResult(False, (i, int(lo[k])), float(d[k]))
+        if d.flat[k] > alpha + tol:
+            return CheckResult(False, (i, _with_zero_bits(k, i)), float(d.flat[k]))
     return CheckResult(True)
 
 
 def lipschitz_constant(f: ValueOracle) -> float:
     """max over i, x of |derivative along i at x| (exhaustive)."""
     check_enumerable(f.n, "Lipschitz constant")
-    t = f.table()
     worst = 0.0
-    for i in range(f.n):
-        d, _ = _derivative_table(t, f.n, i)
-        if d.size:
-            worst = max(worst, float(np.max(np.abs(d))))
+    for _, d in _derivatives(f.table(), f.n):
+        worst = max(worst, float(np.max(np.abs(d))))
     return worst
+
+
+def leaf_violations(
+    t: np.ndarray, n: int, leaf_of: np.ndarray, free: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leaves of a decomposition that fail the alpha-monotone, alpha-Lipschitz
+    and submodular checks, all found in one pass over the parent table t.
+
+    ``leaf_of`` holds the leaf of every point and ``free`` the mask of each
+    leaf's free coordinates.  A difference along i belongs to the leaf of its
+    x_i = 0 point exactly when i is free there (a pair difference when both
+    coordinates are), and then it equals the leaf's own difference bit for
+    bit.  Each returned bool array marks the leaves on whose restriction the
+    corresponding check fails: `is_alpha_monotone_decreasing`,
+    `lipschitz_constant` <= alpha + TOL, `is_submodular`.
+    """
+    mono, lip, sub = np.zeros((3, len(free)), dtype=bool)
+    bound = alpha + TOL
+    for i, d in _derivatives(t, n):
+        at = _halves(leaf_of, i)[0]
+        for failed, hits in ((mono, d > bound), (lip, np.abs(d) > bound)):
+            ids = at[hits]
+            failed[ids[(free[ids] >> i) & 1 == 1]] = True
+    for i, j, dd in _mixed_differences(t, n):
+        hits = dd > TOL
+        if hits.any():  # rare on submodular input
+            ids = _quarters(leaf_of, i, j)[0][hits]
+            both = (1 << i) | (1 << j)
+            sub[ids[free[ids] & both == both]] = True
+    return mono, lip, sub
 
 
 def uniform_mean(f: ValueOracle) -> float:
@@ -373,11 +427,17 @@ def _validate_profile(profile: Sequence[float], n: int) -> None:
             )
 
 
+def _require_finite(what: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise InvalidFamilySpec(f"{what} must be finite")
+
+
 def instantiate(spec: FamilySpec) -> ValueOracle:
     """Build the normalized value oracle of a family instance (range [0,1]).
 
     A missing field or a field of the wrong type raises InvalidFamilySpec,
-    as does n outside 1..62 (the int64 point packing).
+    as do a NaN or infinite value and n outside 1..62 (the int64 point
+    packing).
     """
     try:
         return _instantiate(spec)
@@ -438,6 +498,7 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
     if family == "budget_additive":
         w = [float(v) for v in p["weights"]]
         b = float(p["budget"])
+        _require_finite("budget_additive weights and budget", [*w, b])
         if len(w) != n or any(v < 0 for v in w) or b <= 0:
             raise InvalidFamilySpec("budget_additive needs n nonnegative weights and budget > 0")
 
@@ -476,6 +537,7 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
 
     if family == "concave_profile":
         profile = [float(v) for v in p["profile"]]
+        _require_finite("concave_profile profile", profile)
         _validate_profile(profile, n)
         by_weight = np.array(profile)
         return ValueOracle(n, lambda xs: by_weight[popcount(xs)], label=label)
@@ -484,6 +546,7 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
         values = np.asarray(p["values"], dtype=float)
         if values.size != (1 << n):
             raise InvalidFamilySpec(f"truth_table needs 2^{n} values, got {values.size}")
+        _require_finite("truth_table values", values)
         if values.min() < -TOL or values.max() > 1 + TOL:
             raise InvalidFamilySpec("truth_table values outside [0, 1]")
         return ValueOracle.from_table(values, label=label)

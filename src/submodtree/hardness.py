@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import check_enumerable, fw_rank, fw_unrank, popcount
+from .cube import check_enumerable, check_packable, fw_rank, fw_unrank, popcount
 from .fourier import parity_signs
 from .funcs import ValueOracle
 from .learn import Hypothesis, LabeledSample
@@ -249,6 +249,7 @@ class NoisySource:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_packable(self.n, "noisy source")
         if not 0.0 <= self.eta < 0.5:
             raise ValueError(f"noise rate must be in [0, 1/2), got {self.eta}")
         if self.subset >> self.n:

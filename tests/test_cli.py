@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -189,6 +190,20 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
           "--samples", "0"], None),
         (["hardness", "lpn", "--trials", "0"], None),
         (["verify", "variance", "--seeds", "0"], None),
+        (["verify", "variance", "--n", "3"], None),
+        (["verify", "correlation", "--smax", "1"], None),
+        (["verify", "embedding", "--k", "0"], None),
+        (["hardness", "lpn", "--n", "70", "--k", "2"], None),
+        (["decompose", "--file", "SPEC", "--alpha", "0.5"],
+         {"family": "truth_table", "n": 2, "values": [0.0, float("nan"), 0.5, 1.0]}),
+        (["decompose", "--file", "SPEC", "--alpha", "0.5"],
+         {"family": "truth_table", "n": 1, "values": [0.0, float("inf")]}),
+        (["decompose", "--file", "SPEC", "--alpha", "0.5"],
+         {"family": "budget_additive", "n": 2, "weights": [0.5, float("nan")], "budget": 1.0}),
+        (["decompose", "--file", "SPEC", "--alpha", "0.5"],
+         {"family": "budget_additive", "n": 2, "weights": [0.5, 0.5], "budget": float("inf")}),
+        (["decompose", "--file", "SPEC", "--alpha", "0.5"],
+         {"family": "concave_profile", "n": 2, "profile": [0.0, float("nan"), 1.0]}),
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, argv, spec):
@@ -198,6 +213,49 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, argv, spec):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+# sha256 of the report files of `decompose --n 12 --alpha 0.25`, as written
+# before leaf certification became one strided pass over the parent table
+GOLDEN_DECOMPOSE_N12 = {
+    "coverage": (
+        "edae1af24e43279d52aa2d9bd572e47a563e91115302abca65ff92af3c602c78",
+        "f6a653ffb90b8d1199859332b07f3c7af45e247a127324463eb15f4d7610e780",
+        "3e5a054e90180f7bce75a1130334523e7f4d6dfba0f5e904048428ebcc373bec",
+    ),
+    "cut": (
+        "82ccd4094d587a8c15fa27e7b0481ff8684478fbed19c9769169f3d185e2815a",
+        "0b2a8577ce364a78082376ed3bbd634bab84b3e82fa3e8330c7ffe4f8785e980",
+        "1713f1296a4c7b56e0def5b7dcf2ca957aca3b0218daba53a42f874039179405",
+    ),
+    "budget_additive": (
+        "116a260e048e9e4e24c0b725f9527147593594316e50d9ae04812996d6cc2510",
+        "2660ccaf5e84b43d0a2e79de99d967af39ef61272ba0039df1de49fcfcf9ee88",
+        "e28411d904d0d1a67a4f2e8269678e2b7c86d21ea9975deb44055570eebb53ff",
+    ),
+    "matroid_rank_partition": (
+        "e691bed9c2269931a268aab311367d5d9cca04b677c5c1d33cbb66b3e5678773",
+        "12f7e8708866507368ceb24bfe39808daeabca31da7df5cea2823a92c7f1c76d",
+        "ef19fc26dc11becdd2eb6b958ffa9623beedb303edf0218ee4fd5fd9f27c76ef",
+    ),
+    "concave_profile": (
+        "bfefd0d6bad261b90cc1c9cdbf2317a8ca217a44f68ea2e34bc5ced516d78f61",
+        "45ed873ad59092aff9a4d4886d47d6c3191a65ee8b883541d9505338abd3759d",
+        "a1e317b70d0c4e4557a0d80ddcd368144caf294ba36b4501b1e8b63fea95b8e8",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_DECOMPOSE_N12))
+def test_decompose_reports_match_golden_hashes(tmp_path, family):
+    out = tmp_path / family
+    assert run(["decompose", "--family", family, "--n", "12", "--alpha", "0.25",
+                "--out", str(out)]) == 0
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("report.json", "tree.json", "rank.csv")
+    )
+    assert got == GOLDEN_DECOMPOSE_N12[family]
 
 
 def test_pruning_truncation_mismatch_is_a_failing_row(monkeypatch):
