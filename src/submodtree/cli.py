@@ -409,9 +409,13 @@ def cmd_decompose(args) -> int:
     obj = report.to_json_obj()
     obj["instance"] = inst
     obj["max_l1_error"] = err
-    obj["tree"] = dtree.to_json_obj(tree)
-    _write(args.out, "report.json", _dump_json(obj))
-    _write(args.out, "tree.json", _dump_json(dtree.to_json_obj(tree)))
+    tree_text = _dump_json(dtree.to_json_obj(tree))
+    # "tree" sorts after every other key of the report, so the tree text,
+    # indented one level, closes it: the tree is serialized once
+    head = _dump_json(obj)[: -len("\n}\n")]
+    nested = tree_text.rstrip("\n").replace("\n", "\n  ")
+    _write(args.out, "report.json", f'{head},\n  "tree": {nested}\n}}\n')
+    _write(args.out, "tree.json", tree_text)
     bound = math.ceil(2.0 / args.alpha)
     row = {
         "instance": f"{inst}-a{args.alpha:g}",

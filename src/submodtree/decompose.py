@@ -31,13 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import funcs
-from .cube import enum_cap
+from .cube import enum_cap, popcount
 from .dtree import (
     ConstLeaf,
     DecisionTree,
     Node,
     OracleLeaf,
     TreeNode,
+    descend,
+    evaluate_many,
     leaf_map,
     rank as tree_rank,
 )
@@ -117,45 +119,144 @@ def _check_submodular(f: ValueOracle, check: bool) -> None:
             )
 
 
-def _leaf_for(f: ValueOracle, fixed: dict[int, int]) -> OracleLeaf:
-    r = Restriction(f.n, dict(fixed))
-    return OracleLeaf(restrict(f, r), r.free)
+# bit i, and the bits 0..i, of every coordinate of a packed point
+_UNIT = np.int64(1) << np.arange(62, dtype=np.int64)
+_UPTO = (_UNIT << 1) - 1
 
 
-def _grow_monotone(f: ValueOracle, alpha: float, fixed: dict[int, int], leaf) -> TreeNode:
-    """Split until every derivative at the subcube's all-zero point is <= alpha;
-    ``leaf(fixed)`` builds the node that ends each path."""
-    base = 0
-    for i, b in fixed.items():
-        if b:
-            base |= 1 << i
-    f_base = f(base)
+def _gathered_splits(table, unit, bound: float, phases: int, bits, free, late):
+    """`_grow`'s split rule read from f's cached table: one gather reads every
+    neighbour of every node at both extreme points.  The "neighbour" along a
+    fixed coordinate is the point itself, whose difference 0 never passes."""
+    ends = np.concatenate([bits, bits | free]).reshape(2, -1)[:phases]
+    hit = table[ends[..., None] ^ (free[:, None] & unit)] - table[ends][..., None] > bound
+    first = np.where(hit.any(axis=2), hit.argmax(axis=2) if unit.size else 0, -1)
+    if phases == 1:
+        return first[0], np.zeros(bits.size, dtype=bool)
+    moved = ~late & (first[0] < 0)
+    return np.where(late | moved, first[1], first[0]), moved
+
+
+def _probed_splits(f: ValueOracle, bound: float, phases: int, bits, free, late):
+    """`_grow`'s split rule read through `eval_many`, phase by phase, so that
+    no point the rule does not read is evaluated or charged."""
+    split = np.full(bits.size, -1, dtype=np.int64)
+    split[~late] = _probe(f, bound, bits[~late], free[~late])
+    moved = ~late & (split < 0) if phases == 2 else np.zeros(bits.size, dtype=bool)
+    if phases == 2:
+        late = late | moved
+        split[late] = _probe(f, bound, (bits | free)[late], free[late])
+    return split, moved
+
+
+def _probe(f: ValueOracle, bound: float, points: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Per point, the first coordinate i in its ``free`` mask, in ascending
+    order, with f(p ^ e_i) - f(p) > bound, or -1: one `eval_many` per
+    coordinate, over the points still undecided with that coordinate free."""
+    at = f.eval_many(points)
+    split = np.full(points.size, -1, dtype=np.int64)
     for i in range(f.n):
-        if i in fixed:
-            continue
-        if f(base | (1 << i)) - f_base > alpha + SPLIT_TOL:
-            lo = _grow_monotone(f, alpha, {**fixed, i: 0}, leaf)
-            hi = _grow_monotone(f, alpha, {**fixed, i: 1}, leaf)
-            return Node(i, lo, hi)
-    return leaf(fixed)
+        todo = np.flatnonzero((free >> i & 1 == 1) & (split < 0))
+        if todo.size:
+            split[todo[f.eval_many(points[todo] ^ _UNIT[i]) - at[todo] > bound]] = i
+    return split
 
 
-def _grow_flipped(f: ValueOracle, alpha: float, fixed: dict[int, int]) -> TreeNode:
-    # splitting rule of _grow_monotone applied to the flipped restriction:
-    # the subcube's all-ones point plays the role of the all-zero point
-    top = 0
-    for i in range(f.n):
-        if fixed.get(i, 1):
-            top |= 1 << i
-    f_top = f(top)
-    for i in range(f.n):
-        if i in fixed:
-            continue
-        if f_top - f(top ^ (1 << i)) < -(alpha + SPLIT_TOL):
-            lo = _grow_flipped(f, alpha, {**fixed, i: 0})
-            hi = _grow_flipped(f, alpha, {**fixed, i: 1})
-            return Node(i, lo, hi)
-    return _leaf_for(f, fixed)
+def _grow(f: ValueOracle, table, alpha: float, phases: int) -> tuple[np.ndarray, ...]:
+    """The decomposition tree of f, grown one depth level at a time.
+
+    A node is the subcube with the coordinates in its mask fixed to its bits.
+    It splits on its first free coordinate i, in ascending order, with
+    f(p ^ e_i) - f(p) > alpha at its extreme point p: the all-zero point in
+    phase 1.  With ``phases`` = 2 a node that phase 1 leaves whole continues
+    at once in phase 2, as do all its descendants, at the all-ones point,
+    where the rule is f(top) - f(top - e_i) < -alpha bit for bit; so the
+    phase-2 trees sit where the phase-1 leaves were.  Per phase, each node is
+    charged what the sequential rule reads: p, then each free coordinate up
+    to the one it splits on, or all of them at a leaf.  With f's cached
+    ``table`` the rule reads the table and these charges are made in bulk.
+
+    Returns the fixed masks, fixed bits and split coordinates (-1 at a leaf)
+    of the nodes in level order, left to right within a level; the children
+    of the k-th split node, lo then hi, are nodes 2k + 1 and 2k + 2.
+    """
+    full = np.int64((1 << f.n) - 1)
+    unit = _UNIT[: f.n]
+    bound = alpha + SPLIT_TOL
+    mask, bits = np.zeros((2, 1), dtype=np.int64)
+    late = np.zeros(1, dtype=bool)  # the node grows in phase 2
+    levels = []
+    while True:
+        free = ~mask & full
+        if table is not None:
+            split, moved = _gathered_splits(table, unit, bound, phases, bits, free, late)
+        else:
+            split, moved = _probed_splits(f, bound, phases, bits, free, late)
+        levels.append((mask, bits, split, moved))
+        at = (split >= 0).nonzero()[0]
+        if not at.size:
+            break
+        bit = _UNIT[split[at]]
+        mask = (mask[at] | bit).repeat(2)
+        bits = bits[at].repeat(2)
+        bits[1::2] |= bit
+        late = (late | moved)[at].repeat(2)
+    mask, bits, split, moved = (np.concatenate(a) for a in zip(*levels))
+    if table is not None:
+        free = ~mask & full
+        read = np.bitwise_count(free & np.where(split < 0, full, _UPTO[split]))
+        f.charge(split.size + moved.sum() + read.sum() + np.bitwise_count(free[moved]).sum())
+    return mask, bits, split
+
+
+def _build(f: ValueOracle, alpha: float, phases: int, certify: bool):
+    """The tree grown by `_grow` with restriction leaves, and the leaf
+    certificates when ``certify``.
+
+    Within the enumeration cap every point descends the node arrays once;
+    those leaf ids give every leaf's table as a slice of one gather and feed
+    `_certify`.  Beyond it each leaf is a `restrict` view.
+    """
+    within = f.n <= enum_cap()
+    mask, bits, split = _grow(f, f.table() if within else None, alpha, phases)
+    leaves = split < 0
+    number = np.cumsum(leaves) - 1  # of each leaf node, among the leaves in level order
+    free = ~mask[leaves] & ((1 << f.n) - 1)
+    if within:
+        child = np.arange(split.size).repeat(2)  # a leaf steps onto itself
+        child[~leaves.repeat(2)] = np.arange(1, 2 * (split.size - free.size) + 1)
+        points = np.arange(1 << f.n, dtype=np.int64)
+        depth = int(popcount(mask[-1]))  # the last node is on the deepest level
+        leaf_of = number[descend(np.maximum(split, 0), child, points, depth)]
+        oracles = funcs.restrict_leaves(f, leaf_of, free)
+    else:
+        oracles = [
+            restrict(f, Restriction(f.n, {i: b >> i & 1 for i in range(f.n) if m >> i & 1}))
+            for m, b in zip(mask[leaves].tolist(), bits[leaves].tolist())
+        ]
+    var, numbers, masks = split.tolist(), number.tolist(), free.tolist()
+    coords: dict[int, tuple[int, ...]] = {}  # free coordinates by mask
+    order: list[int] = []  # leaf numbers in preorder
+
+    def build(node: int) -> TreeNode:
+        if var[node] >= 0:
+            lo = 2 * (node - numbers[node]) - 1  # node - numbers[node] - 1 splits precede it
+            return Node(var[node], build(lo), build(lo + 1))
+        k = numbers[node]
+        order.append(k)
+        m = masks[k]
+        if m not in coords:
+            coords[m] = tuple(i for i in range(f.n) if m >> i & 1)
+        return OracleLeaf(oracles[k], coords[m])
+
+    tree = DecisionTree(f.n, build(0))
+    if not certify:
+        return tree, []
+    if not within:
+        return tree, _certify(tree, alpha, f)
+    preorder = np.empty(len(order), dtype=np.int32)
+    preorder[order] = np.arange(len(order), dtype=np.int32)
+    return tree, _certify(tree, alpha, f, (preorder[leaf_of], free[order]))
 
 
 def _map_oracle_leaves(node: TreeNode, fn) -> TreeNode:
@@ -181,18 +282,21 @@ _CERTIFICATES = {
 }
 
 
-def _certify(tree: DecisionTree, alpha: float, f: ValueOracle) -> list[LeafCertificate]:
+def _certify(
+    tree: DecisionTree, alpha: float, f: ValueOracle, partition: tuple | None = None
+) -> list[LeafCertificate]:
     """Certificates of the leaves of a decomposition of f, in `_iter_leaves` order.
 
     Within the enumeration cap one strided pass over f's table checks every
-    leaf at once.  Beyond it each leaf within the cap is checked on its own
+    leaf at once; ``partition`` is the tree's `leaf_map` when the caller
+    already has it.  Beyond the cap each leaf within it is checked on its own
     table, as a one-leaf tree, and a larger leaf gets None.  Constant leaves
     pass.
     """
     leaves: list = []
     _iter_leaves(tree.root, leaves)
     if f.n <= enum_cap():
-        leaf_of, free = leaf_map(tree)
+        leaf_of, free = partition if partition is not None else leaf_map(tree)
         failed = funcs.leaf_violations(f.table(), f.n, leaf_of, free, alpha)
         ok = zip(*(np.logical_not(bad).tolist() for bad in failed))
     else:
@@ -225,19 +329,16 @@ def build_monotone_tree(
         raise ValueError(f"alpha must be positive, got {alpha}")
     _check_submodular(f, check)
     if f.n <= enum_cap():
-        f.table()  # one bulk materialization makes the recursion O(1) per query
-    root = _grow_monotone(f, alpha, {}, lambda fixed: _leaf_for(f, fixed))
-    tree = DecisionTree(f.n, root)
-    report = DecompositionReport(
+        f.table()  # one bulk materialization makes every frontier query a gather
+    tree, certificates = _build(f, alpha, 1, certify)
+    return DecompositionReport(
         tree=tree,
         alpha=alpha,
         rank=tree_rank(tree),
         claimed_rank_bound=1.0 / alpha,
+        leaf_certificates=certificates,
         phase="monotone",
     )
-    if certify:
-        report.leaf_certificates = _certify(tree, alpha, f)
-    return report
 
 
 def build_lipschitz_tree(
@@ -256,18 +357,15 @@ def build_lipschitz_tree(
     _check_submodular(f, check)
     if f.n <= enum_cap():
         f.table()
-    root = _grow_monotone(f, alpha, {}, lambda fixed: _grow_flipped(f, alpha, fixed))
-    tree = DecisionTree(f.n, root)
-    report = DecompositionReport(
+    tree, certificates = _build(f, alpha, 2, certify)
+    return DecompositionReport(
         tree=tree,
         alpha=alpha,
         rank=tree_rank(tree),
         claimed_rank_bound=2.0 / alpha,
+        leaf_certificates=certificates,
         phase="lipschitz",
     )
-    if certify:
-        report.leaf_certificates = _certify(tree, alpha, f)
-    return report
 
 
 def default_mean_samples(alpha: float) -> int:
@@ -295,32 +393,45 @@ def constantize_leaves(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "custom" and custom_fn is None:
         raise ValueError("mode='custom' needs custom_fn")
-    used_mc = None
-
-    def mean_of(leaf: OracleLeaf) -> float:
-        nonlocal used_mc
-        if leaf.oracle.n == 0:
-            return leaf.oracle(0)
-        if leaf.oracle.n <= enum_cap():
-            t = leaf.oracle.table()
-            if np.all(t == t[0]):  # constant leaves stay bit-exact
-                return float(t[0])
-            return float(np.mean(t))
+    leaves: list = []
+    _iter_leaves(report.tree.root, leaves)
+    oracle = [lf for lf in leaves if isinstance(lf, OracleLeaf)]
+    if mode == "custom":
+        values = [float(custom_fn(lf.oracle, lf.free)) for lf in oracle]
+    else:
+        cap = enum_cap()
+        exact = [lf.oracle for lf in oracle if lf.oracle.n <= cap]
+        means = iter(_means([g.table() if g.n else np.array([g(0)]) for g in exact]).tolist())
         m = mc_samples if mc_samples is not None else default_mean_samples(report.alpha)
-        used_mc = m
-        rng = np.random.default_rng((0xC0457, seed, leaf.free))
-        xs = rng.integers(0, 1 << leaf.oracle.n, size=m, dtype=np.int64)
-        return float(np.mean(leaf.oracle.eval_many(xs)))
-
-    def conv(leaf: OracleLeaf) -> ConstLeaf:
-        if mode == "custom":
-            return ConstLeaf(float(custom_fn(leaf.oracle, leaf.free)))
-        return ConstLeaf(mean_of(leaf))
-
-    root = _map_oracle_leaves(report.tree.root, conv)
-    if used_mc is not None:
-        report.leaf_mean_samples = used_mc
+        values = [
+            next(means) if lf.oracle.n <= cap else _sampled_mean(lf, m, seed) for lf in oracle
+        ]
+        if len(exact) < len(oracle):
+            report.leaf_mean_samples = m
+    it = iter(values)
+    root = _map_oracle_leaves(report.tree.root, lambda lf: ConstLeaf(next(it)))
     return DecisionTree(report.tree.n, root)
+
+
+def _means(tables: list[np.ndarray]) -> np.ndarray:
+    """np.mean of every table, bit for bit, as one mean(axis=1) over the
+    tables of each size; a constant table keeps its value exactly."""
+    sizes = np.array([t.size for t in tables], dtype=np.int64)
+    means = np.empty(len(tables))
+    for size in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == size)
+        block = np.stack([tables[k] for k in at.tolist()])
+        row = block.mean(axis=1)
+        const = (block == block[:, :1]).all(axis=1)
+        row[const] = block[const, 0]
+        means[at] = row
+    return means
+
+
+def _sampled_mean(leaf: OracleLeaf, m: int, seed: int) -> float:
+    rng = np.random.default_rng((0xC0457, seed, leaf.free))
+    xs = rng.integers(0, 1 << leaf.oracle.n, size=m, dtype=np.int64)
+    return float(np.mean(leaf.oracle.eval_many(xs)))
 
 
 def approximate_by_tree(
@@ -438,13 +549,10 @@ def proper_learn_discrete(
         if exact:
             dis = exact_distance(f, tree, metric="disagreement")
         else:
-            from .dtree import evaluate
-
             m = test_samples if test_samples is not None else 4096
             xs = rng.integers(0, 1 << f.n, size=m, dtype=np.int64)
             ys = f.eval_many(xs)
-            hs = np.array([evaluate(tree, int(x)) for x in xs])
-            dis = float(np.mean(ys != hs))
+            dis = float(np.mean(ys != evaluate_many(tree, xs)))
         if best is None or dis < best.disagreement:
             flag = bool(funcs.is_submodular(to_oracle(tree))) if exact else None
             best = ProperLearnResult(tree, dis, flag, tried)

@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .cube import ProductDistribution, check_enumerable, popcount
-from .funcs import ValueOracle
+from .funcs import ValueOracle, full_tables, group_order
 
 TreeNode = Union["ConstLeaf", "OracleLeaf", "Node"]
 
@@ -80,43 +80,121 @@ def evaluate(tree: DecisionTree, x: int) -> float:
     return node.oracle(local)
 
 
-def _fill_table(node: TreeNode, idx: np.ndarray, out: np.ndarray) -> None:
-    if isinstance(node, ConstLeaf):
-        out[idx] = node.value
-        return
-    if isinstance(node, OracleLeaf):
-        local = np.zeros(idx.shape, dtype=np.int64)
-        for k, g in enumerate(node.free):
-            local |= ((idx >> g) & 1) << k
-        out[idx] = node.oracle.eval_many(local)
-        return
-    bit = (idx >> node.var) & 1
-    _fill_table(node.lo, idx[bit == 0], out)
-    _fill_table(node.hi, idx[bit == 1], out)
+def descend(var: np.ndarray, child: np.ndarray, xs: np.ndarray, depth: int) -> np.ndarray:
+    """The node that each point of the int64 array xs reaches, for a tree
+    given as node arrays.
+
+    Node 0 is the root; node k tests coordinate var[k] and steps to
+    child[2k + bit].  A leaf steps onto itself, so after ``depth`` steps (the
+    tree's depth) every point sits at its leaf.  All points descend
+    together, one level per step.
+    """
+    at = np.zeros(xs.shape, dtype=np.int64)
+    for _ in range(depth):
+        step = var[at]
+        np.right_shift(xs, step, out=step)
+        step &= 1
+        step += at
+        step += at
+        at = child[step]
+    return at
+
+
+def _leaf_index(tree: DecisionTree, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """The leaf of every point of xs, the tested mask of every leaf and the
+    leaves, all numbered in preorder, lo before hi."""
+    var: list[int] = []
+    child: list[int] = []
+    leaf_id: list[int] = []
+    tested: list[int] = []  # per leaf, the mask of the coordinates on its path
+    leaves: list = []
+
+    def walk(node: TreeNode, path: int) -> int:
+        k = len(var)
+        if isinstance(node, Node):
+            bit = 1 << node.var
+            var.append(node.var)
+            child.extend((0, 0))
+            leaf_id.append(-1)
+            child[2 * k] = walk(node.lo, path | bit)
+            child[2 * k + 1] = walk(node.hi, path | bit)
+        else:
+            var.append(0)
+            child.extend((k, k))  # a leaf steps onto itself
+            leaf_id.append(len(leaves))
+            leaves.append(node)
+            tested.append(path)
+        return k
+
+    walk(tree.root, 0)
+    paths = np.array(tested, dtype=np.int64)
+    depth = int(popcount(paths).max())
+    at = descend(np.array(var, dtype=np.int64), np.array(child, dtype=np.int64), xs, depth)
+    return np.array(leaf_id, dtype=np.int32)[at], paths, leaves
+
+
+def leaf_map(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
+    """The leaf of every point and the free coordinates of every leaf.
+
+    Leaves are numbered in preorder, lo before hi.  Returns the int32 leaf id
+    of each point (little-endian point order) and, per leaf, the int64 mask
+    of the coordinates not tested on its path.
+    """
+    check_enumerable(tree.n, "leaf map")
+    leaf_of, paths, _ = _leaf_index(tree, np.arange(1 << tree.n, dtype=np.int64))
+    return leaf_of, paths ^ ((1 << tree.n) - 1)
+
+
+def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
+    """Values of the tree at an int64 point array.
+
+    Each oracle leaf answers all the points that reach it in one eval_many.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    if np.any((xs < 0) | (xs >> tree.n != 0)):
+        raise ValueError(f"points outside dimension {tree.n}")
+    ids, _, leaves = _leaf_index(tree, xs)
+    out = _constant_values(leaves)[ids]
+    order = group_order(ids, len(leaves))
+    bounds = np.searchsorted(ids[order], np.arange(len(leaves) + 1)).tolist()
+    for k, lf in enumerate(leaves):
+        at = order[bounds[k]:bounds[k + 1]]
+        if isinstance(lf, OracleLeaf) and at.size:
+            local = np.zeros(at.shape, dtype=np.int64)
+            for j, g in enumerate(lf.free):
+                local |= ((xs[at] >> g) & 1) << j
+            out[at] = lf.oracle.eval_many(local)
+    return out
+
+
+def _constant_values(leaves: list) -> np.ndarray:
+    return np.array([lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in leaves])
+
+
+def _cube_values(tree: DecisionTree, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tree's value and leaf at every point, and the tested mask of
+    every leaf.
+
+    The points of an oracle leaf, taken in ascending order, are its local
+    points in order, so its whole table fills them in one scatter; each
+    oracle leaf is charged its 2^k points.
+    """
+    check_enumerable(tree.n, what)
+    leaf_of, paths, leaves = _leaf_index(tree, np.arange(1 << tree.n, dtype=np.int64))
+    values = _constant_values(leaves)[leaf_of]
+    oracle = [k for k, lf in enumerate(leaves) if isinstance(lf, OracleLeaf)]
+    if oracle:
+        is_oracle = np.zeros(len(leaves), dtype=bool)
+        is_oracle[oracle] = True
+        points = np.flatnonzero(is_oracle[leaf_of])
+        points = points[group_order(leaf_of[points], len(leaves))]
+        values[points] = np.concatenate(full_tables([leaves[k].oracle for k in oracle]))
+    return values, leaf_of, paths
 
 
 def tree_table(tree: DecisionTree) -> np.ndarray:
     """Truth table of the tree, little-endian point order."""
-    check_enumerable(tree.n, "tree table")
-    out = np.empty(1 << tree.n, dtype=float)
-    _fill_table(tree.root, np.arange(1 << tree.n, dtype=np.int64), out)
-    return out
-
-
-def _fill_profile(node: TreeNode, idx: np.ndarray, depth: int, vals, depths) -> None:
-    if isinstance(node, Node):
-        bit = (idx >> node.var) & 1
-        _fill_profile(node.lo, idx[bit == 0], depth + 1, vals, depths)
-        _fill_profile(node.hi, idx[bit == 1], depth + 1, vals, depths)
-        return
-    depths[idx] = depth
-    if isinstance(node, ConstLeaf):
-        vals[idx] = node.value
-        return
-    local = np.zeros(idx.shape, dtype=np.int64)
-    for k, g in enumerate(node.free):
-        local |= ((idx >> g) & 1) << k
-    vals[idx] = node.oracle.eval_many(local)
+    return _cube_values(tree, "tree table")[0]
 
 
 def leaf_profile(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
@@ -126,54 +204,8 @@ def leaf_profile(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
     exceeds d and its value is nonzero, so this one traversal determines the
     truncation disagreement at every depth at once.
     """
-    check_enumerable(tree.n, "leaf profile")
-    vals = np.empty(1 << tree.n, dtype=float)
-    depths = np.empty(1 << tree.n, dtype=np.int64)
-    _fill_profile(tree.root, np.arange(1 << tree.n, dtype=np.int64), 0, vals, depths)
-    return vals, depths
-
-
-def leaf_map(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
-    """The leaf of every point and the free coordinates of every leaf.
-
-    Leaves are numbered in preorder, lo before hi.  Returns the int32 leaf id
-    of each point (little-endian point order) and, per leaf, the int64 mask
-    of the coordinates not tested on its path.  All points descend the
-    tree's node arrays together, one level per step.
-    """
-    check_enumerable(tree.n, "leaf map")
-    var: list[int] = []
-    child: list[int] = []  # child[2k + b]: the node after node k when the bit is b
-    leaf_id: list[int] = []
-    tested: list[int] = []  # per leaf, the mask of the coordinates on its path
-
-    def walk(node: TreeNode, path: int) -> int:
-        if isinstance(node, Node):
-            bit = 1 << node.var
-            lo, hi = walk(node.lo, path | bit), walk(node.hi, path | bit)
-            var.append(node.var)
-            leaf_id.append(-1)
-        else:
-            lo = hi = len(var)  # a leaf steps onto itself
-            var.append(0)
-            leaf_id.append(len(tested))
-            tested.append(path)
-        child.extend((lo, hi))
-        return len(var) - 1
-
-    root = walk(tree.root, 0)
-    var_a, child_a, paths = (np.array(a, dtype=np.int64) for a in (var, child, tested))
-    points = np.arange(1 << tree.n, dtype=np.int64)
-    at = np.full(1 << tree.n, root, dtype=np.int64)
-    for _ in range(int(popcount(paths).max())):  # the tree's depth
-        step = var_a[at]
-        np.right_shift(points, step, out=step)
-        step &= 1
-        step += at
-        step += at
-        at = child_a[step]
-    leaf_of = np.array(leaf_id, dtype=np.int32)[at]
-    return leaf_of, paths ^ ((1 << tree.n) - 1)
+    values, leaf_of, paths = _cube_values(tree, "leaf profile")
+    return values, popcount(paths).astype(np.int64)[leaf_of]
 
 
 def truncation_disagreements(tree: DecisionTree, dist: ProductDistribution | None = None) -> np.ndarray:

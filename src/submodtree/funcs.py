@@ -107,6 +107,10 @@ class ValueOracle:
         self._counter.charge(int(xs.size))
         return self._eval(xs.reshape(-1)).reshape(xs.shape)
 
+    def charge(self, k: int) -> None:
+        """Charge k queries that the caller answered from the cached table."""
+        self._counter.charge(int(k))
+
     def table(self) -> np.ndarray:
         """Full truth table indexed by little-endian point integers."""
         if self._table is None:
@@ -155,6 +159,23 @@ def view(
         table = fn(np.arange(1 << n, dtype=np.int64))
     # a table-backed view holds only its table, not f and the maps
     return ValueOracle(n, table.__getitem__, label=label, counter=f._counter, table=table)
+
+
+def full_tables(oracles: Sequence[ValueOracle]) -> list[np.ndarray]:
+    """The whole truth table of each oracle, read from its cache when it has one.
+
+    Each oracle is charged its 2^n points, as `eval_many` over its cube
+    would charge (one charge per shared counter), and nothing is cached.
+    """
+    charges: dict[_QueryCounter, int] = {}
+    for g in oracles:
+        charges[g._counter] = charges.get(g._counter, 0) + (1 << g.n)
+    for counter, k in charges.items():
+        counter.charge(k)
+    return [
+        g._table if g._table is not None else g._fn(np.arange(1 << g.n, dtype=np.int64))
+        for g in oracles
+    ]
 
 
 @dataclass(frozen=True)
@@ -212,6 +233,34 @@ def restrict(f: ValueOracle, restriction: Restriction) -> ValueOracle:
         return np.ascontiguousarray(t.reshape((2,) * f.n)[idx]).reshape(1 << len(free))
 
     return view(f, "restricted", n=len(free), points=expand, sub_table=sub_table)
+
+
+def group_order(ids: np.ndarray, groups: int) -> np.ndarray:
+    """The positions of ``ids`` (values 0 .. groups - 1) grouped by id, in
+    ascending order within each group.  The ids are narrowed to the smallest
+    unsigned type that holds them first: numpy sorts 8- and 16-bit keys by
+    radix, several times faster than wider ones."""
+    return np.argsort(ids.astype(np.min_scalar_type(max(groups - 1, 0))), kind="stable")
+
+
+def restrict_leaves(f: ValueOracle, leaf_of: np.ndarray, free: np.ndarray) -> list[ValueOracle]:
+    """The restriction of f to every leaf subcube of a partition of the cube.
+
+    ``leaf_of`` holds the leaf of every point and ``free`` the mask of each
+    leaf's free coordinates.  A leaf's points, taken in ascending order, are
+    its local points in order, so one gather of f's table in leaf order
+    holds every leaf's table as a slice.  Each view equals `restrict` to its
+    leaf bit for bit and shares f's counter and label.
+    """
+    values = f.table()[group_order(leaf_of, len(free))]
+    dims = popcount(free).tolist()
+    label = f.label and f"{f.label}|restricted"
+    views, start = [], 0
+    for k in dims:
+        t = values[start:start + (1 << k)]
+        views.append(ValueOracle(k, t.__getitem__, label=label, counter=f._counter, table=t))
+        start += 1 << k
+    return views
 
 
 def flip_oracle(f: ValueOracle) -> ValueOracle:

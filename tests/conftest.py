@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from submodtree.funcs import FamilySpec, ValueOracle, instantiate
+from submodtree.dtree import DecisionTree, Node, OracleLeaf
+from submodtree.funcs import (
+    GENERATED_FAMILIES,
+    TOL,
+    FamilySpec,
+    Restriction,
+    ValueOracle,
+    generate_random,
+    instantiate,
+    restrict,
+)
 
 
 @pytest.fixture
@@ -29,3 +39,41 @@ def small_corpus(ns=(4, 6, 8), seeds=(0, 1, 2)):
 def random_table_oracle(n: int, seed: int, lo=0.0, hi=1.0) -> ValueOracle:
     rng = np.random.default_rng((0xABCD, seed, n))
     return ValueOracle.from_table(rng.uniform(lo, hi, size=1 << n), label=f"rand-n{n}")
+
+
+def random_table(n, seed, alpha):
+    """A finite table whose differences often sit exactly at the bounds.
+
+    Values on a grid of 0, +-TOL, +-alpha and alpha + TOL give second
+    differences of exactly TOL and derivatives of exactly alpha + TOL and
+    -TOL; the other tables are a submodular family with a planted bump, or
+    uniform noise.
+    """
+    rng = np.random.default_rng(seed)
+    kind = seed % 3
+    if kind == 0:
+        levels = np.array([0.0, TOL, -TOL, 2 * TOL, alpha, alpha + TOL, -alpha - TOL, 1.0])
+        return rng.choice(levels, size=1 << n)
+    if kind == 1 and n >= 1:
+        family = GENERATED_FAMILIES[seed % len(GENERATED_FAMILIES)]
+        t = instantiate(generate_random(family, max(n, 2), seed)).table()[: 1 << n].copy()
+        if rng.random() < 0.5:
+            t[rng.integers(1 << n)] += rng.choice([TOL, 0.3, -0.3])
+        return t
+    return rng.uniform(-1.0, 1.0, size=1 << n)
+
+
+def with_oracle_leaves(tree, f):
+    """The shape of ``tree`` with every leaf replaced by f restricted to it."""
+
+    def walk(node, fixed):
+        if isinstance(node, Node):
+            return Node(
+                node.var,
+                walk(node.lo, {**fixed, node.var: 0}),
+                walk(node.hi, {**fixed, node.var: 1}),
+            )
+        r = Restriction(f.n, fixed)
+        return OracleLeaf(restrict(f, r), r.free)
+
+    return DecisionTree(f.n, walk(tree.root, {}))

@@ -246,16 +246,56 @@ GOLDEN_DECOMPOSE_N12 = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(GOLDEN_DECOMPOSE_N12))
-def test_decompose_reports_match_golden_hashes(tmp_path, family):
-    out = tmp_path / family
-    assert run(["decompose", "--family", family, "--n", "12", "--alpha", "0.25",
+# the same at --alpha 0.05, written before the decomposition grew level by
+# level; its leaves hold from 1 to 1024 points, so the leaf means cross
+# numpy's 8- and 128-element pairwise-summation blocks
+GOLDEN_DECOMPOSE_N12_A005 = {
+    "coverage": (
+        "ffd78e1377cde11323a0afdcf9a4399ae0f64a26eae168dfd49b064c5fd35f86",
+        "bf81c6c669d13950bacb2f2dc50e76252ccd93532250f054cedc62da08867164",
+        "cf69762e16d6428ceb49b08582843ea96f0f120602b1ad621616bb99f46ab376",
+    ),
+    "cut": (
+        "f19a85d02d7f9b91e758ee8127741157995867a42e5c2b2c51691276b853c31f",
+        "52da62a3827c3a206c63020c698490030c1696551c0ee5a0e05050194b1ce41c",
+        "ce85aafad9c6f912617a9a8053a1d0a39a33bdda7727df23932194f9644ee564",
+    ),
+    "budget_additive": (
+        "b2e0b699d8e9f136b45ccff477eb0f1370b3e84861f9ce220ed796cfc88858e5",
+        "9b01e59feb7341d9ddf0142170e2be860b868c0443a47d7a4cdc2f525cc9d490",
+        "90457980e92c04cf455205013fe8c5c87cc95fd2c8ed78bb7fad29ca6cbe0484",
+    ),
+    "matroid_rank_partition": (
+        "efa0b8e63fac8e6cd75e12f2aa5a0d800e0e25ae9df98e13039107d9e0de2c90",
+        "d165000d0c54266f2f47bdfb6831c4e398a8035c5fb8f93efeab77feceadbbeb",
+        "0e96d58517bf334d0bc52b44e08944742f634b509216d38f4ff278e313b269d5",
+    ),
+    "concave_profile": (
+        "542fdfb1dd6f604cb33c9cbd702630f267bc01526783efbf3e60f01202c99031",
+        "f09f87ecb728cb95817ad8ca657f6dfd40550eababa377597a21fe8806ca06a3",
+        "c81311c82bc5e1a3176f2602f5370a46e6d4be3e846e10a4fea8c1f58a6d3d4b",
+    ),
+}
+
+
+def _decompose_hashes(out: Path, family: str, alpha: str) -> tuple[str, ...]:
+    assert run(["decompose", "--family", family, "--n", "12", "--alpha", alpha,
                 "--out", str(out)]) == 0
-    got = tuple(
+    return tuple(
         hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("report.json", "tree.json", "rank.csv")
     )
-    assert got == GOLDEN_DECOMPOSE_N12[family]
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_DECOMPOSE_N12))
+def test_decompose_reports_match_golden_hashes(tmp_path, family):
+    assert _decompose_hashes(tmp_path / family, family, "0.25") == GOLDEN_DECOMPOSE_N12[family]
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_DECOMPOSE_N12_A005))
+def test_decompose_reports_match_golden_hashes_alpha_005(tmp_path, family):
+    assert (_decompose_hashes(tmp_path / family, family, "0.05")
+            == GOLDEN_DECOMPOSE_N12_A005[family])
 
 
 def test_pruning_truncation_mismatch_is_a_failing_row(monkeypatch):
