@@ -406,15 +406,8 @@ def cmd_decompose(args) -> int:
         return EXIT_CHECK_FAILED
     tree = dc.constantize_leaves(report, "mean")
     err = dtree.exact_distance(f, report.tree, metric="l1")
-    obj = report.to_json_obj()
-    obj["instance"] = inst
-    obj["max_l1_error"] = err
-    tree_text = _dump_json(dtree.to_json_obj(tree))
-    # "tree" sorts after every other key of the report, so the tree text,
-    # indented one level, closes it: the tree is serialized once
-    head = _dump_json(obj)[: -len("\n}\n")]
-    nested = tree_text.rstrip("\n").replace("\n", "\n  ")
-    _write(args.out, "report.json", f'{head},\n  "tree": {nested}\n}}\n')
+    tree_text = dtree.to_json_text(tree)
+    _write(args.out, "report.json", report.to_json_text(tree_text, instance=inst, max_l1_error=err))
     _write(args.out, "tree.json", tree_text)
     bound = math.ceil(2.0 / args.alpha)
     row = {
@@ -547,6 +540,8 @@ def cmd_hardness(args) -> int:
 
     if args.demo == "lpn":
         n, k = args.n, args.k
+        if not 1 <= k <= n:
+            raise _UsageError(f"lpn needs 1 <= --k <= --n, got --k {k} --n {n}")
         successes = 0
         learner = hardness.regression_learner(k)
         for trial in range(args.trials):
@@ -642,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_options(p)
     p.add_argument("--epsilon", type=_positive_float, required=True)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=_at_least(0))
     p.add_argument("--samples", type=_at_least(1), default=1 << 16)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--L", type=_positive_float)
@@ -657,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hardness", help="lower-bound demos")
     p.add_argument("demo", choices=("correlation", "embed", "lpn"))
-    p.add_argument("--smax", type=int, default=12)
+    p.add_argument("--smax", type=_at_least(2), default=12)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--eta", type=float, default=0.1)

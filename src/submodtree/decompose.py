@@ -25,6 +25,7 @@ rank is at most 2k.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -89,24 +90,47 @@ class DecompositionReport:
                 return False
         return True
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json_text(self, tree_text: str, **extra) -> str:
+        """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` of the report
+        object: its fields, the scalar keys of ``extra``, and "tree", whose
+        value is the JSON text ``tree_text`` of a tree (`dtree.to_json_text`)."""
+        scalars = {
             "n": self.tree.n,
             "alpha": self.alpha,
             "phase": self.phase,
             "rank": self.rank,
             "claimed_rank_bound": self.claimed_rank_bound,
             "rank_bound_ok": self.rank_bound_ok(),
-            "leaf_certificates": [
-                {
-                    "alpha_monotone_ok": c.alpha_monotone_ok,
-                    "lipschitz_ok": c.lipschitz_ok,
-                    "submodular_ok": c.submodular_ok,
-                }
-                for c in self.leaf_certificates
-            ],
             "leaf_mean_samples": self.leaf_mean_samples,
+            **extra,
         }
+        values = {key: [json.dumps(value)] for key, value in scalars.items()}
+        values["leaf_certificates"] = _certificates_parts(self.leaf_certificates)
+        values["tree"] = [tree_text.rstrip("\n").replace("\n", "\n  ")]
+        # joined once from pieces, so the certificate list is never a text of its own
+        parts = ["{"]
+        for key in sorted(values):
+            parts += ("\n  ", json.dumps(key), ": ", *values[key], ",")
+        parts[-1] = "\n}\n"
+        return "".join(parts)
+
+
+def _certificates_parts(certificates: list[LeafCertificate]) -> list[str]:
+    """The "leaf_certificates" list as the indenting encoder writes it one
+    level deep, in pieces: each of the few distinct outcomes is rendered once."""
+    if not certificates:
+        return ["[]"]
+    blocks: dict[tuple, str] = {}
+    parts = []
+    for cert in certificates:
+        flags = (cert.alpha_monotone_ok, cert.lipschitz_ok, cert.submodular_ok)
+        if flags not in blocks:
+            text = json.dumps(vars(cert), sort_keys=True, indent=2)
+            blocks[flags] = "    " + text.replace("\n", "\n    ")
+        parts += (",\n", blocks[flags])
+    parts[0] = "[\n"
+    parts.append("\n  ]")
+    return parts
 
 
 def _check_submodular(f: ValueOracle, check: bool) -> None:

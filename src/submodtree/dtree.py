@@ -14,6 +14,7 @@ that bound and its inversion.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -429,6 +430,39 @@ def to_json_obj(tree: DecisionTree):
         return {"var": node.var + 1, "lo": conv(node.lo), "hi": conv(node.hi)}
 
     return conv(tree.root)
+
+
+def to_json_text(tree: DecisionTree) -> str:
+    """``json.dumps(to_json_obj(tree), sort_keys=True, indent=2) + "\\n"``,
+    written straight from the nodes: with ``indent`` set the json module runs
+    its pure-Python encoder, and the nested dicts exist only to be encoded."""
+    # StringIO appends each piece to one buffer, so no per-node string stays alive
+    out = io.StringIO()
+    write = out.write
+
+    def emit(node: TreeNode, pad: str) -> None:
+        inner = pad + "  "
+        if isinstance(node, Node):
+            write(f'{{\n{inner}"hi": ')
+            emit(node.hi, inner)
+            write(f',\n{inner}"lo": ')
+            emit(node.lo, inner)
+            write(f',\n{inner}"var": {node.var + 1}\n{pad}}}')
+        elif isinstance(node, ConstLeaf):
+            write(f'{{\n{inner}"leaf": {_json_scalar(node.value)}\n{pad}}}')
+        else:
+            _require_constant(node)
+
+    emit(tree.root, "")
+    write("\n")
+    return out.getvalue()
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value)``; a finite float is its repr, as json writes it."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 def to_json(tree: DecisionTree) -> str:

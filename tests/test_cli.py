@@ -204,6 +204,14 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
          {"family": "budget_additive", "n": 2, "weights": [0.5, 0.5], "budget": float("inf")}),
         (["decompose", "--file", "SPEC", "--alpha", "0.5"],
          {"family": "concave_profile", "n": 2, "profile": [0.0, float("nan"), 1.0]}),
+        (["hardness", "correlation", "--smax", "1"], None),
+        (["hardness", "correlation", "--smax", "-4"], None),
+        (["hardness", "lpn", "--k", "0", "--n", "8"], None),
+        (["hardness", "lpn", "--k", "9", "--n", "8"], None),
+        (["learn", "pac", "--family", "coverage", "--n", "8", "--epsilon", "0.5",
+          "--degree", "-1"], None),
+        (["learn", "agnostic-l2", "--family", "coverage", "--n", "8", "--epsilon", "0.5",
+          "--degree", "-2"], None),
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, argv, spec):
@@ -281,6 +289,8 @@ GOLDEN_DECOMPOSE_N12_A005 = {
 def _decompose_hashes(out: Path, family: str, alpha: str) -> tuple[str, ...]:
     assert run(["decompose", "--family", family, "--n", "12", "--alpha", alpha,
                 "--out", str(out)]) == 0
+    tree = json.loads((out / "tree.json").read_text())
+    assert json.loads((out / "report.json").read_text())["tree"] == tree
     return tuple(
         hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("report.json", "tree.json", "rank.csv")

@@ -20,6 +20,7 @@ from submodtree.dtree import (
     random_tree,
     rank,
     to_json,
+    to_json_text,
     to_spectrum,
     tree_depth,
     tree_size,
@@ -214,3 +215,5 @@ def test_json_rejects_oracle_leaves():
     tree = DecisionTree(2, Node(0, OracleLeaf(inner, (1,)), ConstLeaf(1.0)))
     with pytest.raises(NonConstantLeaf):
         to_json(tree)
+    with pytest.raises(NonConstantLeaf):
+        to_json_text(tree)
