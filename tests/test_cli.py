@@ -308,6 +308,40 @@ def test_decompose_reports_match_golden_hashes_alpha_005(tmp_path, family):
             == GOLDEN_DECOMPOSE_N12_A005[family])
 
 
+# sha256 of every CSV of `verify all --n 8 --seeds 3`, and of `verify pairwise
+# --n 10 --seeds 20`, as written under CPython 3.11 while the pairwise suite
+# still summed squared coefficients from a dict spectrum with the builtin
+# `sum`.  CPython 3.12 made `sum` of floats compensated, which moves the last
+# digits of those sums; a sequential cumulative sum in ascending mask order
+# gives the 3.11 sums on every Python version.
+GOLDEN_VERIFY_ALL_N8 = {
+    "correlation.csv": "b0b75dcfec05603c4a718c8353f9db95a80d11e2bc3d71a531e18b252f0c538d",
+    "embedding.csv": "f6276b834180e8d313242f0e78e4a3bdf8f0f39a630b4d2cefc4adef6a4b5228",
+    "pairwise.csv": "7a78e78df027784c196cfbe5834a9bdcb77456514cd4761156ed325397119a08",
+    "parseval.csv": "67c36b180bf1854cd2f2e1caf2f5ebdafa3cd19b06bc0fc42d71bdd485127e1b",
+    "pruning.csv": "a9cf0ecf8bbec86a6691c53fe9feabb84d53cb70e35ace8ff4a1fe46b4ac9932",
+    "rank.csv": "e12161f4acad96a7c5fc75f64e55e8b0a45c633a6b589b409dc20bc6ccbc1107",
+    "variance.csv": "0c908fc52a7ca7ab158700b35a7576eee15032635ebf8e741ac335bdcd440be3",
+}
+GOLDEN_PAIRWISE_N10 = "3af231dd22f0cd1ac0dfa17ac83400c852d2df88cac6c8d32bbd324a2dd7c17c"
+
+
+def _csv_hashes(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_verify_all_reports_match_golden_hashes(tmp_path, capsys):
+    assert run(["verify", "all", "--n", "8", "--seeds", "3", "--out", str(tmp_path)]) == 0
+    assert _csv_hashes(tmp_path) == GOLDEN_VERIFY_ALL_N8
+    assert "pairwise: empirical best constant 2\n" in capsys.readouterr().out
+
+
+def test_verify_pairwise_report_matches_golden_hash(tmp_path, capsys):
+    assert run(["verify", "pairwise", "--n", "10", "--seeds", "20", "--out", str(tmp_path)]) == 0
+    assert _csv_hashes(tmp_path) == {"pairwise.csv": GOLDEN_PAIRWISE_N10}
+    assert capsys.readouterr().out.startswith("pairwise: empirical best constant 2\n")
+
+
 def test_pruning_truncation_mismatch_is_a_failing_row(monkeypatch):
     from submodtree import cli, dtree
 
