@@ -144,25 +144,21 @@ def suite_pairwise(ns, seeds) -> tuple[list[dict], float]:
     rows = []
     best_constant = math.inf
     for inst, f in funcs.iter_corpus(ns=ns, seeds=seeds):
-        pair, total, _ = fourier.pairwise_coefficient_gap(f)
+        pair, total = fourier.pairwise_weights(f)
+        k = int(np.argmin(pair - 0.5 * total))  # the worst pair
+        lhs, rhs = float(pair[k]), 0.5 * float(total[k])
         rows.append(
             {
                 "instance": inst,
-                "lhs": pair,
-                "rhs": 0.5 * total,
-                "margin": pair - 0.5 * total,
-                "pass": pair >= 0.5 * total - TOL,
+                "lhs": lhs,
+                "rhs": rhs,
+                "margin": lhs - rhs,
+                "pass": lhs >= rhs - TOL,
             }
         )
-        sp = fourier.transform(f)
-        for i in range(f.n):
-            for j in range(i + 1, f.n):
-                bi, bj = 1 << i, 1 << j
-                tot = sum(c * c for s, c in sp.coeffs.items() if (s & bi) and (s & bj))
-                if tot > 1e-12:
-                    best_constant = min(
-                        best_constant, abs(sp.coeffs.get(bi | bj, 0.0)) / tot
-                    )
+        mass = total > 1e-12
+        if mass.any():
+            best_constant = min(best_constant, float(np.min(pair[mass] / total[mass])))
     return rows, best_constant
 
 
@@ -406,9 +402,11 @@ def cmd_decompose(args) -> int:
         return EXIT_CHECK_FAILED
     tree = dc.constantize_leaves(report, "mean")
     err = dtree.exact_distance(f, report.tree, metric="l1")
-    tree_text = dtree.to_json_text(tree)
-    _write(args.out, "report.json", report.to_json_text(tree_text, instance=inst, max_l1_error=err))
-    _write(args.out, "tree.json", tree_text)
+    if args.out is not None:
+        tree_text = dtree.to_json_text(tree)
+        report_text = report.to_json_text(tree_text, instance=inst, max_l1_error=err)
+        _write(args.out, "report.json", report_text)
+        _write(args.out, "tree.json", tree_text)
     bound = math.ceil(2.0 / args.alpha)
     row = {
         "instance": f"{inst}-a{args.alpha:g}",
@@ -658,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--trials", type=_at_least(1), default=30)
     p.add_argument("--samples", type=_at_least(1), default=1 << 16)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--gamma", type=_positive_float, default=0.5)
     p.add_argument("--file", dest="file", help="Boolean truth_table JSON (embed demo)")
     p.add_argument("-f", dest="file", help=argparse.SUPPRESS)
     p.add_argument("--out", help="directory for report files")

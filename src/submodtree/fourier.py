@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import funcs
 from .cube import check_enumerable, popcount
 from .funcs import ValueOracle
 
@@ -129,6 +130,27 @@ def spectral_l1(sp: Spectrum) -> float:
     return float(sum(abs(c) for c in sp.coeffs.values()))
 
 
+def pairwise_weights(f: ValueOracle) -> tuple[np.ndarray, np.ndarray]:
+    """|coeff({i,j})| and the sum of coeff(S)^2 over S containing i and j, for
+    every pair i < j in lexicographic order.
+
+    Both come from one dense transform, with the coefficients that
+    `Spectrum.from_dense` drops (|c| <= SPARSE_EPS) set to zero.  Each sum is
+    a sequential cumulative sum in ascending mask order, so it equals the
+    left-to-right sum over the sparse spectrum bit for bit.
+    """
+    t = f.table()
+    c = fwht(t) / t.size
+    c[np.abs(c) <= SPARSE_EPS] = 0.0
+    i, j = np.triu_indices(f.n, 1)
+    # the masks containing both coordinates of a pair are its (1, 1) corner
+    totals = [
+        np.cumsum(sq.reshape(len(coords), -1), axis=1)[:, -1]
+        for coords, (sq,), _ in funcs._row_blocks(c * c, f.n, 2, slice(3, None))
+    ]
+    return np.abs(c[(1 << i) | (1 << j)]), np.concatenate([np.zeros(0), *totals])
+
+
 def derivative_spectrum_check(f: ValueOracle, i: int, j: int) -> tuple[float, float]:
     """Two routes to the same quantity: E[(mixed second difference)^2].
 
@@ -137,17 +159,15 @@ def derivative_spectrum_check(f: ValueOracle, i: int, j: int) -> tuple[float, fl
     """
     if i == j:
         raise ValueError("need two distinct coordinates")
-    check_enumerable(f.n, "derivative identity check")
-    t = f.table()
-    idx = np.arange(1 << f.n)
-    bi, bj = 1 << i, 1 << j
-    base = idx[((idx >> i) & 1 == 0) & ((idx >> j) & 1 == 0)]
-    dd = t[base | bi | bj] - t[base | bi] - t[base | bj] + t[base]
-    pointwise = float(np.mean(dd**2))
-
-    sp = transform(f)
-    both = sum(c * c for s, c in sp.coeffs.items() if (s & bi) and (s & bj))
-    return pointwise, 16.0 * both
+    n = f.n
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"coordinates ({i}, {j}) outside [0, {n})")
+    check_enumerable(n, "derivative identity check")
+    i, j = min(i, j), max(i, j)
+    rank = i * (2 * n - i - 1) // 2 + j - i - 1  # of the pair in lexicographic order
+    blocks = funcs._mixed_difference_blocks(f.table(), n)
+    dd = next(itertools.islice(itertools.chain.from_iterable(b[1] for b in blocks), rank, None))
+    return float(np.mean(dd**2)), 16.0 * float(pairwise_weights(f)[1][rank])
 
 
 def pairwise_coefficient_gap(f: ValueOracle) -> tuple[float, float, tuple[int, int]]:
@@ -155,18 +175,14 @@ def pairwise_coefficient_gap(f: ValueOracle) -> tuple[float, float, tuple[int, i
 
     Returns (|coeff({i,j})|, sum of coeff(S)^2 over S containing i and j, and
     the minimizing pair), where the pair minimizes the margin of
-    |coeff({i,j})| >= 1/2 * sum.
+    |coeff({i,j})| >= 1/2 * sum; (inf, 0.0, (0, 1)) when n < 2.
     """
-    sp = transform(f)
-    worst = (math.inf, 0.0, (0, 1))
-    for i in range(f.n):
-        for j in range(i + 1, f.n):
-            bi, bj = 1 << i, 1 << j
-            pair = abs(sp.coeffs.get(bi | bj, 0.0))
-            total = sum(c * c for s, c in sp.coeffs.items() if (s & bi) and (s & bj))
-            if pair - 0.5 * total < worst[0] - 0.5 * worst[1]:
-                worst = (pair, total, (i, j))
-    return worst
+    pair, total = pairwise_weights(f)
+    if not pair.size:
+        return (math.inf, 0.0, (0, 1))
+    k = int(np.argmin(pair - 0.5 * total))
+    i, j = (int(a[k]) for a in np.triu_indices(f.n, 1))
+    return float(pair[k]), float(total[k]), (i, j)
 
 
 def sample_points(n: int, m: int, seed) -> np.ndarray:

@@ -12,7 +12,10 @@ satisfying it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
@@ -308,30 +311,82 @@ def _quarters(a: np.ndarray, i: int, j: int) -> tuple[np.ndarray, ...]:
     return v[:, 0, :, 0], v[:, 0, :, 1], v[:, 1, :, 0], v[:, 1, :, 1]
 
 
-def _derivatives(t: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(i, derivatives along i at the points with x_i = 0) for each coordinate."""
-    for i in range(n):
-        lo, hi = _halves(t, i)
-        yield i, hi - lo
-
-
-def _mixed_differences(t: np.ndarray, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(i, j, t11 - t10 - t01 + t00 at the points with x_i = x_j = 0) for each
-    pair i < j, in lexicographic order; one array of 2^(n-2) values at a time."""
-    for i in range(n):
-        for j in range(i + 1, n):
-            t00, t10, t01, t11 = _quarters(t, i, j)
-            dd = t11 - t10
-            dd -= t01
-            dd += t00
-            yield i, j, dd
-
-
-def _with_zero_bits(k: int, *bits: int) -> int:
-    """The point whose bits outside ``bits`` (ascending) read k, with zeros at ``bits``."""
+def _with_zero_bits(k, *bits):
+    """The point whose bits outside ``bits`` (ascending) read k, with zeros at
+    ``bits``; elementwise when k or the bits are arrays."""
     for b in bits:
         k = (k >> b << (b + 1)) | (k & ((1 << b) - 1))
     return k
+
+
+# The checkers read a table in blocks of rows: one row per coordinate i
+# (derivatives) or per pair i < j (mixed differences), in lexicographic
+# order, each over the points with zeros at its coordinates in ascending
+# order.  When all rows of a table fit _GATHER_BUDGET values, one block holds
+# them all, read with one gather through index arrays cached per n; above it
+# every row is a block of its own, read through the strided views above.
+_GATHER_BUDGET = 1 << 16
+
+
+@functools.cache
+def _gather_index(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, index) for the rows of the sets of ``order`` coordinates.
+
+    coords[r] lists row r's coordinates; index[s, r, k] is the k-th point of
+    row r with its coordinates set to the bits of s (first coordinate
+    lowest), so index[0] holds the rows' points themselves.  Every caller
+    shares both arrays, and none may write to them; they are not flagged
+    read-only because numpy gathers more slowly through a read-only index.
+    """
+    coords = np.array(list(itertools.combinations(range(n), order)), dtype=np.int64)
+    cols = [coords[:, b:b + 1] for b in range(order)]
+    base = _with_zero_bits(np.arange(1 << (n - order), dtype=np.int64), *cols)
+    index = np.stack([
+        base | sum((1 << c) * ((s >> b) & 1) for b, c in enumerate(cols))
+        for s in range(1 << order)
+    ])
+    return coords, index
+
+
+def _row_blocks(a: np.ndarray, n: int, order: int, corners: slice = slice(None)):
+    """Blocks of rows of a per-point array, one row per set of ``order``
+    coordinates (1 or 2): yields (coords, values, base).
+
+    values[c] holds a at the c-th of the ``corners`` of each row (the row's
+    coordinates set to the bits of the corner's number, as in
+    `_gather_index`), shaped with one leading axis of rows; base(r, k) is the
+    k-th point of row r.
+    """
+    if n < order:
+        return
+    if math.comb(n, order) << (n - order) <= _GATHER_BUDGET:
+        coords, index = _gather_index(n, order)
+        yield coords, a.take(index[corners]), lambda r, k: index[0][r, k]
+        return
+    split = _halves if order == 1 else _quarters
+    for c in itertools.combinations(range(n), order):
+        yield (
+            np.array([c]),
+            [view[None] for view in split(a, *c)[corners]],
+            lambda r, k, c=c: _with_zero_bits(k, *c),
+        )
+
+
+def _derivative_blocks(t: np.ndarray, n: int):
+    """(coords, d, base) per block of coordinates: d[r] holds the derivatives
+    along coords[r, 0] at the points base(r, k) with that coordinate 0."""
+    for coords, (lo, hi), base in _row_blocks(t, n, 1):
+        yield coords, (hi - lo).reshape(len(coords), -1), base
+
+
+def _mixed_difference_blocks(t: np.ndarray, n: int):
+    """(coords, dd, base) per block of pairs: dd[r] holds t11 - t10 - t01 + t00
+    over the pair coords[r] at the points base(r, k) with both coordinates 0."""
+    for coords, (t00, t10, t01, t11), base in _row_blocks(t, n, 2):
+        dd = t11 - t10
+        dd -= t01
+        dd += t00
+        yield coords, dd.reshape(len(coords), -1), base
 
 
 @dataclass(frozen=True)
@@ -350,44 +405,52 @@ class CheckResult:
         return self.ok
 
 
+def _first_failure(blocks, fails, pick) -> CheckResult:
+    """The failed check at the first row, in block order, whose values fail
+    ``fails`` (elementwise), witnessed at the first ``pick`` (an argmin or
+    argmax) of that row; a pass when no row fails."""
+    for coords, rows, base in blocks:
+        bad = np.flatnonzero(fails(rows).any(axis=1))
+        if bad.size:
+            r = int(bad[0])
+            k = int(pick(rows[r]))
+            return CheckResult(False, (*coords[r].tolist(), int(base(r, k))), float(rows[r, k]))
+    return CheckResult(True)
+
+
 def is_submodular(f: ValueOracle, tol: float = TOL) -> CheckResult:
     """Exhaustive check that every mixed second difference is <= tol."""
     check_enumerable(f.n, "submodularity check")
     worst = -np.inf
-    for i, j, dd in _mixed_differences(f.table(), f.n):
-        k = int(np.argmax(dd))
-        top = float(dd.flat[k])
-        worst = max(worst, top)
-        if top > tol:
-            return CheckResult(False, (i, j, _with_zero_bits(k, i, j)), top)
+    for coords, dd, base in _mixed_difference_blocks(f.table(), f.n):
+        tops = dd.max(axis=1)
+        bad = np.flatnonzero(tops > tol)
+        if bad.size:
+            r = int(bad[0])
+            k = int(np.argmax(dd[r]))
+            return CheckResult(False, (*coords[r].tolist(), int(base(r, k))), float(dd[r, k]))
+        worst = max(worst, float(tops.max()))
     return CheckResult(True, None, worst)
 
 
 def is_monotone(f: ValueOracle, tol: float = TOL) -> CheckResult:
     """Exhaustive check that all discrete derivatives are >= -tol."""
     check_enumerable(f.n, "monotonicity check")
-    for i, d in _derivatives(f.table(), f.n):
-        k = int(np.argmin(d))
-        if d.flat[k] < -tol:
-            return CheckResult(False, (i, _with_zero_bits(k, i)), float(d.flat[k]))
-    return CheckResult(True)
+    return _first_failure(_derivative_blocks(f.table(), f.n), lambda d: d < -tol, np.argmin)
 
 
 def is_alpha_monotone_decreasing(f: ValueOracle, alpha: float, tol: float = TOL) -> CheckResult:
     """Exhaustive check that every discrete derivative is <= alpha + tol."""
     check_enumerable(f.n, "alpha-monotone check")
-    for i, d in _derivatives(f.table(), f.n):
-        k = int(np.argmax(d))
-        if d.flat[k] > alpha + tol:
-            return CheckResult(False, (i, _with_zero_bits(k, i)), float(d.flat[k]))
-    return CheckResult(True)
+    bound = alpha + tol
+    return _first_failure(_derivative_blocks(f.table(), f.n), lambda d: d > bound, np.argmax)
 
 
 def lipschitz_constant(f: ValueOracle) -> float:
     """max over i, x of |derivative along i at x| (exhaustive)."""
     check_enumerable(f.n, "Lipschitz constant")
     worst = 0.0
-    for _, d in _derivatives(f.table(), f.n):
+    for _, d, _ in _derivative_blocks(f.table(), f.n):
         worst = max(worst, float(np.max(np.abs(d))))
     return worst
 
@@ -408,17 +471,27 @@ def leaf_violations(
     """
     mono, lip, sub = np.zeros((3, len(free)), dtype=bool)
     bound = alpha + TOL
-    for i, d in _derivatives(t, n):
-        at = _halves(leaf_of, i)[0]
-        for failed, hits in ((mono, d > bound), (lip, np.abs(d) > bound)):
-            ids = at[hits]
-            failed[ids[(free[ids] >> i) & 1 == 1]] = True
-    for i, j, dd in _mixed_differences(t, n):
+
+    def owned(hits, coords, base):
+        """The hits (r, k) of a block whose leaf has all of row r's
+        coordinates free, with those leaves."""
+        r, k = np.nonzero(hits)
+        ids = leaf_of[base(r, k)]
+        own = np.bitwise_or.reduce(1 << coords, axis=1)[r]
+        keep = free[ids] & own == own
+        return r[keep], k[keep], ids[keep]
+
+    for coords, d, base in _derivative_blocks(t, n):
+        hits = np.abs(d) > bound
+        if hits.any():  # none at all when alpha >= 1 on [0, 1]-valued input
+            r, k, ids = owned(hits, coords, base)
+            lip[ids] = True
+            # a derivative above the bound is above it in absolute value too
+            mono[ids[d[r, k] > bound]] = True
+    for coords, dd, base in _mixed_difference_blocks(t, n):
         hits = dd > TOL
         if hits.any():  # rare on submodular input
-            ids = _quarters(leaf_of, i, j)[0][hits]
-            both = (1 << i) | (1 << j)
-            sub[ids[free[ids] & both == both]] = True
+            sub[owned(hits, coords, base)[2]] = True
     return mono, lip, sub
 
 

@@ -300,8 +300,8 @@ def lpn_reduce(
     agreement on fresh examples.  The learner should be agnostic at accuracy
     (1 - 2 eta) * gamma / 2.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     sample = noisy_examples(src, m, stream=0)
     results = [learner(sample), learner(LabeledSample(src.n, sample.xs, -sample.ys))]
 

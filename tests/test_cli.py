@@ -208,6 +208,8 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
         (["hardness", "correlation", "--smax", "-4"], None),
         (["hardness", "lpn", "--k", "0", "--n", "8"], None),
         (["hardness", "lpn", "--k", "9", "--n", "8"], None),
+        (["hardness", "lpn", "--gamma", "nan"], None),
+        (["hardness", "lpn", "--gamma", "inf"], None),
         (["learn", "pac", "--family", "coverage", "--n", "8", "--epsilon", "0.5",
           "--degree", "-1"], None),
         (["learn", "agnostic-l2", "--family", "coverage", "--n", "8", "--epsilon", "0.5",
@@ -340,6 +342,24 @@ def test_verify_pairwise_report_matches_golden_hash(tmp_path, capsys):
     assert run(["verify", "pairwise", "--n", "10", "--seeds", "20", "--out", str(tmp_path)]) == 0
     assert _csv_hashes(tmp_path) == {"pairwise.csv": GOLDEN_PAIRWISE_N10}
     assert capsys.readouterr().out.startswith("pairwise: empirical best constant 2\n")
+
+
+def test_decompose_renders_report_text_only_for_out(tmp_path, monkeypatch):
+    from submodtree import dtree
+
+    rendered = []
+    to_json_text = dtree.to_json_text
+
+    def spy(tree):
+        rendered.append(tree)
+        return to_json_text(tree)
+
+    monkeypatch.setattr(dtree, "to_json_text", spy)
+    argv = ["decompose", "--family", "matroid_rank_partition", "--n", "8", "--alpha", "0.25"]
+    assert run(argv) == 0
+    assert rendered == []
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert len(rendered) == 1
 
 
 def test_pruning_truncation_mismatch_is_a_failing_row(monkeypatch):

@@ -298,6 +298,14 @@ class TestLpnReduce:
         with pytest.raises(NoCandidateFound):
             lpn_reduce(src, 1, silent_learner, gamma=0.5, m=256)
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, float("nan"), float("inf")])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        def unreachable_learner(sample):
+            raise AssertionError("the learner ran")
+
+        with pytest.raises(ValueError, match="gamma"):
+            lpn_reduce(NoisySource(8, mask_of([0]), 0.0, seed=0), 1, unreachable_learner, gamma)
+
     def test_gadget_correlated_labels_expose_the_parity(self):
         # labels drawn from the monotone gadget, rescaled to [-1,1], leave a
         # spectrum entry of at least gamma/2 at the hidden subset

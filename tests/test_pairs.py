@@ -1,0 +1,260 @@
+"""Block kernels for derivatives and mixed differences against the per-pair
+passes they replace.
+
+Checkers, leaf certification and the pairwise Fourier bound read every
+coordinate (derivatives) or pair of coordinates (mixed differences, pairwise
+weights) of a table in blocks: all rows in one gather while a table's rows
+fit ``funcs._GATHER_BUDGET`` values, one strided row per block above it.
+Each test forces both paths by patching the budget, and compares the result
+bit for bit with a reference: the strided per-pair generators and the
+``np.arange``-mask checkers of ``test_certify``, and the dict-spectrum loops
+that computed the pairwise bound and its best constant.
+"""
+
+import itertools
+import math
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_table, with_oracle_leaves
+from test_certify import (
+    ALPHAS,
+    ref_certify,
+    ref_derivative_table,
+    ref_is_alpha_monotone_decreasing,
+    ref_is_monotone,
+    ref_is_submodular,
+    ref_lipschitz_constant,
+)
+from submodtree import cli, dtree, fourier, funcs
+from submodtree.decompose import _certify
+from submodtree.funcs import (
+    GENERATED_FAMILIES,
+    TOL,
+    ValueOracle,
+    generate_random,
+    instantiate,
+    is_alpha_monotone_decreasing,
+    is_monotone,
+    is_submodular,
+    iter_corpus,
+    lipschitz_constant,
+)
+
+# a budget that every table fits, and one that none does
+PATHS = {"gather": 1 << 62, "strided": 0}
+
+
+@contextmanager
+def path(name):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcs, "_GATHER_BUDGET", PATHS[name])
+        yield
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# --- references ---------------------------------------------------------------
+
+
+def ref_mixed_difference_table(t, n, i, j):
+    """Mixed differences over (i, j) at the points with x_i = x_j = 0."""
+    idx = np.arange(1 << n)
+    bi, bj = 1 << i, 1 << j
+    base = idx[((idx >> i) & 1 == 0) & ((idx >> j) & 1 == 0)]
+    return t[base | bi | bj] - t[base | bi] - t[base | bj] + t[base], base
+
+
+def ref_superset_mass(sp, bi, bj):
+    """Sum of coeff(S)^2 over S containing both bits, left to right from 0,
+    as the builtin ``sum`` of CPython 3.11 and older adds floats."""
+    total = 0
+    for s, c in sp.coeffs.items():
+        if (s & bi) and (s & bj):
+            total += c * c
+    return total
+
+
+def ref_pairwise_coefficient_gap(f):
+    sp = fourier.transform(f)
+    worst = (math.inf, 0.0, (0, 1))
+    for i in range(f.n):
+        for j in range(i + 1, f.n):
+            bi, bj = 1 << i, 1 << j
+            pair = abs(sp.coeffs.get(bi | bj, 0.0))
+            total = ref_superset_mass(sp, bi, bj)
+            if pair - 0.5 * total < worst[0] - 0.5 * worst[1]:
+                worst = (pair, total, (i, j))
+    return worst
+
+
+def ref_best_constant(f, best):
+    sp = fourier.transform(f)
+    for i in range(f.n):
+        for j in range(i + 1, f.n):
+            bi, bj = 1 << i, 1 << j
+            tot = ref_superset_mass(sp, bi, bj)
+            if tot > 1e-12:
+                best = min(best, abs(sp.coeffs.get(bi | bj, 0.0)) / tot)
+    return best
+
+
+def collect(blocks):
+    """Every block of a kernel joined: (coords, rows, base points, block count)."""
+    coords, rows, points, count = [], [], [], 0
+    for c, r, base in blocks:
+        coords.append(c)
+        rows.append(r)
+        k = np.arange(r.shape[1])
+        points.append(np.stack([base(np.full_like(k, q), k) for q in range(len(c))]))
+        count += 1
+    return np.concatenate(coords), np.concatenate(rows), np.concatenate(points), count
+
+
+# --- rows -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+@pytest.mark.parametrize("n", range(13))
+def test_rows_match_per_pair_references(name, n):
+    t = random_table(n, 7 * n + 1, 0.25)
+    with path(name):
+        derivative_blocks = list(funcs._derivative_blocks(t, n))
+        mixed_blocks = list(funcs._mixed_difference_blocks(t, n))
+    for order, blocks, ref in (
+        (1, derivative_blocks, lambda c: ref_derivative_table(t, n, *c)),
+        (2, mixed_blocks, lambda c: ref_mixed_difference_table(t, n, *c)),
+    ):
+        want = list(itertools.combinations(range(n), order))
+        if not want:
+            assert blocks == []
+            continue
+        coords, rows, points, count = collect(blocks)
+        assert count == (1 if name == "gather" else len(want))
+        assert coords.tolist() == [list(c) for c in want]
+        for r, c in enumerate(want):
+            values, base = ref(c)
+            assert same_bits(rows[r], values), (order, c)
+            assert points[r].tolist() == base.tolist(), (order, c)
+
+
+# --- checkers -------------------------------------------------------------------
+
+
+def assert_checkers_match(f, alpha):
+    for name in PATHS:
+        with path(name):
+            assert is_submodular(f) == ref_is_submodular(f), name
+            assert is_monotone(f) == ref_is_monotone(f), name
+            assert (is_alpha_monotone_decreasing(f, alpha)
+                    == ref_is_alpha_monotone_decreasing(f, alpha)), name
+            assert same_bits(lipschitz_constant(f), ref_lipschitz_constant(f)), name
+            for tol in (0.0, 2 * TOL):
+                assert is_submodular(f, tol) == ref_is_submodular(f, tol), name
+                assert is_monotone(f, tol) == ref_is_monotone(f, tol), name
+                assert (is_alpha_monotone_decreasing(f, alpha, tol)
+                        == ref_is_alpha_monotone_decreasing(f, alpha, tol)), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    alpha=st.sampled_from(ALPHAS),
+)
+def test_checkers_match_references_on_random_tables(n, seed, alpha):
+    assert_checkers_match(ValueOracle.from_table(random_table(n, seed, alpha)), alpha)
+
+
+@pytest.mark.parametrize("family", GENERATED_FAMILIES)
+def test_checkers_match_references_on_families(family):
+    for n, seed in ((2, 0), (5, 1), (8, 2), (11, 3)):
+        assert_checkers_match(instantiate(generate_random(family, n, seed)), 0.25)
+
+
+def test_random_tables_reach_every_failure():
+    # the comparisons above cover failing checks with witnesses
+    failed = {"submodular": 0, "monotone": 0, "alpha": 0}
+    for seed in range(30):
+        f = ValueOracle.from_table(random_table(6, seed, 0.25))
+        failed["submodular"] += not is_submodular(f)
+        failed["monotone"] += not is_monotone(f)
+        failed["alpha"] += not is_alpha_monotone_decreasing(f, 0.25)
+    assert min(failed.values()) > 0, failed
+
+
+# --- certification --------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=11),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    alpha=st.sampled_from(ALPHAS),
+)
+def test_leaf_certificates_match_per_leaf_on_random_trees(n, seed, alpha):
+    f = ValueOracle.from_table(random_table(n, seed, alpha))
+    tree = with_oracle_leaves(dtree.random_tree(n, seed=seed % 10_000), f)
+    want = ref_certify(tree, alpha)
+    for name in PATHS:
+        with path(name):
+            assert _certify(tree, alpha, f) == want, name
+
+
+# --- pairwise bound -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+def test_pairwise_gap_on_tiny_cubes(name, or2, and2, edge_cut):
+    tiny = [ValueOracle.from_table([0.3]), ValueOracle.from_table([0.0, 1.0]), or2, and2, edge_cut]
+    with path(name):
+        for f in tiny:
+            got, want = fourier.pairwise_coefficient_gap(f), ref_pairwise_coefficient_gap(f)
+            assert got[2] == want[2]
+            assert same_bits(got[0], want[0]) and same_bits(got[1], float(want[1]))
+    assert fourier.pairwise_coefficient_gap(tiny[0]) == (math.inf, 0.0, (0, 1))
+    assert fourier.pairwise_coefficient_gap(tiny[1]) == (math.inf, 0.0, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "name, seeds", [("gather", range(20)), ("strided", range(3))]
+)
+def test_pairwise_suite_matches_dict_loops_on_corpus(name, seeds):
+    ns = tuple(range(4, 11))
+    want_rows, best = [], math.inf
+    for inst, f in iter_corpus(ns=ns, seeds=seeds):
+        pair, total, worst = ref_pairwise_coefficient_gap(f)
+        want_rows.append((inst, pair, 0.5 * total, pair - 0.5 * total, pair >= 0.5 * total - TOL))
+        best = ref_best_constant(f, best)
+        with path(name):
+            got = fourier.pairwise_coefficient_gap(f)
+        assert got[2] == worst, inst
+        assert same_bits(got[0], pair) and same_bits(got[1], float(total)), inst
+    with path(name):
+        rows, got_best = cli.suite_pairwise(ns, seeds)
+    assert [tuple(r.values()) for r in rows] == want_rows
+    for r, want in zip(rows, want_rows):
+        assert all(same_bits(a, b) for a, b in zip(list(r.values())[1:4], want[1:4])), r
+    assert same_bits(got_best, best)
+
+
+def test_pairwise_identities_hold_on_the_corpus():
+    # coeff({i,j}) = E[mixed difference]/4 and the mass of the supersets of
+    # {i,j} = E[mixed difference^2]/16 (the route the pairwise bound does not
+    # take: it moves the last digits of the reports)
+    worst = 0.0
+    for _, f in iter_corpus():
+        pair, total = fourier.pairwise_weights(f)
+        (_, dd, _), = funcs._mixed_difference_blocks(f.table(), f.n)
+        worst = max(
+            worst,
+            float(np.max(np.abs(np.abs(dd.mean(axis=1) / 4) - pair))),
+            float(np.max(np.abs((dd**2).mean(axis=1) / 16 - total))),
+        )
+    assert worst <= 1e-15
