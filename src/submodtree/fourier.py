@@ -148,6 +148,7 @@ def pairwise_weights(f: ValueOracle) -> tuple[np.ndarray, np.ndarray]:
         np.cumsum(sq.reshape(len(coords), -1), axis=1)[:, -1]
         for coords, (sq,), _ in funcs._row_blocks(c * c, f.n, 2, slice(3, None))
     ]
+    # no blocks, and no pairs, when n < 2
     return np.abs(c[(1 << i) | (1 << j)]), np.concatenate([np.zeros(0), *totals])
 
 
