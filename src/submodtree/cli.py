@@ -19,7 +19,7 @@ import numpy as np
 
 from . import decompose as dc
 from . import dtree, fourier, funcs, hardness, learn
-from .cube import ProductDistribution, enum_cap, format_subset, mask_of
+from .cube import ProductDistribution, check_enumerable, enum_cap, format_subset, mask_of
 from .funcs import FamilySpec, InvalidFamilySpec, TOL, ValueOracle
 
 EXIT_OK = 0
@@ -162,49 +162,50 @@ def suite_pairwise(ns, seeds) -> tuple[list[dict], float]:
     return rows, best_constant
 
 
-def suite_rank(ns, seeds, alphas=ALPHA_GRID) -> list[dict]:
+def _rank_row(inst: str, alpha: float, report, err: float) -> dict:
+    """Rank bound ceil(2/alpha), exact l1 reconstruction and leaf certificates."""
+    bound = math.ceil(2.0 / alpha)
+    return {
+        "instance": f"{inst}-a{alpha:g}",
+        "lhs": report.rank,
+        "rhs": bound,
+        "margin": bound - report.rank,
+        "pass": report.rank_bound_ok() and err <= TOL and report.certificates_ok(),
+    }
+
+
+def suite_rank(ns, seeds) -> list[dict]:
     rows = []
     for inst, f in funcs.iter_corpus(ns=ns, seeds=seeds):
-        for a, alpha in enumerate(alphas):
+        for a, alpha in enumerate(ALPHA_GRID):
             # the input check does not depend on alpha: run it once per instance
             report = dc.build_lipschitz_tree(f, alpha, check=a == 0)
             err = dtree.exact_distance(f, report.tree, metric="l1")
-            ok = (
-                report.rank_bound_ok()
-                and err <= TOL
-                and report.certificates_ok(require_lipschitz=True)
-            )
-            rows.append(
-                {
-                    "instance": f"{inst}-a{alpha:g}",
-                    "lhs": report.rank,
-                    "rhs": math.ceil(2.0 / alpha),
-                    "margin": math.ceil(2.0 / alpha) - report.rank,
-                    "pass": ok,
-                }
-            )
+            rows.append(_rank_row(inst, alpha, report, err))
     return rows
 
 
-def _pruning_distributions(n: int, alpha: float, seed: int) -> list[ProductDistribution]:
-    rng = np.random.default_rng((0xD157, seed, n))
-    mus = [
-        (alpha,) * n,
-        tuple(float(v) for v in rng.uniform(alpha, 1.0 - alpha, size=n)),
-    ]
-    dists = [ProductDistribution(mu) for mu in mus]
-    for d in dists:
-        d.require_bounded(alpha)
+def _pruning_distributions(n: int) -> dict[float, list[ProductDistribution]]:
+    """Per pruning alpha: the alpha-biased product and a random alpha-bounded one."""
+    dists = {}
+    for alpha in PRUNING_ALPHAS:
+        rng = np.random.default_rng((0xD157, 0, n))
+        mu = tuple(float(v) for v in rng.uniform(alpha, 1.0 - alpha, size=n))
+        dists[alpha] = [ProductDistribution((alpha,) * n), ProductDistribution(mu)]
+        for d in dists[alpha]:
+            d.require_bounded(alpha)
     return dists
 
 
-def _pruning_rows_for_tree(tag: str, tree, alphas=PRUNING_ALPHAS) -> list[dict]:
+def _pruning_rows_for_tree(tag: str, tree, dists) -> list[dict]:
+    """Pruning-lemma rows of one tree under ``dists``, a list of
+    alpha-bounded distributions per alpha."""
     rows = []
     r = dtree.rank(tree)
     depth = dtree.tree_depth(tree)
     checked_against_truncate = False
-    for alpha in alphas:
-        for di, dist in enumerate(_pruning_distributions(tree.n, alpha, 0)):
+    for alpha, alpha_dists in dists.items():
+        for di, dist in enumerate(alpha_dists):
             dis_by_d = dtree.truncation_disagreements(tree, dist)
             if not checked_against_truncate and depth > 0:
                 # the profile shortcut must agree with the literal truncation
@@ -257,10 +258,12 @@ def suite_pruning(n: int, seeds: int) -> list[dict]:
     rows = []
     for s in range(seeds):
         tree = dtree.random_tree(min(n, 14), seed=s)
-        rows.extend(_pruning_rows_for_tree(f"rand-n{tree.n}-s{s}", tree))
+        dists = _pruning_distributions(tree.n)
+        rows.extend(_pruning_rows_for_tree(f"rand-n{tree.n}-s{s}", tree, dists))
     for inst, f in funcs.iter_corpus(ns=(min(n, 10),), seeds=range(3)):
-        report = dc.build_lipschitz_tree(f, 0.5, certify=False)
-        rows.extend(_pruning_rows_for_tree(f"decomp-{inst}", report.tree))
+        tree = dc.build_lipschitz_tree(f, 0.5, certify=False).tree
+        dists = _pruning_distributions(tree.n)
+        rows.extend(_pruning_rows_for_tree(f"decomp-{inst}", tree, dists))
     return rows
 
 
@@ -305,24 +308,41 @@ def suite_correlation(smax: int) -> list[dict]:
     return rows
 
 
+def _check_carrier(k: int) -> None:
+    """Reject a k whose embedding carrier exceeds the enumeration cap."""
+    check_enumerable(hardness.embedding_spec_for(k).n, f"the embedding carrier of k={k}")
+
+
+def _random_boolean(k: int, rng) -> ValueOracle:
+    table = rng.integers(0, 2, size=1 << k).astype(float)
+    return ValueOracle.from_table(table, label=f"bool-k{k}")
+
+
+def _certify_embedding(f: ValueOracle):
+    """Embed f; the carrier h must be monotone, submodular and decode to f exactly."""
+    h, spec = hardness.embed_build(f)
+    dec = hardness.embed_decode(h, spec)
+    cert = {
+        "monotone": bool(funcs.is_monotone(h)),
+        "submodular": bool(funcs.is_submodular(h)),
+        "roundtrip_exact": all(dec(y) == f(y) for y in range(1 << spec.k)),
+    }
+    return h, spec, cert
+
+
 def suite_embedding(kmax: int) -> list[dict]:
     rows = []
     for k in range(1, kmax + 1):
         rng = np.random.default_rng((0xE4B, k))
-        table = rng.integers(0, 2, size=1 << k).astype(float)
-        f = ValueOracle.from_table(table, label=f"bool-k{k}")
-        h, spec = hardness.embed_build(f)
-        mono = bool(funcs.is_monotone(h))
-        sub = bool(funcs.is_submodular(h))
-        dec = hardness.embed_decode(h, spec)
-        exact = all(dec(y) == f(y) for y in range(1 << k))
+        f = _random_boolean(k, rng)
+        h, spec, cert = _certify_embedding(f)
         rows.append(
             {
                 "instance": f"embed-k{k}",
                 "lhs": 0.0,
                 "rhs": 0.0,
                 "margin": 0.0,
-                "pass": mono and sub and exact,
+                "pass": all(cert.values()),
             }
         )
         for eps in (0.25, 0.5):
@@ -330,10 +350,8 @@ def suite_embedding(kmax: int) -> list[dict]:
             noise = rng.uniform(-1.0, 1.0, size=1 << spec.n)
             noise *= budget / np.mean(np.abs(noise))
             g = ValueOracle.from_table(h.table() + noise)
-            dec2 = hardness.embed_decode(g, spec)
-            err = float(
-                np.mean([abs(dec2(y) - f(y)) for y in range(1 << k)])
-            )
+            dec = hardness.embed_decode(g, spec)
+            err = float(np.mean([abs(dec(y) - f(y)) for y in range(1 << k)]))
             rows.append(
                 {
                     "instance": f"embed-k{k}-eps{eps:g}",
@@ -353,6 +371,8 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITES:
         raise _UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if suite in ("embedding", "all"):
+        _check_carrier(args.k)
     ns = tuple(range(4, min(args.n, 10) + 1))
     seeds = range(args.seeds)
     outputs: dict[str, list[dict]] = {}
@@ -407,17 +427,10 @@ def cmd_decompose(args) -> int:
         report_text = report.to_json_text(tree_text, instance=inst, max_l1_error=err)
         _write(args.out, "report.json", report_text)
         _write(args.out, "tree.json", tree_text)
-    bound = math.ceil(2.0 / args.alpha)
-    row = {
-        "instance": f"{inst}-a{args.alpha:g}",
-        "lhs": report.rank,
-        "rhs": bound,
-        "margin": bound - report.rank,
-        "pass": report.rank_bound_ok() and err <= TOL and report.certificates_ok(),
-    }
+    row = _rank_row(inst, args.alpha, report, err)
     _write(args.out, "rank.csv", _rows_to_csv([row]))
     print(
-        f"{inst}: rank {report.rank} (bound {bound}), exact l1 error {format(err, '.17g')}, "
+        f"{inst}: rank {report.rank} (bound {row['rhs']}), exact l1 error {format(err, '.17g')}, "
         f"certificates {'ok' if report.certificates_ok() else 'FAILED'}"
     )
     if not row["pass"]:
@@ -513,28 +526,16 @@ def cmd_hardness(args) -> int:
 
     if args.demo == "embed":
         if args.file:
-            spec = _load_family_file(args.file)
-            f = funcs.instantiate(spec)
+            f = funcs.instantiate(_load_family_file(args.file))
+            _check_carrier(f.n)
         else:
-            rng = np.random.default_rng((0xE4B, args.k))
-            f = ValueOracle.from_table(
-                rng.integers(0, 2, size=1 << args.k).astype(float), label=f"bool-k{args.k}"
-            )
-        h, espec = hardness.embed_build(f)
-        dec = hardness.embed_decode(h, espec)
-        report = {
-            "k": espec.k,
-            "t": espec.t,
-            "n": espec.n,
-            "alpha_emb": espec.alpha_emb,
-            "monotone": bool(funcs.is_monotone(h)),
-            "submodular": bool(funcs.is_submodular(h)),
-            "roundtrip_exact": all(dec(y) == f(y) for y in range(1 << espec.k)),
-        }
+            _check_carrier(args.k)
+            f = _random_boolean(args.k, np.random.default_rng((0xE4B, args.k)))
+        _, espec, cert = _certify_embedding(f)
+        report = {"k": espec.k, "t": espec.t, "n": espec.n, "alpha_emb": espec.alpha_emb, **cert}
         _write(args.out, "embed_report.json", _dump_json(report))
         print(_dump_json(report), end="")
-        ok = report["monotone"] and report["submodular"] and report["roundtrip_exact"]
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
+        return EXIT_OK if all(cert.values()) else EXIT_CHECK_FAILED
 
     if args.demo == "lpn":
         n, k = args.n, args.k

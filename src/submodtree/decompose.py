@@ -65,9 +65,6 @@ class LeafCertificate:
     lipschitz_ok: bool | None
     submodular_ok: bool | None
 
-    def all_true(self) -> bool:
-        return bool(self.alpha_monotone_ok and self.lipschitz_ok and self.submodular_ok)
-
 
 @dataclass
 class DecompositionReport:

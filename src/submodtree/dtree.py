@@ -371,16 +371,20 @@ def exact_distance(f, g, dist: ProductDistribution | None = None, metric: str = 
     if nf != ng:
         raise ValueError(f"dimension mismatch: {nf} vs {ng}")
     if dist is None:
-        dist = ProductDistribution.uniform(nf)
-    if dist.n != nf:
+        # every point weighs 2^-n: the same products and sums as the uniform
+        # probability vector, without building it
+        w = 0.5**nf
+    elif dist.n != nf:
         raise ValueError(f"distribution dimension {dist.n} != {nf}")
-    p = dist.probability_vector()
+    else:
+        w = dist.probability_vector()
     if metric == "l1":
-        return float(np.sum(p * np.abs(tf - tg)))
+        return float(np.sum(w * np.abs(tf - tg)))
     if metric == "l2":
-        return float(math.sqrt(np.sum(p * (tf - tg) ** 2)))
+        return float(math.sqrt(np.sum(w * (tf - tg) ** 2)))
     if metric == "disagreement":
-        return float(np.sum(p[tf != tg]))
+        differ = tf != tg
+        return float(np.count_nonzero(differ) * w if dist is None else np.sum(w[differ]))
     raise ValueError(f"unknown metric {metric!r}")
 
 

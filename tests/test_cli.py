@@ -214,6 +214,8 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
           "--degree", "-1"], None),
         (["learn", "agnostic-l2", "--family", "coverage", "--n", "8", "--epsilon", "0.5",
           "--degree", "-2"], None),
+        (["hardness", "embed", "--k", "30"], None),
+        (["verify", "embedding", "--k", "22"], None),
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, argv, spec):
@@ -366,8 +368,9 @@ def test_pruning_truncation_mismatch_is_a_failing_row(monkeypatch):
     from submodtree import cli, dtree
 
     tree = dtree.random_tree(6, seed=1)
-    assert all(r["pass"] for r in cli._pruning_rows_for_tree("t", tree))
+    dists = cli._pruning_distributions(tree.n)
+    assert all(r["pass"] for r in cli._pruning_rows_for_tree("t", tree, dists))
     monkeypatch.setattr(cli.dtree, "exact_distance", lambda *args: -1.0)
-    rows = cli._pruning_rows_for_tree("t", tree)
+    rows = cli._pruning_rows_for_tree("t", tree, dists)
     failed = [r for r in rows if not r["pass"]]
     assert [r["instance"] for r in failed] == [f"t-truncate-d{dtree.tree_depth(tree) // 2}"]

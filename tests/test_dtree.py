@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from submodtree.cube import ProductDistribution
 from submodtree.dtree import (
@@ -120,6 +121,22 @@ def test_exact_distance_examples():
     or_oracle = ValueOracle.from_table([0, 1, 1, 1])
     assert exact_distance(or_oracle, or_tree, metric="l2") == 0.0
     assert exact_distance(or_oracle, or_tree, metric="disagreement") == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=14),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    # 1e-320 and 1e-310 give subnormal differences, 1e-160 subnormal squares
+    scale=st.sampled_from([1e-320, 1e-310, 1e-160, 1e-5, 1.0, 1e150]),
+)
+def test_exact_distance_uniform_default_matches_explicit_distribution(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    tf = rng.standard_normal(1 << n) * scale
+    tg = np.where(rng.random(1 << n) < 0.3, tf, rng.standard_normal(1 << n) * scale)
+    uniform = ProductDistribution.uniform(n)
+    for metric in ("l1", "l2", "disagreement"):
+        assert exact_distance(tf, tg, metric=metric) == exact_distance(tf, tg, uniform, metric)
 
 
 def test_exact_distance_dimension_mismatch():
