@@ -72,7 +72,6 @@ from .hardness import (
 from .learn import (
     Hypothesis,
     LabeledSample,
-    LearnerBudget,
     agnostic_l2_learn,
     find_influential_variables,
     km_search,

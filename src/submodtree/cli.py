@@ -125,8 +125,8 @@ def suite_variance(ns, seeds) -> list[dict]:
 def suite_parseval(ns, seeds) -> list[dict]:
     rows = []
     for inst, f in funcs.iter_corpus(ns=ns, seeds=seeds):
-        sp = fourier.transform(f)
-        lhs = sum(c * c for c in sp.coeffs.values())
+        c = fourier.coefficients(f)
+        lhs = float(np.cumsum(c * c)[-1])  # left to right, ascending mask
         rhs = float(np.mean(f.table() ** 2))
         rows.append(
             {
@@ -325,9 +325,17 @@ def _certify_embedding(f: ValueOracle):
     cert = {
         "monotone": bool(funcs.is_monotone(h)),
         "submodular": bool(funcs.is_submodular(h)),
-        "roundtrip_exact": all(dec(y) == f(y) for y in range(1 << spec.k)),
+        "roundtrip_exact": bool(np.array_equal(dec.table(), f.table())),
     }
     return h, spec, cert
+
+
+def _transfer_error(f: ValueOracle, h: ValueOracle, spec, eps: float, rng) -> float:
+    """l1 error of decoding h plus seeded noise of l1 mass transfer_budget(eps)."""
+    noise = rng.uniform(-1.0, 1.0, size=1 << spec.n)
+    noise *= spec.transfer_budget(eps) / np.mean(np.abs(noise))
+    dec = hardness.embed_decode(ValueOracle.from_table(h.table() + noise), spec)
+    return float(np.mean(np.abs(dec.table() - f.table())))
 
 
 def suite_embedding(kmax: int) -> list[dict]:
@@ -346,12 +354,7 @@ def suite_embedding(kmax: int) -> list[dict]:
             }
         )
         for eps in (0.25, 0.5):
-            budget = spec.transfer_budget(eps)
-            noise = rng.uniform(-1.0, 1.0, size=1 << spec.n)
-            noise *= budget / np.mean(np.abs(noise))
-            g = ValueOracle.from_table(h.table() + noise)
-            dec = hardness.embed_decode(g, spec)
-            err = float(np.mean([abs(dec(y) - f(y)) for y in range(1 << k)]))
+            err = _transfer_error(f, h, spec, eps, rng)
             rows.append(
                 {
                     "instance": f"embed-k{k}-eps{eps:g}",
@@ -420,10 +423,9 @@ def cmd_decompose(args) -> int:
     except dc.NotSubmodular as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    tree = dc.constantize_leaves(report, "mean")
     err = dtree.exact_distance(f, report.tree, metric="l1")
     if args.out is not None:
-        tree_text = dtree.to_json_text(tree)
+        tree_text = dtree.to_json_text(dc.constantize_leaves(report, "mean"))
         report_text = report.to_json_text(tree_text, instance=inst, max_l1_error=err)
         _write(args.out, "report.json", report_text)
         _write(args.out, "tree.json", tree_text)
@@ -659,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_at_least(1), default=1 << 16)
     p.add_argument("--gamma", type=_positive_float, default=0.5)
     p.add_argument("--file", dest="file", help="Boolean truth_table JSON (embed demo)")
-    p.add_argument("-f", dest="file", help=argparse.SUPPRESS)
     p.add_argument("--out", help="directory for report files")
     p.set_defaults(func=cmd_hardness)
 

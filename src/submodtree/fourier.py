@@ -63,11 +63,9 @@ class Spectrum:
     coeffs: dict[int, float] = field(default_factory=dict)
 
     @staticmethod
-    def from_dense(values: np.ndarray, n: int, eps: float = SPARSE_EPS) -> "Spectrum":
-        coeffs = {
-            int(s): float(c) for s, c in enumerate(values) if abs(c) > eps
-        }
-        return Spectrum(n, coeffs)
+    def from_dense(values: np.ndarray, n: int) -> "Spectrum":
+        """The nonzero entries of a dense coefficient array, by ascending mask."""
+        return Spectrum(n, {int(s): float(c) for s, c in enumerate(values) if c != 0.0})
 
     def dense(self) -> np.ndarray:
         check_enumerable(self.n, "dense spectrum")
@@ -86,9 +84,10 @@ class Spectrum:
         return mask
 
     def evaluate(self, x: int) -> float:
-        return sum(c * parity_eval(s, x) for s, c in self.coeffs.items())
+        return float(self.evaluate_many(np.array([x]))[0])
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
+        """Sum of coeff(S) * chi_S(x), added left to right in dict order."""
         xs = np.asarray(xs, dtype=np.int64)
         out = np.zeros(xs.shape, dtype=float)
         for s, c in self.coeffs.items():
@@ -118,30 +117,38 @@ class Spectrum:
         return Spectrum(n, coeffs)
 
 
-def transform(f: ValueOracle) -> Spectrum:
-    """Full exact spectrum of an oracle via the fast butterfly, O(n 2^n)."""
+def coefficients(f: ValueOracle) -> np.ndarray:
+    """Every exact coefficient of an oracle by ascending mask, via the fast
+    butterfly, O(n 2^n).
+
+    A coefficient with |c| <= SPARSE_EPS is set to exactly 0.0; NaN is not,
+    so a table holding NaN gives NaN coefficients.
+    """
     t = f.table()
-    dense = fwht(t) / t.size
-    return Spectrum.from_dense(dense, f.n)
+    c = fwht(t) / t.size
+    c[(c >= -SPARSE_EPS) & (c <= SPARSE_EPS)] = 0.0  # |c| <= eps, with no float temporary
+    return c
+
+
+def transform(f: ValueOracle) -> Spectrum:
+    """Full exact spectrum of an oracle: its nonzero coefficients."""
+    return Spectrum.from_dense(coefficients(f), f.n)
 
 
 def spectral_l1(sp: Spectrum) -> float:
-    """Sum of absolute coefficients."""
-    return float(sum(abs(c) for c in sp.coeffs.values()))
+    """Sum of absolute coefficients, added left to right in dict order."""
+    return float(np.cumsum(np.abs([0.0, *sp.coeffs.values()]))[-1])
 
 
 def pairwise_weights(f: ValueOracle) -> tuple[np.ndarray, np.ndarray]:
     """|coeff({i,j})| and the sum of coeff(S)^2 over S containing i and j, for
     every pair i < j in lexicographic order.
 
-    Both come from one dense transform, with the coefficients that
-    `Spectrum.from_dense` drops (|c| <= SPARSE_EPS) set to zero.  Each sum is
-    a sequential cumulative sum in ascending mask order, so it equals the
-    left-to-right sum over the sparse spectrum bit for bit.
+    Both come from `coefficients`.  Each sum is a sequential cumulative sum
+    in ascending mask order, so it equals the left-to-right sum over the
+    sparse spectrum bit for bit.
     """
-    t = f.table()
-    c = fwht(t) / t.size
-    c[np.abs(c) <= SPARSE_EPS] = 0.0
+    c = coefficients(f)
     i, j = np.triu_indices(f.n, 1)
     # the masks containing both coordinates of a pair are its (1, 1) corner
     totals = [
@@ -260,19 +267,18 @@ def low_degree_estimate(
     if exact:
         if not isinstance(data, ValueOracle):
             raise ValueError("exact mode needs a ValueOracle")
-        sp = transform(data)
-        coeffs = {s: sp.coeffs.get(s, 0.0) for s in masks}
-        return Spectrum(data.n, {s: c for s, c in coeffs.items() if abs(c) > SPARSE_EPS})
-
-    if isinstance(data, ValueOracle):
-        if m < 1:
-            raise ValueError("sampled mode needs m >= 1")
-        xs = sample_points(data.n, m, seed)
-        ys = data.eval_many(xs)
-        n = data.n
+        c = coefficients(data)
+        n, est = data.n, {s: float(c[s]) for s in masks}
     else:
-        xs, ys = data
-        if n is None:
-            raise ValueError("pass n explicitly with a raw (xs, ys) sample")
-    est = empirical_coefficients(np.asarray(xs), np.asarray(ys, dtype=float), n, masks)
+        if isinstance(data, ValueOracle):
+            if m < 1:
+                raise ValueError("sampled mode needs m >= 1")
+            xs = sample_points(data.n, m, seed)
+            ys = data.eval_many(xs)
+            n = data.n
+        else:
+            xs, ys = data
+            if n is None:
+                raise ValueError("pass n explicitly with a raw (xs, ys) sample")
+        est = empirical_coefficients(np.asarray(xs), np.asarray(ys, dtype=float), n, masks)
     return Spectrum(n, {s: c for s, c in est.items() if c != 0.0})

@@ -700,7 +700,8 @@ def generate_random(family: str, n: int, seed: int) -> FamilySpec:
 
     if family == "budget_additive":
         weights = [float(w) for w in rng.uniform(0.05, 1.0, size=n)]
-        budget = float(rng.uniform(max(weights), sum(weights)))
+        # a sequential sum: the built-in `sum` of floats is compensated from CPython 3.12
+        budget = float(rng.uniform(max(weights), np.cumsum(weights)[-1]))
         return FamilySpec(family, n, {"weights": weights, "budget": budget})
 
     if family == "matroid_rank_partition":

@@ -29,30 +29,8 @@ import numpy as np
 from . import fourier
 from .cube import mask_of, subset_members
 from .dtree import DecisionTree, map_leaves
-from .fourier import Spectrum, empirical_coefficients, parity_signs, sample_points, transform
+from .fourier import Spectrum, empirical_coefficients, parity_signs, sample_points
 from .funcs import ValueOracle, view
-
-
-@dataclass(frozen=True)
-class LearnerBudget:
-    """Knobs of the sampled learners; every randomized run replays from seed."""
-
-    m: int = 1 << 16
-    seed: int = 0
-    gamma: float = 0.1
-    degree: int = 2
-    theta: float = 0.1
-    epsilon: float = 0.25
-    L: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.degree < 0:
-            raise ValueError("sample count and degree must be positive")
-        if not 0 < self.gamma < 0.5:
-            raise ValueError(f"gamma must be in (0, 1/2), got {self.gamma}")
-        for name, v in (("theta", self.theta), ("epsilon", self.epsilon), ("L", self.L)):
-            if v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
 
 
 @dataclass
@@ -95,23 +73,16 @@ def draw_sample(f: ValueOracle, m: int, seed) -> LabeledSample:
 def _low_order_coefficients(data) -> tuple[dict[int, float], int]:
     """All degree-1 and degree-2 coefficients: exact for an oracle, shared-
     sample estimates for a LabeledSample.  Returns (coeffs, n)."""
-    if isinstance(data, ValueOracle):
-        sp = transform(data)
-        n = data.n
-        out = {}
-        for i in range(n):
-            out[1 << i] = sp.coeffs.get(1 << i, 0.0)
-            for j in range(i + 1, n):
-                m = (1 << i) | (1 << j)
-                out[m] = sp.coeffs.get(m, 0.0)
-        return out, n
-    if not isinstance(data, LabeledSample):
+    if not isinstance(data, (ValueOracle, LabeledSample)):
         raise TypeError("expected a ValueOracle or LabeledSample")
-    if len(data) == 0:
+    if isinstance(data, LabeledSample) and len(data) == 0:
         raise ValueError("empty sample")
     n = data.n
     masks = [1 << i for i in range(n)]
     masks += [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    if isinstance(data, ValueOracle):
+        c = fourier.coefficients(data)
+        return {s: float(c[s]) for s in masks}, n
     return empirical_coefficients(data.xs, data.ys, n, masks), n
 
 

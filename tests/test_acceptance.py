@@ -146,29 +146,19 @@ def test_criterion_7_correlations():
 def test_criterion_8_embedding():
     for k in range(1, 7):
         rng = np.random.default_rng((0x8E, k))
-        certs = 0
         for trial in range(3):
             f = ValueOracle.from_table(rng.integers(0, 2, size=1 << k).astype(float))
-            h, spec = hardness.embed_build(f)
-            if not (funcs.is_monotone(h) and funcs.is_submodular(h)):
+            if not all(cli._certify_embedding(f)[2].values()):
                 _report("criterion-8", False, f"certificates k={k}")
-            certs += 1
         for trial in range(50):
             f = ValueOracle.from_table(rng.integers(0, 2, size=1 << k).astype(float))
-            h, spec = hardness.embed_build(f)
-            dec = hardness.embed_decode(h, spec)
-            if any(dec(y) != f(y) for y in range(1 << k)):
+            if not cli._certify_embedding(f)[2]["roundtrip_exact"]:
                 _report("criterion-8", False, f"roundtrip k={k} trial={trial}")
         for eps in (0.25, 0.5):
             for trial in range(5):
                 f = ValueOracle.from_table(rng.integers(0, 2, size=1 << k).astype(float))
                 h, spec = hardness.embed_build(f)
-                noise = rng.uniform(-1, 1, size=1 << spec.n)
-                noise *= spec.transfer_budget(eps) / np.mean(np.abs(noise))
-                g = ValueOracle.from_table(h.table() + noise)
-                dec = hardness.embed_decode(g, spec)
-                err = np.mean([abs(dec(y) - f(y)) for y in range(1 << k)])
-                if err > eps + 1e-9:
+                if cli._transfer_error(f, h, spec, eps, rng) > eps + 1e-9:
                     _report("criterion-8", False, f"transfer k={k} eps={eps}")
     _report("criterion-8", True, "monotone+submodular, exact roundtrip, transfer bound (k <= 6)")
 

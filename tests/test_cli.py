@@ -1,5 +1,7 @@
+import builtins
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -124,7 +126,7 @@ def test_hardness_embed_with_file(tmp_path):
         {"family": "truth_table", "n": 3, "values": [0, 1, 1, 0, 1, 0, 0, 1]},
     )
     out = tmp_path / "e"
-    assert run(["hardness", "embed", "--f", path, "--out", str(out)]) == 0
+    assert run(["hardness", "embed", "--file", path, "--out", str(out)]) == 0
     report = json.loads((out / "embed_report.json").read_text())
     assert report["monotone"] and report["submodular"] and report["roundtrip_exact"]
 
@@ -313,11 +315,12 @@ def test_decompose_reports_match_golden_hashes_alpha_005(tmp_path, family):
 
 
 # sha256 of every CSV of `verify all --n 8 --seeds 3`, and of `verify pairwise
-# --n 10 --seeds 20`, as written under CPython 3.11 while the pairwise suite
-# still summed squared coefficients from a dict spectrum with the builtin
-# `sum`.  CPython 3.12 made `sum` of floats compensated, which moves the last
-# digits of those sums; a sequential cumulative sum in ascending mask order
-# gives the 3.11 sums on every Python version.
+# --n 10 --seeds 20`, as written under CPython 3.11 while the suites and the
+# budget_additive generator still summed floats with the built-in `sum`.
+# CPython 3.12 made `sum` of floats compensated, which moves the last digits
+# of such sums; every float sum behind a report is now a sequential
+# left-to-right reduction, which gives the 3.11 bits on every Python version
+# (test_golden_reports_do_not_depend_on_a_compensated_sum).
 GOLDEN_VERIFY_ALL_N8 = {
     "correlation.csv": "b0b75dcfec05603c4a718c8353f9db95a80d11e2bc3d71a531e18b252f0c538d",
     "embedding.csv": "f6276b834180e8d313242f0e78e4a3bdf8f0f39a630b4d2cefc4adef6a4b5228",
@@ -346,6 +349,39 @@ def test_verify_pairwise_report_matches_golden_hash(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("pairwise: empirical best constant 2\n")
 
 
+_builtin_sum = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """The built-in `sum` of CPython >= 3.12: Neumaier-compensated when it
+    adds floats; sums of ints and of anything else go to the original."""
+    items = list(iterable)
+    kinds = {type(v) for v in [start, *items]}
+    if float not in kinds or not kinds <= {int, float}:
+        return _builtin_sum(items, start)
+    total, comp = float(start), 0.0
+    for v in map(float, items):
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_golden_reports_do_not_depend_on_a_compensated_sum(tmp_path, monkeypatch):
+    assert _compensated_sum([0.1] * 10) == 1.0  # left to right: 0.9999999999999999
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    for family in sorted(GOLDEN_DECOMPOSE_N12):
+        assert (_decompose_hashes(tmp_path / f"{family}-a025", family, "0.25")
+                == GOLDEN_DECOMPOSE_N12[family])
+        assert (_decompose_hashes(tmp_path / f"{family}-a005", family, "0.05")
+                == GOLDEN_DECOMPOSE_N12_A005[family])
+    assert run(["verify", "all", "--n", "8", "--seeds", "3", "--out", str(tmp_path / "all")]) == 0
+    assert _csv_hashes(tmp_path / "all") == GOLDEN_VERIFY_ALL_N8
+    assert run(["verify", "pairwise", "--n", "10", "--seeds", "20",
+                "--out", str(tmp_path / "pairwise")]) == 0
+    assert _csv_hashes(tmp_path / "pairwise") == {"pairwise.csv": GOLDEN_PAIRWISE_N10}
+
+
 def test_decompose_renders_report_text_only_for_out(tmp_path, monkeypatch):
     from submodtree import dtree
 
@@ -362,6 +398,24 @@ def test_decompose_renders_report_text_only_for_out(tmp_path, monkeypatch):
     assert rendered == []
     assert run(argv + ["--out", str(tmp_path)]) == 0
     assert len(rendered) == 1
+
+
+def test_decompose_constantizes_leaves_only_for_out(tmp_path, monkeypatch):
+    from submodtree import decompose
+
+    constantized = []
+    constantize_leaves = decompose.constantize_leaves
+
+    def spy(report, mode):
+        constantized.append(report)
+        return constantize_leaves(report, mode)
+
+    monkeypatch.setattr(decompose, "constantize_leaves", spy)
+    argv = ["decompose", "--family", "matroid_rank_partition", "--n", "8", "--alpha", "0.25"]
+    assert run(argv) == 0
+    assert constantized == []
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert len(constantized) == 1
 
 
 def test_pruning_truncation_mismatch_is_a_failing_row(monkeypatch):

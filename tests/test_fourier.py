@@ -1,13 +1,19 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_table_oracle, small_corpus
+from submodtree import cli
 from submodtree.cube import mask_of, parse_point
 from submodtree.fourier import (
+    SPARSE_EPS,
     BudgetExceeded,
     Spectrum,
     candidate_masks,
+    coefficients,
     estimate_coefficient,
     fwht,
     low_degree_estimate,
@@ -16,7 +22,8 @@ from submodtree.fourier import (
     spectral_l1,
     transform,
 )
-from submodtree.funcs import TOL, ValueOracle
+from submodtree.funcs import TOL, ValueOracle, iter_corpus
+from submodtree.learn import _low_order_coefficients
 
 
 def pt(s):
@@ -214,3 +221,106 @@ def test_spectrum_csv_roundtrip(or2):
     assert text.splitlines()[0] == "mask,coefficient"
     again = Spectrum.from_csv(text, 2)
     assert again.coeffs == pytest.approx(sp.coeffs)
+
+
+# --- one exact-coefficient route, checked against the routes it replaced ------
+
+
+def _reference_transform(f: ValueOracle) -> dict[int, float]:
+    """The sparse spectrum as `transform` built it before `coefficients`."""
+    t = f.table()
+    dense = fwht(t) / t.size
+    return {int(s): float(c) for s, c in enumerate(dense) if abs(c) > SPARSE_EPS}
+
+
+def _reference_low_order(f: ValueOracle) -> dict[int, float]:
+    """Every degree-1 and degree-2 coefficient, read from the sparse spectrum."""
+    sp = _reference_transform(f)
+    out = {}
+    for i in range(f.n):
+        out[1 << i] = sp.get(1 << i, 0.0)
+        for j in range(i + 1, f.n):
+            out[(1 << i) | (1 << j)] = sp.get((1 << i) | (1 << j), 0.0)
+    return out
+
+
+def _reference_low_degree(f: ValueOracle, variables: int, degree: int) -> dict[int, float]:
+    sp = _reference_transform(f)
+    coeffs = {s: sp.get(s, 0.0) for s in candidate_masks(variables, degree)}
+    return {s: c for s, c in coeffs.items() if abs(c) > SPARSE_EPS}
+
+
+def _left_to_right(values) -> float:
+    """0.0 + v0 + v1 + ..., the built-in `sum` of floats before CPython 3.12."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+# a few entries a multiple of 1e-12 away from a common value put coefficients
+# on both sides of SPARSE_EPS
+_table_values = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+    st.integers(min_value=-3, max_value=3).map(lambda k: 0.5 + k * 1e-12),
+)
+
+
+@st.composite
+def _tables(draw, max_n=8):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    values = draw(st.lists(_table_values, min_size=1 << n, max_size=1 << n))
+    return ValueOracle.from_table(values)
+
+
+@given(_tables(), st.data())
+def test_coefficient_readers_match_the_sparse_spectrum_route(f, data):
+    ref = _reference_transform(f)
+    c = coefficients(f)
+    assert [float(v) for v in c] == [ref.get(s, 0.0) for s in range(1 << f.n)]
+    assert transform(f).coeffs == ref
+    assert list(transform(f).coeffs) == list(ref)
+    assert _low_order_coefficients(f) == (_reference_low_order(f), f.n)
+    variables = data.draw(st.integers(min_value=0, max_value=(1 << f.n) - 1))
+    degree = data.draw(st.integers(min_value=0, max_value=f.n))
+    got = low_degree_estimate(f, variables, degree, exact=True).coeffs
+    want = _reference_low_degree(f, variables, degree)
+    assert got == want and list(got) == list(want)
+
+
+def test_coefficients_zero_rule_and_nan():
+    assert coefficients(ValueOracle.from_table([SPARSE_EPS, -SPARSE_EPS])).tolist() == [0.0, 0.0]
+    assert coefficients(ValueOracle.from_table([3 * SPARSE_EPS])).tolist() == [3 * SPARSE_EPS]
+    f = ValueOracle.from_table([0.0, 1.0, float("nan"), 1.0])
+    assert np.isnan(coefficients(f)).all()
+    assert sorted(transform(f).coeffs) == [0, 1, 2, 3]
+
+
+# quotients by a prime are rarely dyadic, so their sums round
+_coefficient_values = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False).filter(lambda c: c != 0.0),
+    st.integers(min_value=-(10**9), max_value=10**9).filter(bool).map(lambda k: k / 7919),
+)
+
+
+@st.composite
+def _spectra(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    coeffs = draw(st.dictionaries(masks, _coefficient_values, max_size=40))
+    return Spectrum(n, coeffs)
+
+
+@given(_spectra(), st.data())
+def test_spectrum_sums_are_left_to_right(sp, data):
+    x = data.draw(st.integers(min_value=0, max_value=(1 << sp.n) - 1))
+    terms = [c * parity_eval(s, x) for s, c in sp.coeffs.items()]
+    assert sp.evaluate(x) == _left_to_right(terms)
+    assert spectral_l1(sp) == _left_to_right(abs(c) for c in sp.coeffs.values())
+
+
+@given(st.integers(min_value=4, max_value=8), st.integers(min_value=0, max_value=40))
+def test_parseval_lhs_is_left_to_right(n, seed):
+    rows = cli.suite_parseval((n,), (seed,))
+    want = [
+        _left_to_right(c * c for c in _reference_transform(f).values())
+        for _, f in iter_corpus(ns=(n,), seeds=(seed,))
+    ]
+    assert [r["lhs"] for r in rows] == want

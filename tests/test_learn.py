@@ -11,7 +11,6 @@ from submodtree.fourier import Spectrum, parity_eval, spectral_l1, transform
 from submodtree.funcs import FamilySpec, ValueOracle, generate_random, instantiate
 from submodtree.learn import (
     LabeledSample,
-    LearnerBudget,
     agnostic_l2_learn,
     draw_sample,
     find_influential_variables,
@@ -26,17 +25,6 @@ KM_FAST = dict(bucket_samples=4096, coeff_samples=1 << 15)
 
 def planted_oracle(n, coeffs) -> ValueOracle:
     return Spectrum(n, coeffs).to_oracle("planted")
-
-
-class TestLearnerBudget:
-    def test_validation(self):
-        LearnerBudget()
-        with pytest.raises(ValueError):
-            LearnerBudget(gamma=0.5)
-        with pytest.raises(ValueError):
-            LearnerBudget(m=0)
-        with pytest.raises(ValueError):
-            LearnerBudget(epsilon=-1)
 
 
 class TestFindInfluential:
