@@ -349,6 +349,44 @@ def test_verify_pairwise_report_matches_golden_hash(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("pairwise: empirical best constant 2\n")
 
 
+# sha256 of the spectrum and learner reports, as written while a spectrum was
+# still a dict from mask to coefficient; the last three hypotheses have more
+# than one entry, and the agnostic one on cut gains mask 0 only in the
+# unit-range map
+GOLDEN_SPECTRUM_AND_LEARN = [
+    (["spectrum", "--family", "budget_additive", "--n", "12", "--seed", "0"],
+     {"spectrum.csv": "a700c38d40a373ac3e89a0896b8bb2ef3812e1c4c803e71530227ecfb984767a"}),
+    (["spectrum", "--family", "cut", "--n", "2", "--edges", "1-2"],
+     {"spectrum.csv": "16f6d88d2720f1644586ccff186e57e5fbf4787b2ba703e3a640161f0889d005"}),
+    (["learn", "pac", "--family", "coverage", "--n", "10", "--seed", "1", "--epsilon", "0.5",
+      "--gamma", "0.1", "--degree", "3", "--exact"],
+     {"hypothesis.csv": "4bac04ad7029225f7030413ced48ffae044748ac1cd103d6217be60d92ae3608",
+      "run.json": "01e6b10d96d9a98e9012c364812020ce25dfd2941c6791d957a2d033dd075655"}),
+    (["learn", "agnostic-l2", "--family", "coverage", "--n", "12", "--seed", "0",
+      "--epsilon", "0.35", "--L", "1", "--bucket-samples", "3000", "--coeff-samples", "3000"],
+     {"hypothesis.csv": "c07ce0eed8e8d89203301d21a347ce672afe524ca5c889db36e9e0bc4ae22b02",
+      "run.json": "746bb026c50e8c53cfaca8339a611e9a5c31b04ceb4151d38a9d859f7f043276"}),
+    (["learn", "pac", "--family", "coverage", "--n", "10", "--seed", "1", "--epsilon", "0.5",
+      "--gamma", "0.02", "--degree", "2", "--exact"],
+     {"hypothesis.csv": "e90eae8d567c8cf1c02ecf52d4859078c9bdbc96d6e31fc33ac3f7ea74cbf110",
+      "run.json": "451559f6ecf25ae44e4a7497e1346b6fea94149fe189765b1aff1b79a69f67c5"}),
+    (["learn", "pac", "--family", "cut", "--n", "8", "--seed", "1", "--epsilon", "0.5",
+      "--gamma", "0.1", "--degree", "2", "--samples", "4096"],
+     {"hypothesis.csv": "e80554b2a96f91441561a4941b4af52d7805aa90bf2c9a9cf81a7dfddc6c59b8",
+      "run.json": "c2ce96480c5ad2916627d7125475600db3030f2ae760198e1e96f35eea80c7b7"}),
+    (["learn", "agnostic-l2", "--family", "cut", "--n", "6", "--seed", "0", "--epsilon", "0.2",
+      "--L", "0.5", "--bucket-samples", "2000", "--coeff-samples", "2000"],
+     {"hypothesis.csv": "c08c6005ab3d5cbdb8baaca8bbe0ec20550bb8354f1dcc3430a0f731e078b153",
+      "run.json": "5aeceb829164fc1f7be49782d5325f6d5a69aee2e0201349d511d7488d4b3874"}),
+]
+
+
+@pytest.mark.parametrize("argv,hashes", GOLDEN_SPECTRUM_AND_LEARN)
+def test_spectrum_and_learn_reports_match_golden_hashes(tmp_path, capsys, argv, hashes):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert _csv_hashes(tmp_path) == hashes
+
+
 _builtin_sum = builtins.sum
 
 
