@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import funcs
-from .cube import check_enumerable, popcount
+from .cube import check_enumerable, popcount, subset_members
 from .funcs import ValueOracle
 
 SPARSE_EPS = 1e-12
@@ -46,51 +46,58 @@ def fwht(values: np.ndarray) -> np.ndarray:
         raise ValueError(f"length {m} is not a power of two")
     h = 1
     while h < m:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        right = a[:, h:].copy()
-        a[:, :h] = left + right
-        a[:, h:] = left - right
+        v = a.reshape(-1, 2 * h)
+        lo = v[:, :h].copy()
+        v[:, :h] += v[:, h:]
+        np.subtract(lo, v[:, h:], out=v[:, h:])
         h *= 2
-    return a.reshape(-1)
+    return a
 
 
-@dataclass
+@dataclass(eq=False)
 class Spectrum:
-    """Sparse Fourier coefficients: mask -> coeff(S), over dimension n."""
+    """Sparse Fourier coefficients over dimension n: coeffs[k] = coeff(masks[k]),
+    with the masks (int64) strictly ascending and the coefficients float64."""
 
     n: int
-    coeffs: dict[int, float] = field(default_factory=dict)
+    masks: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.masks = np.asarray(self.masks, dtype=np.int64)
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        m = self.masks
+        if m.ndim != 1 or m.shape != self.coeffs.shape:
+            raise ValueError("masks and coeffs must be aligned 1-d arrays")
+        if m.size and (m[0] < 0 or m[-1] >> self.n or np.any(m[1:] <= m[:-1])):
+            raise ValueError(f"masks must be strictly ascending subsets of [0, {self.n})")
 
     @staticmethod
     def from_dense(values: np.ndarray, n: int) -> "Spectrum":
         """The nonzero entries of a dense coefficient array, by ascending mask."""
-        return Spectrum(n, {int(s): float(c) for s, c in enumerate(values) if c != 0.0})
+        masks = np.flatnonzero(values)
+        return Spectrum(n, masks, values[masks])
 
     def dense(self) -> np.ndarray:
         check_enumerable(self.n, "dense spectrum")
         out = np.zeros(1 << self.n)
-        for s, c in self.coeffs.items():
-            out[s] = c
+        out[self.masks] = self.coeffs
         return out
 
     def degree(self) -> int:
-        return max((s.bit_count() for s in self.coeffs), default=0)
+        return int(popcount(self.masks).max(initial=0))
 
     def support_union(self) -> int:
-        mask = 0
-        for s in self.coeffs:
-            mask |= s
-        return mask
+        return int(np.bitwise_or.reduce(self.masks, initial=0))
 
     def evaluate(self, x: int) -> float:
         return float(self.evaluate_many(np.array([x]))[0])
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        """Sum of coeff(S) * chi_S(x), added left to right in dict order."""
+        """Sum of coeff(S) * chi_S(x), added left to right in ascending mask order."""
         xs = np.asarray(xs, dtype=np.int64)
         out = np.zeros(xs.shape, dtype=float)
-        for s, c in self.coeffs.items():
+        for s, c in zip(self.masks.tolist(), self.coeffs.tolist()):
             out += c * parity_signs(s, xs)
         return out
 
@@ -102,19 +109,13 @@ class Spectrum:
         return ValueOracle.from_table(self.table(), label=label)
 
     def to_csv(self) -> str:
-        lines = ["mask,coefficient"]
-        for s in sorted(self.coeffs):
-            lines.append(f"{s},{self.coeffs[s]:.17g}")
-        return "\n".join(lines) + "\n"
+        rows = map("{},{:.17g}\n".format, self.masks.tolist(), self.coeffs.tolist())
+        return "mask,coefficient\n" + "".join(rows)
 
     @staticmethod
     def from_csv(text: str, n: int) -> "Spectrum":
-        coeffs = {}
-        rows = [r for r in text.strip().splitlines() if r]
-        for row in rows[1:]:
-            mask, coeff = row.split(",")
-            coeffs[int(mask)] = float(coeff)
-        return Spectrum(n, coeffs)
+        rows = [r.split(",") for r in text.strip().splitlines()[1:] if r]
+        return Spectrum(n, [int(m) for m, _ in rows], [float(c) for _, c in rows])
 
 
 def coefficients(f: ValueOracle) -> np.ndarray:
@@ -136,8 +137,8 @@ def transform(f: ValueOracle) -> Spectrum:
 
 
 def spectral_l1(sp: Spectrum) -> float:
-    """Sum of absolute coefficients, added left to right in dict order."""
-    return float(np.cumsum(np.abs([0.0, *sp.coeffs.values()]))[-1])
+    """Sum of absolute coefficients, added left to right in ascending mask order."""
+    return float(np.cumsum(np.abs(np.append(0.0, sp.coeffs)))[-1])
 
 
 def pairwise_weights(f: ValueOracle) -> tuple[np.ndarray, np.ndarray]:
@@ -208,21 +209,18 @@ def estimate_coefficient(f: ValueOracle, subset: int, m: int, seed) -> float:
     return float(np.mean(ys * parity_signs(subset, xs)))
 
 
-def candidate_masks(variables: int, degree: int) -> list[int]:
-    """All subsets of the variable mask with at most ``degree`` members."""
-    members = [i for i in range(variables.bit_length()) if (variables >> i) & 1]
-    masks = []
-    for k in range(min(degree, len(members)) + 1):
-        for combo in itertools.combinations(members, k):
-            m = 0
-            for c in combo:
-                m |= 1 << c
-            masks.append(m)
-    return masks
+def candidate_masks(variables: int, degree: int) -> np.ndarray:
+    """All subsets of the variable mask with at most ``degree`` members, ascending."""
+    masks = [0] if degree >= 0 else []
+    for i in subset_members(variables):
+        # every new mask holds i, the highest member so far: the list stays ascending
+        masks += [s | 1 << i for s in masks if s.bit_count() < degree]
+    return np.array(masks, dtype=np.int64)
 
 
-def empirical_coefficients(xs: np.ndarray, ys: np.ndarray, n: int, masks) -> dict[int, float]:
-    """Shared-sample estimates mean(y * chi_S(x)) for every mask at once.
+def empirical_coefficients(xs: np.ndarray, ys: np.ndarray, n: int, masks) -> np.ndarray:
+    """Shared-sample estimates mean(y * chi_S(x)) for every mask at once,
+    aligned with ``masks``.
 
     When n is within the enumeration cap the estimates are computed for all
     masks in one butterfly over per-point label sums, which is numerically
@@ -230,16 +228,22 @@ def empirical_coefficients(xs: np.ndarray, ys: np.ndarray, n: int, masks) -> dic
     """
     from .cube import enum_cap
 
-    m = len(xs)
-    masks = list(masks)
+    masks = np.asarray(masks, dtype=np.int64)
     if n <= min(20, enum_cap()):
         sums = np.bincount(np.asarray(xs, dtype=np.int64), weights=ys, minlength=1 << n)
-        all_coeffs = fwht(sums) / m
-        return {int(s): float(all_coeffs[s]) for s in masks}
-    out = {}
-    for s in masks:
-        out[int(s)] = float(np.mean(ys * parity_signs(s, xs)))
-    return out
+        return fwht(sums)[masks] / len(xs)
+    return np.array([np.mean(ys * parity_signs(s, xs)) for s in masks.tolist()], dtype=float)
+
+
+def _low_degree(n: int, variables: int, degree: int, budget: int, estimate) -> Spectrum:
+    """The nonzero values of ``estimate(masks)``, an array aligned with the
+    candidate masks of ``variables`` and ``degree``."""
+    masks = candidate_masks(variables, degree)
+    if masks.size > budget:
+        raise BudgetExceeded(f"{masks.size} candidate coefficients exceed budget {budget}")
+    est = estimate(masks)
+    keep = est != 0.0
+    return Spectrum(n, masks[keep], est[keep])
 
 
 def low_degree_estimate(
@@ -259,26 +263,18 @@ def low_degree_estimate(
     pair of arrays (then ``n`` is required).  All sampled coefficients come
     from the same sample.
     """
-    masks = candidate_masks(variables, degree)
-    if len(masks) > budget:
-        raise BudgetExceeded(
-            f"{len(masks)} candidate coefficients exceed budget {budget}"
-        )
     if exact:
         if not isinstance(data, ValueOracle):
             raise ValueError("exact mode needs a ValueOracle")
-        c = coefficients(data)
-        n, est = data.n, {s: float(c[s]) for s in masks}
+        return _low_degree(data.n, variables, degree, budget, lambda s: coefficients(data)[s])
+    if isinstance(data, ValueOracle):
+        if m < 1:
+            raise ValueError("sampled mode needs m >= 1")
+        n, xs = data.n, sample_points(data.n, m, seed)
+        ys = data.eval_many(xs)
     else:
-        if isinstance(data, ValueOracle):
-            if m < 1:
-                raise ValueError("sampled mode needs m >= 1")
-            xs = sample_points(data.n, m, seed)
-            ys = data.eval_many(xs)
-            n = data.n
-        else:
-            xs, ys = data
-            if n is None:
-                raise ValueError("pass n explicitly with a raw (xs, ys) sample")
-        est = empirical_coefficients(np.asarray(xs), np.asarray(ys, dtype=float), n, masks)
-    return Spectrum(n, {s: c for s, c in est.items() if c != 0.0})
+        if n is None:
+            raise ValueError("pass n explicitly with a raw (xs, ys) sample")
+        xs, ys = data
+    xs, ys = np.asarray(xs), np.asarray(ys, dtype=float)
+    return _low_degree(n, variables, degree, budget, lambda s: empirical_coefficients(xs, ys, n, s))

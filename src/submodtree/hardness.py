@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cube import check_enumerable, check_packable, fw_rank, fw_unrank, popcount
-from .fourier import parity_signs
+from .fourier import Spectrum, candidate_masks, empirical_coefficients, parity_signs
 from .funcs import ValueOracle
 from .learn import Hypothesis, LabeledSample
 
@@ -278,12 +278,6 @@ def noisy_l1_error_exact(f: ValueOracle, src: NoisySource) -> float:
     return float((1.0 - src.eta) * clean + src.eta * flipped)
 
 
-def _spectrum_of(result) -> "dict[int, float]":
-    if isinstance(result, Hypothesis):
-        return result.spectrum.coeffs
-    return result.coeffs
-
-
 def lpn_reduce(
     src: NoisySource,
     k: int,
@@ -306,19 +300,19 @@ def lpn_reduce(
     results = [learner(sample), learner(LabeledSample(src.n, sample.xs, -sample.ys))]
 
     cutoff = gamma / 4.0
-    candidates = set()
-    for res in results:
-        for mask, c in _spectrum_of(res).items():
-            if mask != 0 and mask.bit_count() <= k and abs(c) >= cutoff:
-                candidates.add(mask)
-    if not candidates:
+    spectra = [res.spectrum if isinstance(res, Hypothesis) else res for res in results]
+    candidates = np.unique(np.concatenate([
+        sp.masks[(sp.masks != 0) & (popcount(sp.masks) <= k) & (np.abs(sp.coeffs) >= cutoff)]
+        for sp in spectra
+    ]))
+    if not candidates.size:
         raise NoCandidateFound(
             f"no spectrum entry of size <= {k} reached the cutoff {cutoff}"
         )
 
     fresh = noisy_examples(src, test_m, stream=1)
     best_mask, best_err = -1, math.inf
-    for mask in sorted(candidates):
+    for mask in candidates.tolist():
         err = float(np.mean(np.abs(parity_signs(mask, fresh.xs) - fresh.ys)))
         if err < best_err:
             best_mask, best_err = mask, err
@@ -327,14 +321,10 @@ def lpn_reduce(
 
 def regression_learner(degree: int):
     """Low-degree regression as an LPN learner callback (examples only)."""
-    from .fourier import candidate_masks, empirical_coefficients
 
     def run(sample: LabeledSample):
-        from .fourier import Spectrum
-
-        full = (1 << sample.n) - 1
-        masks = candidate_masks(full, degree)
-        est = empirical_coefficients(sample.xs, sample.ys, sample.n, masks)
-        return Spectrum(sample.n, est)
+        n = sample.n
+        masks = candidate_masks((1 << n) - 1, degree)
+        return Spectrum(n, masks, empirical_coefficients(sample.xs, sample.ys, n, masks))
 
     return run

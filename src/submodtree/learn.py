@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier
-from .cube import mask_of, subset_members
+from .cube import mask_of, popcount, subset_members
 from .dtree import DecisionTree, map_leaves
 from .fourier import Spectrum, empirical_coefficients, parity_signs, sample_points
 from .funcs import ValueOracle, view
@@ -43,12 +43,6 @@ class Hypothesis:
     samples_used: int
     queries_used: int
     info: dict = field(default_factory=dict)
-
-    def evaluate(self, x: int) -> float:
-        return self.spectrum.evaluate(x)
-
-    def to_oracle(self, label: str = "hypothesis") -> ValueOracle:
-        return self.spectrum.to_oracle(label)
 
 
 @dataclass(frozen=True)
@@ -70,20 +64,33 @@ def draw_sample(f: ValueOracle, m: int, seed) -> LabeledSample:
     return LabeledSample(f.n, xs, f.eval_many(xs))
 
 
-def _low_order_coefficients(data) -> tuple[dict[int, float], int]:
+def _low_order_masks(n: int) -> np.ndarray:
+    """The n singletons, then the pairs i < j in lexicographic order."""
+    i, j = np.triu_indices(n, 1)
+    return np.concatenate([1 << np.arange(n), (1 << i) | (1 << j)])
+
+
+def _low_order_coefficients(data) -> tuple[np.ndarray, np.ndarray]:
     """All degree-1 and degree-2 coefficients: exact for an oracle, shared-
-    sample estimates for a LabeledSample.  Returns (coeffs, n)."""
+    sample estimates for a LabeledSample.  Returns (masks, coeffs), in the
+    order of `_low_order_masks`."""
     if not isinstance(data, (ValueOracle, LabeledSample)):
         raise TypeError("expected a ValueOracle or LabeledSample")
     if isinstance(data, LabeledSample) and len(data) == 0:
         raise ValueError("empty sample")
-    n = data.n
-    masks = [1 << i for i in range(n)]
-    masks += [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    masks = _low_order_masks(data.n)
     if isinstance(data, ValueOracle):
-        c = fourier.coefficients(data)
-        return {s: float(c[s]) for s in masks}, n
-    return empirical_coefficients(data.xs, data.ys, n, masks), n
+        return masks, fourier.coefficients(data)[masks]
+    return masks, empirical_coefficients(data.xs, data.ys, data.n, masks)
+
+
+def _influential(masks: np.ndarray, coeffs: np.ndarray, gamma: float) -> tuple[int, ...]:
+    """Members of the pair masks with |c| >= 3 gamma^2 / 2 and of the
+    singleton masks with |c| >= gamma / 2."""
+    if not 0 < gamma < 0.5:
+        raise ValueError(f"gamma must be in (0, 1/2), got {gamma}")
+    cut = np.where(popcount(masks) == 2, 1.5 * gamma * gamma, gamma / 2.0)
+    return subset_members(int(np.bitwise_or.reduce(masks[np.abs(coeffs) >= cut], initial=0)))
 
 
 def find_influential_variables(data, gamma: float) -> tuple[int, ...]:
@@ -96,19 +103,7 @@ def find_influential_variables(data, gamma: float) -> tuple[int, ...]:
     (a set coefficient that large forces a pair coefficient >= 2 gamma^2, with
     slack covering estimation error gamma^2 / 2).
     """
-    if not 0 < gamma < 0.5:
-        raise ValueError(f"gamma must be in (0, 1/2), got {gamma}")
-    coeffs, n = _low_order_coefficients(data)
-    J = set()
-    pair_cut = 1.5 * gamma * gamma
-    single_cut = gamma / 2.0
-    for mask, c in coeffs.items():
-        k = mask.bit_count()
-        if k == 2 and abs(c) >= pair_cut:
-            J.update(subset_members(mask))
-        elif k == 1 and abs(c) >= single_cut:
-            J.update(subset_members(mask))
-    return tuple(sorted(J))
+    return _influential(*_low_order_coefficients(data), gamma)
 
 
 def default_gamma(epsilon: float) -> float:
@@ -145,21 +140,21 @@ def pac_learn(
     if exact and not isinstance(data, ValueOracle):
         raise ValueError("exact mode needs a ValueOracle")
     queries_before = data.query_count if isinstance(data, ValueOracle) else 0
-    if isinstance(data, ValueOracle) and not exact:
-        if m is None:
-            raise ValueError("sampled mode needs m")
-        sample = draw_sample(data, m, seed)
-        stage_data = sample
-    else:
-        stage_data = data
-
-    J = find_influential_variables(stage_data, gamma)
-    Jmask = mask_of(J)
     if exact:
-        spectrum = fourier.low_degree_estimate(data, Jmask, degree, exact=True, budget=budget)
+        c = fourier.coefficients(data)  # the one transform: both stages index it
+        low = _low_order_masks(data.n)
+        J = _influential(low, c[low], gamma)
+        Jmask = mask_of(J)
+        spectrum = fourier._low_degree(data.n, Jmask, degree, budget, c.__getitem__)
         samples_used = 0
     else:
-        sample = stage_data
+        sample = data
+        if isinstance(data, ValueOracle):
+            if m is None:
+                raise ValueError("sampled mode needs m")
+            sample = draw_sample(data, m, seed)
+        J = find_influential_variables(sample, gamma)
+        Jmask = mask_of(J)
         spectrum = fourier.low_degree_estimate(
             (sample.xs, sample.ys), Jmask, degree, n=sample.n, budget=budget
         )
@@ -236,7 +231,7 @@ def km_search(
     expand_cut = theta * theta / 2.0
     keep_cut = 0.75 * theta
     buckets_examined = 0
-    retained: dict[int, float] = {}
+    kept_masks, kept = [], []
 
     stack = [(0, 0)]
     while stack:
@@ -246,7 +241,8 @@ def km_search(
             xs = sample_points(n, mc, rng)
             est = float(np.mean(f.eval_many(xs) * parity_signs(pattern, xs)))
             if abs(est) >= keep_cut:
-                retained[pattern] = est
+                kept_masks.append(pattern)
+                kept.append(est)
             continue
         for bit in (1, 0):
             child = pattern | (bit << k)
@@ -258,7 +254,8 @@ def km_search(
             if w >= expand_cut:
                 stack.append((k + 1, child))
 
-    spectrum = Spectrum(n, dict(sorted(retained.items())))
+    order = np.argsort(kept_masks)
+    spectrum = Spectrum(n, np.array(kept_masks, dtype=np.int64)[order], np.array(kept)[order])
     return Hypothesis(
         spectrum=spectrum,
         variables_used=spectrum.support_union(),
@@ -311,9 +308,11 @@ def agnostic_l2_learn(
         F, theta, degree, seed, bucket_samples=bucket_samples, coeff_samples=coeff_samples
     )
     if unit_range:
-        coeffs = {s: c / 2.0 for s, c in hyp.spectrum.coeffs.items()}
-        coeffs[0] = coeffs.get(0, 0.0) + 0.5
-        hyp.spectrum = Spectrum(f.n, coeffs)
+        masks, coeffs = hyp.spectrum.masks, hyp.spectrum.coeffs / 2.0
+        if not (masks.size and masks[0] == 0):
+            masks, coeffs = np.insert(masks, 0, 0), np.insert(coeffs, 0, 0.0)
+        coeffs[0] += 0.5
+        hyp.spectrum = Spectrum(f.n, masks, coeffs)
         hyp.variables_used = hyp.spectrum.support_union()
     hyp.info.update({"epsilon": epsilon, "L": L, "unit_range": unit_range})
     return hyp

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from submodtree.dtree import DecisionTree, Node, OracleLeaf
+from submodtree.fourier import Spectrum
 from submodtree.funcs import (
     GENERATED_FAMILIES,
     TOL,
@@ -27,6 +28,17 @@ def and2() -> ValueOracle:
 @pytest.fixture
 def edge_cut() -> ValueOracle:
     return instantiate(FamilySpec("cut", 2, {"edges": [[1, 2]]}))
+
+
+def spectrum_of(n: int, coeffs: dict) -> Spectrum:
+    """The Spectrum of a mask -> coefficient dict given in any order."""
+    masks = sorted(coeffs)
+    return Spectrum(n, masks, [coeffs[s] for s in masks])
+
+
+def as_dict(sp: Spectrum) -> dict:
+    """The spectrum as a mask -> coefficient dict, by ascending mask."""
+    return dict(zip(sp.masks.tolist(), sp.coeffs.tolist()))
 
 
 def small_corpus(ns=(4, 6, 8), seeds=(0, 1, 2)):

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from conftest import as_dict, spectrum_of
 from submodtree import decompose as dc
 from submodtree import cli, dtree, fourier, funcs, hardness, learn
 from submodtree.cube import ProductDistribution, mask_of
@@ -175,9 +176,9 @@ def test_criterion_9_km_contract():
                 masks.append(m)
         signs = rng.choice([-1.0, 1.0], size=3)
         planted = {m: s * v for m, v, s in zip(masks, (0.5, 0.3, 0.15), signs)}
-        f = fourier.Spectrum(8, planted).to_oracle()
+        f = spectrum_of(8, planted).to_oracle()
         hyp = learn.km_search(f, theta, degree=d, seed=seed)
-        got = hyp.spectrum.coeffs
+        got = as_dict(hyp.spectrum)
         clauses = (
             all(s.bit_count() <= d for s in got),
             masks[0] in got,

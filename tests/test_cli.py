@@ -418,6 +418,9 @@ def test_golden_reports_do_not_depend_on_a_compensated_sum(tmp_path, monkeypatch
     assert run(["verify", "pairwise", "--n", "10", "--seeds", "20",
                 "--out", str(tmp_path / "pairwise")]) == 0
     assert _csv_hashes(tmp_path / "pairwise") == {"pairwise.csv": GOLDEN_PAIRWISE_N10}
+    for k, (argv, hashes) in enumerate(GOLDEN_SPECTRUM_AND_LEARN):
+        assert run(argv + ["--out", str(tmp_path / f"learn{k}")]) == 0
+        assert _csv_hashes(tmp_path / f"learn{k}") == hashes, argv
 
 
 def test_decompose_renders_report_text_only_for_out(tmp_path, monkeypatch):

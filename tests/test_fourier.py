@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_table_oracle, small_corpus
+from conftest import as_dict, random_table_oracle, small_corpus, spectrum_of
 from submodtree import cli
 from submodtree.cube import mask_of, parse_point
 from submodtree.fourier import (
@@ -45,24 +45,24 @@ def test_parity_examples():
 
 def test_transform_or(or2):
     sp = transform(or2)
-    assert sp.coeffs == pytest.approx({0: 0.75, 1: -0.25, 2: -0.25, 3: -0.25})
+    assert as_dict(sp) == pytest.approx({0: 0.75, 1: -0.25, 2: -0.25, 3: -0.25})
 
 
 def test_transform_parity_is_orthonormal():
     s = mask_of([1, 3])
     sp = transform(chi_oracle(s, 5))
-    assert sp.coeffs == pytest.approx({s: 1.0})
+    assert as_dict(sp) == pytest.approx({s: 1.0})
 
 
 def test_transform_constant():
     sp = transform(ValueOracle.from_table([0.3] * 16))
-    assert sp.coeffs == pytest.approx({0: 0.3})
+    assert as_dict(sp) == pytest.approx({0: 0.3})
 
 
 def test_spectral_l1_examples(or2):
     assert spectral_l1(transform(or2)) == pytest.approx(1.5)
     assert spectral_l1(transform(chi_oracle(0b101, 3))) == pytest.approx(1.0)
-    assert spectral_l1(Spectrum(3, {})) == 0.0
+    assert spectral_l1(Spectrum(3, [], [])) == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 9, 12])
@@ -71,7 +71,7 @@ def test_roundtrip_and_parseval(n):
     sp = transform(f)
     assert np.max(np.abs(sp.table() - f.table())) < 1e-9
     energy = float(np.mean(f.table() ** 2))
-    assert sum(c * c for c in sp.coeffs.values()) == pytest.approx(energy, abs=1e-9)
+    assert sum(c * c for c in sp.coeffs.tolist()) == pytest.approx(energy, abs=1e-9)
 
 
 def test_fwht_is_self_inverse():
@@ -94,6 +94,42 @@ def test_fwht_roundtrip_property(n, data):
     )
     v = np.array(vals)
     assert np.max(np.abs(fwht(fwht(v)) / (1 << n) - v)) < 1e-9
+
+
+def _reference_fwht(values) -> np.ndarray:
+    """The butterfly that copied both halves at every stage."""
+    a = np.asarray(values, dtype=float).copy()
+    h = 1
+    while h < a.size:
+        a = a.reshape(-1, 2 * h)
+        left = a[:, :h].copy()
+        right = a[:, h:].copy()
+        a[:, :h] = left + right
+        a[:, h:] = left - right
+        h *= 2
+    return a.reshape(-1)
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 5e-324]
+
+
+@given(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=2**32 - 1))
+def test_fwht_matches_the_two_copy_butterfly(n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=1 << n) * 10.0 ** rng.integers(-5, 6, size=1 << n)
+    special = rng.random(1 << n) < 0.05
+    v[special] = rng.choice(_SPECIAL, size=int(special.sum()))
+    with np.errstate(all="ignore"):
+        got, want = fwht(v), _reference_fwht(v)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@given(st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(st.floats(), min_size=1 << n, max_size=1 << n)))
+def test_fwht_matches_the_two_copy_butterfly_on_any_floats(values):
+    with np.errstate(all="ignore"):
+        got, want = fwht(values), _reference_fwht(values)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
@@ -127,7 +163,7 @@ def test_derivative_identities_pointwise():
         for i in range(f.n):
             bi = 1 << i
             d = t[idx | bi] - t[idx & ~bi]
-            masked = Spectrum(f.n, {s ^ bi: -2 * c for s, c in sp.coeffs.items() if s & bi})
+            masked = spectrum_of(f.n, {s ^ bi: -2 * c for s, c in as_dict(sp).items() if s & bi})
             assert np.max(np.abs(d - masked.table())) < 1e-9, (inst, i)
 
     for inst, f in small_corpus(ns=(8,), seeds=(0,)):
@@ -159,21 +195,21 @@ def test_low_degree_exact_recovers_embedded_or():
     table = [float((x & 0b11) != 0) for x in range(256)]
     f = ValueOracle.from_table(table)
     sp = low_degree_estimate(f, mask_of([0, 1]), 2, exact=True)
-    assert sp.coeffs == pytest.approx({0: 0.75, 1: -0.25, 2: -0.25, 3: -0.25})
+    assert as_dict(sp) == pytest.approx({0: 0.75, 1: -0.25, 2: -0.25, 3: -0.25})
 
 
 def test_low_degree_single_variable():
     chi = chi_oracle(0b1, 4)
-    sp = low_degree_estimate(chi, 0b1, 1, m=4096, seed=2)
-    assert sp.coeffs[1] == pytest.approx(1.0, abs=0.05)
-    assert abs(sp.coeffs.get(0, 0.0)) <= 0.05
+    sp = as_dict(low_degree_estimate(chi, 0b1, 1, m=4096, seed=2))
+    assert sp[1] == pytest.approx(1.0, abs=0.05)
+    assert abs(sp.get(0, 0.0)) <= 0.05
 
 
 def test_low_degree_empty_variables():
     f = random_table_oracle(5, seed=1)
-    sp = low_degree_estimate(f, 0, 0, m=2048, seed=0)
-    assert set(sp.coeffs) <= {0}
-    assert sp.coeffs[0] == pytest.approx(float(np.mean(f.table())), abs=0.05)
+    sp = as_dict(low_degree_estimate(f, 0, 0, m=2048, seed=0))
+    assert list(sp) == [0]
+    assert sp[0] == pytest.approx(float(np.mean(f.table())), abs=0.05)
 
 
 def test_low_degree_budget():
@@ -184,8 +220,16 @@ def test_low_degree_budget():
 
 def test_candidate_masks_counts():
     masks = candidate_masks(mask_of([0, 1, 2, 3]), 2)
+    assert masks.dtype == np.int64
     assert len(masks) == 1 + 4 + 6
-    assert all(m.bit_count() <= 2 for m in masks)
+    assert all(m.bit_count() <= 2 for m in masks.tolist())
+    assert candidate_masks(0b1011, -1).tolist() == []
+
+
+@given(st.integers(min_value=0, max_value=(1 << 12) - 1), st.integers(min_value=0, max_value=12))
+def test_candidate_masks_are_the_ascending_small_subsets(variables, degree):
+    want = [s for s in range(variables + 1) if s & ~variables == 0 and s.bit_count() <= degree]
+    assert candidate_masks(variables, degree).tolist() == want
 
 
 def test_sampled_estimates_match_direct_mean():
@@ -197,9 +241,10 @@ def test_sampled_estimates_match_direct_mean():
     ys = f.eval_many(xs)
     masks = candidate_masks((1 << 6) - 1, 2)
     est = empirical_coefficients(xs, ys, 6, masks)
-    for s in masks[:10]:
+    assert est.shape == masks.shape
+    for s, e in zip(masks[:10].tolist(), est[:10].tolist()):
         direct = float(np.mean(ys * parity_signs(s, xs)))
-        assert est[s] == pytest.approx(direct, abs=1e-9)
+        assert e == pytest.approx(direct, abs=1e-9)
 
 
 def test_pairwise_bound_on_corpus():
@@ -220,7 +265,8 @@ def test_spectrum_csv_roundtrip(or2):
     text = sp.to_csv()
     assert text.splitlines()[0] == "mask,coefficient"
     again = Spectrum.from_csv(text, 2)
-    assert again.coeffs == pytest.approx(sp.coeffs)
+    assert again.masks.tolist() == sp.masks.tolist()
+    assert again.coeffs.tolist() == sp.coeffs.tolist()
 
 
 # --- one exact-coefficient route, checked against the routes it replaced ------
@@ -275,14 +321,48 @@ def test_coefficient_readers_match_the_sparse_spectrum_route(f, data):
     ref = _reference_transform(f)
     c = coefficients(f)
     assert [float(v) for v in c] == [ref.get(s, 0.0) for s in range(1 << f.n)]
-    assert transform(f).coeffs == ref
-    assert list(transform(f).coeffs) == list(ref)
-    assert _low_order_coefficients(f) == (_reference_low_order(f), f.n)
+    sp = transform(f)
+    assert sp.masks.dtype == np.int64 and sp.coeffs.dtype == np.float64
+    assert as_dict(sp) == ref
+    assert list(as_dict(sp)) == list(ref)
+    masks, low = _low_order_coefficients(f)
+    assert dict(zip(masks.tolist(), low.tolist())) == _reference_low_order(f)
+    assert len(masks) == len(_reference_low_order(f))
     variables = data.draw(st.integers(min_value=0, max_value=(1 << f.n) - 1))
     degree = data.draw(st.integers(min_value=0, max_value=f.n))
-    got = low_degree_estimate(f, variables, degree, exact=True).coeffs
+    got = as_dict(low_degree_estimate(f, variables, degree, exact=True))
     want = _reference_low_degree(f, variables, degree)
-    assert got == want and list(got) == list(want)
+    assert got == want and list(got) == sorted(want)
+
+
+def test_spectrum_arrays_are_checked():
+    sp = Spectrum(3, [1, 4], [0.5, -0.25])
+    assert sp.masks.dtype == np.int64 and sp.coeffs.dtype == np.float64
+    assert sp.degree() == 1 and sp.support_union() == 5
+    assert Spectrum(3, [], []).degree() == 0 and Spectrum(3, [], []).support_union() == 0
+    for masks, coeffs in [([4, 1], [0.5, 0.5]), ([1, 1], [0.5, 0.5]), ([8], [1.0]),
+                          ([-1], [1.0]), ([1], [0.5, 0.5]), ([[1]], [[0.5]])]:
+        with pytest.raises(ValueError):
+            Spectrum(3, masks, coeffs)
+
+
+def _reference_csv(coeffs: dict) -> str:
+    """The CSV as written from the mask -> coefficient dict."""
+    lines = ["mask,coefficient"]
+    for s in sorted(coeffs):
+        lines.append(f"{s},{coeffs[s]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@given(_tables())
+def test_from_dense_and_to_csv_match_the_dict_route(f):
+    sp = transform(f)
+    ref = _reference_transform(f)
+    assert sp.to_csv() == _reference_csv(ref)
+    dense = coefficients(f)
+    assert sp.dense().tolist() == dense.tolist()
+    again = Spectrum.from_csv(sp.to_csv(), f.n)
+    assert again.masks.tolist() == sp.masks.tolist() and again.coeffs.tolist() == sp.coeffs.tolist()
 
 
 def test_coefficients_zero_rule_and_nan():
@@ -290,7 +370,7 @@ def test_coefficients_zero_rule_and_nan():
     assert coefficients(ValueOracle.from_table([3 * SPARSE_EPS])).tolist() == [3 * SPARSE_EPS]
     f = ValueOracle.from_table([0.0, 1.0, float("nan"), 1.0])
     assert np.isnan(coefficients(f)).all()
-    assert sorted(transform(f).coeffs) == [0, 1, 2, 3]
+    assert transform(f).masks.tolist() == [0, 1, 2, 3]
 
 
 # quotients by a prime are rarely dyadic, so their sums round
@@ -305,15 +385,16 @@ def _spectra(draw):
     n = draw(st.integers(min_value=0, max_value=10))
     masks = st.integers(min_value=0, max_value=(1 << n) - 1)
     coeffs = draw(st.dictionaries(masks, _coefficient_values, max_size=40))
-    return Spectrum(n, coeffs)
+    return spectrum_of(n, coeffs)
 
 
 @given(_spectra(), st.data())
 def test_spectrum_sums_are_left_to_right(sp, data):
     x = data.draw(st.integers(min_value=0, max_value=(1 << sp.n) - 1))
-    terms = [c * parity_eval(s, x) for s, c in sp.coeffs.items()]
+    coeffs = as_dict(sp)  # ascending masks
+    terms = [c * parity_eval(s, x) for s, c in coeffs.items()]
     assert sp.evaluate(x) == _left_to_right(terms)
-    assert spectral_l1(sp) == _left_to_right(abs(c) for c in sp.coeffs.values())
+    assert spectral_l1(sp) == _left_to_right(abs(c) for c in coeffs.values())
 
 
 @given(st.integers(min_value=4, max_value=8), st.integers(min_value=0, max_value=40))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import as_dict
 from submodtree.cube import mask_of, parse_point
 from submodtree.fourier import parity_signs, transform
 from submodtree.funcs import ValueOracle, is_monotone, is_submodular
@@ -126,7 +127,7 @@ class TestCorrelations:
         subset = mask_of(range(s))
         R = make_gadget(GadgetSpec(subset, "plateau"), n)
         sp = transform(R)
-        assert sp.coeffs[subset] == pytest.approx(float(correlation_closed_form(s)))
+        assert as_dict(sp)[subset] == pytest.approx(float(correlation_closed_form(s)))
 
 
 class TestPartialSums:
@@ -266,7 +267,7 @@ class TestNoisySource:
                 src = NoisySource(n, subset, eta, seed=0)
                 f = ValueOracle.from_table(rng.uniform(-1, 1, size=1 << n))
                 got = noisy_l1_error_exact(f, src)
-                coeff = transform(f).coeffs.get(subset, 0.0)
+                coeff = as_dict(transform(f)).get(subset, 0.0)
                 assert got == pytest.approx(1.0 - (1.0 - 2.0 * eta) * coeff, abs=1e-12)
 
 
@@ -293,7 +294,7 @@ class TestLpnReduce:
         def silent_learner(sample):
             from submodtree.fourier import Spectrum
 
-            return Spectrum(8, {})
+            return Spectrum(8, [], [])
 
         with pytest.raises(NoCandidateFound):
             lpn_reduce(src, 1, silent_learner, gamma=0.5, m=256)
@@ -321,4 +322,4 @@ class TestLpnReduce:
             from submodtree.learn import LabeledSample
 
             hyp = regression_learner(s)(LabeledSample(n, xs, ys))
-            assert abs(hyp.coeffs.get(subset, 0.0)) >= gamma / 2.0, s
+            assert abs(as_dict(hyp).get(subset, 0.0)) >= gamma / 2.0, s

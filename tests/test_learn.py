@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import small_corpus
+from conftest import as_dict, small_corpus, spectrum_of
 from submodtree.cube import mask_of
 from submodtree.dtree import exact_distance, rank, tree_table
+from submodtree import fourier
 from submodtree.fourier import Spectrum, parity_eval, spectral_l1, transform
 from submodtree.funcs import FamilySpec, ValueOracle, generate_random, instantiate
 from submodtree.learn import (
@@ -24,7 +25,7 @@ KM_FAST = dict(bucket_samples=4096, coeff_samples=1 << 15)
 
 
 def planted_oracle(n, coeffs) -> ValueOracle:
-    return Spectrum(n, coeffs).to_oracle("planted")
+    return spectrum_of(n, coeffs).to_oracle("planted")
 
 
 class TestFindInfluential:
@@ -59,10 +60,10 @@ class TestFindInfluential:
     def test_soundness_and_size_on_corpus(self):
         gamma = 0.2
         for inst, f in small_corpus(ns=(6, 8), seeds=(0, 1, 2)):
-            sp = transform(f)
+            sp = as_dict(transform(f))
             J = set(find_influential_variables(f, gamma))
             must_cover = set()
-            for s, c in sp.coeffs.items():
+            for s, c in sp.items():
                 if s and abs(c) >= gamma:
                     must_cover.update(i for i in range(f.n) if (s >> i) & 1)
             assert must_cover <= J, inst
@@ -74,20 +75,20 @@ class TestFindInfluential:
         # within 2 eps of f (checked by exact projection)
         d = 3
         for inst, f in small_corpus(ns=(6, 8), seeds=(0, 1)):
-            sp = transform(f)
-            p = {s: c for s, c in sp.coeffs.items() if s.bit_count() <= d}
-            eps = math.sqrt(sum(c * c for s, c in sp.coeffs.items() if s.bit_count() > d))
+            sp = as_dict(transform(f))
+            p = {s: c for s, c in sp.items() if s.bit_count() <= d}
+            eps = math.sqrt(sum(c * c for s, c in sp.items() if s.bit_count() > d))
             L = sum(abs(c) for c in p.values())
             if eps < 1e-9:
                 continue
             cutoff = eps * eps / L
             J = 0
-            for s, c in sp.coeffs.items():
+            for s, c in sp.items():
                 if s and s.bit_count() <= d and abs(c) >= cutoff:
                     J |= s
-            proj = Spectrum(
+            proj = spectrum_of(
                 f.n,
-                {s: c for s, c in sp.coeffs.items() if s.bit_count() <= d and (s & ~J) == 0},
+                {s: c for s, c in sp.items() if s.bit_count() <= d and (s & ~J) == 0},
             )
             err = exact_distance(f, proj, metric="l2")
             assert err <= 2 * eps + 1e-9, inst
@@ -96,15 +97,15 @@ class TestFindInfluential:
         # any i inside a heavy set forces a heavy pair coefficient
         gamma = 0.2
         for inst, f in small_corpus(ns=(6, 8), seeds=(0, 1, 2)):
-            sp = transform(f)
-            for s, c in sp.coeffs.items():
+            sp = as_dict(transform(f))
+            for s, c in sp.items():
                 if s.bit_count() < 2 or abs(c) < gamma:
                     continue
                 for i in range(f.n):
                     if not (s >> i) & 1:
                         continue
                     best = max(
-                        abs(sp.coeffs.get((1 << i) | (1 << j), 0.0))
+                        abs(sp.get((1 << i) | (1 << j), 0.0))
                         for j in range(f.n)
                         if j != i
                     )
@@ -122,8 +123,25 @@ class TestPacLearn:
     def test_constant_target(self):
         f = ValueOracle.from_table([0.3] * 64)
         hyp = pac_learn(f, 0.25, gamma=0.05, degree=2, exact=True)
-        assert set(hyp.spectrum.coeffs) <= {0}
+        assert set(hyp.spectrum.masks.tolist()) <= {0}
         assert exact_distance(f, hyp.spectrum, metric="l2") <= 1e-9
+
+    @pytest.mark.parametrize("family,seed,gamma,degree", [
+        ("coverage", 1, 0.02, 2), ("cut", 0, 0.1, 3), ("matroid_rank_partition", 1, 0.1, 2),
+    ])
+    def test_exact_mode_transforms_once(self, monkeypatch, family, seed, gamma, degree):
+        f = instantiate(generate_random(family, 10, seed))
+        # the two-stage route: each stage computes the full transform
+        J = find_influential_variables(f, gamma)
+        want = fourier.low_degree_estimate(f, mask_of(J), degree, exact=True)
+        calls = []
+        fwht = fourier.fwht
+        monkeypatch.setattr(fourier, "fwht", lambda v: calls.append(len(v)) or fwht(v))
+        hyp = pac_learn(f, 0.5, gamma=gamma, degree=degree, exact=True)
+        assert calls == [1 << 10]
+        assert hyp.info["J"] == list(J) and J
+        assert hyp.spectrum.masks.tolist() == want.masks.tolist()
+        assert hyp.spectrum.coeffs.tobytes() == want.coeffs.tobytes()
 
     def test_sampled_mode_needs_m(self):
         f = ValueOracle.from_table([0.3] * 64)
@@ -142,7 +160,7 @@ class TestPacLearn:
     def test_hypothesis_support_inside_junta(self):
         f = instantiate(generate_random("coverage", 8, seed=1))
         hyp = pac_learn(f, 0.5, gamma=0.1, degree=3, exact=True)
-        for s in hyp.spectrum.coeffs:
+        for s in hyp.spectrum.masks.tolist():
             assert s & ~hyp.variables_used == 0
             assert s.bit_count() <= 3
 
@@ -151,7 +169,7 @@ class TestKmSearch:
     def test_planted_pair(self):
         f = planted_oracle(8, {mask_of([0]): 0.5, mask_of([1, 2]): 0.3})
         hyp = km_search(f, theta=0.4, seed=7, **KM_FAST)
-        got = hyp.spectrum.coeffs
+        got = as_dict(hyp.spectrum)
         assert mask_of([0]) in got
         assert all(s in (mask_of([0]), mask_of([1, 2])) for s in got)
         assert got[mask_of([0])] == pytest.approx(0.5, abs=0.1)
@@ -160,20 +178,19 @@ class TestKmSearch:
         s = mask_of([2, 5])
         f = planted_oracle(8, {s: 1.0})
         hyp = km_search(f, theta=0.5, seed=1, **KM_FAST)
-        assert set(hyp.spectrum.coeffs) == {s}
-        assert hyp.spectrum.coeffs[s] == pytest.approx(1.0, abs=0.125)
+        assert as_dict(hyp.spectrum) == {s: pytest.approx(1.0, abs=0.125)}
 
     def test_zero_function(self):
         f = ValueOracle.from_table([0.0] * 256)
         hyp = km_search(f, theta=0.5, seed=0, **KM_FAST)
-        assert hyp.spectrum.coeffs == {}
+        assert as_dict(hyp.spectrum) == {}
 
     def test_degree_cap_filters(self):
         big = mask_of([0, 1, 2, 3, 4, 5])
         f = planted_oracle(8, {big: 0.8, mask_of([1]): 0.6})
         hyp = km_search(f, theta=0.4, degree=2, seed=3, **KM_FAST)
-        assert big not in hyp.spectrum.coeffs
-        assert mask_of([1]) in hyp.spectrum.coeffs
+        assert big not in hyp.spectrum.masks
+        assert mask_of([1]) in hyp.spectrum.masks
 
     def test_contract_over_seeds(self):
         theta, d = 0.4, 4
@@ -190,7 +207,7 @@ class TestKmSearch:
             planted = {m: s * v for m, v, s in zip(masks, [0.5, 0.3, 0.15], signs)}
             f = planted_oracle(8, planted)
             hyp = km_search(f, theta, degree=d, seed=seed, **KM_FAST)
-            got = hyp.spectrum.coeffs
+            got = as_dict(hyp.spectrum)
             c1 = all(s.bit_count() <= d for s in got)
             c2 = masks[0] in got
             c3 = all(abs(planted.get(s, 0.0)) > theta / 2 for s in got)
@@ -217,7 +234,7 @@ class TestAgnostic:
         chi = np.array([parity_eval(1, x) for x in range(256)], dtype=float)
         f = ValueOracle.from_table(0.9 * chi + noise)
         hyp = agnostic_l2_learn(f, 0.4, L=1.0, seed=2, **KM_FAST)
-        g = Spectrum(8, {1: 0.9})
+        g = Spectrum(8, [1], [0.9])
         delta = exact_distance(f, g, metric="l2")
         err = exact_distance(f, hyp.spectrum, metric="l2")
         assert err <= delta + 0.4 + 1e-9
@@ -238,9 +255,9 @@ class TestAgnostic:
         hyp = agnostic_l2_learn(f, 0.5, L=1.2, seed=4, **KM_FAST)
         err = exact_distance(f, hyp.spectrum, metric="l2")
         competitors = [
-            Spectrum(8, {mask_of([1]): 0.7, mask_of([0, 2]): 0.4}),
-            Spectrum(8, {mask_of([1]): 0.7}),
-            Spectrum(8, {0: 0.1}),
+            spectrum_of(8, {mask_of([1]): 0.7, mask_of([0, 2]): 0.4}),
+            Spectrum(8, [mask_of([1])], [0.7]),
+            Spectrum(8, [0], [0.1]),
         ]
         for g in competitors:
             assert spectral_l1(g) <= 1.2

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_table, with_oracle_leaves
+from conftest import as_dict, random_table, with_oracle_leaves
 from test_certify import (
     ALPHAS,
     ref_certify,
@@ -72,22 +72,23 @@ def ref_mixed_difference_table(t, n, i, j):
 
 
 def ref_superset_mass(sp, bi, bj):
-    """Sum of coeff(S)^2 over S containing both bits, left to right from 0,
-    as the builtin ``sum`` of CPython 3.11 and older adds floats."""
+    """Sum of coeff(S)^2 over S containing both bits of a mask -> coefficient
+    dict, left to right from 0, as the builtin ``sum`` of CPython 3.11 and
+    older adds floats."""
     total = 0
-    for s, c in sp.coeffs.items():
+    for s, c in sp.items():
         if (s & bi) and (s & bj):
             total += c * c
     return total
 
 
 def ref_pairwise_coefficient_gap(f):
-    sp = fourier.transform(f)
+    sp = as_dict(fourier.transform(f))
     worst = (math.inf, 0.0, (0, 1))
     for i in range(f.n):
         for j in range(i + 1, f.n):
             bi, bj = 1 << i, 1 << j
-            pair = abs(sp.coeffs.get(bi | bj, 0.0))
+            pair = abs(sp.get(bi | bj, 0.0))
             total = ref_superset_mass(sp, bi, bj)
             if pair - 0.5 * total < worst[0] - 0.5 * worst[1]:
                 worst = (pair, total, (i, j))
@@ -95,13 +96,13 @@ def ref_pairwise_coefficient_gap(f):
 
 
 def ref_best_constant(f, best):
-    sp = fourier.transform(f)
+    sp = as_dict(fourier.transform(f))
     for i in range(f.n):
         for j in range(i + 1, f.n):
             bi, bj = 1 << i, 1 << j
             tot = ref_superset_mass(sp, bi, bj)
             if tot > 1e-12:
-                best = min(best, abs(sp.coeffs.get(bi | bj, 0.0)) / tot)
+                best = min(best, abs(sp.get(bi | bj, 0.0)) / tot)
     return best
 
 
