@@ -352,7 +352,10 @@ def test_verify_pairwise_report_matches_golden_hash(tmp_path, capsys):
 # sha256 of the spectrum and learner reports, as written while a spectrum was
 # still a dict from mask to coefficient; the last three hypotheses have more
 # than one entry, and the agnostic one on cut gains mask 0 only in the
-# unit-range map
+# unit-range map.  The two `hardness lpn` runs and the sampled `learn pac` at
+# n = 21 (above the butterfly's n <= 20, so every coefficient is estimated on
+# its own; 11 entries) were added while each learner still read its data
+# through its own code.
 GOLDEN_SPECTRUM_AND_LEARN = [
     (["spectrum", "--family", "budget_additive", "--n", "12", "--seed", "0"],
      {"spectrum.csv": "a700c38d40a373ac3e89a0896b8bb2ef3812e1c4c803e71530227ecfb984767a"}),
@@ -378,6 +381,16 @@ GOLDEN_SPECTRUM_AND_LEARN = [
       "--L", "0.5", "--bucket-samples", "2000", "--coeff-samples", "2000"],
      {"hypothesis.csv": "c08c6005ab3d5cbdb8baaca8bbe0ec20550bb8354f1dcc3430a0f731e078b153",
       "run.json": "5aeceb829164fc1f7be49782d5325f6d5a69aee2e0201349d511d7488d4b3874"}),
+    (["hardness", "lpn", "--n", "12", "--k", "2", "--eta", "0.1", "--trials", "6",
+      "--samples", "4096"],
+     {"lpn.json": "8b976ff17feebc53d2bc86d362932bc654f77bb85d1fb2cb4593f752f5d9c813"}),
+    (["hardness", "lpn", "--n", "10", "--k", "3", "--eta", "0.2", "--trials", "4",
+      "--samples", "2048", "--gamma", "0.3"],
+     {"lpn.json": "d697e02960da7b512a0682414a4bfaf5618a158160c361f2aa9dc7d588886a70"}),
+    (["learn", "pac", "--family", "cut", "--n", "21", "--edges", "1-2,3-4,2-3",
+      "--epsilon", "0.5", "--gamma", "0.2", "--degree", "2", "--samples", "2048", "--seed", "1"],
+     {"hypothesis.csv": "f092baaf2d3c2f63aaacdb194a36397c2c539b6779fbd34b02d511924cf6c915",
+      "run.json": "3512e79765336b557fe6bdb33469788bd685a9bbd9bff9b10921a7a0e4030170"}),
 ]
 
 
