@@ -36,6 +36,7 @@ from .dtree import (
     truncate,
 )
 from .fourier import (
+    LabeledSample,
     Spectrum,
     estimate_coefficient,
     low_degree_estimate,
@@ -71,7 +72,6 @@ from .hardness import (
 )
 from .learn import (
     Hypothesis,
-    LabeledSample,
     agnostic_l2_learn,
     find_influential_variables,
     km_search,

@@ -41,12 +41,12 @@ from .dtree import (
     TreeNode,
     descend,
     evaluate_many,
+    exact_distance,
     leaf_map,
     rank as tree_rank,
+    to_oracle,
 )
 from .funcs import Restriction, TOL, ValueOracle, restrict
-
-SPLIT_TOL = TOL
 
 
 class NotSubmodular(ValueError):
@@ -203,7 +203,7 @@ def _grow(f: ValueOracle, table, alpha: float, phases: int) -> tuple[np.ndarray,
     """
     full = np.int64((1 << f.n) - 1)
     unit = _UNIT[: f.n]
-    bound = alpha + SPLIT_TOL
+    bound = alpha + TOL
     mask, bits = np.zeros((2, 1), dtype=np.int64)
     late = np.zeros(1, dtype=bool)  # the node grows in phase 2
     levels = []
@@ -544,8 +544,6 @@ def proper_learn_discrete(
     ``test_samples`` points).  The output has constant leaves and reads only
     coordinates in ``variables``.
     """
-    from .dtree import exact_distance, to_oracle
-
     J = sorted(set(int(v) for v in variables))
     if any(v < 0 or v >= f.n for v in J):
         raise ValueError(f"variables outside [0, {f.n})")

@@ -23,6 +23,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .cube import ProductDistribution, check_enumerable, popcount
+from .fourier import Spectrum, transform
 from .funcs import ValueOracle, full_tables, group_order
 
 TreeNode = Union["ConstLeaf", "OracleLeaf", "Node"]
@@ -60,10 +61,6 @@ class DecisionTree:
 
     n: int
     root: TreeNode
-
-
-def leaf(value: float) -> ConstLeaf:
-    return ConstLeaf(float(value))
 
 
 def evaluate(tree: DecisionTree, x: int) -> float:
@@ -322,8 +319,6 @@ def _require_constant(node: TreeNode) -> None:
 
 def to_spectrum(tree: DecisionTree):
     """Exact spectrum of a constant-leaf tree (via its truth table)."""
-    from .fourier import transform
-
     _require_constant(tree.root)
     return transform(to_oracle(tree))
 
@@ -346,8 +341,6 @@ def map_leaves(tree: DecisionTree, fn: Callable[[ConstLeaf], float]) -> Decision
 # --- distances ---------------------------------------------------------------
 
 def _as_table(obj, n_hint: int | None = None) -> tuple[np.ndarray, int]:
-    from .fourier import Spectrum
-
     if isinstance(obj, ValueOracle):
         return obj.table(), obj.n
     if isinstance(obj, DecisionTree):

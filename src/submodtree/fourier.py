@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcs
-from .cube import check_enumerable, popcount, subset_members
+from .cube import check_enumerable, enum_cap, popcount, subset_members
 from .funcs import ValueOracle
 
 SPARSE_EPS = 1e-12
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ValueError):
     """Raised when a candidate-coefficient sweep would exceed its budget."""
 
 
@@ -226,8 +226,6 @@ def empirical_coefficients(xs: np.ndarray, ys: np.ndarray, n: int, masks) -> np.
     masks in one butterfly over per-point label sums, which is numerically
     the same estimator as the direct mean.
     """
-    from .cube import enum_cap
-
     masks = np.asarray(masks, dtype=np.int64)
     if n <= min(20, enum_cap()):
         sums = np.bincount(np.asarray(xs, dtype=np.int64), weights=ys, minlength=1 << n)
@@ -235,46 +233,52 @@ def empirical_coefficients(xs: np.ndarray, ys: np.ndarray, n: int, masks) -> np.
     return np.array([np.mean(ys * parity_signs(s, xs)) for s in masks.tolist()], dtype=float)
 
 
-def _low_degree(n: int, variables: int, degree: int, budget: int, estimate) -> Spectrum:
-    """The nonzero values of ``estimate(masks)``, an array aligned with the
-    candidate masks of ``variables`` and ``degree``."""
+@dataclass(frozen=True)
+class LabeledSample:
+    """Uniform examples (packed points, real labels)."""
+
+    n: int
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+
+def dimension(data) -> int:
+    """n of learning data: the dense array `coefficients` returns (length
+    2^n) or a non-empty LabeledSample."""
+    if isinstance(data, LabeledSample):
+        if len(data) == 0:
+            raise ValueError("empty sample")
+        return data.n
+    size = data.size if isinstance(data, np.ndarray) and data.ndim == 1 else 0
+    if size and not size & (size - 1):
+        return size.bit_length() - 1
+    if isinstance(data, ValueOracle):
+        raise TypeError("pass fourier.coefficients(f) for the exact coefficients of an oracle")
+    raise TypeError("expected a dense coefficient array of length 2^n or a LabeledSample")
+
+
+def coefficients_at(data, masks) -> np.ndarray:
+    """The coefficients at ``masks`` from either form of learning data: exact,
+    indexed from the array `coefficients(f)` returns, or estimated from a
+    LabeledSample's one sample by `empirical_coefficients`."""
+    n = dimension(data)
+    if isinstance(data, LabeledSample):
+        return empirical_coefficients(data.xs, data.ys, n, masks)
+    return data[np.asarray(masks, dtype=np.int64)]
+
+
+def low_degree_estimate(data, variables: int, degree: int, *, budget: int = 1 << 20) -> Spectrum:
+    """The nonzero coefficients of ``data`` (see `coefficients_at`) at the
+    subsets of ``variables`` with at most ``degree`` members."""
+    n = dimension(data)
+    k = variables.bit_count()
+    count = sum(math.comb(k, i) for i in range(min(degree, k) + 1))
+    if count > budget:
+        raise BudgetExceeded(f"{count} candidate coefficients exceed budget {budget}")
     masks = candidate_masks(variables, degree)
-    if masks.size > budget:
-        raise BudgetExceeded(f"{masks.size} candidate coefficients exceed budget {budget}")
-    est = estimate(masks)
+    est = coefficients_at(data, masks)
     keep = est != 0.0
     return Spectrum(n, masks[keep], est[keep])
-
-
-def low_degree_estimate(
-    data,
-    variables: int,
-    degree: int,
-    m: int = 0,
-    seed=0,
-    *,
-    n: int | None = None,
-    exact: bool = False,
-    budget: int = 1 << 20,
-) -> Spectrum:
-    """Spectrum supported on subsets of ``variables`` of size <= degree.
-
-    ``data`` is a ValueOracle (exact mode or self-sampled) or an (xs, ys)
-    pair of arrays (then ``n`` is required).  All sampled coefficients come
-    from the same sample.
-    """
-    if exact:
-        if not isinstance(data, ValueOracle):
-            raise ValueError("exact mode needs a ValueOracle")
-        return _low_degree(data.n, variables, degree, budget, lambda s: coefficients(data)[s])
-    if isinstance(data, ValueOracle):
-        if m < 1:
-            raise ValueError("sampled mode needs m >= 1")
-        n, xs = data.n, sample_points(data.n, m, seed)
-        ys = data.eval_many(xs)
-    else:
-        if n is None:
-            raise ValueError("pass n explicitly with a raw (xs, ys) sample")
-        xs, ys = data
-    xs, ys = np.asarray(xs), np.asarray(ys, dtype=float)
-    return _low_degree(n, variables, degree, budget, lambda s: empirical_coefficients(xs, ys, n, s))

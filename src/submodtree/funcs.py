@@ -549,6 +549,13 @@ def _validate_profile(profile: Sequence[float], n: int) -> None:
             )
 
 
+def _integer(what: str, v) -> int:
+    """A Python or numpy integer as an int; a bool, float or string is rejected."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise InvalidFamilySpec(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _require_finite(what: str, values) -> None:
     if not np.all(np.isfinite(values)):
         raise InvalidFamilySpec(f"{what} must be finite")
@@ -572,14 +579,12 @@ def instantiate(spec: FamilySpec) -> ValueOracle:
 
 
 def _instantiate(spec: FamilySpec) -> ValueOracle:
-    family, n, p = spec.family, spec.n, spec.params
-    if not isinstance(n, (int, np.integer)):
-        raise InvalidFamilySpec(f"dimension must be an integer, got {n!r}")
+    family, n, p = spec.family, _integer("dimension", spec.n), spec.params
     check_packable(n, "family instance")
     label = f"{family}-n{n}"
 
     if family == "coverage":
-        u = int(p["universe_size"])
+        u = _integer("coverage universe_size", p["universe_size"])
         sets = p["sets"]
         if u < 1:
             raise InvalidFamilySpec("coverage universe is empty")
@@ -588,6 +593,7 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
         owners: dict[int, int] = {}  # element -> mask of the sets holding it
         for i, s in enumerate(sets):
             for e in s:
+                e = _integer("coverage element", e)
                 if not 1 <= e <= u:
                     raise InvalidFamilySpec(f"element {e} outside universe 1..{u}")
                 owners[e] = owners.get(e, 0) | (1 << i)
@@ -601,7 +607,7 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
         return ValueOracle(n, cov, label=label)
 
     if family == "cut":
-        edges = [(int(a), int(b)) for a, b in p["edges"]]
+        edges = [(_integer("cut vertex", a), _integer("cut vertex", b)) for a, b in p["edges"]]
         if not edges:
             raise InvalidFamilySpec("cut needs at least one edge")
         for a, b in edges:
@@ -634,8 +640,11 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
         return ValueOracle(n, badd, label=label)
 
     if family == "matroid_rank_partition":
-        blocks = [cube.mask_of(i - 1 for i in blk) for blk in p["blocks"]]
-        caps = [int(c) for c in p["caps"]]
+        coords = [[_integer("matroid block coordinate", i) for i in blk] for blk in p["blocks"]]
+        if any(not 1 <= i <= n for blk in coords for i in blk):
+            raise InvalidFamilySpec(f"matroid block coordinates must be in 1..{n}")
+        blocks = [cube.mask_of(i - 1 for i in blk) for blk in coords]
+        caps = [_integer("matroid cap", c) for c in p["caps"]]
         if len(blocks) != len(caps) or not blocks:
             raise InvalidFamilySpec("blocks and caps must be nonempty, same length")
         union = 0

@@ -22,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .cube import check_enumerable, check_packable, fw_rank, fw_unrank, popcount
-from .fourier import Spectrum, candidate_masks, empirical_coefficients, parity_signs
+from .fourier import LabeledSample, low_degree_estimate, parity_signs
 from .funcs import ValueOracle
-from .learn import Hypothesis, LabeledSample
+from .learn import Hypothesis
 
 
 class NoCandidateFound(RuntimeError):
@@ -323,8 +323,6 @@ def regression_learner(degree: int):
     """Low-degree regression as an LPN learner callback (examples only)."""
 
     def run(sample: LabeledSample):
-        n = sample.n
-        masks = candidate_masks((1 << n) - 1, degree)
-        return Spectrum(n, masks, empirical_coefficients(sample.xs, sample.ys, n, masks))
+        return low_degree_estimate(sample, (1 << sample.n) - 1, degree)
 
     return run

@@ -29,7 +29,7 @@ import numpy as np
 from . import fourier
 from .cube import mask_of, popcount, subset_members
 from .dtree import DecisionTree, map_leaves
-from .fourier import Spectrum, empirical_coefficients, parity_signs, sample_points
+from .fourier import LabeledSample, Spectrum, estimate_coefficient, parity_signs, sample_points
 from .funcs import ValueOracle, view
 
 
@@ -45,18 +45,6 @@ class Hypothesis:
     info: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """Uniform examples (packed points, real labels)."""
-
-    n: int
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-
 def draw_sample(f: ValueOracle, m: int, seed) -> LabeledSample:
     if m < 1:
         raise ValueError("need at least one example")
@@ -64,38 +52,9 @@ def draw_sample(f: ValueOracle, m: int, seed) -> LabeledSample:
     return LabeledSample(f.n, xs, f.eval_many(xs))
 
 
-def _low_order_masks(n: int) -> np.ndarray:
-    """The n singletons, then the pairs i < j in lexicographic order."""
-    i, j = np.triu_indices(n, 1)
-    return np.concatenate([1 << np.arange(n), (1 << i) | (1 << j)])
-
-
-def _low_order_coefficients(data) -> tuple[np.ndarray, np.ndarray]:
-    """All degree-1 and degree-2 coefficients: exact for an oracle, shared-
-    sample estimates for a LabeledSample.  Returns (masks, coeffs), in the
-    order of `_low_order_masks`."""
-    if not isinstance(data, (ValueOracle, LabeledSample)):
-        raise TypeError("expected a ValueOracle or LabeledSample")
-    if isinstance(data, LabeledSample) and len(data) == 0:
-        raise ValueError("empty sample")
-    masks = _low_order_masks(data.n)
-    if isinstance(data, ValueOracle):
-        return masks, fourier.coefficients(data)[masks]
-    return masks, empirical_coefficients(data.xs, data.ys, data.n, masks)
-
-
-def _influential(masks: np.ndarray, coeffs: np.ndarray, gamma: float) -> tuple[int, ...]:
-    """Members of the pair masks with |c| >= 3 gamma^2 / 2 and of the
-    singleton masks with |c| >= gamma / 2."""
-    if not 0 < gamma < 0.5:
-        raise ValueError(f"gamma must be in (0, 1/2), got {gamma}")
-    cut = np.where(popcount(masks) == 2, 1.5 * gamma * gamma, gamma / 2.0)
-    return subset_members(int(np.bitwise_or.reduce(masks[np.abs(coeffs) >= cut], initial=0)))
-
-
 def find_influential_variables(data, gamma: float) -> tuple[int, ...]:
-    """Variables that can matter for a submodular target, from degree <= 2
-    coefficients only.
+    """Variables that can matter for a submodular target, from the degree <= 2
+    coefficients of ``data`` (see `fourier.coefficients_at`) only.
 
     Keeps i when some pair estimate |c({i,j})| >= 3 gamma^2 / 2 or the
     singleton estimate |c({i})| >= gamma / 2.  For submodular targets this
@@ -103,7 +62,13 @@ def find_influential_variables(data, gamma: float) -> tuple[int, ...]:
     (a set coefficient that large forces a pair coefficient >= 2 gamma^2, with
     slack covering estimation error gamma^2 / 2).
     """
-    return _influential(*_low_order_coefficients(data), gamma)
+    if not 0 < gamma < 0.5:
+        raise ValueError(f"gamma must be in (0, 1/2), got {gamma}")
+    low = fourier.low_degree_estimate(data, (1 << fourier.dimension(data)) - 1, 2)
+    # the mean, at mask 0, adds no member to the union
+    cut = np.where(popcount(low.masks) == 2, 1.5 * gamma * gamma, gamma / 2.0)
+    hits = low.masks[np.abs(low.coeffs) >= cut]
+    return subset_members(int(np.bitwise_or.reduce(hits, initial=0)))
 
 
 def default_gamma(epsilon: float) -> float:
@@ -128,9 +93,9 @@ def pac_learn(
     """Learn a [0,1] submodular target within l2 error epsilon.
 
     ``data`` is a ValueOracle (sampled from with ``m`` examples, or used
-    exactly with ``exact=True``) or a ready LabeledSample.  One sample feeds
-    both stages.  gamma and degree default from epsilon but every suite here
-    passes them explicitly.
+    exactly with ``exact=True``) or a ready LabeledSample.  One transform or
+    one sample feeds both stages.  gamma and degree default from epsilon but
+    every suite here passes them explicitly.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -140,31 +105,22 @@ def pac_learn(
     if exact and not isinstance(data, ValueOracle):
         raise ValueError("exact mode needs a ValueOracle")
     queries_before = data.query_count if isinstance(data, ValueOracle) else 0
+    source = data
     if exact:
-        c = fourier.coefficients(data)  # the one transform: both stages index it
-        low = _low_order_masks(data.n)
-        J = _influential(low, c[low], gamma)
-        Jmask = mask_of(J)
-        spectrum = fourier._low_degree(data.n, Jmask, degree, budget, c.__getitem__)
-        samples_used = 0
-    else:
-        sample = data
-        if isinstance(data, ValueOracle):
-            if m is None:
-                raise ValueError("sampled mode needs m")
-            sample = draw_sample(data, m, seed)
-        J = find_influential_variables(sample, gamma)
-        Jmask = mask_of(J)
-        spectrum = fourier.low_degree_estimate(
-            (sample.xs, sample.ys), Jmask, degree, n=sample.n, budget=budget
-        )
-        samples_used = len(sample)
+        source = fourier.coefficients(data)
+    elif isinstance(data, ValueOracle):
+        if m is None:
+            raise ValueError("sampled mode needs m")
+        source = draw_sample(data, m, seed)
+    J = find_influential_variables(source, gamma)
+    Jmask = mask_of(J)
+    spectrum = fourier.low_degree_estimate(source, Jmask, degree, budget=budget)
     queries_used = (data.query_count - queries_before) if isinstance(data, ValueOracle) else 0
     return Hypothesis(
         spectrum=spectrum,
         variables_used=Jmask,
         degree=degree,
-        samples_used=samples_used,
+        samples_used=0 if exact else len(source),
         queries_used=queries_used,
         info={"J": list(J), "gamma": gamma, "epsilon": epsilon},
     )
@@ -237,9 +193,7 @@ def km_search(
     while stack:
         k, pattern = stack.pop()
         if k == n:
-            rng = np.random.default_rng((0x6B37, seed, n, pattern, 1))
-            xs = sample_points(n, mc, rng)
-            est = float(np.mean(f.eval_many(xs) * parity_signs(pattern, xs)))
+            est = estimate_coefficient(f, pattern, mc, (0x6B37, seed, n, pattern, 1))
             if abs(est) >= keep_cut:
                 kept_masks.append(pattern)
                 kept.append(est)

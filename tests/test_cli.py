@@ -218,6 +218,29 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
           "--degree", "-2"], None),
         (["hardness", "embed", "--k", "30"], None),
         (["verify", "embedding", "--k", "22"], None),
+        (["learn", "pac", "--family", "coverage", "--n", "21", "--seed", "0", "--epsilon", "0.5",
+          "--gamma", "0.001", "--degree", "21", "--samples", "64"], None),
+        (["hardness", "lpn", "--n", "21", "--k", "21", "--trials", "1", "--samples", "64"], None),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "coverage", "n": True, "universe_size": 1, "sets": [[1]]}),
+        (["spectrum", "--file", "SPEC"], {"family": "cut", "n": 3, "edges": [[1.5, 2]]}),
+        (["spectrum", "--file", "SPEC"], {"family": "cut", "n": 3, "edges": [[True, 2]]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "coverage", "n": 2, "universe_size": 2.7, "sets": [[1], [2]]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "coverage", "n": 2, "universe_size": True, "sets": [[1], [1]]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "coverage", "n": 2, "universe_size": 2, "sets": [[1], [1.5]]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "coverage", "n": 2, "universe_size": 2, "sets": [[True], [2]]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "matroid_rank_partition", "n": 2, "blocks": [[1, 2]], "caps": [1.9]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "matroid_rank_partition", "n": 2, "blocks": [[1, 2]], "caps": [True]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "matroid_rank_partition", "n": 2, "blocks": [[True, 2]], "caps": [1]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "matroid_rank_partition", "n": 2, "blocks": [[0, 1, 2]], "caps": [1]}),
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, argv, spec):

@@ -11,9 +11,12 @@ from submodtree.cube import mask_of, parse_point
 from submodtree.fourier import (
     SPARSE_EPS,
     BudgetExceeded,
+    LabeledSample,
     Spectrum,
     candidate_masks,
     coefficients,
+    coefficients_at,
+    empirical_coefficients,
     estimate_coefficient,
     fwht,
     low_degree_estimate,
@@ -23,7 +26,7 @@ from submodtree.fourier import (
     transform,
 )
 from submodtree.funcs import TOL, ValueOracle, iter_corpus
-from submodtree.learn import _low_order_coefficients
+from submodtree.learn import draw_sample
 
 
 def pt(s):
@@ -194,20 +197,20 @@ def test_estimate_coefficient_needs_samples(or2):
 def test_low_degree_exact_recovers_embedded_or():
     table = [float((x & 0b11) != 0) for x in range(256)]
     f = ValueOracle.from_table(table)
-    sp = low_degree_estimate(f, mask_of([0, 1]), 2, exact=True)
+    sp = low_degree_estimate(coefficients(f), mask_of([0, 1]), 2)
     assert as_dict(sp) == pytest.approx({0: 0.75, 1: -0.25, 2: -0.25, 3: -0.25})
 
 
 def test_low_degree_single_variable():
     chi = chi_oracle(0b1, 4)
-    sp = as_dict(low_degree_estimate(chi, 0b1, 1, m=4096, seed=2))
+    sp = as_dict(low_degree_estimate(draw_sample(chi, 4096, seed=2), 0b1, 1))
     assert sp[1] == pytest.approx(1.0, abs=0.05)
     assert abs(sp.get(0, 0.0)) <= 0.05
 
 
 def test_low_degree_empty_variables():
     f = random_table_oracle(5, seed=1)
-    sp = as_dict(low_degree_estimate(f, 0, 0, m=2048, seed=0))
+    sp = as_dict(low_degree_estimate(draw_sample(f, 2048, seed=0), 0, 0))
     assert list(sp) == [0]
     assert sp[0] == pytest.approx(float(np.mean(f.table())), abs=0.05)
 
@@ -215,7 +218,44 @@ def test_low_degree_empty_variables():
 def test_low_degree_budget():
     f = random_table_oracle(10, seed=0)
     with pytest.raises(BudgetExceeded):
-        low_degree_estimate(f, (1 << 10) - 1, 5, m=16, seed=0, budget=10)
+        low_degree_estimate(draw_sample(f, 16, seed=0), (1 << 10) - 1, 5, budget=10)
+    # 638 candidates: the budget is inclusive
+    assert low_degree_estimate(coefficients(f), (1 << 10) - 1, 5, budget=638).masks.size == 638
+    with pytest.raises(BudgetExceeded, match="638 candidate"):
+        low_degree_estimate(coefficients(f), (1 << 10) - 1, 5, budget=637)
+
+
+def test_low_degree_budget_is_checked_before_any_mask_is_built():
+    # 2^40 candidates: building them would not end
+    sample = LabeledSample(40, np.array([3], dtype=np.int64), np.array([1.0]))
+    with pytest.raises(ValueError, match=f"{1 << 40} candidate"):
+        low_degree_estimate(sample, (1 << 40) - 1, 40)
+    assert issubclass(BudgetExceeded, ValueError)
+
+
+def test_coefficients_at_reads_either_form_of_data():
+    f = random_table_oracle(5, seed=4)
+    c = coefficients(f)
+    masks = np.array([7, 0, 31, 7])
+    assert coefficients_at(c, masks).tobytes() == c[masks].tobytes()
+    sample = draw_sample(f, 300, seed=1)
+    want = empirical_coefficients(sample.xs, sample.ys, 5, masks)
+    assert coefficients_at(sample, masks.tolist()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("data, error, message", [
+    (random_table_oracle(3, seed=0), TypeError, r"fourier\.coefficients\(f\)"),
+    ((np.array([1]), np.array([1.0])), TypeError, "LabeledSample"),
+    (np.zeros(6), TypeError, "length 2\\^n"),
+    (np.zeros((2, 2)), TypeError, "length 2\\^n"),
+    (np.zeros(0), TypeError, "length 2\\^n"),
+    (LabeledSample(3, np.array([], dtype=np.int64), np.array([])), ValueError, "empty sample"),
+])
+def test_coefficients_at_rejects_other_data(data, error, message):
+    with pytest.raises(error, match=message):
+        coefficients_at(data, [0])
+    with pytest.raises(error, match=message):
+        low_degree_estimate(data, 0, 0)
 
 
 def test_candidate_masks_counts():
@@ -234,7 +274,7 @@ def test_candidate_masks_are_the_ascending_small_subsets(variables, degree):
 
 def test_sampled_estimates_match_direct_mean():
     # the butterfly path must equal the naive estimator on the same sample
-    from submodtree.fourier import empirical_coefficients, parity_signs, sample_points
+    from submodtree.fourier import parity_signs, sample_points
 
     f = random_table_oracle(6, seed=2)
     xs = sample_points(6, 500, seed=1)
@@ -325,12 +365,11 @@ def test_coefficient_readers_match_the_sparse_spectrum_route(f, data):
     assert sp.masks.dtype == np.int64 and sp.coeffs.dtype == np.float64
     assert as_dict(sp) == ref
     assert list(as_dict(sp)) == list(ref)
-    masks, low = _low_order_coefficients(f)
-    assert dict(zip(masks.tolist(), low.tolist())) == _reference_low_order(f)
-    assert len(masks) == len(_reference_low_order(f))
+    low = _reference_low_order(f)
+    assert coefficients_at(c, list(low)).tolist() == list(low.values())
     variables = data.draw(st.integers(min_value=0, max_value=(1 << f.n) - 1))
     degree = data.draw(st.integers(min_value=0, max_value=f.n))
-    got = as_dict(low_degree_estimate(f, variables, degree, exact=True))
+    got = as_dict(low_degree_estimate(c, variables, degree))
     want = _reference_low_degree(f, variables, degree)
     assert got == want and list(got) == sorted(want)
 

@@ -16,7 +16,6 @@ from conftest import random_table, with_oracle_leaves
 from submodtree import decompose, dtree
 from submodtree.cube import check_enumerable, enum_cap
 from submodtree.decompose import (
-    SPLIT_TOL,
     DecompositionReport,
     _certify,
     _means,
@@ -31,6 +30,7 @@ from submodtree.decompose import (
 from submodtree.dtree import ConstLeaf, DecisionTree, Node, OracleLeaf
 from submodtree.funcs import (
     GENERATED_FAMILIES,
+    TOL,
     Restriction,
     ValueOracle,
     generate_random,
@@ -58,7 +58,7 @@ def ref_grow_monotone(f, alpha, fixed, leaf):
     for i in range(f.n):
         if i in fixed:
             continue
-        if f(base | (1 << i)) - f_base > alpha + SPLIT_TOL:
+        if f(base | (1 << i)) - f_base > alpha + TOL:
             lo = ref_grow_monotone(f, alpha, {**fixed, i: 0}, leaf)
             hi = ref_grow_monotone(f, alpha, {**fixed, i: 1}, leaf)
             return Node(i, lo, hi)
@@ -74,7 +74,7 @@ def ref_grow_flipped(f, alpha, fixed):
     for i in range(f.n):
         if i in fixed:
             continue
-        if f_top - f(top ^ (1 << i)) < -(alpha + SPLIT_TOL):
+        if f_top - f(top ^ (1 << i)) < -(alpha + TOL):
             lo = ref_grow_flipped(f, alpha, {**fixed, i: 0})
             hi = ref_grow_flipped(f, alpha, {**fixed, i: 1})
             return Node(i, lo, hi)
@@ -246,8 +246,8 @@ def test_frontier_matches_recursive_growth_on_families(inp, alpha, phases):
     cap=st.sampled_from([None, 1, 3]),
 )
 def test_frontier_matches_recursive_growth_on_tables(n, seed, alpha, phases, cap):
-    # grid tables put derivatives exactly at alpha + SPLIT_TOL and -(alpha +
-    # SPLIT_TOL), where a split must not happen; below n, the cap makes the
+    # grid tables put derivatives exactly at alpha + TOL and -(alpha + TOL),
+    # where a split must not happen; below n, the cap makes the
     # frontier probe through eval_many instead of gathering from the table
     t = random_table(n, seed, alpha)
     with pytest.MonkeyPatch.context() as mp:
@@ -258,7 +258,7 @@ def test_frontier_matches_recursive_growth_on_tables(n, seed, alpha, phases, cap
 
 def test_a_derivative_exactly_at_the_bound_does_not_split():
     alpha = 0.25
-    at_bound = alpha + SPLIT_TOL
+    at_bound = alpha + TOL
     mono = ValueOracle.from_table([0.0, at_bound, 0.0, 2 * at_bound])
     assert isinstance(build_monotone_tree(mono, alpha, check=False).tree.root, OracleLeaf)
     flipped = ValueOracle.from_table([0.0, 0.0, at_bound, 0.0])

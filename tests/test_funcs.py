@@ -58,6 +58,26 @@ class TestInstantiate:
         with pytest.raises(InvalidFamilySpec):
             instantiate(FamilySpec("nonsense", 2, {}))
 
+    def test_numpy_integers_are_integer_fields(self):
+        i = np.int64
+        specs = [
+            FamilySpec("coverage", i(2), {"universe_size": i(2), "sets": [[i(1)], [i(1), 2]]}),
+            FamilySpec("cut", i(2), {"edges": [[i(1), i(2)]]}),
+            FamilySpec("matroid_rank_partition", 2, {"blocks": [[i(1), 2]], "caps": [i(1)]}),
+        ]
+        plain = [
+            FamilySpec("coverage", 2, {"universe_size": 2, "sets": [[1], [1, 2]]}),
+            FamilySpec("cut", 2, {"edges": [[1, 2]]}),
+            FamilySpec("matroid_rank_partition", 2, {"blocks": [[1, 2]], "caps": [1]}),
+        ]
+        for spec, want in zip(specs, plain):
+            assert instantiate(spec).table().tolist() == instantiate(want).table().tolist()
+
+    def test_matroid_block_coordinates_are_one_based(self):
+        spec = FamilySpec("matroid_rank_partition", 2, {"blocks": [[0, 1, 2]], "caps": [1]})
+        with pytest.raises(InvalidFamilySpec, match=r"1\.\.2"):
+            instantiate(spec)
+
     def test_spec_json_roundtrip(self):
         spec = generate_random("coverage", 5, seed=3)
         again = FamilySpec.from_json(spec.to_json())

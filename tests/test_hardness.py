@@ -3,10 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import as_dict
 from submodtree.cube import mask_of, parse_point
-from submodtree.fourier import parity_signs, transform
+from submodtree.fourier import (
+    BudgetExceeded,
+    LabeledSample,
+    Spectrum,
+    candidate_masks,
+    empirical_coefficients,
+    parity_signs,
+    transform,
+)
 from submodtree.funcs import ValueOracle, is_monotone, is_submodular
 from submodtree.hardness import (
     EmbeddingSpec,
@@ -292,8 +301,6 @@ class TestLpnReduce:
         src = NoisySource(8, mask_of([0]), 0.0, seed=0)
 
         def silent_learner(sample):
-            from submodtree.fourier import Spectrum
-
             return Spectrum(8, [], [])
 
         with pytest.raises(NoCandidateFound):
@@ -319,7 +326,39 @@ class TestLpnReduce:
             rng = np.random.default_rng((5, s))
             xs = rng.integers(0, 1 << n, size=1 << 15, dtype=np.int64)
             ys = signed.eval_many(xs)
-            from submodtree.learn import LabeledSample
-
             hyp = regression_learner(s)(LabeledSample(n, xs, ys))
             assert abs(as_dict(hyp).get(subset, 0.0)) >= gamma / 2.0, s
+
+
+def _reference_regression(sample: LabeledSample, degree: int) -> Spectrum:
+    """`regression_learner` as it was before it called `low_degree_estimate`:
+    every candidate's estimate, zeros included."""
+    n = sample.n
+    masks = candidate_masks((1 << n) - 1, degree)
+    return Spectrum(n, masks, empirical_coefficients(sample.xs, sample.ys, n, masks))
+
+
+@st.composite
+def _samples(draw):
+    n = draw(st.integers(min_value=1, max_value=23))
+    m = draw(st.integers(min_value=1, max_value=40))
+    xs = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=m, max_size=m))
+    # labels in {-1, 0, 1} make exact-zero estimates common
+    ys = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0, 0.5]), min_size=m, max_size=m))
+    return LabeledSample(n, np.array(xs, dtype=np.int64), np.array(ys))
+
+
+@given(_samples(), st.integers(min_value=0, max_value=2))
+def test_regression_learner_keeps_the_nonzero_entries_of_the_reference(sample, degree):
+    got = regression_learner(degree)(sample)
+    ref = _reference_regression(sample, degree)
+    keep = ref.coeffs != 0.0
+    assert got.n == ref.n
+    assert got.masks.tolist() == ref.masks[keep].tolist()
+    assert got.coeffs.tobytes() == ref.coeffs[keep].tobytes()
+
+
+def test_regression_learner_has_a_candidate_budget():
+    sample = noisy_examples(NoisySource(21, 1, 0.0), 64)
+    with pytest.raises(BudgetExceeded, match=f"{1 << 21} candidate"):
+        regression_learner(21)(sample)

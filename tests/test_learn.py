@@ -28,14 +28,29 @@ def planted_oracle(n, coeffs) -> ValueOracle:
     return spectrum_of(n, coeffs).to_oracle("planted")
 
 
+def _reference_influential(data, gamma: float) -> tuple[int, ...]:
+    """`find_influential_variables` as it was before it read its coefficients
+    through `low_degree_estimate`: the n singletons and the pairs, cut."""
+    n = data.n if isinstance(data, LabeledSample) else data.size.bit_length() - 1
+    i, j = np.triu_indices(n, 1)
+    masks = np.concatenate([1 << np.arange(n), (1 << i) | (1 << j)])
+    if isinstance(data, LabeledSample):
+        coeffs = fourier.empirical_coefficients(data.xs, data.ys, n, masks)
+    else:
+        coeffs = data[masks]
+    cut = np.where(masks & (masks - 1), 1.5 * gamma * gamma, gamma / 2.0)
+    keep = masks[np.abs(coeffs) >= cut]
+    return tuple(k for k in range(n) if int(np.bitwise_or.reduce(keep, initial=0)) >> k & 1)
+
+
 class TestFindInfluential:
     def test_exact_mode_edge_cut_in_four_vars(self):
         f = instantiate(FamilySpec("cut", 4, {"edges": [[1, 2]]}))
-        assert find_influential_variables(f, 0.3) == (0, 1)
+        assert find_influential_variables(fourier.coefficients(f), 0.3) == (0, 1)
 
     def test_constant_gives_empty(self):
         const = ValueOracle.from_table([0.4] * 16)
-        assert find_influential_variables(const, 0.3) == ()
+        assert find_influential_variables(fourier.coefficients(const), 0.3) == ()
 
     def test_sampled_coverage_junta(self):
         sets = [[] for _ in range(8)]
@@ -49,7 +64,21 @@ class TestFindInfluential:
     def test_gamma_validation(self):
         const = ValueOracle.from_table([0.4] * 4)
         with pytest.raises(ValueError):
-            find_influential_variables(const, 0.6)
+            find_influential_variables(fourier.coefficients(const), 0.6)
+
+    def test_an_oracle_is_not_data(self):
+        const = ValueOracle.from_table([0.4] * 4)
+        with pytest.raises(TypeError, match=r"fourier\.coefficients\(f\)"):
+            find_influential_variables(const, 0.1)
+
+    # sampled data above n = 20 estimates each coefficient on its own
+    @given(st.sampled_from(["coverage", "cut"]), st.integers(min_value=2, max_value=24),
+           st.integers(min_value=0, max_value=9), st.booleans(),
+           st.sampled_from([0.02, 0.1, 0.2, 0.3]))
+    def test_matches_the_singleton_and_pair_cut(self, family, n, seed, sampled, gamma):
+        f = instantiate(generate_random(family, n if sampled else min(n, 10), seed))
+        data = draw_sample(f, 512, seed) if sampled else fourier.coefficients(f)
+        assert find_influential_variables(data, gamma) == _reference_influential(data, gamma)
 
     def test_empty_sample(self):
         with pytest.raises(ValueError):
@@ -61,7 +90,7 @@ class TestFindInfluential:
         gamma = 0.2
         for inst, f in small_corpus(ns=(6, 8), seeds=(0, 1, 2)):
             sp = as_dict(transform(f))
-            J = set(find_influential_variables(f, gamma))
+            J = set(find_influential_variables(fourier.coefficients(f), gamma))
             must_cover = set()
             for s, c in sp.items():
                 if s and abs(c) >= gamma:
@@ -132,8 +161,8 @@ class TestPacLearn:
     def test_exact_mode_transforms_once(self, monkeypatch, family, seed, gamma, degree):
         f = instantiate(generate_random(family, 10, seed))
         # the two-stage route: each stage computes the full transform
-        J = find_influential_variables(f, gamma)
-        want = fourier.low_degree_estimate(f, mask_of(J), degree, exact=True)
+        J = find_influential_variables(fourier.coefficients(f), gamma)
+        want = fourier.low_degree_estimate(fourier.coefficients(f), mask_of(J), degree)
         calls = []
         fwht = fourier.fwht
         monkeypatch.setattr(fourier, "fwht", lambda v: calls.append(len(v)) or fwht(v))
