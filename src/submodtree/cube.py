@@ -34,9 +34,12 @@ def enum_cap() -> int:
     raw = os.environ.get(_ENUM_CAP_ENV)
     if raw is None:
         return DEFAULT_ENUM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # not an integer: rejected below with the value as given
     if cap < 1:
-        raise ValueError(f"enumeration cap must be positive, got {cap}")
+        raise ValueError(f"{_ENUM_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -60,6 +63,35 @@ def popcount(values: np.ndarray | int) -> np.ndarray | int:
     if isinstance(values, (int, np.integer)):
         return int(values).bit_count()
     return np.bitwise_count(np.asarray(values, dtype=np.int64))
+
+
+def subcube_points(bits: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points of subcubes, one subcube after another, each in ascending
+    order, and the size of each subcube.
+
+    Subcube k holds the points that read ``bits[k]`` outside its mask of
+    free coordinates ``free[k]`` (``bits[k]`` has no free bit set).  A point
+    is its subcube's bits OR a subset of its free mask; the ascending subsets
+    of each distinct mask are built once, by doubling.
+    """
+    subsets: dict[int, np.ndarray] = {}
+
+    def ascending(m: int) -> np.ndarray:
+        if m not in subsets:
+            out = np.zeros(1 << m.bit_count(), dtype=np.int64)
+            size = 1
+            for i in range(m.bit_length()):
+                if m >> i & 1:
+                    np.bitwise_or(out[:size], 1 << i, out=out[size:2 * size])
+                    size *= 2
+            subsets[m] = out
+        return subsets[m]
+
+    points = np.concatenate([ascending(m) for m in free.tolist()])
+    subsets.clear()  # at most 2^n values, no longer needed
+    sizes = np.int64(1) << popcount(free).astype(np.int64)
+    points |= np.repeat(bits, sizes)
+    return points, sizes
 
 
 def weight(x: int, subset: int) -> int:

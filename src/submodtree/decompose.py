@@ -32,14 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import funcs
-from .cube import enum_cap, popcount
+from .cube import enum_cap, subcube_points
 from .dtree import (
     ConstLeaf,
     DecisionTree,
     Node,
     OracleLeaf,
     TreeNode,
-    descend,
     evaluate_many,
     exact_distance,
     leaf_map,
@@ -130,14 +129,17 @@ def _certificates_parts(certificates: list[LeafCertificate]) -> list[str]:
     return parts
 
 
-def _check_submodular(f: ValueOracle, check: bool) -> None:
-    if check and f.n <= enum_cap():
-        result = funcs.is_submodular(f)
-        if not result:
-            raise NotSubmodular(
-                "input is not submodular; witness "
-                + funcs.describe_witness(result.witness, f.n)
-            )
+def _check_submodular(f: ValueOracle, check: bool) -> bool:
+    """Whether `funcs.is_submodular` ran on f's table at TOL and passed;
+    raises NotSubmodular when it ran and failed."""
+    if not (check and f.n <= enum_cap()):
+        return False
+    result = funcs.is_submodular(f)
+    if not result:
+        raise NotSubmodular(
+            "input is not submodular; witness " + funcs.describe_witness(result.witness, f.n)
+        )
+    return True
 
 
 # bit i, and the bits 0..i, of every coordinate of a packed point
@@ -230,13 +232,15 @@ def _grow(f: ValueOracle, table, alpha: float, phases: int) -> tuple[np.ndarray,
     return mask, bits, split
 
 
-def _build(f: ValueOracle, alpha: float, phases: int, certify: bool):
+def _build(f: ValueOracle, alpha: float, phases: int, certify: bool, submodular: bool):
     """The tree grown by `_grow` with restriction leaves, and the leaf
-    certificates when ``certify``.
+    certificates when ``certify``; ``submodular`` says that the input check
+    passed on f's table (`_check_submodular`).
 
-    Within the enumeration cap every point descends the node arrays once;
-    those leaf ids give every leaf's table as a slice of one gather and feed
-    `_certify`.  Beyond it each leaf is a `restrict` view.
+    Within the enumeration cap the points of every leaf subcube, laid out
+    leaf after leaf, give every leaf's table as a slice of one gather and
+    the leaf of every point for `_certify`.  Beyond it each leaf is a
+    `restrict` view.
     """
     within = f.n <= enum_cap()
     mask, bits, split = _grow(f, f.table() if within else None, alpha, phases)
@@ -244,12 +248,8 @@ def _build(f: ValueOracle, alpha: float, phases: int, certify: bool):
     number = np.cumsum(leaves) - 1  # of each leaf node, among the leaves in level order
     free = ~mask[leaves] & ((1 << f.n) - 1)
     if within:
-        child = np.arange(split.size).repeat(2)  # a leaf steps onto itself
-        child[~leaves.repeat(2)] = np.arange(1, 2 * (split.size - free.size) + 1)
-        points = np.arange(1 << f.n, dtype=np.int64)
-        depth = int(popcount(mask[-1]))  # the last node is on the deepest level
-        leaf_of = number[descend(np.maximum(split, 0), child, points, depth)]
-        oracles = funcs.restrict_leaves(f, leaf_of, free)
+        points, sizes = subcube_points(bits[leaves], free)
+        oracles = funcs.restrict_subcubes(f, points, sizes)
     else:
         oracles = [
             restrict(f, Restriction(f.n, {i: b >> i & 1 for i in range(f.n) if m >> i & 1}))
@@ -277,7 +277,10 @@ def _build(f: ValueOracle, alpha: float, phases: int, certify: bool):
         return tree, _certify(tree, alpha, f)
     preorder = np.empty(len(order), dtype=np.int32)
     preorder[order] = np.arange(len(order), dtype=np.int32)
-    return tree, _certify(tree, alpha, f, (preorder[leaf_of], free[order]))
+    leaf_of = np.empty(1 << f.n, dtype=np.int32)
+    leaf_of[points] = np.repeat(preorder, sizes)
+    del points  # the 2^n int64 points are not needed during certification
+    return tree, _certify(tree, alpha, f, (leaf_of, free[order]), submodular)
 
 
 def _map_oracle_leaves(node: TreeNode, fn) -> TreeNode:
@@ -304,21 +307,27 @@ _CERTIFICATES = {
 
 
 def _certify(
-    tree: DecisionTree, alpha: float, f: ValueOracle, partition: tuple | None = None
+    tree: DecisionTree,
+    alpha: float,
+    f: ValueOracle,
+    partition: tuple | None = None,
+    submodular: bool = False,
 ) -> list[LeafCertificate]:
     """Certificates of the leaves of a decomposition of f, in `_iter_leaves` order.
 
     Within the enumeration cap one strided pass over f's table checks every
     leaf at once; ``partition`` is the tree's `leaf_map` when the caller
-    already has it.  Beyond the cap each leaf within it is checked on its own
-    table, as a one-leaf tree, and a larger leaf gets None.  Constant leaves
-    pass.
+    already has it, and ``submodular`` says that `funcs.is_submodular`
+    passed on that table, so that the pass skips the mixed differences and
+    every leaf is submodular.  Beyond the cap each leaf within it is checked
+    on its own table, as a one-leaf tree, and a larger leaf gets None.
+    Constant leaves pass.
     """
     leaves: list = []
     _iter_leaves(tree.root, leaves)
     if f.n <= enum_cap():
         leaf_of, free = partition if partition is not None else leaf_map(tree)
-        failed = funcs.leaf_violations(f.table(), f.n, leaf_of, free, alpha)
+        failed = funcs.leaf_violations(f.table(), f.n, leaf_of, free, alpha, submodular)
         ok = zip(*(np.logical_not(bad).tolist() for bad in failed))
     else:
         ok = (_leaf_ok(lf.oracle, alpha) if isinstance(lf, OracleLeaf) else None for lf in leaves)
@@ -348,10 +357,10 @@ def build_monotone_tree(
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    _check_submodular(f, check)
+    submodular = _check_submodular(f, check)
     if f.n <= enum_cap():
         f.table()  # one bulk materialization makes every frontier query a gather
-    tree, certificates = _build(f, alpha, 1, certify)
+    tree, certificates = _build(f, alpha, 1, certify, submodular)
     return DecompositionReport(
         tree=tree,
         alpha=alpha,
@@ -375,10 +384,10 @@ def build_lipschitz_tree(
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    _check_submodular(f, check)
+    submodular = _check_submodular(f, check)
     if f.n <= enum_cap():
         f.table()
-    tree, certificates = _build(f, alpha, 2, certify)
+    tree, certificates = _build(f, alpha, 2, certify, submodular)
     return DecompositionReport(
         tree=tree,
         alpha=alpha,

@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .cube import ProductDistribution, check_enumerable, popcount
+from .cube import ProductDistribution, check_enumerable, popcount, subcube_points
 from .fourier import Spectrum, transform
 from .funcs import ValueOracle, full_tables, group_order
 
@@ -98,37 +98,59 @@ def descend(var: np.ndarray, child: np.ndarray, xs: np.ndarray, depth: int) -> n
     return at
 
 
-def _leaf_index(tree: DecisionTree, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """The leaf of every point of xs, the tested mask of every leaf and the
-    leaves, all numbered in preorder, lo before hi."""
+def _leaf_index(tree: DecisionTree, xs: np.ndarray) -> tuple[np.ndarray, list]:
+    """The leaf of every point of xs and the leaves, numbered in preorder,
+    lo before hi."""
     var: list[int] = []
     child: list[int] = []
     leaf_id: list[int] = []
-    tested: list[int] = []  # per leaf, the mask of the coordinates on its path
     leaves: list = []
+    depth = 0
 
-    def walk(node: TreeNode, path: int) -> int:
+    def walk(node: TreeNode, level: int) -> int:
+        nonlocal depth
         k = len(var)
         if isinstance(node, Node):
-            bit = 1 << node.var
             var.append(node.var)
             child.extend((0, 0))
             leaf_id.append(-1)
-            child[2 * k] = walk(node.lo, path | bit)
-            child[2 * k + 1] = walk(node.hi, path | bit)
+            child[2 * k] = walk(node.lo, level + 1)
+            child[2 * k + 1] = walk(node.hi, level + 1)
         else:
             var.append(0)
             child.extend((k, k))  # a leaf steps onto itself
             leaf_id.append(len(leaves))
             leaves.append(node)
-            tested.append(path)
+            depth = max(depth, level)
         return k
 
     walk(tree.root, 0)
-    paths = np.array(tested, dtype=np.int64)
-    depth = int(popcount(paths).max())
     at = descend(np.array(var, dtype=np.int64), np.array(child, dtype=np.int64), xs, depth)
-    return np.array(leaf_id, dtype=np.int32)[at], paths, leaves
+    return np.array(leaf_id, dtype=np.int32)[at], leaves
+
+
+def _leaf_points(tree: DecisionTree) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """The leaves in preorder, lo before hi, the int64 mask of the
+    coordinates tested on each leaf's path, and the points and sizes of the
+    leaf subcubes (`subcube_points`), as one walk of the tree finds them."""
+    leaves: list = []
+    paths: list[int] = []
+    fixed: list[int] = []
+
+    def walk(node: TreeNode, path: int, bits: int) -> None:
+        if isinstance(node, Node):
+            bit = 1 << node.var
+            walk(node.lo, path | bit, bits)
+            walk(node.hi, path | bit, bits | bit)
+        else:
+            leaves.append(node)
+            paths.append(path)
+            fixed.append(bits)
+
+    walk(tree.root, 0, 0)
+    tested = np.array(paths, dtype=np.int64)
+    points, sizes = subcube_points(np.array(fixed, dtype=np.int64), tested ^ ((1 << tree.n) - 1))
+    return leaves, tested, points, sizes
 
 
 def leaf_map(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +161,9 @@ def leaf_map(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
     of the coordinates not tested on its path.
     """
     check_enumerable(tree.n, "leaf map")
-    leaf_of, paths, _ = _leaf_index(tree, np.arange(1 << tree.n, dtype=np.int64))
+    leaves, paths, points, sizes = _leaf_points(tree)
+    leaf_of = np.empty(1 << tree.n, dtype=np.int32)
+    leaf_of[points] = np.repeat(np.arange(len(leaves), dtype=np.int32), sizes)
     return leaf_of, paths ^ ((1 << tree.n) - 1)
 
 
@@ -151,7 +175,7 @@ def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     if np.any((xs < 0) | (xs >> tree.n != 0)):
         raise ValueError(f"points outside dimension {tree.n}")
-    ids, _, leaves = _leaf_index(tree, xs)
+    ids, leaves = _leaf_index(tree, xs)
     out = _constant_values(leaves)[ids]
     order = group_order(ids, len(leaves))
     bounds = np.searchsorted(ids[order], np.arange(len(leaves) + 1)).tolist()
@@ -169,25 +193,28 @@ def _constant_values(leaves: list) -> np.ndarray:
     return np.array([lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in leaves])
 
 
-def _cube_values(tree: DecisionTree, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tree's value and leaf at every point, and the tested mask of
-    every leaf.
+def _cube_values(tree: DecisionTree, what: str) -> tuple[np.ndarray, ...]:
+    """The tree's value at every point, with the points of its leaves (in
+    preorder, each ascending), their sizes and their tested masks.
 
-    The points of an oracle leaf, taken in ascending order, are its local
-    points in order, so its whole table fills them in one scatter; each
-    oracle leaf is charged its 2^k points.
+    A walk of the tree gives each leaf's subcube.  The points of an oracle
+    leaf, taken in ascending order, are its local points in order, so its
+    whole table fills them in one scatter; each oracle leaf is charged its
+    2^k points.
     """
     check_enumerable(tree.n, what)
-    leaf_of, paths, leaves = _leaf_index(tree, np.arange(1 << tree.n, dtype=np.int64))
-    values = _constant_values(leaves)[leaf_of]
-    oracle = [k for k, lf in enumerate(leaves) if isinstance(lf, OracleLeaf)]
-    if oracle:
-        is_oracle = np.zeros(len(leaves), dtype=bool)
-        is_oracle[oracle] = True
-        points = np.flatnonzero(is_oracle[leaf_of])
-        points = points[group_order(leaf_of[points], len(leaves))]
-        values[points] = np.concatenate(full_tables([leaves[k].oracle for k in oracle]))
-    return values, leaf_of, paths
+    leaves, paths, points, sizes = _leaf_points(tree)
+    is_oracle = np.array([isinstance(lf, OracleLeaf) for lf in leaves])
+    tables = full_tables([lf.oracle for lf in leaves if isinstance(lf, OracleLeaf)])
+    if is_oracle.all():  # no constant to place: the tables are the values in order
+        in_order = np.concatenate(tables)
+    else:
+        in_order = np.repeat(_constant_values(leaves), sizes)
+        if tables:
+            in_order[np.repeat(is_oracle, sizes)] = np.concatenate(tables)
+    values = np.empty(1 << tree.n)
+    values[points] = in_order
+    return values, points, sizes, paths
 
 
 def tree_table(tree: DecisionTree) -> np.ndarray:
@@ -202,8 +229,10 @@ def leaf_profile(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
     exceeds d and its value is nonzero, so this one traversal determines the
     truncation disagreement at every depth at once.
     """
-    values, leaf_of, paths = _cube_values(tree, "leaf profile")
-    return values, popcount(paths).astype(np.int64)[leaf_of]
+    values, points, sizes, paths = _cube_values(tree, "leaf profile")
+    depths = np.empty(1 << tree.n, dtype=np.int64)
+    depths[points] = np.repeat(popcount(paths).astype(np.int64), sizes)
+    return values, depths
 
 
 def truncation_disagreements(tree: DecisionTree, dist: ProductDistribution | None = None) -> np.ndarray:

@@ -246,23 +246,24 @@ def group_order(ids: np.ndarray, groups: int) -> np.ndarray:
     return np.argsort(ids.astype(np.min_scalar_type(max(groups - 1, 0))), kind="stable")
 
 
-def restrict_leaves(f: ValueOracle, leaf_of: np.ndarray, free: np.ndarray) -> list[ValueOracle]:
-    """The restriction of f to every leaf subcube of a partition of the cube.
+def restrict_subcubes(f: ValueOracle, points: np.ndarray, sizes: np.ndarray) -> list[ValueOracle]:
+    """The restriction of f to each of a list of subcubes.
 
-    ``leaf_of`` holds the leaf of every point and ``free`` the mask of each
-    leaf's free coordinates.  A leaf's points, taken in ascending order, are
-    its local points in order, so one gather of f's table in leaf order
-    holds every leaf's table as a slice.  Each view equals `restrict` to its
-    leaf bit for bit and shares f's counter and label.
+    ``points`` lists the points of each subcube in ascending order, one
+    subcube after another, and ``sizes`` their sizes (`cube.subcube_points`).
+    A subcube's points in ascending order are its local points in order, so
+    one gather of f's table holds every subcube's table as a slice.  Each
+    view equals `restrict` to its subcube bit for bit and shares f's counter
+    and label.
     """
-    values = f.table()[group_order(leaf_of, len(free))]
-    dims = popcount(free).tolist()
+    values = f.table()[points]
     label = f.label and f"{f.label}|restricted"
     views, start = [], 0
-    for k in dims:
-        t = values[start:start + (1 << k)]
+    for size in sizes.tolist():
+        t = values[start:start + size]
+        k = size.bit_length() - 1
         views.append(ValueOracle(k, t.__getitem__, label=label, counter=f._counter, table=t))
-        start += 1 << k
+        start += size
     return views
 
 
@@ -456,7 +457,12 @@ def lipschitz_constant(f: ValueOracle) -> float:
 
 
 def leaf_violations(
-    t: np.ndarray, n: int, leaf_of: np.ndarray, free: np.ndarray, alpha: float
+    t: np.ndarray,
+    n: int,
+    leaf_of: np.ndarray,
+    free: np.ndarray,
+    alpha: float,
+    known_submodular: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leaves of a decomposition that fail the alpha-monotone, alpha-Lipschitz
     and submodular checks, all found in one pass over the parent table t.
@@ -468,6 +474,10 @@ def leaf_violations(
     bit.  Each returned bool array marks the leaves on whose restriction the
     corresponding check fails: `is_alpha_monotone_decreasing`,
     `lipschitz_constant` <= alpha + TOL, `is_submodular`.
+
+    ``known_submodular`` says that `is_submodular` passed on t itself at TOL:
+    it computed the same mixed differences, so none exceeds TOL, no leaf can
+    fail, and the pair pass is skipped.
     """
     mono, lip, sub = np.zeros((3, len(free)), dtype=bool)
     bound = alpha + TOL
@@ -488,6 +498,8 @@ def leaf_violations(
             lip[ids] = True
             # a derivative above the bound is above it in absolute value too
             mono[ids[d[r, k] > bound]] = True
+    if known_submodular:
+        return mono, lip, sub
     for coords, dd, base in _mixed_difference_blocks(t, n):
         hits = dd > TOL
         if hits.any():  # rare on submodular input

@@ -241,15 +241,24 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
          {"family": "matroid_rank_partition", "n": 2, "blocks": [[True, 2]], "caps": [1]}),
         (["spectrum", "--file", "SPEC"],
          {"family": "matroid_rank_partition", "n": 2, "blocks": [[0, 1, 2]], "caps": [1]}),
+        (["SUBMODTREE_ENUM_CAP=abc", "decompose", "--family", "cut", "--n", "6", "--seed", "1",
+          "--alpha", "0.25"], None),
     ],
 )
-def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, argv, spec):
+def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv, spec):
     if spec is not None:
         path = write_family(tmp_path, "spec.json", spec)
         argv = [path if a == "SPEC" else a for a in argv]
+    env = []
+    while "=" in argv[0]:  # leading NAME=value items set the environment
+        env.append(argv[0].split("=", 1))
+        monkeypatch.setenv(*env[-1])
+        argv = argv[1:]
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
+    for name, value in env:  # the line names the variable and its value
+        assert f"{name} must be a positive integer, got {value!r}" in err, err
 
 
 # sha256 of the report files of `decompose --n 12 --alpha 0.25`, as written
