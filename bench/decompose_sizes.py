@@ -1,16 +1,15 @@
 """Wall time, peak RSS and report bytes of `submodtree decompose` at large n.
 
     python3 bench/decompose_sizes.py --out FILE [--parent DIR] [--ns 20 22 24]
-        [--families coverage cut ...] [--seed 1] [--alpha 0.1] [--reps 1]
 
-Run from the repository root.  For every family and n, each side runs
-`decompose --family F --n N --seed S --alpha A --out DIR` in a fresh
-process, with the program imported from that side's ``src/``: this checkout,
-and the checkout at ``--parent`` when given.  The sides alternate which runs
-first.  A run records the time of `cli.main` (interpreter start and imports
-excluded), the process's peak RSS (VmHWM) and the sha256 of every report
-file; with ``--parent`` the report bytes of the two sides must be equal.
-Results are written to FILE as JSON.
+Run from the repository root.  For every generated family and n, each side
+runs `decompose --family F --n N --seed 1 --alpha 0.1 --out DIR` once in a
+fresh process, with the program imported from that side's ``src/``: this
+checkout, and the checkout at ``--parent`` when given.  The sides alternate
+which runs first from row to row.  A run records the time of `cli.main`
+(interpreter start and imports excluded), the process's peak RSS (VmHWM)
+and the sha256 of every report file; with ``--parent`` the report bytes of
+the two sides must be equal.  Results are written to FILE as JSON.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import hashlib
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -29,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("coverage", "cut", "budget_additive", "matroid_rank_partition", "concave_profile")
+SEED, ALPHA = "1", "0.1"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
@@ -68,35 +67,22 @@ def main() -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--ns", type=int, nargs="+", default=[20, 22, 24])
-    parser.add_argument("--families", nargs="+", default=list(FAMILIES))
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--alpha", default="0.1")
-    parser.add_argument("--reps", type=int, default=1)
     opts = parser.parse_args()
     sides = {"change": ROOT / "src"}
     if opts.parent is not None:
         sides["parent"] = opts.parent.resolve() / "src"
     rows = []
-    for family in opts.families:
+    for family in FAMILIES:
         for n in opts.ns:
             args = ["decompose", "--family", family, "--n", str(n),
-                    "--seed", str(opts.seed), "--alpha", opts.alpha]
-            runs = {name: [] for name in sides}
-            for rep in range(opts.reps):
-                names = list(sides)
-                if rep % 2 == (n + len(family)) % 2:
-                    names.reverse()
-                for name in names:
-                    runs[name].append(run_side(sides[name], args))
+                    "--seed", SEED, "--alpha", ALPHA]
+            names = list(sides)
+            if len(rows) % 2:
+                names.reverse()
             row = {"family": family, "n": n, "args": " ".join(args)}
-            for name, done in runs.items():
-                row[name] = {
-                    "wall_s": statistics.median(r["wall_s"] for r in done),
-                    "peak_rss_mb": max(r["peak_rss_mb"] for r in done),
-                    "rc": sorted({r["rc"] for r in done}),
-                    "runs_wall_s": [round(r["wall_s"], 3) for r in done],
-                }
-            hashes = [r["sha256"] for done in runs.values() for r in done]
+            for name in names:
+                row[name] = run_side(sides[name], args)
+            hashes = [row[name].pop("sha256") for name in sides]
             row["report_bytes_equal"] = all(h == hashes[0] for h in hashes)
             row["sha256"] = hashes[0]
             rows.append(row)
@@ -104,9 +90,6 @@ def main() -> int:
     result = {
         "what": __doc__.split("\n")[0],
         "machine": f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}",
-        "seed": opts.seed,
-        "alpha": opts.alpha,
-        "reps": opts.reps,
         "rows": rows,
     }
     Path(opts.out).write_text(json.dumps(result, indent=1) + "\n")

@@ -1,13 +1,14 @@
 """Paired `perfbench/run.py` runs of a parent checkout and this checkout.
 
     python3 bench/perf_pairs.py --parent DIR --out FILE [--change DIR]
-        [--workloads ...] [--seeds 120 121 ...] [--seconds 20]
+        [--seeds 120 121 ...]
 
 Run from the repository root.  ``--change`` defaults to this checkout; a
 copy of it keeps the measured code fixed while this one is edited.  For
-every workload and seed, the benchmark runs once in each checkout (`perfbench/run.py --workload W --seed S
---seconds SECONDS --trace 0`, from that checkout's root, so each side
-imports its own ``src/``).  The side that runs first alternates from pair to
+every workload and seed, the benchmark runs once in each checkout
+(`perfbench/run.py --workload W --seed S --seconds T --trace 0`, from that
+checkout's root, so each side imports its own ``src/``), with the run
+length T that ``BENCHMARK.json`` sets.  The side that runs first alternates from pair to
 pair.  Each run's end-to-end metrics, its decompose_s and its failure count
 are kept; per workload and metric the summary gives each side's median and
 quartiles, the relative change of the medians and the pairs the change won
@@ -81,26 +82,25 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--change", type=Path, default=ROOT)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(120, 130)))
-    parser.add_argument("--seconds", type=float, default=20)
     opts = parser.parse_args()
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     sides = {"parent": opts.parent.resolve(), "change": opts.change.resolve()}
     result = {
         "what": "perfbench/run.py --seconds %g --trace 0, parent checkout vs this checkout, "
                 "alternating which side runs first in each pair; times scaled by the harness "
-                "to its reference CPU speed" % opts.seconds,
+                "to its reference CPU speed" % seconds,
         "machine": f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}",
         "seeds": opts.seeds,
         "workloads": {},
     }
-    for workload in opts.workloads:
+    for workload in WORKLOADS:
         runs: list[dict] = []
         result["workloads"][workload] = {"summary": {}, "runs": runs}
         for k, seed in enumerate(opts.seeds):
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             for side in order:
-                row = {"seed": seed, "side": side, **run_once(sides[side], workload, seed, opts.seconds)}
+                row = {"seed": seed, "side": side, **run_once(sides[side], workload, seed, seconds)}
                 runs.append(row)
                 print(workload, json.dumps(row), flush=True)
                 result["workloads"][workload]["summary"] = summarize(runs)

@@ -41,7 +41,6 @@ from .dtree import (
     TreeNode,
     evaluate_many,
     exact_distance,
-    leaf_map,
     rank as tree_rank,
     to_oracle,
 )
@@ -274,7 +273,7 @@ def _build(f: ValueOracle, alpha: float, phases: int, certify: bool, submodular:
     if not certify:
         return tree, []
     if not within:
-        return tree, _certify(tree, alpha, f)
+        return tree, _certify(tree, alpha, f, None)
     preorder = np.empty(len(order), dtype=np.int32)
     preorder[order] = np.arange(len(order), dtype=np.int32)
     leaf_of = np.empty(1 << f.n, dtype=np.int32)
@@ -310,23 +309,23 @@ def _certify(
     tree: DecisionTree,
     alpha: float,
     f: ValueOracle,
-    partition: tuple | None = None,
+    partition: tuple | None,
     submodular: bool = False,
 ) -> list[LeafCertificate]:
     """Certificates of the leaves of a decomposition of f, in `_iter_leaves` order.
 
-    Within the enumeration cap one strided pass over f's table checks every
-    leaf at once; ``partition`` is the tree's `leaf_map` when the caller
-    already has it, and ``submodular`` says that `funcs.is_submodular`
-    passed on that table, so that the pass skips the mixed differences and
-    every leaf is submodular.  Beyond the cap each leaf within it is checked
-    on its own table, as a one-leaf tree, and a larger leaf gets None.
-    Constant leaves pass.
+    Within the enumeration cap ``partition`` is the tree's `dtree.leaf_map`, and
+    one strided pass over f's table checks every leaf at once; ``submodular``
+    says that `funcs.is_submodular` passed on that table, so that the pass
+    skips the mixed differences and every leaf is submodular.  Beyond the
+    cap ``partition`` is None and each leaf within it is checked on its own
+    table, as a one-leaf tree, and a larger leaf gets None.  Constant leaves
+    pass.
     """
     leaves: list = []
     _iter_leaves(tree.root, leaves)
     if f.n <= enum_cap():
-        leaf_of, free = partition if partition is not None else leaf_map(tree)
+        leaf_of, free = partition
         failed = funcs.leaf_violations(f.table(), f.n, leaf_of, free, alpha, submodular)
         ok = zip(*(np.logical_not(bad).tolist() for bad in failed))
     else:

@@ -132,13 +132,21 @@ def _leaf_index(tree: DecisionTree, xs: np.ndarray) -> tuple[np.ndarray, list]:
 def _leaf_points(tree: DecisionTree) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """The leaves in preorder, lo before hi, the int64 mask of the
     coordinates tested on each leaf's path, and the points and sizes of the
-    leaf subcubes (`subcube_points`), as one walk of the tree finds them."""
+    leaf subcubes (`subcube_points`), as one walk of the tree finds them.
+
+    The subcubes partition the cube only when no path tests a coordinate
+    twice or one outside the dimension; any other tree is rejected.
+    """
     leaves: list = []
     paths: list[int] = []
     fixed: list[int] = []
 
     def walk(node: TreeNode, path: int, bits: int) -> None:
         if isinstance(node, Node):
+            if not 0 <= node.var < tree.n or path >> node.var & 1:
+                raise ValueError(
+                    f"coordinate {node.var} tested twice on a path or outside dimension {tree.n}"
+                )
             bit = 1 << node.var
             walk(node.lo, path | bit, bits)
             walk(node.hi, path | bit, bits | bit)
@@ -206,12 +214,9 @@ def _cube_values(tree: DecisionTree, what: str) -> tuple[np.ndarray, ...]:
     leaves, paths, points, sizes = _leaf_points(tree)
     is_oracle = np.array([isinstance(lf, OracleLeaf) for lf in leaves])
     tables = full_tables([lf.oracle for lf in leaves if isinstance(lf, OracleLeaf)])
-    if is_oracle.all():  # no constant to place: the tables are the values in order
-        in_order = np.concatenate(tables)
-    else:
-        in_order = np.repeat(_constant_values(leaves), sizes)
-        if tables:
-            in_order[np.repeat(is_oracle, sizes)] = np.concatenate(tables)
+    in_order = np.repeat(_constant_values(leaves), sizes)
+    if tables:
+        in_order[np.repeat(is_oracle, sizes)] = np.concatenate(tables)
     values = np.empty(1 << tree.n)
     values[points] = in_order
     return values, points, sizes, paths

@@ -96,6 +96,12 @@ def ref_lipschitz_constant(f):
     return worst
 
 
+def certify(tree, alpha, f):
+    """`_certify` as `_build` calls it: with the tree's leaf map within the
+    enumeration cap, without one beyond it."""
+    return _certify(tree, alpha, f, dtree.leaf_map(tree) if f.n <= enum_cap() else None)
+
+
 def ref_certify(tree, alpha):
     """Per-leaf certification: the three checkers on each leaf restriction."""
     leaves = []
@@ -175,7 +181,7 @@ def assert_same_certification(make_tree, f_ref, f, alpha):
     ref_tree, tree = make_tree(f_ref), make_tree(f)
     before_ref, before = f_ref.query_count, f.query_count
     want = ref_certify(ref_tree, alpha)
-    got = _certify(tree, alpha, f)
+    got = certify(tree, alpha, f)
     assert got == want
     assert f.query_count - before == f_ref.query_count - before_ref
     return got
@@ -210,7 +216,7 @@ def test_whole_tree_certificates_match_per_leaf_on_monotone_trees(family, n, see
     spec = generate_random(family, n, seed)
     f = instantiate(spec)
     tree = build_monotone_tree(f, alpha, certify=False).tree
-    assert _certify(tree, alpha, f) == ref_certify(tree, alpha)
+    assert certify(tree, alpha, f) == ref_certify(tree, alpha)
 
 
 @pytest.mark.parametrize("over", [0.0, TOL])
@@ -226,14 +232,14 @@ def test_leaf_differences_exactly_at_the_bounds_pass(over):
     ok = not over
     want = [LeafCertificate(True, True, ok), LeafCertificate(ok, ok, True)]
     assert ref_certify(tree, alpha) == want
-    assert _certify(tree, alpha, f) == want
+    assert certify(tree, alpha, f) == want
 
 
 def test_monotone_trees_can_fail_the_lipschitz_certificate():
     # the comparison above covers failing certificates too
     f = instantiate(generate_random("cut", 5, 1))
     tree = build_monotone_tree(f, 0.25, certify=False).tree
-    certs = _certify(tree, 0.25, f)
+    certs = certify(tree, 0.25, f)
     assert certs == ref_certify(tree, 0.25)
     assert sum(c.lipschitz_ok is False for c in certs) == 5
     assert all(c.alpha_monotone_ok and c.submodular_ok for c in certs)
@@ -264,9 +270,9 @@ def test_constant_leaves_pass_and_big_leaves_get_none(monkeypatch):
         6,
         Node(0, ConstLeaf(0.5), OracleLeaf(restrict(f, Restriction(6, {0: 1})), (1, 2, 3, 4, 5))),
     )
-    assert _certify(tree, 0.5, f)[0] == LeafCertificate(True, True, True)
+    assert certify(tree, 0.5, f)[0] == LeafCertificate(True, True, True)
     monkeypatch.setenv("SUBMODTREE_ENUM_CAP", "4")
-    assert _certify(tree, 0.5, f) == [
+    assert certify(tree, 0.5, f) == [
         LeafCertificate(True, True, True),
         LeafCertificate(None, None, None),
     ]

@@ -17,7 +17,6 @@ from submodtree import decompose, dtree
 from submodtree.cube import check_enumerable, enum_cap
 from submodtree.decompose import (
     DecompositionReport,
-    _certify,
     _means,
     build_exact_discrete_tree,
     build_lipschitz_tree,
@@ -38,6 +37,7 @@ from submodtree.funcs import (
     instantiate,
     restrict,
 )
+from test_certify import certify
 
 ALPHAS = (0.02, 0.05, 0.1, 0.25, 1 / 3, 0.5, 1.0)
 
@@ -207,7 +207,7 @@ BUILDERS = {1: build_monotone_tree, 2: build_lipschitz_tree}
 
 def assert_same_growth(make_f, alpha, phases):
     """The frontier against the recursive growers, on fresh copies of one input:
-    trees, charges, and certificates against `_certify` on the finished tree."""
+    trees, charges, and certificates against `certify` on the finished tree."""
     f, f_ref, f_cert = make_f(), make_f(), make_f()
     got = BUILDERS[phases](f, alpha, check=False, certify=False)
     want = ref_build(f_ref, alpha, phases)
@@ -215,7 +215,7 @@ def assert_same_growth(make_f, alpha, phases):
     assert got.leaf_certificates == []
     assert_same_tree(got.tree, want)
     report = BUILDERS[phases](f_cert, alpha, check=False)
-    assert report.leaf_certificates == _certify(report.tree, alpha, f_cert)
+    assert report.leaf_certificates == certify(report.tree, alpha, f_cert)
     return got
 
 

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import as_dict, random_table, with_oracle_leaves
 from test_certify import (
     ALPHAS,
+    certify,
     ref_certify,
     ref_derivative_table,
     ref_is_alpha_monotone_decreasing,
@@ -30,7 +31,6 @@ from test_certify import (
     ref_lipschitz_constant,
 )
 from submodtree import cli, dtree, fourier, funcs
-from submodtree.decompose import _certify
 from submodtree.funcs import (
     GENERATED_FAMILIES,
     TOL,
@@ -205,7 +205,7 @@ def test_leaf_certificates_match_per_leaf_on_random_trees(n, seed, alpha):
     want = ref_certify(tree, alpha)
     for name in PATHS:
         with path(name):
-            assert _certify(tree, alpha, f) == want, name
+            assert certify(tree, alpha, f) == want, name
 
 
 # --- pairwise bound -------------------------------------------------------------

@@ -192,6 +192,27 @@ def test_a_constant_and_an_oracle_leaf_with_one_tested_mask(n):
     assert_same_cube_values(trees[0], trees[1], f, f_ref)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # x_1 tested again below itself: the hi.lo leaf is unreachable
+        '{"var": 1, "lo": {"leaf": 0.0},'
+        ' "hi": {"var": 1, "lo": {"leaf": 1.0}, "hi": {"leaf": 2.0}}}',
+        '{"var": 3, "lo": {"leaf": 0.0}, "hi": {"leaf": 1.0}}',
+        '{"var": 0, "lo": {"leaf": 0.0}, "hi": {"leaf": 1.0}}',
+    ],
+)
+def test_trees_whose_leaves_do_not_partition_the_cube_are_rejected(text):
+    # their leaf subcubes overlap or leave the cube, so no layout by subcube
+    # points exists; evaluation point by point still follows the tree
+    tree = dtree.from_json(text, 2)
+    for fn in (dtree.leaf_map, dtree.tree_table, dtree.leaf_profile):
+        with pytest.raises(ValueError, match="tested twice on a path or outside dimension 2"):
+            fn(tree)
+    if '"var": 1' in text:
+        assert dtree.evaluate_many(tree, np.arange(4)).tolist() == [0.0, 2.0, 0.0, 2.0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(GENERATED_FAMILIES),
@@ -218,7 +239,7 @@ def assert_same_build(make_f, alpha, phases, monkeypatch):
     f, f_ref = make_f(), make_f()
     seen = []
 
-    def spy(tree, alpha, g, partition=None, submodular=False):
+    def spy(tree, alpha, g, partition, submodular=False):
         seen.append(partition)
         return _certify(tree, alpha, g, partition, submodular)
 
