@@ -1,9 +1,11 @@
 """Wall time, peak RSS and report bytes of `submodtree decompose` at large n.
 
     python3 bench/decompose_sizes.py --out FILE [--parent DIR] [--ns 20 22 24]
+        [--families coverage cut ...]
 
-Run from the repository root.  For every generated family and n, each side
-runs `decompose --family F --n N --seed 1 --alpha 0.1 --out DIR` once in a
+Run from the repository root.  For every generated family (or each one of
+``--families``) and n, each side runs
+`decompose --family F --n N --seed 1 --alpha 0.1 --out DIR` once in a
 fresh process, with the program imported from that side's ``src/``: this
 checkout, and the checkout at ``--parent`` when given.  The sides alternate
 which runs first from row to row.  A run records the time of `cli.main`
@@ -67,12 +69,13 @@ def main() -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--ns", type=int, nargs="+", default=[20, 22, 24])
+    parser.add_argument("--families", nargs="+", choices=FAMILIES, default=list(FAMILIES))
     opts = parser.parse_args()
     sides = {"change": ROOT / "src"}
     if opts.parent is not None:
         sides["parent"] = opts.parent.resolve() / "src"
     rows = []
-    for family in FAMILIES:
+    for family in opts.families:
         for n in opts.ns:
             args = ["decompose", "--family", family, "--n", str(n),
                     "--seed", SEED, "--alpha", ALPHA]

@@ -9,10 +9,12 @@ every workload and seed, the benchmark runs once in each checkout
 (`perfbench/run.py --workload W --seed S --seconds T --trace 0`, from that
 checkout's root, so each side imports its own ``src/``), with the run
 length T that ``BENCHMARK.json`` sets.  The side that runs first alternates from pair to
-pair.  Each run's end-to-end metrics, its decompose_s and its failure count
-are kept; per workload and metric the summary gives each side's median and
-quartiles, the relative change of the medians and the pairs the change won
-(ties count for neither).  FILE is rewritten after every run.
+pair.  Each run's end-to-end metrics, the time of each command it ran
+(decompose_s, spectrum_s, verify_s and learn_s, as the benchmark prints them)
+and its failure count are kept; per workload and metric the summary gives
+each side's median and quartiles, the relative change of the medians and the
+pairs the change won (ties count for neither).  FILE is rewritten after every
+run.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import json
 import math
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -30,7 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("big-cube", "deep-tree", "corpus", "sampled")
-METRICS = ("wall_s", "setup_s", "peak_rss_mb", "decompose_s")
+COMMANDS = ("decompose_s", "spectrum_s", "verify_s", "learn_s")
+METRICS = ("wall_s", "setup_s", "peak_rss_mb", *COMMANDS)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -43,10 +45,9 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     row = {key: result[key] for key in ("correct", "attempted", "failed")}
     row.update({name: m["value"] for name, m in result["metrics"].items()})
-    for line in lines:
-        found = re.match(r"end-to-end decompose_s: (\S+)", line)
-        if found:
-            row["decompose_s"] = float(found.group(1))
+    detail = next(line for line in lines if line.startswith("detail:"))
+    extra = json.loads(detail.removeprefix("detail:"))["end_to_end"]
+    row.update({name: v for name, v in extra.items() if name in COMMANDS})
     return row
 
 

@@ -405,14 +405,20 @@ def exact_distance(f, g, dist: ProductDistribution | None = None, metric: str = 
         raise ValueError(f"distribution dimension {dist.n} != {nf}")
     else:
         w = dist.probability_vector()
-    if metric == "l1":
-        return float(np.sum(w * np.abs(tf - tg)))
-    if metric == "l2":
-        return float(math.sqrt(np.sum(w * (tf - tg) ** 2)))
     if metric == "disagreement":
         differ = tf != tg
         return float(np.count_nonzero(differ) * w if dist is None else np.sum(w[differ]))
-    raise ValueError(f"unknown metric {metric!r}")
+    if metric not in ("l1", "l2"):
+        raise ValueError(f"unknown metric {metric!r}")
+    # the only 2^n temporary: |f - g| or (f - g)^2, then the weights, in place
+    d = tf - tg
+    if metric == "l1":
+        np.abs(d, out=d)
+    else:
+        np.square(d, out=d)
+    np.multiply(d, w, out=d)
+    total = float(np.sum(d))
+    return total if metric == "l1" else math.sqrt(total)
 
 
 # --- random trees ------------------------------------------------------------

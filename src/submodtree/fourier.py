@@ -8,9 +8,11 @@ coordinate sets, matching the point packing in `cube`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,6 +54,177 @@ def fwht(values: np.ndarray) -> np.ndarray:
         np.subtract(lo, v[:, h:], out=v[:, h:])
         h *= 2
     return a
+
+
+# --- the spectrum CSV writer --------------------------------------------------
+#
+# Every row is "{},{:.17g}\n".format(mask, coeff), byte for byte.  For finite
+# |x| in [1e-280, 1e280) the kernel takes E as the floor of the double just
+# below log10|x|, and rounds y = |x| 10^(16-E) to the integer D of 17 digits.
+# So a value at or just below 10^j, which log10 rounds to j, gets E = j - 1
+# and D = 10^17: a carry to E + 1.  y is the double-double hi + lo, Dekker's
+# product of |x| and the double-double 10^(16-E).  hi is exact, and lo is off
+# by less than 1e-14, from rounding its last two sums and the low part of
+# 10^(16-E).  A value keeps D = hi + rint(lo) only when 10^16 <= D <= 10^17
+# (D = 10^16 also needs y above 10^16, or E was read one too high) and when
+# lo's fraction is farther than _TIE_TOL from 1/2.  Every other value, NaN,
+# infinities, zeros and subnormals among them, is written by `format` in its
+# own row.
+#
+# A row is laid out in uint32 lanes of four bytes: the mask's digits; ",", sign;
+# the digits before the point; the point and the zeros that follow it when the
+# exponent is below -1; 17 digits after the point; the exponent and "\n".
+# Bytes a row does not use hold 0 and are deleted when the rows are joined.
+
+_CSV_CHUNK = 1 << 14  # rows per pass: a row buffer of about 1 MB
+_TIE_TOL = 1e-9
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _lane_table(texts: list[str], dtype) -> np.ndarray:
+    """Each text as one lane of ``dtype``, padded with 0 bytes."""
+    size = np.dtype(dtype).itemsize
+    return np.frombuffer("".join(t.ljust(size, "\0") for t in texts).encode(), dtype=dtype)
+
+
+@functools.cache
+def _tables() -> dict[str, np.ndarray]:
+    """The writer's lookup tables, built on first use."""
+    # the digits of 0..9999, most significant first
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    keep = np.arange(4) >= np.arange(5)[:, None]
+    return {
+        "quads": (np.ascontiguousarray(digits.T) + np.uint8(ord("0"))).view(np.uint32).ravel(),
+        "quad_zeros": np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0),
+        # lane masks: the first c bytes cleared, or the last c
+        "clear_first": (keep * np.uint8(255)).view(np.uint32).ravel(),
+        "clear_last": (keep[:, ::-1] * np.uint8(255)).view(np.uint32).ravel(),
+        "sign": _lane_table([",", ",-"], np.uint32),
+        "point": _lane_table(["", ".", ".0", ".00", ".000"], np.uint32),
+    }
+
+
+def _by_distinct(fn, keys: np.ndarray, dtype) -> np.ndarray:
+    """fn(k) for each int64 key k, with fn called once per distinct key."""
+    base = int(keys.min())
+    used = np.flatnonzero(np.bincount(keys - base))
+    table = np.zeros(int(used[-1]) + 1, dtype=dtype)
+    table[used] = [fn(base + j) for j in used.tolist()]
+    return table[keys - base]
+
+
+def _put_digits(out: np.ndarray, v: np.ndarray, clear_first, strip_zeros: bool = False) -> None:
+    """Write the last 4 * out.shape[1] decimal digits of each int64 v >= 0 as
+    ASCII into out's uint32 lanes, most significant first.  The first
+    ``clear_first`` digits are set to 0, and with ``strip_zeros`` so are the
+    trailing zeros."""
+    t = _tables()
+    groups = out.shape[1]
+    zeros = 0
+    for j in reversed(range(groups)):
+        q = v // 10000
+        quad = v - q * 10000
+        lane = t["quads"][quad]
+        if strip_zeros:
+            # the quad's own trailing zeros, when every later quad is zero
+            cleared = t["quad_zeros"][quad] * (zeros == 4 * (groups - 1 - j))
+            lane &= t["clear_last"][cleared]
+            zeros = zeros + cleared
+        cleared = clear_first - 4 * j
+        if np.any(cleared > 0):
+            lane &= t["clear_first"][np.minimum(np.maximum(cleared, 0), 4)]
+        out[:, j] = lane
+        v = q
+
+
+@functools.cache
+def _power_of_ten(k: int) -> tuple[float, float]:
+    """10^k as the double-double hi + lo, both rounded from the exact value."""
+    p = Fraction(10) ** k
+    return float(p), float(p - Fraction(float(p)))
+
+
+def _fixed(exp10):
+    """Whether %g prints a value with exponent exp10 in fixed notation."""
+    return (exp10 >= -4) & (exp10 < 17)
+
+
+@functools.cache
+def _row_end(exp10: int) -> int:
+    """What follows the digits of a value printed with exponent exp10, as one
+    uint64 lane: "\n" in fixed notation, else the exponent and "\n"."""
+    return int(_lane_table(["\n" if _fixed(exp10) else f"e{exp10:+03d}\n"], np.uint64)[0])
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split a = hi + lo, each half with at most 26 significant bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _csv_chunk(masks: np.ndarray, x: np.ndarray) -> bytearray:
+    """The rows of one chunk of masks and coefficients."""
+    t = _tables()
+    n = x.size
+    ax = np.abs(x)
+    ok = (ax >= 1e-280) & (ax < 1e280)  # False for NaN
+    ax = np.where(ok, ax, 1.0)
+    e = np.floor(np.nextafter(np.log10(ax), -np.inf)).astype(np.int64)
+    p_hi = _by_distinct(lambda k: _power_of_ten(k)[0], 16 - e, float)
+    p_lo = _by_distinct(lambda k: _power_of_ten(k)[1], 16 - e, float)
+    hi = ax * p_hi  # an integer: y >= 2^53 wherever D is kept
+    a1, a2 = _split(ax)
+    b1, b2 = _split(p_hi)
+    lo = (((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2) + ax * p_lo
+    r = np.rint(lo)
+    frac = lo - r
+    d = hi.astype(np.int64) + r.astype(np.int64)
+    keep = (ok & (d >= 10**16) & (d <= 10**17) & (np.abs(frac) < 0.5 - _TIE_TOL)
+            & ((d > 10**16) | (frac > _TIE_TOL)))
+    carry = d == 10**17
+    d = np.where(keep & ~carry, d, 10**16)
+    exp10 = e + carry  # the printed exponent
+    fixed = _fixed(exp10)
+    point = np.where(fixed, np.maximum(exp10, -1), 0)  # the digit the point follows
+    unit = _POW10[16 - point]
+    whole = d // unit  # 0 when the point precedes d0
+    after = (d - whole * unit) * _POW10[point + 1]  # the digits after the point, 17 wide
+
+    width = np.searchsorted(_POW10[1:], masks, side="right") + 1
+    whole_width = np.maximum(point + 1, 1)
+    mask_lanes = -(-int(width.max()) // 4)
+    whole_lanes = -(-int(whole_width.max()) // 4)
+    lanes = mask_lanes + whole_lanes + 9
+    raw = bytearray(4 * lanes * n)
+    row = np.frombuffer(raw, dtype=np.uint32).reshape(n, lanes)
+    _put_digits(row[:, :mask_lanes], masks, 4 * mask_lanes - width)
+    col = mask_lanes
+    row[:, col] = t["sign"][np.signbit(x).view(np.uint8)]
+    _put_digits(row[:, col + 1 : col + 1 + whole_lanes], whole, 4 * whole_lanes - whole_width)
+    col += 1 + whole_lanes
+    lead_zeros = np.where(fixed & (exp10 < -1), -1 - exp10, 0)
+    row[:, col] = t["point"][np.where(after > 0, 1 + lead_zeros, 0)]
+    _put_digits(row[:, col + 1 : col + 6], after, 3, strip_zeros=True)
+    row[:, col + 6 :] = _by_distinct(_row_end, exp10, np.uint64).view(np.uint32).reshape(n, 2)
+
+    escaped = np.flatnonzero(~keep)
+    if escaped.size:
+        area = 4 * (lanes - mask_lanes) - 1  # from the sign byte to the row's end
+        texts = b"".join(format(v, ".17g").encode().ljust(area - 1, b"\0") + b"\n"
+                         for v in x[escaped].tolist())
+        bytes_of = np.frombuffer(raw, dtype=np.uint8).reshape(n, 4 * lanes)
+        bytes_of[escaped, -area:] = np.frombuffer(texts, dtype=np.uint8).reshape(-1, area)
+    return raw.translate(None, b"\0")
+
+
+def _csv_rows(masks: np.ndarray, coeffs: np.ndarray) -> bytes:
+    """The bytes of "{},{:.17g}\\n".format(m, c) for every int64 mask m >= 0
+    and float64 coefficient c, in order."""
+    return b"".join(
+        _csv_chunk(masks[i : i + _CSV_CHUNK], coeffs[i : i + _CSV_CHUNK])
+        for i in range(0, masks.size, _CSV_CHUNK)
+    )
 
 
 @dataclass(eq=False)
@@ -109,8 +282,7 @@ class Spectrum:
         return ValueOracle.from_table(self.table(), label=label)
 
     def to_csv(self) -> str:
-        rows = map("{},{:.17g}\n".format, self.masks.tolist(), self.coeffs.tolist())
-        return "mask,coefficient\n" + "".join(rows)
+        return "mask,coefficient\n" + _csv_rows(self.masks, self.coeffs).decode("ascii")
 
     @staticmethod
     def from_csv(text: str, n: int) -> "Spectrum":

@@ -590,6 +590,9 @@ def instantiate(spec: FamilySpec) -> ValueOracle:
         raise InvalidFamilySpec(f"malformed {spec.family} spec: {e}") from None
 
 
+_CUT_CHUNK = 1 << 14  # points per pass of the cut evaluator
+
+
 def _instantiate(spec: FamilySpec) -> ValueOracle:
     family, n, p = spec.family, _integer("dimension", spec.n), spec.params
     check_packable(n, "family instance")
@@ -626,12 +629,20 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
             if a == b or not (1 <= a <= n and 1 <= b <= n):
                 raise InvalidFamilySpec(f"bad edge ({a},{b}) for n={n}")
         m = len(edges)
+        vertices = {v for edge in edges for v in edge}
 
         def cut(xs: np.ndarray) -> np.ndarray:
-            crossing = np.zeros(xs.shape, dtype=np.int64)
-            for a, b in edges:
-                crossing += ((xs >> (a - 1)) ^ (xs >> (b - 1))) & 1
-            return crossing / m
+            out = np.empty(xs.shape)
+            # per chunk of points that stays in cache: each vertex's bit once,
+            # then one XOR and one add per edge
+            for lo in range(0, xs.size, _CUT_CHUNK):
+                chunk = xs[lo : lo + _CUT_CHUNK]
+                bit = {v: ((chunk >> (v - 1)) & 1).astype(np.uint8) for v in vertices}
+                crossing = np.zeros(chunk.shape, dtype=np.int32)
+                for a, b in edges:
+                    crossing += bit[a] ^ bit[b]
+                out[lo : lo + _CUT_CHUNK] = crossing / m
+            return out
 
         return ValueOracle(n, cut, label=label)
 

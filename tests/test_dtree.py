@@ -140,6 +140,24 @@ def test_exact_distance_uniform_default_matches_explicit_distribution(n, seed, s
         assert exact_distance(tf, tg, metric=metric) == exact_distance(tf, tg, uniform, metric)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from([1e-320, 1e-310, 1e-160, 1e-5, 1.0, 1e150]),
+    uniform=st.booleans(),
+)
+def test_exact_distance_matches_the_expressions_with_temporaries(n, seed, scale, uniform):
+    """The in-place l1 and l2 against the expressions they replaced."""
+    rng = np.random.default_rng(seed)
+    tf = rng.standard_normal(1 << n) * scale
+    tg = np.where(rng.random(1 << n) < 0.3, tf, rng.standard_normal(1 << n) * scale)
+    dist = None if uniform else ProductDistribution(tuple(rng.uniform(0.05, 0.95, size=n)))
+    w = 0.5**n if uniform else dist.probability_vector()
+    assert exact_distance(tf, tg, dist, "l1") == float(np.sum(w * np.abs(tf - tg)))
+    assert exact_distance(tf, tg, dist, "l2") == float(math.sqrt(np.sum(w * (tf - tg) ** 2)))
+
+
 def test_exact_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         exact_distance(DecisionTree(2, ConstLeaf(0.0)), DecisionTree(3, ConstLeaf(0.0)))

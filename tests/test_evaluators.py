@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from submodtree import cube
 from submodtree.funcs import (
     GENERATED_FAMILIES,
+    _CUT_CHUNK,
+    FamilySpec,
     Restriction,
     ValueOracle,
     flip_oracle,
@@ -158,6 +160,33 @@ def test_family_evaluator_matches_scalar_reference(family, n, seed, raw):
     ref = ref_family(spec)
     got = instantiate(spec).eval_many(xs)
     assert_bitwise_equal(got, [ref(int(x)) for x in xs])
+
+
+def ref_cut_passes(edges):
+    """The cut evaluator before it took each vertex's bit once: five passes
+    over the points per edge."""
+    m = len(edges)
+
+    def cut(xs):
+        crossing = np.zeros(xs.shape, dtype=np.int64)
+        for a, b in edges:
+            crossing += ((xs >> (a - 1)) ^ (xs >> (b - 1))) & 1
+        return crossing / m
+
+    return cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=2, max_value=MAX_N), seed=st.integers(0, 1000), data=st.data())
+def test_cut_evaluator_matches_the_per_edge_passes(n, seed, data):
+    vertex = st.integers(min_value=1, max_value=n)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                               min_size=1, max_size=30))
+    edges += data.draw(st.lists(st.sampled_from(edges), max_size=5))  # repeated edges
+    size = data.draw(st.sampled_from([1, 7, _CUT_CHUNK - 1, _CUT_CHUNK + 1]))
+    xs = np.random.default_rng(seed).integers(0, 1 << n, size=size, dtype=np.int64)
+    f = instantiate(FamilySpec("cut", n, {"edges": [list(e) for e in edges]}))
+    assert_bitwise_equal(f.eval_many(xs), ref_cut_passes(edges)(xs))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,18 +1,24 @@
 import functools
+import math
 import operator
+import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import as_dict, random_table_oracle, small_corpus, spectrum_of
 from submodtree import cli
 from submodtree.cube import mask_of, parse_point
 from submodtree.fourier import (
     SPARSE_EPS,
+    _CSV_CHUNK,
     BudgetExceeded,
     LabeledSample,
     Spectrum,
+    _csv_rows,
     candidate_masks,
     coefficients,
     coefficients_at,
@@ -444,3 +450,69 @@ def test_parseval_lhs_is_left_to_right(n, seed):
         for _, f in iter_corpus(ns=(n,), seeds=(seed,))
     ]
     assert [r["lhs"] for r in rows] == want
+
+
+# --- the CSV kernel, checked against one `format` call per row -----------------
+
+
+def _format_rows(masks, coeffs) -> bytes:
+    return "".join(map("{},{:.17g}\n".format, masks, coeffs)).encode()
+
+
+def _kernel_rows(masks, coeffs) -> bytes:
+    return _csv_rows(np.array(masks, dtype=np.int64), np.array(coeffs, dtype=np.float64))
+
+
+_float_bits = st.integers(min_value=0, max_value=2**64 - 1).map(
+    lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0]
+)
+
+
+_small_sizes = st.integers(min_value=1, max_value=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2**62 - 1),
+                  st.one_of(_float_bits, st.floats())),
+        min_size=1,
+        max_size=40,
+    ),
+    # one draw in four crosses a chunk boundary
+    st.one_of(_small_sizes, _small_sizes, _small_sizes,
+              st.integers(min_value=_CSV_CHUNK - 1, max_value=_CSV_CHUNK + 1)),
+)
+def test_csv_kernel_matches_format(rows, size):
+    masks, coeffs = zip(*rows)
+    masks = np.resize(np.array(masks, dtype=np.int64), size)
+    coeffs = np.resize(np.array(coeffs, dtype=np.float64), size)
+    assert _csv_rows(masks, coeffs) == _format_rows(masks.tolist(), coeffs.tolist())
+
+
+def _edge_values() -> list[float]:
+    """Values where the digits, the exponent or the notation are easy to get wrong."""
+    ties = [(1 + k * 2.0**-17) * 2.0**s for k in range(1, 200, 2) for s in range(-10, 11)]
+    near_powers = []
+    for j in range(-300, 301):
+        p = float(f"1e{j}")
+        near_powers += [p, math.nextafter(p, 0), math.nextafter(math.nextafter(p, 0), 0),
+                        math.nextafter(p, math.inf)]
+    switch = [v * s for v in (1e-5, 1e-4, 1e16, 1e17) for s in (0.5, 0.999999999999999, 1.5, 9.99)]
+    special = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = ties + near_powers + switch + special
+    return values + [-v for v in values]
+
+
+def test_csv_kernel_edge_values():
+    values = _edge_values()
+    # 17-digit ties: the exact decimal expansion has 18 digits and ends in 5
+    assert sum(len(Decimal(v).as_tuple().digits) == 18 for v in values) >= 100
+    # carries: a value below 10^j that prints as 10^j
+    positive = [v for v in values if 0 < v < math.inf]
+    below = [v for v in positive if Fraction(v) < Fraction(10) ** math.ceil(math.log10(v))]
+    assert sum(format(v, ".17g").split("e")[0].rstrip("0").rstrip(".") == "1" for v in below) >= 10
+    masks = [0, 9, 10, 9999, 10000, 99999999, 100000000, 2**62 - 1, 2**63 - 1]
+    masks = [masks[i % len(masks)] for i in range(len(values))]
+    assert _kernel_rows(masks, values) == _format_rows(masks, values)
+    assert _kernel_rows([], []) == b""
