@@ -5,10 +5,8 @@ from .cube import (
     DimensionTooLarge,
     ProductDistribution,
     enum_cap,
-    flip,
     fw_rank,
     fw_unrank,
-    weight,
 )
 from .decompose import (
     DecompositionReport,
@@ -40,7 +38,6 @@ from .fourier import (
     Spectrum,
     estimate_coefficient,
     low_degree_estimate,
-    parity_eval,
     spectral_l1,
     transform,
 )

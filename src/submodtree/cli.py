@@ -315,7 +315,7 @@ def _check_carrier(k: int) -> None:
 
 def _random_boolean(k: int, rng) -> ValueOracle:
     table = rng.integers(0, 2, size=1 << k).astype(float)
-    return ValueOracle.from_table(table, label=f"bool-k{k}")
+    return ValueOracle.from_table(table)
 
 
 def _certify_embedding(f: ValueOracle):
@@ -423,7 +423,7 @@ def cmd_decompose(args) -> int:
         return EXIT_CHECK_FAILED
     err = dtree.exact_distance(f, report.tree, metric="l1")
     if args.out is not None:
-        tree_text = dtree.to_json_text(dc.constantize_leaves(report, "mean"))
+        tree_text = dtree.to_json_text(dc.constantize_leaves(report))
         report_text = report.to_json_text(tree_text, instance=inst, max_l1_error=err)
         _write(args.out, "report.json", report_text)
         _write(args.out, "tree.json", tree_text)

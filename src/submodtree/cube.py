@@ -52,12 +52,6 @@ def check_enumerable(n: int, what: str = "operation") -> None:
         )
 
 
-def all_points(n: int) -> np.ndarray:
-    """All 2^n points as little-endian integers, in index order."""
-    check_enumerable(n, "point enumeration")
-    return np.arange(1 << n, dtype=np.int64)
-
-
 def popcount(values: np.ndarray | int) -> np.ndarray | int:
     """Number of set bits, elementwise."""
     if isinstance(values, (int, np.integer)):
@@ -92,16 +86,6 @@ def subcube_points(bits: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.n
     sizes = np.int64(1) << popcount(free).astype(np.int64)
     points |= np.repeat(bits, sizes)
     return points, sizes
-
-
-def weight(x: int, subset: int) -> int:
-    """Number of 1-coordinates of the point ``x`` inside ``subset``."""
-    return (x & subset).bit_count()
-
-
-def flip(x: int, n: int) -> int:
-    """Negate every coordinate of an n-bit point (an involution)."""
-    return x ^ ((1 << n) - 1)
 
 
 # C(a, b) for 0 <= a, b <= 63 (zero when b > a); every entry fits int64
@@ -185,15 +169,6 @@ class ProductDistribution:
                 f"{self.boundedness()})"
             )
 
-    def point_probability(self, x: int) -> float:
-        """Probability of a single point; the probabilities sum to 1."""
-        if x < 0 or x >= (1 << self.n):
-            raise ValueError(f"point {x} outside dimension {self.n}")
-        p = 1.0
-        for i, mu_i in enumerate(self.mu):
-            p *= mu_i if (x >> i) & 1 else 1.0 - mu_i
-        return p
-
     def probability_vector(self) -> np.ndarray:
         """Probabilities of all 2^n points, indexed little-endian."""
         check_enumerable(self.n, "probability vector")
@@ -209,37 +184,10 @@ def format_point(x: int, n: int) -> str:
     return "".join("1" if (x >> i) & 1 else "0" for i in range(n))
 
 
-def parse_point(s: str) -> tuple[int, int]:
-    """Parse a bitstring into (point, n)."""
-    if not s or any(c not in "01" for c in s):
-        raise ValueError(f"not a bitstring: {s!r}")
-    x = 0
-    for i, c in enumerate(s):
-        if c == "1":
-            x |= 1 << i
-    return x, len(s)
-
-
 def format_subset(subset: int) -> str:
     """Subset mask as a sorted 1-based index list, e.g. ``{2,3}``."""
     members = [str(i + 1) for i in range(subset.bit_length()) if (subset >> i) & 1]
     return "{" + ",".join(members) + "}"
-
-
-def parse_subset(s: str) -> int:
-    body = s.strip()
-    if body.startswith("{") and body.endswith("}"):
-        body = body[1:-1]
-    mask = 0
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        i = int(part)
-        if i < 1:
-            raise ValueError(f"subset indices are 1-based, got {i}")
-        mask |= 1 << (i - 1)
-    return mask
 
 
 def subset_members(subset: int) -> tuple[int, ...]:

@@ -314,13 +314,14 @@ def _certify(
 ) -> list[LeafCertificate]:
     """Certificates of the leaves of a decomposition of f, in `_iter_leaves` order.
 
-    Within the enumeration cap ``partition`` is the tree's `dtree.leaf_map`, and
-    one strided pass over f's table checks every leaf at once; ``submodular``
-    says that `funcs.is_submodular` passed on that table, so that the pass
-    skips the mixed differences and every leaf is submodular.  Beyond the
-    cap ``partition`` is None and each leaf within it is checked on its own
-    table, as a one-leaf tree, and a larger leaf gets None.  Constant leaves
-    pass.
+    Within the enumeration cap ``partition`` holds the int32 leaf of every
+    point, leaves numbered in preorder, and the int64 mask of each leaf's
+    free coordinates, and one strided pass over f's table checks every leaf
+    at once; ``submodular`` says that `funcs.is_submodular` passed on that
+    table, so that the pass skips the mixed differences and every leaf is
+    submodular.  Beyond the cap ``partition`` is None and each leaf within it
+    is checked on its own table, as a one-leaf tree, and a larger leaf gets
+    None.  Constant leaves pass.
     """
     leaves: list = []
     _iter_leaves(tree.root, leaves)
@@ -345,6 +346,25 @@ def _leaf_ok(g: ValueOracle, alpha: float) -> tuple:
     return tuple(not bad[0] for bad in failed)
 
 
+def _decompose(f: ValueOracle, alpha: float, phases: int, check: bool, certify: bool):
+    """The report of a decomposition of f in 1 or 2 phases, whose rank bound
+    is phases/alpha."""
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    submodular = _check_submodular(f, check)
+    if f.n <= enum_cap():
+        f.table()  # one bulk materialization makes every frontier query a gather
+    tree, certificates = _build(f, alpha, phases, certify, submodular)
+    return DecompositionReport(
+        tree=tree,
+        alpha=alpha,
+        rank=tree_rank(tree),
+        claimed_rank_bound=phases / alpha,
+        leaf_certificates=certificates,
+        phase="monotone" if phases == 1 else "lipschitz",
+    )
+
+
 def build_monotone_tree(
     f: ValueOracle, alpha: float, *, check: bool = True, certify: bool = True
 ) -> DecompositionReport:
@@ -354,20 +374,7 @@ def build_monotone_tree(
     inputs.  Leaves are oracle restrictions of f; they stay submodular but
     need not be Lipschitz (their lipschitz_ok certificate can be False).
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    submodular = _check_submodular(f, check)
-    if f.n <= enum_cap():
-        f.table()  # one bulk materialization makes every frontier query a gather
-    tree, certificates = _build(f, alpha, 1, certify, submodular)
-    return DecompositionReport(
-        tree=tree,
-        alpha=alpha,
-        rank=tree_rank(tree),
-        claimed_rank_bound=1.0 / alpha,
-        leaf_certificates=certificates,
-        phase="monotone",
-    )
+    return _decompose(f, alpha, 1, check, certify)
 
 
 def build_lipschitz_tree(
@@ -381,20 +388,7 @@ def build_lipschitz_tree(
     the subcube's all-ones point is below -alpha.  Rank <= ceil(2/alpha) for
     range-[0,1] inputs.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    submodular = _check_submodular(f, check)
-    if f.n <= enum_cap():
-        f.table()
-    tree, certificates = _build(f, alpha, 2, certify, submodular)
-    return DecompositionReport(
-        tree=tree,
-        alpha=alpha,
-        rank=tree_rank(tree),
-        claimed_rank_bound=2.0 / alpha,
-        leaf_certificates=certificates,
-        phase="lipschitz",
-    )
+    return _decompose(f, alpha, 2, check, certify)
 
 
 def default_mean_samples(alpha: float) -> int:
@@ -404,39 +398,25 @@ def default_mean_samples(alpha: float) -> int:
 
 
 def constantize_leaves(
-    report: DecompositionReport,
-    mode: str = "mean",
-    custom_fn=None,
-    mc_samples: int | None = None,
-    seed: int = 0,
+    report: DecompositionReport, *, mc_samples: int | None = None, seed: int = 0
 ) -> DecisionTree:
-    """Replace each oracle leaf by a constant.
+    """Replace each oracle leaf by its exact subcube mean (seeded Monte Carlo
+    when the leaf exceeds the enumeration cap; the sample count used is
+    recorded on the report).
 
-    ``mean`` uses the leaf's exact subcube mean (seeded Monte Carlo when the
-    leaf exceeds the enumeration cap; the sample count used is recorded on
-    the report).  ``custom`` applies ``custom_fn(oracle, free) -> float``.
     With alpha = eps^2 / 2 the result is within l2 distance eps of the
     represented function.
     """
-    if mode not in ("mean", "custom"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "custom" and custom_fn is None:
-        raise ValueError("mode='custom' needs custom_fn")
     leaves: list = []
     _iter_leaves(report.tree.root, leaves)
     oracle = [lf for lf in leaves if isinstance(lf, OracleLeaf)]
-    if mode == "custom":
-        values = [float(custom_fn(lf.oracle, lf.free)) for lf in oracle]
-    else:
-        cap = enum_cap()
-        exact = [lf.oracle for lf in oracle if lf.oracle.n <= cap]
-        means = iter(_means([g.table() if g.n else np.array([g(0)]) for g in exact]).tolist())
-        m = mc_samples if mc_samples is not None else default_mean_samples(report.alpha)
-        values = [
-            next(means) if lf.oracle.n <= cap else _sampled_mean(lf, m, seed) for lf in oracle
-        ]
-        if len(exact) < len(oracle):
-            report.leaf_mean_samples = m
+    cap = enum_cap()
+    exact = [lf.oracle for lf in oracle if lf.oracle.n <= cap]
+    means = iter(_means([g.table() if g.n else np.array([g(0)]) for g in exact]).tolist())
+    m = mc_samples if mc_samples is not None else default_mean_samples(report.alpha)
+    values = [next(means) if lf.oracle.n <= cap else _sampled_mean(lf, m, seed) for lf in oracle]
+    if len(exact) < len(oracle):
+        report.leaf_mean_samples = m
     it = iter(values)
     root = _map_oracle_leaves(report.tree.root, lambda lf: ConstLeaf(next(it)))
     return DecisionTree(report.tree.n, root)
@@ -471,18 +451,8 @@ def approximate_by_tree(
     The result is within l2 distance eps of f and has rank <= ceil(4/eps^2).
     """
     report = build_lipschitz_tree(f, epsilon * epsilon / 2.0, check=check, certify=certify)
-    tree = constantize_leaves(report, "mean")
+    tree = constantize_leaves(report)
     return tree, report
-
-
-def discrete_level(f: ValueOracle, tol: float = TOL) -> int | None:
-    """Smallest k <= 64 with all values on the grid {0, 1/k, ..., 1}, if any."""
-    t = f.table()
-    for k in range(1, 65):
-        scaled = t * k
-        if np.max(np.abs(scaled - np.round(scaled))) <= tol * k:
-            return k
-    return None
 
 
 def build_exact_discrete_tree(

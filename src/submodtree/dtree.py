@@ -18,13 +18,13 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
 from .cube import ProductDistribution, check_enumerable, popcount, subcube_points
 from .fourier import Spectrum, transform
-from .funcs import ValueOracle, full_tables, group_order
+from .funcs import ValueOracle, full_tables
 
 TreeNode = Union["ConstLeaf", "OracleLeaf", "Node"]
 
@@ -78,57 +78,6 @@ def evaluate(tree: DecisionTree, x: int) -> float:
     return node.oracle(local)
 
 
-def descend(var: np.ndarray, child: np.ndarray, xs: np.ndarray, depth: int) -> np.ndarray:
-    """The node that each point of the int64 array xs reaches, for a tree
-    given as node arrays.
-
-    Node 0 is the root; node k tests coordinate var[k] and steps to
-    child[2k + bit].  A leaf steps onto itself, so after ``depth`` steps (the
-    tree's depth) every point sits at its leaf.  All points descend
-    together, one level per step.
-    """
-    at = np.zeros(xs.shape, dtype=np.int64)
-    for _ in range(depth):
-        step = var[at]
-        np.right_shift(xs, step, out=step)
-        step &= 1
-        step += at
-        step += at
-        at = child[step]
-    return at
-
-
-def _leaf_index(tree: DecisionTree, xs: np.ndarray) -> tuple[np.ndarray, list]:
-    """The leaf of every point of xs and the leaves, numbered in preorder,
-    lo before hi."""
-    var: list[int] = []
-    child: list[int] = []
-    leaf_id: list[int] = []
-    leaves: list = []
-    depth = 0
-
-    def walk(node: TreeNode, level: int) -> int:
-        nonlocal depth
-        k = len(var)
-        if isinstance(node, Node):
-            var.append(node.var)
-            child.extend((0, 0))
-            leaf_id.append(-1)
-            child[2 * k] = walk(node.lo, level + 1)
-            child[2 * k + 1] = walk(node.hi, level + 1)
-        else:
-            var.append(0)
-            child.extend((k, k))  # a leaf steps onto itself
-            leaf_id.append(len(leaves))
-            leaves.append(node)
-            depth = max(depth, level)
-        return k
-
-    walk(tree.root, 0)
-    at = descend(np.array(var, dtype=np.int64), np.array(child, dtype=np.int64), xs, depth)
-    return np.array(leaf_id, dtype=np.int32)[at], leaves
-
-
 def _leaf_points(tree: DecisionTree) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """The leaves in preorder, lo before hi, the int64 mask of the
     coordinates tested on each leaf's path, and the points and sizes of the
@@ -161,44 +110,36 @@ def _leaf_points(tree: DecisionTree) -> tuple[list, np.ndarray, np.ndarray, np.n
     return leaves, tested, points, sizes
 
 
-def leaf_map(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
-    """The leaf of every point and the free coordinates of every leaf.
-
-    Leaves are numbered in preorder, lo before hi.  Returns the int32 leaf id
-    of each point (little-endian point order) and, per leaf, the int64 mask
-    of the coordinates not tested on its path.
-    """
-    check_enumerable(tree.n, "leaf map")
-    leaves, paths, points, sizes = _leaf_points(tree)
-    leaf_of = np.empty(1 << tree.n, dtype=np.int32)
-    leaf_of[points] = np.repeat(np.arange(len(leaves), dtype=np.int32), sizes)
-    return leaf_of, paths ^ ((1 << tree.n) - 1)
-
-
 def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
     """Values of the tree at an int64 point array.
 
-    Each oracle leaf answers all the points that reach it in one eval_many.
+    One walk of the tree splits the positions of the points by each node's
+    bit, keeping them ascending.  The leaves are reached in preorder, lo
+    before hi, and each oracle leaf that some point reaches answers all of
+    its points in one eval_many.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if np.any((xs < 0) | (xs >> tree.n != 0)):
         raise ValueError(f"points outside dimension {tree.n}")
-    ids, leaves = _leaf_index(tree, xs)
-    out = _constant_values(leaves)[ids]
-    order = group_order(ids, len(leaves))
-    bounds = np.searchsorted(ids[order], np.arange(len(leaves) + 1)).tolist()
-    for k, lf in enumerate(leaves):
-        at = order[bounds[k]:bounds[k + 1]]
-        if isinstance(lf, OracleLeaf) and at.size:
-            local = np.zeros(at.shape, dtype=np.int64)
-            for j, g in enumerate(lf.free):
-                local |= ((xs[at] >> g) & 1) << j
-            out[at] = lf.oracle.eval_many(local)
+    out = np.empty(xs.shape)
+
+    def walk(node: TreeNode, at: np.ndarray) -> None:
+        if not at.size:
+            return  # no point reaches the subtree: no leaf of it is charged
+        if isinstance(node, Node):
+            hi = (xs[at] >> node.var) & 1 == 1
+            walk(node.lo, at[~hi])
+            walk(node.hi, at[hi])
+        elif isinstance(node, ConstLeaf):
+            out[at] = node.value
+        else:
+            points, local = xs[at], np.zeros(at.shape, dtype=np.int64)
+            for j, g in enumerate(node.free):
+                local |= ((points >> g) & 1) << j
+            out[at] = node.oracle.eval_many(local)
+
+    walk(tree.root, np.arange(xs.size))
     return out
-
-
-def _constant_values(leaves: list) -> np.ndarray:
-    return np.array([lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in leaves])
 
 
 def _cube_values(tree: DecisionTree, what: str) -> tuple[np.ndarray, ...]:
@@ -214,7 +155,8 @@ def _cube_values(tree: DecisionTree, what: str) -> tuple[np.ndarray, ...]:
     leaves, paths, points, sizes = _leaf_points(tree)
     is_oracle = np.array([isinstance(lf, OracleLeaf) for lf in leaves])
     tables = full_tables([lf.oracle for lf in leaves if isinstance(lf, OracleLeaf)])
-    in_order = np.repeat(_constant_values(leaves), sizes)
+    constants = [lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in leaves]
+    in_order = np.repeat(np.array(constants), sizes)
     if tables:
         in_order[np.repeat(is_oracle, sizes)] = np.concatenate(tables)
     values = np.empty(1 << tree.n)
@@ -254,8 +196,8 @@ def truncation_disagreements(tree: DecisionTree, dist: ProductDistribution | Non
     return np.array([suffix[d + 1] for d in range(depth + 1)])
 
 
-def to_oracle(tree: DecisionTree, label: str = "") -> ValueOracle:
-    return ValueOracle.from_table(tree_table(tree), label=label)
+def to_oracle(tree: DecisionTree) -> ValueOracle:
+    return ValueOracle.from_table(tree_table(tree))
 
 
 def rank(tree: DecisionTree) -> int:
@@ -293,34 +235,17 @@ def _depth(node: TreeNode) -> int:
     return 1 + max(_depth(node.lo), _depth(node.hi))
 
 
-def subtree_mean(node: TreeNode) -> float:
-    """Uniform-distribution mean of the function the subtree computes."""
-    if isinstance(node, ConstLeaf):
-        return node.value
-    if isinstance(node, OracleLeaf):
-        if node.oracle.n == 0:
-            return node.oracle(0)
-        return float(np.mean(node.oracle.table()))
-    return 0.5 * (subtree_mean(node.lo) + subtree_mean(node.hi))
-
-
-def truncate(tree: DecisionTree, d: int, replacement: str = "zero") -> DecisionTree:
-    """Replace every internal node at depth d by a constant leaf.
-
-    ``replacement="zero"`` installs the constant 0 (the form the disagreement
-    bound is stated for); ``"mean"`` installs the subtree's uniform mean.
-    """
+def truncate(tree: DecisionTree, d: int) -> DecisionTree:
+    """Replace every internal node at depth d by the constant leaf 0, the
+    form the disagreement bound is stated for."""
     if d < 0:
         raise ValueError("depth must be nonnegative")
-    if replacement not in ("zero", "mean"):
-        raise ValueError(f"unknown replacement {replacement!r}")
 
     def cut(node: TreeNode, remaining: int) -> TreeNode:
         if not isinstance(node, Node):
             return node
         if remaining == 0:
-            value = 0.0 if replacement == "zero" else subtree_mean(node)
-            return ConstLeaf(value)
+            return ConstLeaf(0.0)
         return Node(node.var, cut(node.lo, remaining - 1), cut(node.hi, remaining - 1))
 
     return DecisionTree(tree.n, cut(tree.root, d))
@@ -357,33 +282,16 @@ def to_spectrum(tree: DecisionTree):
     return transform(to_oracle(tree))
 
 
-def map_leaves(tree: DecisionTree, fn: Callable[[ConstLeaf], float]) -> DecisionTree:
-    """Rebuild a constant-leaf tree with each leaf value mapped through fn.
-
-    The shape is unchanged, so rank, size and depth are all preserved.
-    """
-    _require_constant(tree.root)
-
-    def walk(node: TreeNode) -> TreeNode:
-        if isinstance(node, ConstLeaf):
-            return ConstLeaf(float(fn(node)))
-        return Node(node.var, walk(node.lo), walk(node.hi))
-
-    return DecisionTree(tree.n, walk(tree.root))
-
-
 # --- distances ---------------------------------------------------------------
 
-def _as_table(obj, n_hint: int | None = None) -> tuple[np.ndarray, int]:
-    if isinstance(obj, ValueOracle):
-        return obj.table(), obj.n
+def _as_table(obj) -> tuple[np.ndarray, int]:
     if isinstance(obj, DecisionTree):
         return tree_table(obj), obj.n
     if isinstance(obj, Spectrum):
         return obj.table(), obj.n
-    arr = np.asarray(obj, dtype=float)
-    n = arr.size.bit_length() - 1
-    return arr, n
+    if not isinstance(obj, ValueOracle):
+        obj = ValueOracle.from_table(obj)
+    return obj.table(), obj.n
 
 
 def exact_distance(f, g, dist: ProductDistribution | None = None, metric: str = "l2") -> float:
@@ -457,22 +365,13 @@ def random_tree(
 
 # --- serialization -----------------------------------------------------------
 
-def to_json_obj(tree: DecisionTree):
-    """Nested JSON structure; leaves must be constants.  Variables 1-based."""
-    _require_constant(tree.root)
-
-    def conv(node: TreeNode):
-        if isinstance(node, ConstLeaf):
-            return {"leaf": node.value}
-        return {"var": node.var + 1, "lo": conv(node.lo), "hi": conv(node.hi)}
-
-    return conv(tree.root)
-
-
 def to_json_text(tree: DecisionTree) -> str:
-    """``json.dumps(to_json_obj(tree), sort_keys=True, indent=2) + "\\n"``,
-    written straight from the nodes: with ``indent`` set the json module runs
-    its pure-Python encoder, and the nested dicts exist only to be encoded."""
+    """The tree as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    writes the nested object whose nodes are {"var": 1-based coordinate,
+    "lo": ..., "hi": ...} and whose leaves are {"leaf": value}; leaves must be
+    constants.  The text is written straight from the nodes: with ``indent``
+    set the json module runs its pure-Python encoder, and the nested dicts
+    would exist only to be encoded."""
     # StringIO appends each piece to one buffer, so no per-node string stays alive
     out = io.StringIO()
     write = out.write
@@ -501,19 +400,3 @@ def _json_scalar(value) -> str:
         return float.__repr__(value)
     return json.dumps(value)
 
-
-def to_json(tree: DecisionTree) -> str:
-    return json.dumps(to_json_obj(tree))
-
-
-def from_json_obj(obj, n: int) -> DecisionTree:
-    def conv(o) -> TreeNode:
-        if "leaf" in o:
-            return ConstLeaf(float(o["leaf"]))
-        return Node(int(o["var"]) - 1, conv(o["lo"]), conv(o["hi"]))
-
-    return DecisionTree(n, conv(obj))
-
-
-def from_json(text: str, n: int) -> DecisionTree:
-    return from_json_obj(json.loads(text), n)

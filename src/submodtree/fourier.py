@@ -27,11 +27,6 @@ class BudgetExceeded(ValueError):
     """Raised when a candidate-coefficient sweep would exceed its budget."""
 
 
-def parity_eval(subset: int, x: int) -> int:
-    """chi_S(x) in {-1, +1}."""
-    return -1 if (subset & x).bit_count() & 1 else 1
-
-
 def parity_signs(subset: int, xs: np.ndarray) -> np.ndarray:
     """chi_S over an array of packed points."""
     return 1.0 - 2.0 * (popcount(np.asarray(xs, dtype=np.int64) & subset) & 1)
@@ -263,31 +258,12 @@ class Spectrum:
     def support_union(self) -> int:
         return int(np.bitwise_or.reduce(self.masks, initial=0))
 
-    def evaluate(self, x: int) -> float:
-        return float(self.evaluate_many(np.array([x]))[0])
-
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        """Sum of coeff(S) * chi_S(x), added left to right in ascending mask order."""
-        xs = np.asarray(xs, dtype=np.int64)
-        out = np.zeros(xs.shape, dtype=float)
-        for s, c in zip(self.masks.tolist(), self.coeffs.tolist()):
-            out += c * parity_signs(s, xs)
-        return out
-
     def table(self) -> np.ndarray:
         """Truth table of the represented function (synthesis transform)."""
         return fwht(self.dense())
 
-    def to_oracle(self, label: str = "") -> ValueOracle:
-        return ValueOracle.from_table(self.table(), label=label)
-
     def to_csv(self) -> str:
         return "mask,coefficient\n" + _csv_rows(self.masks, self.coeffs).decode("ascii")
-
-    @staticmethod
-    def from_csv(text: str, n: int) -> "Spectrum":
-        rows = [r.split(",") for r in text.strip().splitlines()[1:] if r]
-        return Spectrum(n, [int(m) for m, _ in rows], [float(c) for _, c in rows])
 
 
 def coefficients(f: ValueOracle) -> np.ndarray:

@@ -74,24 +74,25 @@ class ValueOracle:
         n: int,
         fn: Callable[[np.ndarray], np.ndarray],
         *,
-        label: str = "",
         counter: _QueryCounter | None = None,
         table: np.ndarray | None = None,
     ) -> None:
         self.n = n
         self._fn = fn
-        self.label = label
         self._counter = counter if counter is not None else _QueryCounter()
         self._table = table
 
     @staticmethod
-    def from_table(values, label: str = "") -> "ValueOracle":
+    def from_table(values) -> "ValueOracle":
+        """The oracle of a 1-D table of 2^n values, little-endian point order."""
         values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"a table is 1-D, got shape {values.shape}")
         size = values.size
         n = size.bit_length() - 1
         if size != (1 << n):
             raise ValueError(f"table length {size} is not a power of two")
-        return ValueOracle(n, values.__getitem__, label=label, table=values)
+        return ValueOracle(n, values.__getitem__, table=values)
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         """Values at a 1-D int64 point array, charging no query."""
@@ -129,7 +130,6 @@ class ValueOracle:
 
 def view(
     f: ValueOracle,
-    label: str,
     *,
     n: int | None = None,
     points: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -151,9 +151,8 @@ def view(
         return values(ys) if values else ys
 
     n = f.n if n is None else n
-    label = f.label and f"{f.label}|{label}"
     if f._table is None:
-        return ValueOracle(n, fn, label=label, counter=f._counter)
+        return ValueOracle(n, fn, counter=f._counter)
     if sub_table is not None:
         table = sub_table(f._table)
     elif points is None:
@@ -161,7 +160,7 @@ def view(
     else:
         table = fn(np.arange(1 << n, dtype=np.int64))
     # a table-backed view holds only its table, not f and the maps
-    return ValueOracle(n, table.__getitem__, label=label, counter=f._counter, table=table)
+    return ValueOracle(n, table.__getitem__, counter=f._counter, table=table)
 
 
 def full_tables(oracles: Sequence[ValueOracle]) -> list[np.ndarray]:
@@ -235,15 +234,7 @@ def restrict(f: ValueOracle, restriction: Restriction) -> ValueOracle:
     def sub_table(t: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(t.reshape((2,) * f.n)[idx]).reshape(1 << len(free))
 
-    return view(f, "restricted", n=len(free), points=expand, sub_table=sub_table)
-
-
-def group_order(ids: np.ndarray, groups: int) -> np.ndarray:
-    """The positions of ``ids`` (values 0 .. groups - 1) grouped by id, in
-    ascending order within each group.  The ids are narrowed to the smallest
-    unsigned type that holds them first: numpy sorts 8- and 16-bit keys by
-    radix, several times faster than wider ones."""
-    return np.argsort(ids.astype(np.min_scalar_type(max(groups - 1, 0))), kind="stable")
+    return view(f, n=len(free), points=expand, sub_table=sub_table)
 
 
 def restrict_subcubes(f: ValueOracle, points: np.ndarray, sizes: np.ndarray) -> list[ValueOracle]:
@@ -253,16 +244,14 @@ def restrict_subcubes(f: ValueOracle, points: np.ndarray, sizes: np.ndarray) -> 
     subcube after another, and ``sizes`` their sizes (`cube.subcube_points`).
     A subcube's points in ascending order are its local points in order, so
     one gather of f's table holds every subcube's table as a slice.  Each
-    view equals `restrict` to its subcube bit for bit and shares f's counter
-    and label.
+    view equals `restrict` to its subcube bit for bit and shares f's counter.
     """
     values = f.table()[points]
-    label = f.label and f"{f.label}|restricted"
     views, start = [], 0
     for size in sizes.tolist():
         t = values[start:start + size]
         k = size.bit_length() - 1
-        views.append(ValueOracle(k, t.__getitem__, label=label, counter=f._counter, table=t))
+        views.append(ValueOracle(k, t.__getitem__, counter=f._counter, table=t))
         start += size
     return views
 
@@ -270,7 +259,7 @@ def restrict_subcubes(f: ValueOracle, points: np.ndarray, sizes: np.ndarray) -> 
 def flip_oracle(f: ValueOracle) -> ValueOracle:
     """The view x -> f(not x); an involution, submodularity-preserving."""
     full = (1 << f.n) - 1
-    return view(f, "flipped", points=lambda xs: xs ^ full)
+    return view(f, points=lambda xs: xs ^ full)
 
 
 # --- discrete derivatives -------------------------------------------------
@@ -535,9 +524,6 @@ class FamilySpec:
     n: int
     params: dict
 
-    def to_json(self) -> str:
-        return json.dumps({"family": self.family, "n": self.n, **self.params})
-
     @staticmethod
     def from_json(text: str) -> "FamilySpec":
         obj = json.loads(text)
@@ -596,7 +582,6 @@ _CUT_CHUNK = 1 << 14  # points per pass of the cut evaluator
 def _instantiate(spec: FamilySpec) -> ValueOracle:
     family, n, p = spec.family, _integer("dimension", spec.n), spec.params
     check_packable(n, "family instance")
-    label = f"{family}-n{n}"
 
     if family == "coverage":
         u = _integer("coverage universe_size", p["universe_size"])
@@ -619,7 +604,7 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
                 covered += (xs & owner) != 0
             return covered / u
 
-        return ValueOracle(n, cov, label=label)
+        return ValueOracle(n, cov)
 
     if family == "cut":
         edges = [(_integer("cut vertex", a), _integer("cut vertex", b)) for a, b in p["edges"]]
@@ -644,7 +629,7 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
                 out[lo : lo + _CUT_CHUNK] = crossing / m
             return out
 
-        return ValueOracle(n, cut, label=label)
+        return ValueOracle(n, cut)
 
     if family == "budget_additive":
         w = [float(v) for v in p["weights"]]
@@ -660,7 +645,7 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
                 total += ((xs >> i) & 1) * w[i]
             return np.minimum(total, b) / b
 
-        return ValueOracle(n, badd, label=label)
+        return ValueOracle(n, badd)
 
     if family == "matroid_rank_partition":
         coords = [[_integer("matroid block coordinate", i) for i in blk] for blk in p["blocks"]]
@@ -687,14 +672,14 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
                 r += np.minimum(popcount(xs & blk), c)
             return r / total
 
-        return ValueOracle(n, rank, label=label)
+        return ValueOracle(n, rank)
 
     if family == "concave_profile":
         profile = [float(v) for v in p["profile"]]
         _require_finite("concave_profile profile", profile)
         _validate_profile(profile, n)
         by_weight = np.array(profile)
-        return ValueOracle(n, lambda xs: by_weight[popcount(xs)], label=label)
+        return ValueOracle(n, lambda xs: by_weight[popcount(xs)])
 
     if family == "truth_table":
         values = np.asarray(p["values"], dtype=float)
@@ -703,7 +688,7 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
         _require_finite("truth_table values", values)
         if values.min() < -TOL or values.max() > 1 + TOL:
             raise InvalidFamilySpec("truth_table values outside [0, 1]")
-        return ValueOracle.from_table(values, label=label)
+        return ValueOracle.from_table(values)
 
     raise InvalidFamilySpec(f"unknown family {family!r}")
 

@@ -89,7 +89,7 @@ def make_gadget(spec: GadgetSpec, n: int) -> ValueOracle:
         raise ValueError(f"subset {spec.subset:b} reaches beyond n={n}")
     profile = np.array([float(v) for v in gadget_profile(spec.s, spec.kind)])
     subset = spec.subset
-    return ValueOracle(n, lambda xs: profile[popcount(xs & subset)], label=f"{spec.kind}-s{spec.s}")
+    return ValueOracle(n, lambda xs: profile[popcount(xs & subset)])
 
 
 def correlation_brute_force(s: int, kind: str = "plateau") -> Fraction:
@@ -187,14 +187,6 @@ def beta(spec: EmbeddingSpec, y):
     return fw_unrank(spec.n, spec.t, _reverse_bits(y, spec.k))
 
 
-def beta_inv(spec: EmbeddingSpec, x: int) -> int | None:
-    """Preimage of a weight-t point, when its rank falls inside 2^k."""
-    r = fw_rank(x, spec.n)
-    if r >= (1 << spec.k):
-        return None
-    return _reverse_bits(r, spec.k)
-
-
 def embed_build(f: ValueOracle) -> tuple[ValueOracle, EmbeddingSpec]:
     """Monotone submodular carrier of a Boolean f on k variables.
 
@@ -219,7 +211,7 @@ def embed_build(f: ValueOracle) -> tuple[ValueOracle, EmbeddingSpec]:
         out[middle[inside][fy == 0.0]] = dip
         return out
 
-    return ValueOracle(n, h, label=f"embedded-k{f.n}"), spec
+    return ValueOracle(n, h), spec
 
 
 def embed_decode(g: ValueOracle, spec: EmbeddingSpec) -> ValueOracle:
@@ -233,7 +225,7 @@ def embed_decode(g: ValueOracle, spec: EmbeddingSpec) -> ValueOracle:
     def f_tilde(ys: np.ndarray) -> np.ndarray:
         return (g.eval_many(beta(spec, ys)) >= cut).astype(float)
 
-    return ValueOracle(spec.k, f_tilde, label="decoded")
+    return ValueOracle(spec.k, f_tilde)
 
 
 # --- noisy parities -----------------------------------------------------------

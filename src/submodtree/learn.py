@@ -28,7 +28,6 @@ import numpy as np
 
 from . import fourier
 from .cube import mask_of, popcount, subset_members
-from .dtree import DecisionTree, map_leaves
 from .fourier import LabeledSample, Spectrum, estimate_coefficient, parity_signs, sample_points
 from .funcs import ValueOracle, view
 
@@ -88,7 +87,6 @@ def pac_learn(
     m: int | None = None,
     seed: int = 0,
     exact: bool = False,
-    budget: int = 1 << 20,
 ) -> Hypothesis:
     """Learn a [0,1] submodular target within l2 error epsilon.
 
@@ -114,7 +112,7 @@ def pac_learn(
         source = draw_sample(data, m, seed)
     J = find_influential_variables(source, gamma)
     Jmask = mask_of(J)
-    spectrum = fourier.low_degree_estimate(source, Jmask, degree, budget=budget)
+    spectrum = fourier.low_degree_estimate(source, Jmask, degree)
     queries_used = (data.query_count - queries_before) if isinstance(data, ValueOracle) else 0
     return Hypothesis(
         spectrum=spectrum,
@@ -250,7 +248,7 @@ def agnostic_l2_learn(
     if epsilon <= 0 or L <= 0:
         raise ValueError("epsilon and L must be positive")
     if unit_range:
-        F = view(f, "signed", values=lambda v: 2.0 * v - 1.0)
+        F = view(f, values=lambda v: 2.0 * v - 1.0)
         eps_eff = 2.0 * epsilon
         L_eff = 2.0 * L + 1.0
     else:
@@ -277,7 +275,7 @@ def agnostic_l2_learn(
 
 def threshold_oracle(g: ValueOracle, theta: float) -> ValueOracle:
     """Boolean indicator of g(x) >= theta (one g query per call)."""
-    return view(g, f">={theta:g}", values=lambda v: (v >= theta).astype(float))
+    return view(g, values=lambda v: (v >= theta).astype(float))
 
 
 def threshold_decompose(g: ValueOracle, epsilon: float) -> tuple[list[ValueOracle], ValueOracle]:
@@ -298,13 +296,5 @@ def threshold_decompose(g: ValueOracle, epsilon: float) -> tuple[list[ValueOracl
             steps += (v >= i * epsilon).astype(float)
         return epsilon * steps
 
-    return levels, view(g, "staircase", values=staircase)
+    return levels, view(g, values=staircase)
 
-
-def threshold_tree(tree: DecisionTree, theta: float) -> DecisionTree:
-    """Same-shape tree computing the indicator of (tree value >= theta).
-
-    Leaf relabeling leaves the shape untouched, so the thresholded tree has
-    exactly the original rank, size and depth.
-    """
-    return map_leaves(tree, lambda leaf: 1.0 if leaf.value >= theta else 0.0)

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from submodtree.dtree import DecisionTree, Node, OracleLeaf
+from submodtree import dtree
+from submodtree.dtree import ConstLeaf, DecisionTree, Node, OracleLeaf
 from submodtree.fourier import Spectrum
 from submodtree.funcs import (
     GENERATED_FAMILIES,
@@ -17,17 +20,42 @@ from submodtree.funcs import (
 
 @pytest.fixture
 def or2() -> ValueOracle:
-    return ValueOracle.from_table([0.0, 1.0, 1.0, 1.0], label="or2")
+    return ValueOracle.from_table([0.0, 1.0, 1.0, 1.0])
 
 
 @pytest.fixture
 def and2() -> ValueOracle:
-    return ValueOracle.from_table([0.0, 0.0, 0.0, 1.0], label="and2")
+    return ValueOracle.from_table([0.0, 0.0, 0.0, 1.0])
 
 
 @pytest.fixture
 def edge_cut() -> ValueOracle:
     return instantiate(FamilySpec("cut", 2, {"edges": [[1, 2]]}))
+
+
+def pt(s: str) -> int:
+    """The packed point of a bitstring written coordinate 1 first."""
+    return sum(1 << i for i, c in enumerate(s) if c == "1")
+
+
+def tree_from_json(text: str, n: int) -> DecisionTree:
+    """The constant-leaf tree of the JSON that `dtree.to_json_text` writes."""
+
+    def conv(o):
+        if "leaf" in o:
+            return ConstLeaf(float(o["leaf"]))
+        return Node(int(o["var"]) - 1, conv(o["lo"]), conv(o["hi"]))
+
+    return DecisionTree(n, conv(json.loads(text)))
+
+
+def leaf_map(tree):
+    """The partition `decompose._certify` takes: the int32 leaf of every
+    point, leaves in preorder, and the int64 free mask of every leaf."""
+    leaves, paths, points, sizes = dtree._leaf_points(tree)
+    leaf_of = np.empty(1 << tree.n, dtype=np.int32)
+    leaf_of[points] = np.repeat(np.arange(len(leaves), dtype=np.int32), sizes)
+    return leaf_of, paths ^ ((1 << tree.n) - 1)
 
 
 def spectrum_of(n: int, coeffs: dict) -> Spectrum:
@@ -50,7 +78,7 @@ def small_corpus(ns=(4, 6, 8), seeds=(0, 1, 2)):
 
 def random_table_oracle(n: int, seed: int, lo=0.0, hi=1.0) -> ValueOracle:
     rng = np.random.default_rng((0xABCD, seed, n))
-    return ValueOracle.from_table(rng.uniform(lo, hi, size=1 << n), label=f"rand-n{n}")
+    return ValueOracle.from_table(rng.uniform(lo, hi, size=1 << n))
 
 
 def random_table(n, seed, alpha):

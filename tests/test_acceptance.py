@@ -53,7 +53,7 @@ def test_criterion_2_end_to_end_l2():
     for inst, f in corpus():
         for eps in (0.25, 0.5, 0.8):
             rep = dc.build_lipschitz_tree(f, eps * eps / 2.0, certify=False)
-            tree = dc.constantize_leaves(rep, "mean")
+            tree = dc.constantize_leaves(rep)
             err = exact_distance(f, tree, metric="l2")
             worst_margin = min(worst_margin, eps - err)
             if err > eps + 1e-9 or rep.rank > math.ceil(4.0 / (eps * eps)):
@@ -124,7 +124,7 @@ def test_criterion_5_pairwise_bound():
 def test_criterion_6_spectral_l1_and_degree():
     for inst, f in corpus():
         rep = dc.build_lipschitz_tree(f, 0.5, certify=False)
-        tree = dc.constantize_leaves(rep, "mean")
+        tree = dc.constantize_leaves(rep)
         sp = dtree.to_spectrum(tree)
         if fourier.spectral_l1(sp) > dtree.tree_size(tree) + 1e-9:
             _report("criterion-6", False, f"{inst} spectral l1")
@@ -176,7 +176,7 @@ def test_criterion_9_km_contract():
                 masks.append(m)
         signs = rng.choice([-1.0, 1.0], size=3)
         planted = {m: s * v for m, v, s in zip(masks, (0.5, 0.3, 0.15), signs)}
-        f = spectrum_of(8, planted).to_oracle()
+        f = ValueOracle.from_table(spectrum_of(8, planted).table())
         hyp = learn.km_search(f, theta, degree=d, seed=seed)
         got = as_dict(hyp.spectrum)
         clauses = (
@@ -216,9 +216,7 @@ def test_criterion_10_pac_learner():
     for seed in range(30):
         base = instantiate(funcs.generate_random("coverage", 12, seed=200 + seed))
         rep = dc.build_lipschitz_tree(base, 0.125, check=False, certify=False)
-        target = ValueOracle.from_table(
-            tree_table(dc.constantize_leaves(rep, "mean")), label="tree-target"
-        )
+        target = ValueOracle.from_table(tree_table(dc.constantize_leaves(rep)))
         hyp = learn.pac_learn(target, 0.5, gamma=0.05, degree=4, m=1 << 18, seed=seed)
         err = exact_distance(target, hyp.spectrum, metric="l2")
         hits += err <= 0.5

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_table, with_oracle_leaves
+from conftest import leaf_map, random_table, with_oracle_leaves
 from submodtree import dtree
 from submodtree.cube import check_enumerable, enum_cap
 from submodtree.decompose import (
@@ -99,7 +99,7 @@ def ref_lipschitz_constant(f):
 def certify(tree, alpha, f):
     """`_certify` as `_build` calls it: with the tree's leaf map within the
     enumeration cap, without one beyond it."""
-    return _certify(tree, alpha, f, dtree.leaf_map(tree) if f.n <= enum_cap() else None)
+    return _certify(tree, alpha, f, leaf_map(tree) if f.n <= enum_cap() else None)
 
 
 def ref_certify(tree, alpha):
@@ -293,7 +293,7 @@ def test_lipschitz_tree_certificates_match_per_leaf():
 @given(n=st.integers(min_value=1, max_value=8), seed=st.integers(0, 10_000))
 def test_leaf_map_matches_a_per_point_descent(n, seed):
     tree = dtree.random_tree(n, seed=seed)
-    leaf_of, free = dtree.leaf_map(tree)
+    leaf_of, free = leaf_map(tree)
     assert leaf_of.dtype == np.int32
     assert leaf_of.tolist() == [ref_leaf_of(tree, x) for x in range(1 << n)]
     leaves = []

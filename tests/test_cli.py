@@ -243,6 +243,15 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
          {"family": "matroid_rank_partition", "n": 2, "blocks": [[0, 1, 2]], "caps": [1]}),
         (["SUBMODTREE_ENUM_CAP=abc", "decompose", "--family", "cut", "--n", "6", "--seed", "1",
           "--alpha", "0.25"], None),
+        *[
+            # the right number of values, but nested: a table has one axis
+            (argv, {"family": "truth_table", "n": 2, "values": [[0.0, 0.5], [0.5, 1.0]]})
+            for argv in (
+                ["spectrum", "--file", "SPEC"],
+                ["decompose", "--file", "SPEC", "--alpha", "0.5"],
+                ["learn", "pac", "--file", "SPEC", "--epsilon", "0.5", "--exact"],
+            )
+        ],
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv, spec):
@@ -492,9 +501,9 @@ def test_decompose_constantizes_leaves_only_for_out(tmp_path, monkeypatch):
     constantized = []
     constantize_leaves = decompose.constantize_leaves
 
-    def spy(report, mode):
+    def spy(report):
         constantized.append(report)
-        return constantize_leaves(report, mode)
+        return constantize_leaves(report)
 
     monkeypatch.setattr(decompose, "constantize_leaves", spy)
     argv = ["decompose", "--family", "matroid_rank_partition", "--n", "8", "--alpha", "0.25"]

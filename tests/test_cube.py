@@ -5,19 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import pt
 from submodtree import cube
 from submodtree.cube import (
     DimensionTooLarge,
     ProductDistribution,
-    flip,
     format_point,
     format_subset,
     fw_rank,
     fw_unrank,
     mask_of,
-    parse_point,
-    parse_subset,
-    weight,
 )
 
 
@@ -29,30 +26,11 @@ def lex_sorted_weight_class(n: int, w: int) -> list[int]:
     return [sum(b << i for i, b in enumerate(t)) for t in tuples]
 
 
-def test_weight_examples():
-    full = mask_of(range(4))
-    assert weight(parse_point("0000")[0], full) == 0
-    assert weight(parse_point("0110")[0], full) == 2
-    assert weight(parse_point("0110")[0], mask_of([0, 3])) == 0
-
-
-def test_flip_examples():
-    assert format_point(flip(parse_point("0000")[0], 4), 4) == "1111"
-    assert format_point(flip(parse_point("1111")[0], 4), 4) == "0000"
-    assert format_point(flip(parse_point("0110")[0], 4), 4) == "1001"
-
-
-@given(st.integers(min_value=1, max_value=24), st.data())
-def test_flip_is_involution(n, data):
-    x = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    assert flip(flip(x, n), n) == x
-
-
 def test_fw_rank_examples():
     # hand enumeration of the six weight-2 strings of length 4
-    assert fw_rank(parse_point("0011")[0], 4) == 0
-    assert fw_rank(parse_point("0101")[0], 4) == 1
-    assert fw_rank(parse_point("1100")[0], 4) == 5
+    assert fw_rank(pt("0011"), 4) == 0
+    assert fw_rank(pt("0101"), 4) == 1
+    assert fw_rank(pt("1100"), 4) == 5
 
 
 def test_fw_unrank_examples():
@@ -90,13 +68,19 @@ def test_fw_roundtrip_random(n, data):
     assert fw_rank(x, n) == r
 
 
+def point_probability(dist: ProductDistribution, x: int) -> float:
+    """The probability of one point, as a product over its coordinates."""
+    p = 1.0
+    for i, mu_i in enumerate(dist.mu):
+        p *= mu_i if (x >> i) & 1 else 1.0 - mu_i
+    return p
+
+
 def test_point_probability_examples():
-    uniform = ProductDistribution.uniform(3)
-    for x in range(8):
-        assert uniform.point_probability(x) == pytest.approx(1 / 8)
-    assert ProductDistribution((1.0, 1.0)).point_probability(0b11) == 1.0
-    quarter = ProductDistribution((0.25, 0.5))
-    assert quarter.point_probability(parse_point("10")[0]) == pytest.approx(0.125)
+    assert ProductDistribution.uniform(3).probability_vector() == pytest.approx([1 / 8] * 8)
+    assert ProductDistribution((1.0, 1.0)).probability_vector()[0b11] == 1.0
+    quarter = ProductDistribution((0.25, 0.5)).probability_vector()
+    assert quarter[pt("10")] == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8, 12])
@@ -107,7 +91,7 @@ def test_probability_vector_sums_to_one(n):
     assert abs(p.sum() - 1.0) < 1e-12
     # vector agrees with the pointwise product
     for x in [0, (1 << n) - 1, int(rng.integers(1 << n))]:
-        assert p[x] == pytest.approx(dist.point_probability(x))
+        assert p[x] == pytest.approx(point_probability(dist, x))
 
 
 def test_boundedness():
@@ -120,17 +104,14 @@ def test_boundedness():
 
 
 def test_point_serialization_roundtrip():
-    x, n = parse_point("0110")
-    assert (x, n) == (6, 4)
-    assert format_point(x, n) == "0110"
-    with pytest.raises(ValueError):
-        parse_point("01x0")
+    assert pt("0110") == 6
+    assert format_point(6, 4) == "0110"
+    for s in ("0", "1", "1011", "000111"):
+        assert format_point(pt(s), len(s)) == s
 
 
 def test_subset_serialization():
     assert format_subset(mask_of([1, 2])) == "{2,3}"
-    assert parse_subset("{2,3}") == 0b110
-    assert parse_subset("{}") == 0
     assert format_subset(0) == "{}"
 
 
@@ -138,6 +119,6 @@ def test_enum_cap_env(monkeypatch):
     monkeypatch.setenv("SUBMODTREE_ENUM_CAP", "6")
     assert cube.enum_cap() == 6
     with pytest.raises(DimensionTooLarge):
-        cube.all_points(7)
+        cube.check_enumerable(7)
     monkeypatch.delenv("SUBMODTREE_ENUM_CAP")
     assert cube.enum_cap() == cube.DEFAULT_ENUM_CAP

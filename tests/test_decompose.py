@@ -16,7 +16,6 @@ from submodtree.decompose import (
     proper_learn_discrete,
 )
 from submodtree.dtree import (
-    ConstLeaf,
     Node,
     OracleLeaf,
     exact_distance,
@@ -114,26 +113,17 @@ class TestConstantize:
         tree_in = build_lipschitz_tree(
             ValueOracle.from_table([0.0, 1.0, 1.0, 0.0]), 1.0
         )
-        out = constantize_leaves(tree_in, "mean")
+        out = constantize_leaves(tree_in)
         again = constantize_leaves(
-            DecompositionReport(tree=out, alpha=1.0, rank=rank(out), claimed_rank_bound=2.0),
-            "mean",
+            DecompositionReport(tree=out, alpha=1.0, rank=rank(out), claimed_rank_bound=2.0)
         )
         assert again == out
 
     def test_or_l2_example(self, or2):
         eps = 0.8
         rep = build_lipschitz_tree(or2, eps * eps / 2.0)
-        tree = constantize_leaves(rep, "mean")
+        tree = constantize_leaves(rep)
         assert exact_distance(or2, tree, metric="l2") <= eps
-
-    def test_custom_mode(self, or2):
-        rep = build_lipschitz_tree(or2, 1.0)
-        tree = constantize_leaves(rep, "custom", custom_fn=lambda o, free: 0.25)
-        assert all(
-            isinstance(l, ConstLeaf) and l.value == 0.25
-            for l in [tree.root]
-        )
 
     @pytest.mark.parametrize("eps", [0.5, 0.25])
     def test_end_to_end_error_and_rank(self, eps):
@@ -145,10 +135,10 @@ class TestConstantize:
     def test_monte_carlo_leaf_means_beyond_cap(self, monkeypatch):
         f = instantiate(generate_random("coverage", 7, seed=6))
         rep = build_lipschitz_tree(f, 0.9)
-        exact_tree = constantize_leaves(rep, "mean")
+        exact_tree = constantize_leaves(rep)
         monkeypatch.setenv("SUBMODTREE_ENUM_CAP", "3")
-        mc_tree = constantize_leaves(rep, "mean", mc_samples=20000, seed=1)
-        again = constantize_leaves(rep, "mean", mc_samples=20000, seed=1)
+        mc_tree = constantize_leaves(rep, mc_samples=20000, seed=1)
+        again = constantize_leaves(rep, mc_samples=20000, seed=1)
         assert mc_tree == again  # seeded means replay exactly
         assert rep.leaf_mean_samples == 20000
         monkeypatch.delenv("SUBMODTREE_ENUM_CAP")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import as_dict
+from conftest import as_dict, tree_from_json
 from submodtree.cube import ProductDistribution
 from submodtree.dtree import (
     ConstLeaf,
@@ -15,13 +15,11 @@ from submodtree.dtree import (
     OracleLeaf,
     evaluate,
     exact_distance,
-    from_json,
     leaf_profile,
     pruning_bound,
     pruning_depth_for,
     random_tree,
     rank,
-    to_json,
     to_json_text,
     to_spectrum,
     tree_depth,
@@ -105,13 +103,6 @@ def test_truncate_examples():
     assert set(vals[depths == 2]) == {0.0}
 
 
-def test_truncate_mean_replacement():
-    full = complete_tree(2, [0.0, 1.0, 1.0, 1.0])
-    t = truncate(full, 1, replacement="mean")
-    assert evaluate(t, 0b00) == 0.5
-    assert evaluate(t, 0b01) == 1.0
-
-
 def test_exact_distance_examples():
     one = DecisionTree(3, ConstLeaf(1.0))
     zero = DecisionTree(3, ConstLeaf(0.0))
@@ -122,6 +113,10 @@ def test_exact_distance_examples():
     or_oracle = ValueOracle.from_table([0, 1, 1, 1])
     assert exact_distance(or_oracle, or_tree, metric="l2") == 0.0
     assert exact_distance(or_oracle, or_tree, metric="disagreement") == 0.0
+    # a table is one axis of 2^n values; a column of them is rejected
+    assert exact_distance(or_oracle, np.array([0.0, 1.0, 1.0, 1.0]), metric="l1") == 0.0
+    with pytest.raises(ValueError, match="1-D"):
+        exact_distance(or_oracle, np.array([0.0, 1.0, 1.0, 1.0]).reshape(-1, 1), metric="l1")
 
 
 @settings(max_examples=150, deadline=None)
@@ -232,7 +227,7 @@ def test_depth_d_trees_have_degree_at_most_d():
 
 def test_json_roundtrip():
     t = random_tree(6, seed=12)
-    text = to_json(t)
+    text = to_json_text(t)
     obj = json.loads(text)
 
     def check_vars_one_based(o):
@@ -242,14 +237,12 @@ def test_json_roundtrip():
             check_vars_one_based(o["hi"])
 
     check_vars_one_based(obj)
-    again = from_json(text, 6)
+    again = tree_from_json(text, 6)
     assert np.array_equal(tree_table(again), tree_table(t))
 
 
 def test_json_rejects_oracle_leaves():
     inner = ValueOracle.from_table([0.0, 1.0])
     tree = DecisionTree(2, Node(0, OracleLeaf(inner, (1,)), ConstLeaf(1.0)))
-    with pytest.raises(NonConstantLeaf):
-        to_json(tree)
     with pytest.raises(NonConstantLeaf):
         to_json_text(tree)

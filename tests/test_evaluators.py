@@ -247,8 +247,8 @@ VIEWS = {
     "flip": flip_oracle,
     "threshold": lambda f: threshold_oracle(f, 0.5),
     "staircase": lambda f: threshold_decompose(f, 0.3)[1],
-    "signed": lambda f: view(f, "signed", values=lambda v: 2.0 * v - 1.0),
-    "flip-then-signed": lambda f: view(flip_oracle(f), "signed", values=lambda v: 2.0 * v - 1.0),
+    "signed": lambda f: view(f, values=lambda v: 2.0 * v - 1.0),
+    "flip-then-signed": lambda f: view(flip_oracle(f), values=lambda v: 2.0 * v - 1.0),
 }
 
 

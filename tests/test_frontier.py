@@ -23,7 +23,6 @@ from submodtree.decompose import (
     build_monotone_tree,
     constantize_leaves,
     default_mean_samples,
-    discrete_level,
     proper_learn_discrete,
 )
 from submodtree.dtree import ConstLeaf, DecisionTree, Node, OracleLeaf
@@ -33,7 +32,6 @@ from submodtree.funcs import (
     Restriction,
     ValueOracle,
     generate_random,
-    group_order,
     instantiate,
     restrict,
 )
@@ -42,6 +40,16 @@ from test_certify import certify
 ALPHAS = (0.02, 0.05, 0.1, 0.25, 1 / 3, 0.5, 1.0)
 
 # --- references -----------------------------------------------------------------
+
+
+def discrete_level(f, tol=TOL):
+    """Smallest k <= 64 with all values of f on the grid {0, 1/k, ..., 1}, if any."""
+    t = f.table()
+    for k in range(1, 65):
+        scaled = t * k
+        if np.max(np.abs(scaled - np.round(scaled))) <= tol * k:
+            return k
+    return None
 
 
 def ref_leaf_for(f, fixed):
@@ -333,7 +341,7 @@ def assert_same_means(make, **kwargs):
     with the queries each charges; ``make()`` gives (report, its oracle)."""
     (report, f), (ref_report, f_ref) = make(), make()
     before, before_ref = f.query_count, f_ref.query_count
-    got = constantize_leaves(report, "mean", **kwargs)
+    got = constantize_leaves(report, **kwargs)
     want, used = ref_constantize(ref_report, **kwargs)
     assert_same_tree(got, want)
     assert report.leaf_mean_samples == used
@@ -488,9 +496,3 @@ def test_proper_learn_above_the_cap_matches_per_point_evaluation(monkeypatch, se
     assert got.disagreement == want.disagreement and got.submodular is None
     assert_same_tree(got.tree, want.tree)
     assert f.query_count == f_ref.query_count
-
-
-@pytest.mark.parametrize("groups", [1, 200, 256, 257, 40_000, 65_536, 65_537, 300_000])
-def test_group_order_is_the_stable_argsort(groups):
-    ids = np.random.default_rng(groups).integers(0, groups, size=100_000).astype(np.int32)
-    assert np.array_equal(group_order(ids, groups), np.argsort(ids, kind="stable"))

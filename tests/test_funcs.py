@@ -1,8 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import random_table_oracle, small_corpus
-from submodtree.cube import parse_point
+from conftest import pt, random_table_oracle, small_corpus
 from submodtree.funcs import (
     FamilySpec,
     GENERATED_FAMILIES,
@@ -22,10 +23,6 @@ from submodtree.funcs import (
     uniform_mean,
     uniform_variance,
 )
-
-
-def pt(s: str) -> int:
-    return parse_point(s)[0]
 
 
 class TestInstantiate:
@@ -80,8 +77,8 @@ class TestInstantiate:
 
     def test_spec_json_roundtrip(self):
         spec = generate_random("coverage", 5, seed=3)
-        again = FamilySpec.from_json(spec.to_json())
-        assert again == spec
+        text = json.dumps({"family": spec.family, "n": spec.n, **spec.params})
+        assert FamilySpec.from_json(text) == spec
 
 
 class TestDerivatives:

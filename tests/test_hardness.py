@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import as_dict
-from submodtree.cube import mask_of, parse_point
+from conftest import as_dict, pt
+from submodtree.cube import fw_rank, mask_of
 from submodtree.fourier import (
     BudgetExceeded,
     LabeledSample,
@@ -25,7 +25,6 @@ from submodtree.hardness import (
     alternating_partial_sum,
     alternating_partial_sum_closed,
     beta,
-    beta_inv,
     correlation_brute_force,
     correlation_closed_form,
     embed_build,
@@ -40,8 +39,13 @@ from submodtree.hardness import (
 )
 
 
-def pt(s):
-    return parse_point(s)[0]
+def beta_inv(spec: EmbeddingSpec, x: int) -> int | None:
+    """The preimage of a weight-t point under `beta`, when its rank falls
+    inside 2^k: the rank's k low bits in reverse order."""
+    r = fw_rank(x, spec.n)
+    if r >= (1 << spec.k):
+        return None
+    return int(format(r, f"0{spec.k}b")[::-1], 2)
 
 
 class TestGadgets:
@@ -348,6 +352,7 @@ def _samples(draw):
     return LabeledSample(n, np.array(xs, dtype=np.int64), np.array(ys))
 
 
+@settings(deadline=None)  # two 2^20 transforms per example at n = 20
 @given(_samples(), st.integers(min_value=0, max_value=2))
 def test_regression_learner_keeps_the_nonzero_entries_of_the_reference(sample, degree):
     got = regression_learner(degree)(sample)

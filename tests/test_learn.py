@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import as_dict, small_corpus, spectrum_of
 from submodtree.cube import mask_of
-from submodtree.dtree import exact_distance, rank, tree_table
+from submodtree.dtree import exact_distance, tree_table
 from submodtree import fourier
-from submodtree.fourier import Spectrum, parity_eval, spectral_l1, transform
+from submodtree.fourier import Spectrum, parity_signs, spectral_l1, transform
 from submodtree.funcs import FamilySpec, ValueOracle, generate_random, instantiate
 from submodtree.learn import (
     LabeledSample,
@@ -18,14 +18,13 @@ from submodtree.learn import (
     km_search,
     pac_learn,
     threshold_decompose,
-    threshold_tree,
 )
 
 KM_FAST = dict(bucket_samples=4096, coeff_samples=1 << 15)
 
 
 def planted_oracle(n, coeffs) -> ValueOracle:
-    return spectrum_of(n, coeffs).to_oracle("planted")
+    return ValueOracle.from_table(spectrum_of(n, coeffs).table())
 
 
 def _reference_influential(data, gamma: float) -> tuple[int, ...]:
@@ -72,6 +71,7 @@ class TestFindInfluential:
             find_influential_variables(const, 0.1)
 
     # sampled data above n = 20 estimates each coefficient on its own
+    @settings(deadline=None)
     @given(st.sampled_from(["coverage", "cut"]), st.integers(min_value=2, max_value=24),
            st.integers(min_value=0, max_value=9), st.booleans(),
            st.sampled_from([0.02, 0.1, 0.2, 0.3]))
@@ -144,7 +144,7 @@ class TestFindInfluential:
 class TestPacLearn:
     def test_exact_junta_realizable(self):
         table = [float((x & 0b101) != 0) for x in range(1 << 10)]
-        f = ValueOracle.from_table(table, label="or-on-0-2")
+        f = ValueOracle.from_table(table)
         hyp = pac_learn(f, 0.25, gamma=0.05, degree=2, exact=True)
         assert set(hyp.info["J"]) == {0, 2}
         assert exact_distance(f, hyp.spectrum, metric="l2") <= 1e-6
@@ -182,7 +182,7 @@ class TestPacLearn:
 
         base = instantiate(generate_random("coverage", 10, seed=2))
         tree, _ = approximate_by_tree(base, 0.5)
-        target = ValueOracle.from_table(tree_table(tree), label="tree-target")
+        target = ValueOracle.from_table(tree_table(tree))
         hyp = pac_learn(target, 0.5, gamma=0.05, degree=4, m=1 << 17, seed=0)
         assert exact_distance(target, hyp.spectrum, metric="l2") <= 0.5
 
@@ -260,7 +260,7 @@ class TestAgnostic:
     def test_noisy_parity_against_competitor(self):
         rng = np.random.default_rng(8)
         noise = rng.uniform(-0.1, 0.1, size=256)
-        chi = np.array([parity_eval(1, x) for x in range(256)], dtype=float)
+        chi = parity_signs(1, np.arange(256))
         f = ValueOracle.from_table(0.9 * chi + noise)
         hyp = agnostic_l2_learn(f, 0.4, L=1.0, seed=2, **KM_FAST)
         g = Spectrum(8, [1], [0.9])
@@ -273,7 +273,7 @@ class TestAgnostic:
 
         base = instantiate(generate_random("coverage", 8, seed=3))
         tree, _ = approximate_by_tree(base, 0.5)
-        f = ValueOracle.from_table(tree_table(tree), label="tree")
+        f = ValueOracle.from_table(tree_table(tree))
         L = spectral_l1(transform(f))
         hyp = agnostic_l2_learn(f, 0.5, L=L, seed=1, unit_range=True, **KM_FAST)
         # competitor g = f itself realizes Delta = 0
@@ -336,17 +336,6 @@ class TestThresholdDecompose:
         g = ValueOracle.from_table([0.0, 1.0])
         with pytest.raises(ValueError):
             threshold_decompose(g, 0.0)
-
-    def test_threshold_tree_preserves_rank(self):
-        from submodtree.dtree import random_tree
-
-        for seed in range(10):
-            t = random_tree(7, seed)
-            for theta in (0.25, 0.5, 0.75):
-                tt = threshold_tree(t, theta)
-                assert rank(tt) == rank(t)
-                want = (tree_table(t) >= theta).astype(float)
-                assert np.array_equal(tree_table(tt), want)
 
     def test_boolean_subadditivity(self):
         # l1 error of the recombination is at most eps * sum of the levelwise

@@ -1,7 +1,7 @@
 """Leaf layout by subcube points against the per-point descent it replaced.
 
 Within the enumeration cap the package once found the leaf of every point by
-sending all 2^n points through the tree (`dtree.descend`), grouped the
+sending all 2^n points through the tree's node arrays, grouped the
 points by leaf with a stable argsort, and read each leaf's table from that
 order.  It now lists the points of each leaf subcube directly
 (`cube.subcube_points`).  The references below are the descent code: the
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_table, with_oracle_leaves
+from conftest import leaf_map, random_table, tree_from_json, with_oracle_leaves
 from submodtree import cube, decompose, dtree, funcs
 from submodtree.cube import popcount
 from submodtree.decompose import _certify, _grow, build_lipschitz_tree, build_monotone_tree
@@ -28,7 +28,6 @@ from submodtree.funcs import (
     ValueOracle,
     full_tables,
     generate_random,
-    group_order,
     instantiate,
     restrict,
 )
@@ -38,6 +37,16 @@ from test_frontier import bits, make_tree, mixed_leaves, table_oracles
 ALPHAS = (0.05, 0.1, 0.25, 1 / 3, 0.5, 1.0)
 
 # --- references: one descent of every point -------------------------------------
+
+
+def descend(var, child, xs, depth):
+    """The node that each point of xs reaches, for a tree given as node
+    arrays: node k tests coordinate var[k] and steps to child[2k + bit], and
+    a leaf steps onto itself."""
+    at = np.zeros(xs.shape, dtype=np.int64)
+    for _ in range(depth):
+        at = child[2 * at + ((xs >> var[at]) & 1)]
+    return at
 
 
 def ref_leaf_index(tree):
@@ -66,7 +75,7 @@ def ref_leaf_index(tree):
     paths = np.array(tested, dtype=np.int64)
     depth = int(popcount(paths).max())
     points = np.arange(1 << tree.n, dtype=np.int64)
-    at = dtree.descend(np.array(var, dtype=np.int64), np.array(child, dtype=np.int64), points, depth)
+    at = descend(np.array(var, dtype=np.int64), np.array(child, dtype=np.int64), points, depth)
     return np.array(leaf_id, dtype=np.int32)[at], paths, leaves
 
 
@@ -85,7 +94,7 @@ def ref_cube_values(tree):
         is_oracle = np.zeros(len(leaves), dtype=bool)
         is_oracle[oracle] = True
         points = np.flatnonzero(is_oracle[leaf_of])
-        points = points[group_order(leaf_of[points], len(leaves))]
+        points = points[np.argsort(leaf_of[points], kind="stable")]
         values[points] = np.concatenate(full_tables([leaves[k].oracle for k in oracle]))
     return values, popcount(paths).astype(np.int64)[leaf_of]
 
@@ -101,7 +110,7 @@ def ref_grown_partition(f, alpha, phases):
     child[~leaves.repeat(2)] = np.arange(1, 2 * (split.size - free.size) + 1)
     points = np.arange(1 << f.n, dtype=np.int64)
     depth = int(popcount(mask).max())
-    level_leaf = number[dtree.descend(np.maximum(split, 0), child, points, depth)]
+    level_leaf = number[descend(np.maximum(split, 0), child, points, depth)]
     order = []  # leaf numbers in preorder
 
     def walk(node):
@@ -151,7 +160,7 @@ def test_subcube_points_list_each_subcube_in_ascending_order(n, seed, count):
 
 
 def assert_same_cube_values(tree, ref_tree, f, f_ref):
-    leaf_of, free = dtree.leaf_map(tree)
+    leaf_of, free = leaf_map(tree)
     ref_leaf_of, ref_free = ref_leaf_map(ref_tree)
     assert leaf_of.dtype == ref_leaf_of.dtype and np.array_equal(leaf_of, ref_leaf_of)
     assert free.dtype == ref_free.dtype and np.array_equal(free, ref_free)
@@ -205,12 +214,18 @@ def test_a_constant_and_an_oracle_leaf_with_one_tested_mask(n):
 def test_trees_whose_leaves_do_not_partition_the_cube_are_rejected(text):
     # their leaf subcubes overlap or leave the cube, so no layout by subcube
     # points exists; evaluation point by point still follows the tree
-    tree = dtree.from_json(text, 2)
-    for fn in (dtree.leaf_map, dtree.tree_table, dtree.leaf_profile):
+    tree = tree_from_json(text, 2)
+    for fn in (leaf_map, dtree.tree_table, dtree.leaf_profile):
         with pytest.raises(ValueError, match="tested twice on a path or outside dimension 2"):
             fn(tree)
     if '"var": 1' in text:
         assert dtree.evaluate_many(tree, np.arange(4)).tolist() == [0.0, 2.0, 0.0, 2.0]
+        # with an oracle at the unreachable leaf, that oracle is never charged
+        g = ValueOracle.from_table([5.0, 6.0])
+        hi = Node(0, OracleLeaf(g, (1,)), tree.root.hi.hi)
+        tree = DecisionTree(2, Node(0, tree.root.lo, hi))
+        assert dtree.evaluate_many(tree, np.arange(4)).tolist() == [0.0, 2.0, 0.0, 2.0]
+        assert g.query_count == 0
 
 
 @settings(max_examples=40, deadline=None)
