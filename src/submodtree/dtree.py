@@ -78,10 +78,10 @@ def evaluate(tree: DecisionTree, x: int) -> float:
     return node.oracle(local)
 
 
-def _leaf_points(tree: DecisionTree) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """The leaves in preorder, lo before hi, the int64 mask of the
-    coordinates tested on each leaf's path, and the points and sizes of the
-    leaf subcubes (`subcube_points`), as one walk of the tree finds them.
+def _leaf_subcubes(tree: DecisionTree) -> tuple[list, np.ndarray, np.ndarray]:
+    """The leaves in preorder, lo before hi, with the int64 masks of the
+    coordinates tested on each leaf's path and of the bits its path fixes:
+    leaf k's subcube holds the points that read fixed[k] on tested[k].
 
     The subcubes partition the cube only when no path tests a coordinate
     twice or one outside the dimension; any other tree is rejected.
@@ -105,9 +105,7 @@ def _leaf_points(tree: DecisionTree) -> tuple[list, np.ndarray, np.ndarray, np.n
             fixed.append(bits)
 
     walk(tree.root, 0, 0)
-    tested = np.array(paths, dtype=np.int64)
-    points, sizes = subcube_points(np.array(fixed, dtype=np.int64), tested ^ ((1 << tree.n) - 1))
-    return leaves, tested, points, sizes
+    return leaves, np.array(paths, dtype=np.int64), np.array(fixed, dtype=np.int64)
 
 
 def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
@@ -142,9 +140,14 @@ def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
     return out
 
 
-def _cube_values(tree: DecisionTree, what: str) -> tuple[np.ndarray, ...]:
-    """The tree's value at every point, with the points of its leaves (in
-    preorder, each ascending), their sizes and their tested masks.
+# leaves are written into a cube array in groups of about this many points
+# (a larger leaf on its own), so no other array of 2^n values is built
+_LEAF_GROUP = 1 << 20
+
+
+def _cube_values(tree: DecisionTree, what: str, depths: bool = False) -> tuple:
+    """The tree's value at every point and, with ``depths``, the depth of the
+    leaf every point reaches (else None).
 
     A walk of the tree gives each leaf's subcube.  The points of an oracle
     leaf, taken in ascending order, are its local points in order, so its
@@ -152,16 +155,31 @@ def _cube_values(tree: DecisionTree, what: str) -> tuple[np.ndarray, ...]:
     2^k points.
     """
     check_enumerable(tree.n, what)
-    leaves, paths, points, sizes = _leaf_points(tree)
-    is_oracle = np.array([isinstance(lf, OracleLeaf) for lf in leaves])
-    tables = full_tables([lf.oracle for lf in leaves if isinstance(lf, OracleLeaf)])
-    constants = [lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in leaves]
-    in_order = np.repeat(np.array(constants), sizes)
-    if tables:
-        in_order[np.repeat(is_oracle, sizes)] = np.concatenate(tables)
-    values = np.empty(1 << tree.n)
-    values[points] = in_order
-    return values, points, sizes, paths
+    leaves, tested, fixed = _leaf_subcubes(tree)
+    free = tested ^ ((1 << tree.n) - 1)
+    cuts = [0, len(leaves)]
+    if 1 << tree.n > _LEAF_GROUP:
+        sizes = np.int64(1) << popcount(free).astype(np.int64)
+        cuts[1:1] = (np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _LEAF_GROUP)) + 1).tolist()
+    values = levels = None
+    for a, b in zip(cuts, cuts[1:]):
+        points, sizes = subcube_points(fixed[a:b], free[a:b])
+        group = leaves[a:b]
+        is_oracle = np.array([isinstance(lf, OracleLeaf) for lf in group])
+        tables = full_tables([lf.oracle for lf in group if isinstance(lf, OracleLeaf)])
+        constants = [lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in group]
+        in_order = np.repeat(np.array(constants), sizes)
+        if tables:
+            in_order[np.repeat(is_oracle, sizes)] = np.concatenate(tables)
+        if values is None:
+            # allocated before the first group's arrays, the table kept 8 MB
+            # more resident after a decompose at n = 20
+            values = np.empty(1 << tree.n)
+            levels = np.empty(1 << tree.n, dtype=np.int64) if depths else None
+        values[points] = in_order
+        if depths:
+            levels[points] = np.repeat(popcount(tested[a:b]).astype(np.int64), sizes)
+    return values, levels
 
 
 def tree_table(tree: DecisionTree) -> np.ndarray:
@@ -176,10 +194,7 @@ def leaf_profile(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
     exceeds d and its value is nonzero, so this one traversal determines the
     truncation disagreement at every depth at once.
     """
-    values, points, sizes, paths = _cube_values(tree, "leaf profile")
-    depths = np.empty(1 << tree.n, dtype=np.int64)
-    depths[points] = np.repeat(popcount(paths).astype(np.int64), sizes)
-    return values, depths
+    return _cube_values(tree, "leaf profile", depths=True)
 
 
 def truncation_disagreements(tree: DecisionTree, dist: ProductDistribution | None = None) -> np.ndarray:

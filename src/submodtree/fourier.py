@@ -9,7 +9,6 @@ coordinate sets, matching the point packing in `cube`.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +24,12 @@ SPARSE_EPS = 1e-12
 
 class BudgetExceeded(ValueError):
     """Raised when a candidate-coefficient sweep would exceed its budget."""
+
+
+# Estimated one mask at a time (n above the butterfly's), a sweep makes one
+# pass over the sample per mask, about 8 ns per sample on a 2-core Xeon with
+# numpy 2.4: masks x samples is bounded by this limit, about 2 s per sweep.
+SAMPLE_WORK_LIMIT = 1 << 28
 
 
 def parity_signs(subset: int, xs: np.ndarray) -> np.ndarray:
@@ -322,8 +327,7 @@ def derivative_spectrum_check(f: ValueOracle, i: int, j: int) -> tuple[float, fl
     check_enumerable(n, "derivative identity check")
     i, j = min(i, j), max(i, j)
     rank = i * (2 * n - i - 1) // 2 + j - i - 1  # of the pair in lexicographic order
-    blocks = funcs._mixed_difference_blocks(f.table(), n)
-    dd = next(itertools.islice(itertools.chain.from_iterable(b[1] for b in blocks), rank, None))
+    dd = funcs._mixed_difference_row(f.table(), i, j)
     return float(np.mean(dd**2)), 16.0 * float(pairwise_weights(f)[1][rank])
 
 
@@ -375,10 +379,15 @@ def empirical_coefficients(xs: np.ndarray, ys: np.ndarray, n: int, masks) -> np.
     the same estimator as the direct mean.
     """
     masks = np.asarray(masks, dtype=np.int64)
-    if n <= min(20, enum_cap()):
+    if _butterfly(n):
         sums = np.bincount(np.asarray(xs, dtype=np.int64), weights=ys, minlength=1 << n)
         return fwht(sums)[masks] / len(xs)
     return np.array([np.mean(ys * parity_signs(s, xs)) for s in masks.tolist()], dtype=float)
+
+
+def _butterfly(n: int) -> bool:
+    """Whether `empirical_coefficients` estimates all masks in one butterfly."""
+    return n <= min(20, enum_cap())
 
 
 @dataclass(frozen=True)
@@ -420,12 +429,22 @@ def coefficients_at(data, masks) -> np.ndarray:
 
 def low_degree_estimate(data, variables: int, degree: int, *, budget: int = 1 << 20) -> Spectrum:
     """The nonzero coefficients of ``data`` (see `coefficients_at`) at the
-    subsets of ``variables`` with at most ``degree`` members."""
+    subsets of ``variables`` with at most ``degree`` members.
+
+    Raises BudgetExceeded, before any estimate, when the candidates exceed
+    ``budget`` or, estimated one at a time from a sample, their count times
+    the sample size exceeds SAMPLE_WORK_LIMIT.
+    """
     n = dimension(data)
     k = variables.bit_count()
     count = sum(math.comb(k, i) for i in range(min(degree, k) + 1))
     if count > budget:
         raise BudgetExceeded(f"{count} candidate coefficients exceed budget {budget}")
+    if isinstance(data, LabeledSample) and not _butterfly(n) and count * len(data) > SAMPLE_WORK_LIMIT:
+        raise BudgetExceeded(
+            f"{count} candidate coefficients times {len(data)} samples exceed the"
+            f" work limit {SAMPLE_WORK_LIMIT} at n={n}"
+        )
     masks = candidate_masks(variables, degree)
     est = coefficients_at(data, masks)
     keep = est != 0.0

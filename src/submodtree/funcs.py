@@ -310,11 +310,13 @@ def _with_zero_bits(k, *bits):
 
 
 # The checkers read a table in blocks of rows: one row per coordinate i
-# (derivatives) or per pair i < j (mixed differences), in lexicographic
-# order, each over the points with zeros at its coordinates in ascending
-# order.  When all rows of a table fit _GATHER_BUDGET values, one block holds
-# them all, read with one gather through index arrays cached per n; above it
-# every row is a block of its own, read through the strided views above.
+# (derivatives) or per pair i < j (mixed differences, pairwise weights), in
+# lexicographic order, each over the points with zeros at its coordinates in
+# ascending order.  When all rows of a table fit _GATHER_BUDGET values, one
+# block holds them all, read with one gather through index arrays cached per
+# n; above it every row is a block of its own, read through the strided views
+# above, except that the submodularity checks take pair maxima from the
+# cache-sized blocks of `_pair_maxima`.
 _GATHER_BUDGET = 1 << 16
 
 
@@ -369,14 +371,70 @@ def _derivative_blocks(t: np.ndarray, n: int):
         yield coords, (hi - lo).reshape(len(coords), -1), base
 
 
-def _mixed_difference_blocks(t: np.ndarray, n: int):
-    """(coords, dd, base) per block of pairs: dd[r] holds t11 - t10 - t01 + t00
-    over the pair coords[r] at the points base(r, k) with both coordinates 0."""
-    for coords, (t00, t10, t01, t11), base in _row_blocks(t, n, 2):
-        dd = t11 - t10
-        dd -= t01
-        dd += t00
-        yield coords, dd.reshape(len(coords), -1), base
+def _mixed(t00, t10, t01, t11) -> np.ndarray:
+    """t11 - t10 - t01 + t00, in that order."""
+    dd = t11 - t10
+    dd -= t01
+    dd += t00
+    return dd
+
+
+def _mixed_difference_row(t: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The mixed differences over the pair i < j at the points with both
+    coordinates 0, in ascending order: the k-th at `_with_zero_bits(k, i, j)`."""
+    return _mixed(*_quarters(t, i, j)).reshape(-1)
+
+
+# Above the gather budget, pair maxima are read in blocks of _PAIR_BLOCK
+# points.  For each coordinate j, a block is whole slabs of j (the x_j = 0
+# half, then the x_j = 1 half), or the same aligned piece of both halves of
+# one slab where a slab is larger.  The derivative along j, d = hi - lo, is
+# taken once per block: at x_i = 1 it is t11 - t10 of the pair (i, j), which
+# then finishes as (d - t01) + t00 while the block is in cache, the gather
+# path's operations in its order.  Where x_i is fixed within a piece, the
+# x_i = 1 piece pairs with the x_i = 0 piece of the same slab.
+_PAIR_BLOCK = 1 << 16
+
+
+def _pair_maxima(t: np.ndarray, n: int) -> np.ndarray:
+    """The largest mixed difference of each pair i < j, in lexicographic
+    order; NaN for a pair with a NaN difference, as ndarray.max gives."""
+    if n < 2:
+        return np.zeros(0)
+    if math.comb(n, 2) << (n - 2) <= _GATHER_BUDGET:
+        return _mixed(*t.take(_gather_index(n, 2)[1])).max(axis=1)
+    half = _PAIR_BLOCK >> 1
+    parts = np.full((math.comb(n, 2), max(1, (1 << n) // _PAIR_BLOCK)), -np.inf)
+    buf, dbuf = np.empty(half), np.empty(half)
+    for j in range(1, n):
+        slabs = t.reshape(-1, 2, 1 << j)
+        w = min(1 << j, half)
+        s = half // w
+        blocks = itertools.product(range(0, len(slabs), s), range(0, 1 << j, w))
+        for b, (h, c) in enumerate(blocks):
+            lo, hi = slabs[h:h + s, 0, c:c + w], slabs[h:h + s, 1, c:c + w]
+            d = np.subtract(hi, lo, out=dbuf[:lo.size].reshape(lo.shape))
+            for i in range(j):
+                if 1 << i < w:
+                    q = (len(d), w >> (i + 1), 2, 1 << i)
+                    ops = d.reshape(q)[:, :, 1], hi.reshape(q)[:, :, 0], lo.reshape(q)[:, :, 0]
+                    if i < 3:  # runs of 1, 2 or 4 values: iterate the long axis innermost
+                        ops = [a.transpose(0, 2, 1) for a in ops]
+                elif c >> i & 1:
+                    p = c ^ (1 << i)
+                    ops = d, slabs[h:h + s, 1, p:p + w], slabs[h:h + s, 0, p:p + w]
+                else:
+                    continue
+                out = buf[:ops[0].size].reshape(ops[0].shape)
+                np.subtract(ops[0], ops[1], out=out)
+                out += ops[2]
+                parts[i * (2 * n - i - 1) // 2 + j - i - 1, b] = out.max()
+    return parts.max(axis=1)
+
+
+def _pair(n: int, r: int) -> tuple[int, int]:
+    """The r-th pair i < j of n coordinates in lexicographic order."""
+    return next(itertools.islice(itertools.combinations(range(n), 2), r, None))
 
 
 @dataclass(frozen=True)
@@ -411,16 +469,16 @@ def _first_failure(blocks, fails, pick) -> CheckResult:
 def is_submodular(f: ValueOracle, tol: float = TOL) -> CheckResult:
     """Exhaustive check that every mixed second difference is <= tol."""
     check_enumerable(f.n, "submodularity check")
-    worst = -np.inf
-    for coords, dd, base in _mixed_difference_blocks(f.table(), f.n):
-        tops = dd.max(axis=1)
-        bad = np.flatnonzero(tops > tol)
-        if bad.size:
-            r = int(bad[0])
-            k = int(np.argmax(dd[r]))
-            return CheckResult(False, (*coords[r].tolist(), int(base(r, k))), float(dd[r, k]))
-        worst = max(worst, float(tops.max()))
-    return CheckResult(True, None, worst)
+    t = f.table()
+    tops = _pair_maxima(t, f.n)
+    bad = np.flatnonzero(tops > tol)
+    if bad.size:
+        i, j = _pair(f.n, int(bad[0]))
+        dd = _mixed_difference_row(t, i, j)
+        k = int(np.argmax(dd))
+        return CheckResult(False, (i, j, int(_with_zero_bits(k, i, j))), float(dd[k]))
+    # builtin max skips the NaN maxima
+    return CheckResult(True, None, max([-math.inf, *tops.tolist()]))
 
 
 def is_monotone(f: ValueOracle, tol: float = TOL) -> CheckResult:
@@ -489,10 +547,11 @@ def leaf_violations(
             mono[ids[d[r, k] > bound]] = True
     if known_submodular:
         return mono, lip, sub
-    for coords, dd, base in _mixed_difference_blocks(t, n):
-        hits = dd > TOL
-        if hits.any():  # rare on submodular input
-            sub[owned(hits, coords, base)[2]] = True
+    # rare on submodular input; a NaN maximum may hide differences above TOL
+    for r in np.flatnonzero(~(_pair_maxima(t, n) <= TOL)).tolist():
+        c = _pair(n, r)
+        hits = _mixed_difference_row(t, *c)[None] > TOL
+        sub[owned(hits, np.array([c]), lambda _, k: _with_zero_bits(k, *c))[2]] = True
     return mono, lip, sub
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from submodtree import dtree
+from submodtree.cube import subcube_points
 from submodtree.dtree import ConstLeaf, DecisionTree, Node, OracleLeaf
 from submodtree.fourier import Spectrum
 from submodtree.funcs import (
@@ -52,7 +53,8 @@ def tree_from_json(text: str, n: int) -> DecisionTree:
 def leaf_map(tree):
     """The partition `decompose._certify` takes: the int32 leaf of every
     point, leaves in preorder, and the int64 free mask of every leaf."""
-    leaves, paths, points, sizes = dtree._leaf_points(tree)
+    leaves, paths, fixed = dtree._leaf_subcubes(tree)
+    points, sizes = subcube_points(fixed, paths ^ ((1 << tree.n) - 1))
     leaf_of = np.empty(1 << tree.n, dtype=np.int32)
     leaf_of[points] = np.repeat(np.arange(len(leaves), dtype=np.int32), sizes)
     return leaf_of, paths ^ ((1 << tree.n) - 1)

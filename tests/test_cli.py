@@ -252,6 +252,8 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
                 ["learn", "pac", "--file", "SPEC", "--epsilon", "0.5", "--exact"],
             )
         ],
+        # 102,091 candidates times the default 65,536 samples: above the work limit
+        (["hardness", "lpn", "--n", "40", "--k", "4"], None),
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv, spec):

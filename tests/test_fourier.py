@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import as_dict, pt, random_table_oracle, small_corpus, spectrum_of
-from submodtree import cli
+from submodtree import cli, fourier
 from submodtree.cube import mask_of
 from submodtree.fourier import (
     SPARSE_EPS,
@@ -228,6 +228,21 @@ def test_low_degree_budget():
     assert low_degree_estimate(coefficients(f), (1 << 10) - 1, 5, budget=638).masks.size == 638
     with pytest.raises(BudgetExceeded, match="638 candidate"):
         low_degree_estimate(coefficients(f), (1 << 10) - 1, 5, budget=637)
+
+
+def test_sample_work_limit_bounds_per_mask_estimates(monkeypatch):
+    # n = 21 is above the butterfly: 22 masks of degree <= 1, 16 samples
+    sample = draw_sample(random_table_oracle(21, seed=0), 16, seed=0)
+    monkeypatch.setattr(fourier, "SAMPLE_WORK_LIMIT", 22 * 16)  # inclusive
+    assert low_degree_estimate(sample, (1 << 21) - 1, 1).masks.size <= 22
+    monkeypatch.setattr(fourier, "SAMPLE_WORK_LIMIT", 22 * 16 - 1)
+    with pytest.raises(BudgetExceeded, match="22 candidate coefficients times 16 samples"):
+        low_degree_estimate(sample, (1 << 21) - 1, 1)
+    # the butterfly and exact coefficients are not estimated per mask
+    monkeypatch.setattr(fourier, "SAMPLE_WORK_LIMIT", 0)
+    f = random_table_oracle(10, seed=0)
+    low_degree_estimate(draw_sample(f, 16, seed=0), (1 << 10) - 1, 2)
+    low_degree_estimate(coefficients(f), (1 << 10) - 1, 2)
 
 
 def test_low_degree_budget_is_checked_before_any_mask_is_built():

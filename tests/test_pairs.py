@@ -4,11 +4,14 @@ passes they replace.
 Checkers, leaf certification and the pairwise Fourier bound read every
 coordinate (derivatives) or pair of coordinates (mixed differences, pairwise
 weights) of a table in blocks: all rows in one gather while a table's rows
-fit ``funcs._GATHER_BUDGET`` values, one strided row per block above it.
-Each test forces both paths by patching the budget, and compares the result
-bit for bit with a reference: the strided per-pair generators and the
-``np.arange``-mask checkers of ``test_certify``, and the dict-spectrum loops
-that computed the pairwise bound and its best constant.
+fit ``funcs._GATHER_BUDGET`` values, one strided row per block above it,
+where the submodularity checks take pair maxima from blocks of
+``funcs._PAIR_BLOCK`` points instead.  Each test forces both paths by
+patching the budget (and a block size small enough to cut these tables into
+many blocks), and compares the result bit for bit with a reference: the
+strided per-pair generators and the ``np.arange``-mask checkers of
+``test_certify``, and the dict-spectrum loops that computed the pairwise
+bound and its best constant.
 """
 
 import itertools
@@ -44,14 +47,17 @@ from submodtree.funcs import (
     lipschitz_constant,
 )
 
-# a budget that every table fits, and one that none does
-PATHS = {"gather": 1 << 62, "strided": 0}
+# a budget that every table fits, and one that none does, with pair blocks
+# of 64 points: both kinds of pair read (within a block, and x_i = 1 against
+# x_i = 0 pieces) occur from n = 7
+PATHS = {"gather": (1 << 62, 1 << 16), "strided": (0, 64)}
 
 
 @contextmanager
 def path(name):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(funcs, "_GATHER_BUDGET", PATHS[name])
+        mp.setattr(funcs, "_GATHER_BUDGET", PATHS[name][0])
+        mp.setattr(funcs, "_PAIR_BLOCK", PATHS[name][1])
         yield
 
 
@@ -121,28 +127,90 @@ def collect(blocks):
 # --- rows -----------------------------------------------------------------------
 
 
+def mixed_difference_rows(t, n):
+    """Every pair's row of `_mixed_difference_row` as a one-row block."""
+    return [
+        (np.array([c]), funcs._mixed_difference_row(t, *c)[None],
+         lambda r, k, c=c: funcs._with_zero_bits(k, *c))
+        for c in itertools.combinations(range(n), 2)
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(PATHS))
 @pytest.mark.parametrize("n", range(13))
 def test_rows_match_per_pair_references(name, n):
     t = random_table(n, 7 * n + 1, 0.25)
     with path(name):
         derivative_blocks = list(funcs._derivative_blocks(t, n))
-        mixed_blocks = list(funcs._mixed_difference_blocks(t, n))
     for order, blocks, ref in (
         (1, derivative_blocks, lambda c: ref_derivative_table(t, n, *c)),
-        (2, mixed_blocks, lambda c: ref_mixed_difference_table(t, n, *c)),
+        (2, mixed_difference_rows(t, n), lambda c: ref_mixed_difference_table(t, n, *c)),
     ):
         want = list(itertools.combinations(range(n), order))
         if not want:
             assert blocks == []
             continue
         coords, rows, points, count = collect(blocks)
-        assert count == (1 if name == "gather" else len(want))
+        # mixed differences are read one pair at a time, on either path
+        assert count == (1 if name == "gather" and order == 1 else len(want))
         assert coords.tolist() == [list(c) for c in want]
         for r, c in enumerate(want):
             values, base = ref(c)
             assert same_bits(rows[r], values), (order, c)
             assert points[r].tolist() == base.tolist(), (order, c)
+
+
+# pair blocks of 2 and 4 points hold no pair within a block, and from 64
+# points on a block holds pairs with runs of 8 values and more; the smallest
+# blocks stop at n = 9, where a table already spans 256 of them
+BLOCKS = [(b, n) for b in (2, 4, 8, 64, 1 << 16) for n in range(2, 13) if b >= 64 or n <= 9]
+
+
+def nan_table(n, seed):
+    t = random_table(n, seed, 0.25)
+    t[np.random.default_rng(seed).integers(1 << n, size=2)] = np.nan
+    return t
+
+
+@pytest.mark.parametrize("block, n", BLOCKS)
+def test_pair_maxima_match_the_reference_rows(block, n):
+    # the reference's maximum of each row, and is_submodular's ok, witness
+    # and extreme, on blocked reads that cut the table at many block edges;
+    # random_table gives passing and failing tables
+    tables = [random_table(n, 3 * n + k, 0.25) for k in range(3)] + [nan_table(n, n)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcs, "_GATHER_BUDGET", 0)
+        mp.setattr(funcs, "_PAIR_BLOCK", block)
+        for t in tables:
+            want = [ref_mixed_difference_table(t, n, *c)[0].max()
+                    for c in itertools.combinations(range(n), 2)]
+            assert same_bits(funcs._pair_maxima(t, n), np.array(want))
+            f = ValueOracle.from_table(t)
+            for tol in (TOL, 0.0, 0.5):
+                got, ref = is_submodular(f, tol), ref_is_submodular(f, tol)
+                assert got == ref and same_bits(got.extreme, ref.extreme), (tol, got, ref)
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+def test_nan_tables_match_the_references(name):
+    # a NaN row neither fails nor sets the passing extreme, on both paths;
+    # leaf certification still flags a leaf for a difference above TOL in a
+    # row that holds a NaN
+    flagged = 0
+    for n in range(2, 9):
+        t = nan_table(n, n)
+        f = ValueOracle.from_table(t)
+        above = any((ref_mixed_difference_table(t, n, *c)[0] > TOL).any()
+                    for c in itertools.combinations(range(n), 2))
+        with path(name):
+            got = is_submodular(f)
+            sub = funcs.leaf_violations(t, n, np.zeros(1 << n, dtype=np.int32),
+                                        np.array([(1 << n) - 1]), 0.25)[2]
+        ref = ref_is_submodular(f)
+        assert got == ref and same_bits(got.extreme, ref.extreme), (n, got, ref)
+        assert sub.tolist() == [above], n
+        flagged += above and ref.ok
+    assert flagged > 0
 
 
 # --- checkers -------------------------------------------------------------------
@@ -208,6 +276,24 @@ def test_leaf_certificates_match_per_leaf_on_random_trees(n, seed, alpha):
             assert certify(tree, alpha, f) == want, name
 
 
+@pytest.mark.parametrize("block", [4, 64])
+def test_unchecked_certificates_on_non_submodular_tables(block):
+    # the pair pass of leaf_violations (known_submodular=False) against
+    # per-leaf checks, on tables cut into many pair blocks
+    failed = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcs, "_GATHER_BUDGET", 0)
+        mp.setattr(funcs, "_PAIR_BLOCK", block)
+        for n in range(2, 11):
+            for seed in range(6):
+                f = ValueOracle.from_table(random_table(n, 6 * n + seed, 0.25))
+                tree = with_oracle_leaves(dtree.random_tree(n, seed=seed), f)
+                want = ref_certify(tree, 0.25)
+                assert certify(tree, 0.25, f) == want, (n, seed)
+                failed += sum(not c.submodular_ok for c in want)
+    assert failed > 0
+
+
 # --- pairwise bound -------------------------------------------------------------
 
 
@@ -252,7 +338,7 @@ def test_pairwise_identities_hold_on_the_corpus():
     worst = 0.0
     for _, f in iter_corpus():
         pair, total = fourier.pairwise_weights(f)
-        (_, dd, _), = funcs._mixed_difference_blocks(f.table(), f.n)
+        dd = np.array([row for _, (row,), _ in mixed_difference_rows(f.table(), f.n)])
         worst = max(
             worst,
             float(np.max(np.abs(np.abs(dd.mean(axis=1) / 4) - pair))),

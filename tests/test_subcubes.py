@@ -307,13 +307,13 @@ def test_build_leaves_match_restrict_and_the_descent_on_grid_tables(n, seed, alp
 
 def count_pair_passes(monkeypatch):
     calls = []
-    blocks = funcs._mixed_difference_blocks
+    maxima = funcs._pair_maxima
 
     def counted(t, n):
         calls.append(n)
-        return blocks(t, n)
+        return maxima(t, n)
 
-    monkeypatch.setattr(funcs, "_mixed_difference_blocks", counted)
+    monkeypatch.setattr(funcs, "_pair_maxima", counted)
     return calls
 
 
