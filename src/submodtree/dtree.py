@@ -140,8 +140,9 @@ def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
     return out
 
 
-# leaves are written into a cube array in groups of about this many points
-# (a larger leaf on its own), so no other array of 2^n values is built
+# leaves are written into a cube array in groups of about this many points,
+# so no other array of 2^n values is built; a larger leaf is written alone,
+# through its subcube view
 _LEAF_GROUP = 1 << 20
 
 
@@ -152,33 +153,56 @@ def _cube_values(tree: DecisionTree, what: str, depths: bool = False) -> tuple:
     A walk of the tree gives each leaf's subcube.  The points of an oracle
     leaf, taken in ascending order, are its local points in order, so its
     whole table fills them in one scatter; each oracle leaf is charged its
-    2^k points.
+    2^k points.  A leaf of more than _LEAF_GROUP points fills the view of
+    its subcube in the cube-shaped table, ``values.reshape((2,) * n)[idx]``,
+    with an int at each tested axis and a slice elsewhere (axis 0 is
+    coordinate n-1), so none of its points is listed.
     """
     check_enumerable(tree.n, what)
+    n = tree.n
     leaves, tested, fixed = _leaf_subcubes(tree)
-    free = tested ^ ((1 << tree.n) - 1)
-    cuts = [0, len(leaves)]
-    if 1 << tree.n > _LEAF_GROUP:
+    free = tested ^ ((1 << n) - 1)
+    alone = np.zeros(len(leaves), dtype=bool)
+    bounds = [0, len(leaves)]
+    if 1 << n > _LEAF_GROUP:
         sizes = np.int64(1) << popcount(free).astype(np.int64)
-        cuts[1:1] = (np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _LEAF_GROUP)) + 1).tolist()
+        alone = sizes > _LEAF_GROUP
+        window = (np.cumsum(sizes) - sizes) // _LEAF_GROUP
+        cuts = np.flatnonzero((np.diff(window) != 0) | alone[1:] | alone[:-1]) + 1
+        bounds[1:1] = cuts.tolist()
     values = levels = None
-    for a, b in zip(cuts, cuts[1:]):
-        points, sizes = subcube_points(fixed[a:b], free[a:b])
-        group = leaves[a:b]
-        is_oracle = np.array([isinstance(lf, OracleLeaf) for lf in group])
-        tables = full_tables([lf.oracle for lf in group if isinstance(lf, OracleLeaf)])
-        constants = [lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in group]
-        in_order = np.repeat(np.array(constants), sizes)
-        if tables:
-            in_order[np.repeat(is_oracle, sizes)] = np.concatenate(tables)
+    for a, b in zip(bounds, bounds[1:]):
+        if alone[a]:
+            leaf = leaves[a]
+            idx = tuple(
+                slice(None) if free[a] >> c & 1 else int(fixed[a] >> c & 1) for c in reversed(range(n))
+            )
+            if isinstance(leaf, OracleLeaf):
+                fill = full_tables([leaf.oracle])[0].reshape((2,) * len(leaf.free))
+            else:
+                fill = leaf.value
+        else:
+            points, group_sizes = subcube_points(fixed[a:b], free[a:b])
+            group = leaves[a:b]
+            is_oracle = np.array([isinstance(lf, OracleLeaf) for lf in group])
+            tables = full_tables([lf.oracle for lf in group if isinstance(lf, OracleLeaf)])
+            constants = [lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in group]
+            in_order = np.repeat(np.array(constants), group_sizes)
+            if tables:
+                in_order[np.repeat(is_oracle, group_sizes)] = np.concatenate(tables)
         if values is None:
             # allocated before the first group's arrays, the table kept 8 MB
             # more resident after a decompose at n = 20
-            values = np.empty(1 << tree.n)
-            levels = np.empty(1 << tree.n, dtype=np.int64) if depths else None
-        values[points] = in_order
-        if depths:
-            levels[points] = np.repeat(popcount(tested[a:b]).astype(np.int64), sizes)
+            values = np.empty(1 << n)
+            levels = np.empty(1 << n, dtype=np.int64) if depths else None
+        if alone[a]:
+            values.reshape((2,) * n)[idx] = fill
+            if depths:
+                levels.reshape((2,) * n)[idx] = popcount(int(tested[a]))
+        else:
+            values[points] = in_order
+            if depths:
+                levels[points] = np.repeat(popcount(tested[a:b]).astype(np.int64), group_sizes)
     return values, levels
 
 

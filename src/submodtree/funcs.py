@@ -622,8 +622,8 @@ def instantiate(spec: FamilySpec) -> ValueOracle:
     """Build the normalized value oracle of a family instance (range [0,1]).
 
     A missing field or a field of the wrong type raises InvalidFamilySpec,
-    as do a NaN or infinite value and n outside 1..62 (the int64 point
-    packing).
+    as do a NaN or infinite value, a number too large for a float or an
+    int64, and n outside 1..62 (the int64 point packing).
     """
     try:
         return _instantiate(spec)
@@ -631,39 +631,90 @@ def instantiate(spec: FamilySpec) -> ValueOracle:
         raise
     except KeyError as e:
         raise InvalidFamilySpec(f"{spec.family} spec is missing field {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InvalidFamilySpec(f"malformed {spec.family} spec: {e}") from None
 
 
-_CUT_CHUNK = 1 << 14  # points per pass of the cut evaluator
+_INT64_MAX = (1 << 63) - 1
+
+
+def _int64(what: str, v) -> int:
+    """`_integer`, also rejecting a value that int64 arithmetic cannot hold."""
+    v = _integer(what, v)
+    if not -_INT64_MAX - 1 <= v <= _INT64_MAX:
+        raise InvalidFamilySpec(f"{what} {v} does not fit int64")
+    return v
+
+
+# The cut, coverage and budget-additive evaluators work on chunks of this
+# many points, so their temporaries stay in cache and none has 2^n entries.
+_POINT_CHUNK = 1 << 14
+_COVER_WIDTH = 12  # coordinates per lookup table of the coverage evaluator
+_PREFIX_WIDTH = 16  # low coordinates in the budget-additive prefix table
+
+
+def _by_chunks(per_chunk: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluator that answers each chunk of _POINT_CHUNK points with
+    ``per_chunk``."""
+
+    def fn(xs: np.ndarray) -> np.ndarray:
+        out = np.empty(xs.shape)
+        for lo in range(0, xs.size, _POINT_CHUNK):
+            out[lo : lo + _POINT_CHUNK] = per_chunk(xs[lo : lo + _POINT_CHUNK])
+        return out
+
+    return fn
+
+
+def _doubling_table(rows: np.ndarray, op) -> np.ndarray:
+    """T over the 2^k subsets x of k coordinates, T[0] = 0 and
+    T[x | 2^i] = op(T[x], rows[i]) for x < 2^i: the rows of x's coordinates
+    combined in ascending order, one doubling step per coordinate."""
+    table = np.zeros((1 << len(rows), *rows.shape[1:]), dtype=rows.dtype)
+    for i in range(len(rows)):
+        op(table[: 1 << i], rows[i], out=table[1 << i : 2 << i])
+    return table
 
 
 def _instantiate(spec: FamilySpec) -> ValueOracle:
-    family, n, p = spec.family, _integer("dimension", spec.n), spec.params
+    family, p = spec.family, spec.params
+    if family not in FAMILIES:  # before any message names the family
+        raise InvalidFamilySpec(f"unknown family {family!r}")
+    n = _integer("dimension", spec.n)
     check_packable(n, "family instance")
 
     if family == "coverage":
-        u = _integer("coverage universe_size", p["universe_size"])
+        u = _int64("coverage universe_size", p["universe_size"])
         sets = p["sets"]
         if u < 1:
             raise InvalidFamilySpec("coverage universe is empty")
         if len(sets) != n:
             raise InvalidFamilySpec(f"coverage needs {n} sets, got {len(sets)}")
-        owners: dict[int, int] = {}  # element -> mask of the sets holding it
-        for i, s in enumerate(sets):
+        number: dict[int, int] = {}  # owned element -> its number 0..E-1
+        masks = []  # per set, the mask of its elements' numbers
+        for s in sets:
+            m = 0
             for e in s:
                 e = _integer("coverage element", e)
                 if not 1 <= e <= u:
                     raise InvalidFamilySpec(f"element {e} outside universe 1..{u}")
-                owners[e] = owners.get(e, 0) | (1 << i)
+                m |= 1 << number.setdefault(e, len(number))
+            masks.append(m)
+        words = max(1, -(-len(number) // 64))
+        rows = np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks), dtype="<u8")
+        # per chunk of coordinates, the union of the sets of each of its subsets
+        (_, first), *rest = [
+            (lo, _doubling_table(rows.reshape(n, words)[lo : lo + _COVER_WIDTH], np.bitwise_or))
+            for lo in range(0, n, _COVER_WIDTH)
+        ]
 
         def cov(xs: np.ndarray) -> np.ndarray:
-            covered = np.zeros(xs.shape, dtype=np.int64)
-            for owner in owners.values():
-                covered += (xs & owner) != 0
-            return covered / u
+            covered = first[xs & (len(first) - 1)]
+            for lo, t in rest:
+                covered |= t[(xs >> lo) & (len(t) - 1)]
+            return np.bitwise_count(covered).sum(axis=1, dtype=np.int64) / u
 
-        return ValueOracle(n, cov)
+        return ValueOracle(n, _by_chunks(cov))
 
     if family == "cut":
         edges = [(_integer("cut vertex", a), _integer("cut vertex", b)) for a, b in p["edges"]]
@@ -676,19 +727,14 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
         vertices = {v for edge in edges for v in edge}
 
         def cut(xs: np.ndarray) -> np.ndarray:
-            out = np.empty(xs.shape)
-            # per chunk of points that stays in cache: each vertex's bit once,
-            # then one XOR and one add per edge
-            for lo in range(0, xs.size, _CUT_CHUNK):
-                chunk = xs[lo : lo + _CUT_CHUNK]
-                bit = {v: ((chunk >> (v - 1)) & 1).astype(np.uint8) for v in vertices}
-                crossing = np.zeros(chunk.shape, dtype=np.int32)
-                for a, b in edges:
-                    crossing += bit[a] ^ bit[b]
-                out[lo : lo + _CUT_CHUNK] = crossing / m
-            return out
+            # each vertex's bit once, then one XOR and one add per edge
+            bit = {v: ((xs >> (v - 1)) & 1).astype(np.uint8) for v in vertices}
+            crossing = np.zeros(xs.shape, dtype=np.int32)
+            for a, b in edges:
+                crossing += bit[a] ^ bit[b]
+            return crossing / m
 
-        return ValueOracle(n, cut)
+        return ValueOracle(n, _by_chunks(cut))
 
     if family == "budget_additive":
         w = [float(v) for v in p["weights"]]
@@ -697,21 +743,25 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
         if len(w) != n or any(v < 0 for v in w) or b <= 0:
             raise InvalidFamilySpec("budget_additive needs n nonnegative weights and budget > 0")
 
+        # the running sum over the low coordinates; adding 0.0 for an absent
+        # coordinate changes no sum, so this is the left-to-right order
+        k = min(n, _PREFIX_WIDTH)
+        prefix = _doubling_table(np.array(w[:k]), np.add)
+
         def badd(xs: np.ndarray) -> np.ndarray:
-            # ascending coordinate order, as a scalar left-to-right sum adds
-            total = np.zeros(xs.shape)
-            for i in range(n):
+            total = prefix[xs & (len(prefix) - 1)]
+            for i in range(k, n):
                 total += ((xs >> i) & 1) * w[i]
             return np.minimum(total, b) / b
 
-        return ValueOracle(n, badd)
+        return ValueOracle(n, _by_chunks(badd))
 
     if family == "matroid_rank_partition":
         coords = [[_integer("matroid block coordinate", i) for i in blk] for blk in p["blocks"]]
         if any(not 1 <= i <= n for blk in coords for i in blk):
             raise InvalidFamilySpec(f"matroid block coordinates must be in 1..{n}")
         blocks = [cube.mask_of(i - 1 for i in blk) for blk in coords]
-        caps = [_integer("matroid cap", c) for c in p["caps"]]
+        caps = [_int64("matroid cap", c) for c in p["caps"]]
         if len(blocks) != len(caps) or not blocks:
             raise InvalidFamilySpec("blocks and caps must be nonempty, same length")
         union = 0
@@ -728,7 +778,9 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
         def rank(xs: np.ndarray) -> np.ndarray:
             r = np.zeros(xs.shape, dtype=np.int64)
             for blk, c in zip(blocks, caps):
-                r += np.minimum(popcount(xs & blk), c)
+                # a cap above the block's size caps nothing; the size fits
+                # popcount's uint8, where a cap above 255 would not
+                r += np.minimum(popcount(xs & blk), min(c, blk.bit_count()))
             return r / total
 
         return ValueOracle(n, rank)
@@ -740,16 +792,14 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
         by_weight = np.array(profile)
         return ValueOracle(n, lambda xs: by_weight[popcount(xs)])
 
-    if family == "truth_table":
-        values = np.asarray(p["values"], dtype=float)
-        if values.size != (1 << n):
-            raise InvalidFamilySpec(f"truth_table needs 2^{n} values, got {values.size}")
-        _require_finite("truth_table values", values)
-        if values.min() < -TOL or values.max() > 1 + TOL:
-            raise InvalidFamilySpec("truth_table values outside [0, 1]")
-        return ValueOracle.from_table(values)
-
-    raise InvalidFamilySpec(f"unknown family {family!r}")
+    # truth_table
+    values = np.asarray(p["values"], dtype=float)
+    if values.size != (1 << n):
+        raise InvalidFamilySpec(f"truth_table needs 2^{n} values, got {values.size}")
+    _require_finite("truth_table values", values)
+    if values.min() < -TOL or values.max() > 1 + TOL:
+        raise InvalidFamilySpec("truth_table values outside [0, 1]")
+    return ValueOracle.from_table(values)
 
 
 def generate_random(family: str, n: int, seed: int) -> FamilySpec:

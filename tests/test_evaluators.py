@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from submodtree import cube
 from submodtree.funcs import (
     GENERATED_FAMILIES,
-    _CUT_CHUNK,
+    _COVER_WIDTH,
+    _POINT_CHUNK,
+    _PREFIX_WIDTH,
     FamilySpec,
     Restriction,
     ValueOracle,
@@ -162,6 +164,22 @@ def test_family_evaluator_matches_scalar_reference(family, n, seed, raw):
     assert_bitwise_equal(got, [ref(int(x)) for x in xs])
 
 
+@pytest.mark.parametrize(
+    "blocks, caps",
+    [
+        ([[1, 2, 3]], [300]),  # above uint8, the type of a popcount
+        ([[1, 2, 3]], [255]),
+        ([[1, 2, 3]], [256]),
+        ([[1], [2, 3]], [2**63 - 1, 1]),  # the largest cap; above a block's size is allowed
+        ([[1, 3], [2]], [300, 2]),
+    ],
+)
+def test_large_matroid_caps_match_scalar_reference(blocks, caps):
+    spec = FamilySpec("matroid_rank_partition", 3, {"blocks": blocks, "caps": caps})
+    ref = ref_family(spec)
+    assert_bitwise_equal(instantiate(spec).table(), [ref(x) for x in range(8)])
+
+
 def ref_cut_passes(edges):
     """The cut evaluator before it took each vertex's bit once: five passes
     over the points per edge."""
@@ -183,10 +201,103 @@ def test_cut_evaluator_matches_the_per_edge_passes(n, seed, data):
     edges = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
                                min_size=1, max_size=30))
     edges += data.draw(st.lists(st.sampled_from(edges), max_size=5))  # repeated edges
-    size = data.draw(st.sampled_from([1, 7, _CUT_CHUNK - 1, _CUT_CHUNK + 1]))
+    size = data.draw(st.sampled_from([1, 7, _POINT_CHUNK - 1, _POINT_CHUNK + 1]))
     xs = np.random.default_rng(seed).integers(0, 1 << n, size=size, dtype=np.int64)
     f = instantiate(FamilySpec("cut", n, {"edges": [list(e) for e in edges]}))
     assert_bitwise_equal(f.eval_many(xs), ref_cut_passes(edges)(xs))
+
+
+def ref_coverage_passes(universe_size, sets):
+    """The coverage evaluator before its lookup tables: three passes over the
+    points per owned element."""
+    owners = {}
+    for i, s in enumerate(sets):
+        for e in s:
+            owners[e] = owners.get(e, 0) | (1 << i)
+
+    def cov(xs):
+        covered = np.zeros(xs.shape, dtype=np.int64)
+        for owner in owners.values():
+            covered += (xs & owner) != 0
+        return covered / universe_size
+
+    return cov
+
+
+def ref_budget_passes(weights, budget):
+    """The budget-additive evaluator before its prefix table: four passes over
+    the points per coordinate, in ascending order."""
+
+    def badd(xs):
+        total = np.zeros(xs.shape)
+        for i, w in enumerate(weights):
+            total += ((xs >> i) & 1) * w
+        return np.minimum(total, budget) / budget
+
+    return badd
+
+
+# dimensions at the edges of the lookup chunks, and batch sizes around the
+# point chunk and around the chunk width in coordinates and in table entries
+KERNEL_NS = st.sampled_from([1, 2, 11, 12, 13, 15, 16, 17, 23, 24, 25, 61, 62]) | st.integers(1, MAX_N)
+BATCHES = sorted({
+    1, 2, 3,
+    _COVER_WIDTH - 1, _COVER_WIDTH, _COVER_WIDTH + 1,
+    (1 << _COVER_WIDTH) - 1, 1 << _COVER_WIDTH, (1 << _COVER_WIDTH) + 1,
+    _POINT_CHUNK - 1, _POINT_CHUNK, _POINT_CHUNK + 1, 2 * _POINT_CHUNK + 5,
+})
+
+
+def kernel_points(n, size, rng):
+    xs = rng.integers(0, 1 << n, size=size, dtype=np.int64)
+    xs[:2] = [0, (1 << n) - 1][:size]  # the empty and the full set
+    return xs
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=KERNEL_NS,
+    owned=st.sampled_from([0, 1, 2, 63, 64, 65, 127, 128, 129, 200]),
+    spare=st.sampled_from([0, 1, 5]),
+    size=st.sampled_from(BATCHES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coverage_lookup_matches_the_per_element_passes(n, owned, spare, size, seed):
+    rng = np.random.default_rng(seed)
+    universe = max(owned + spare, 1)  # elements above `owned` belong to no set
+    sets = [[] for _ in range(n)]  # the sets no element is drawn for stay empty
+    for e in rng.permutation(np.arange(1, owned + 1)).tolist():
+        for i in rng.choice(n, size=rng.integers(1, min(n, 3) + 1), replace=False).tolist():
+            sets[i].extend([e] * int(rng.integers(1, 3)))  # repeated elements
+    for s in sets:
+        rng.shuffle(s)
+    f = instantiate(FamilySpec("coverage", n, {"universe_size": universe, "sets": sets}))
+    ref = ref_coverage_passes(universe, sets)
+    xs = kernel_points(n, size, rng)
+    assert_bitwise_equal(f.eval_many(xs), ref(xs))
+    if n <= _COVER_WIDTH:
+        assert_bitwise_equal(f.table(), ref(np.arange(1 << n, dtype=np.int64)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=KERNEL_NS,
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    size=st.sampled_from(BATCHES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_budget_prefix_table_matches_the_per_coordinate_passes(n, zeros, size, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.0, 1.0, size=n)
+    weights[rng.random(n) < zeros] = 0.0  # zero weights, all of them at 1.0
+    weights = weights.tolist()
+    budget = float(rng.uniform(1e-3, max(1e-3, float(np.cumsum(weights)[-1]))))
+    f = instantiate(FamilySpec("budget_additive", n, {"weights": weights, "budget": budget}))
+    ref = ref_budget_passes(weights, budget)
+    xs = kernel_points(n, size, rng)
+    assert_bitwise_equal(f.eval_many(xs), ref(xs))
+    if n <= _PREFIX_WIDTH:
+        assert_bitwise_equal(f.table(), ref(np.arange(1 << n, dtype=np.int64)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,6 +13,8 @@ check ran on the same table: the flags must equal the recomputed ones, and
 with ``check=False`` the pair pass must still run and flag leaves.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,7 @@ from submodtree.funcs import (
     restrict,
 )
 from test_certify import ref_certify
-from test_frontier import bits, make_tree, mixed_leaves, table_oracles
+from test_frontier import TREE_KINDS, bits, make_tree, mixed_leaves, table_oracles
 
 ALPHAS = (0.05, 0.1, 0.25, 1 / 3, 0.5, 1.0)
 
@@ -184,6 +186,28 @@ def test_leaf_map_tables_and_profiles_match_the_descent(n, seed, kind):
     f, f_ref = table_oracles(n, seed)
     tree, ref_tree = make_tree(kind, n, seed, f), make_tree(kind, n, seed, f_ref)
     assert_same_cube_values(tree, ref_tree, f, f_ref)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=9),
+    seed=st.integers(min_value=0, max_value=10_000),
+    kind=st.sampled_from(TREE_KINDS),
+    group=st.sampled_from([1, 2, 4, 16]),
+)
+def test_leaves_above_the_group_size_fill_their_subcube_views(n, seed, kind, group):
+    # with a small group size most leaves are written through their subcube
+    # views; with the default one, all leaves of n <= 20 form one group
+    f, f_ref = table_oracles(n, seed)
+    tree, ref_tree = make_tree(kind, n, seed, f), make_tree(kind, n, seed, f_ref)
+    with mock.patch.object(dtree, "_LEAF_GROUP", group):
+        table = dtree.tree_table(tree)
+        values, depths = dtree.leaf_profile(tree)
+    assert bits(table) == bits(dtree.tree_table(ref_tree))
+    ref_values, ref_depths = dtree.leaf_profile(ref_tree)
+    assert bits(values) == bits(ref_values)
+    assert depths.dtype == ref_depths.dtype and np.array_equal(depths, ref_depths)
+    assert f.query_count == f_ref.query_count
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
