@@ -241,19 +241,6 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
          {"family": "matroid_rank_partition", "n": 2, "blocks": [[True, 2]], "caps": [1]}),
         (["spectrum", "--file", "SPEC"],
          {"family": "matroid_rank_partition", "n": 2, "blocks": [[0, 1, 2]], "caps": [1]}),
-        # caps and universe sizes must fit int64
-        (["spectrum", "--file", "SPEC"],
-         {"family": "matroid_rank_partition", "n": 3, "blocks": [[1, 2, 3]], "caps": [2**63]}),
-        (["spectrum", "--file", "SPEC"],
-         {"family": "matroid_rank_partition", "n": 3, "blocks": [[1, 2, 3]], "caps": [10**309]}),
-        (["spectrum", "--file", "SPEC"],
-         {"family": "coverage", "n": 2, "universe_size": 2**63, "sets": [[1], [2]]}),
-        (["spectrum", "--file", "SPEC"],
-         {"family": "coverage", "n": 2, "universe_size": 10**309, "sets": [[1], [2]]}),
-        (["spectrum", "--file", "SPEC"],
-         {"family": "budget_additive", "n": 2, "weights": [0.5, 0.5], "budget": 10**309}),
-        # the family is named in messages: an unknown one is rejected first
-        (["spectrum", "--file", "SPEC"], {"family": "a\nb", "n": 100}),
         (["SUBMODTREE_ENUM_CAP=abc", "decompose", "--family", "cut", "--n", "6", "--seed", "1",
           "--alpha", "0.25"], None),
         *[
@@ -267,6 +254,19 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
         ],
         # 102,091 candidates times the default 65,536 samples: above the work limit
         (["hardness", "lpn", "--n", "40", "--k", "4"], None),
+        # caps and universe sizes must fit int64
+        (["spectrum", "--file", "SPEC"],
+         {"family": "matroid_rank_partition", "n": 3, "blocks": [[1, 2, 3]], "caps": [2**63]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "matroid_rank_partition", "n": 3, "blocks": [[1, 2, 3]], "caps": [10**309]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "coverage", "n": 2, "universe_size": 2**63, "sets": [[1], [2]]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "coverage", "n": 2, "universe_size": 10**309, "sets": [[1], [2]]}),
+        (["spectrum", "--file", "SPEC"],
+         {"family": "budget_additive", "n": 2, "weights": [0.5, 0.5], "budget": 10**309}),
+        # the family is named in messages: an unknown one is rejected first
+        (["spectrum", "--file", "SPEC"], {"family": "a\nb", "n": 100}),
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv, spec):
