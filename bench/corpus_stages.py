@@ -1,0 +1,143 @@
+"""Seconds of each suite of the corpus benchmark job, and of the rank suite's stages.
+
+    python3 bench/corpus_stages.py --seed S [--parent DIR] [--out FILE]
+
+Run from the repository root.  The corpus workload's job
+(`perfbench/job.py verify-corpus`) runs `verify all` with the corpus seeds
+shifted by the workload seed; this script runs the same suites in-process,
+with the same n, seeds, smax and k as ``perfbench/workloads.CORPUS`` at
+workload seed S, in a fresh process per side: this checkout, and the
+checkout at ``--parent`` when given (parent first).  Each side prints, in
+seconds, every suite's time and the stages of ``cli.suite_rank``:
+
+- ``build``: the decompositions, certification excluded
+  (`decompose.build_lipschitz_trees`, or `build_lipschitz_tree` where a
+  checkout builds one tree at a time);
+- ``certify``: `decompose._certify`;
+- ``distance``: the exact l1 distances (`dtree.exact_distances`, or
+  `exact_distance`).
+
+With ``--parent`` the sides' report rows must be equal (sha256 of the CSVs).
+The result is written to FILE as JSON when given.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+STAGES = {
+    "build": [("decompose", "build_lipschitz_trees"), ("decompose", "build_lipschitz_tree")],
+    "certify": [("decompose", "_certify")],
+    "distance": [("dtree", "exact_distances"), ("dtree", "exact_distance")],
+}
+
+
+def child(seed: int) -> dict:
+    """Runs in the measured process: the suites, timed, and their rows' hash."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import CORPUS
+
+    from submodtree import cli, decompose, dtree
+
+    modules = {"decompose": decompose, "dtree": dtree}
+    spent = {stage: 0.0 for stage in STAGES}
+    in_rank = [False]
+
+    def timed(stage, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if not in_rank[0]:
+                return fn(*args, **kwargs)
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[stage] += time.perf_counter() - start
+
+        return wrapper
+
+    for stage, targets in STAGES.items():
+        for module, name in targets:
+            if hasattr(modules[module], name):
+                setattr(modules[module], name, timed(stage, getattr(modules[module], name)))
+
+    n, count = CORPUS["n"], CORPUS["seeds"]
+    ns, seeds = tuple(range(4, min(n, 10) + 1)), range(count * seed, count * seed + count)
+
+    def rank(ns, seeds):
+        in_rank[0] = True
+        try:
+            return cli.suite_rank(ns, seeds)
+        finally:
+            in_rank[0] = False
+
+    suites = {
+        "variance": lambda: cli.suite_variance(ns, seeds),
+        "parseval": lambda: cli.suite_parseval(ns, seeds),
+        "pairwise": lambda: cli.suite_pairwise(ns, seeds)[0],
+        "rank": lambda: rank(ns, seeds),
+        "pruning": lambda: cli.suite_pruning(n, count),
+        "correlation": lambda: cli.suite_correlation(CORPUS["smax"]),
+        "embedding": lambda: cli.suite_embedding(CORPUS["k"]),
+    }
+    seconds, digest = {}, hashlib.sha256()
+    for name, run in suites.items():
+        start = time.perf_counter()
+        rows = run()
+        seconds[name] = time.perf_counter() - start
+        digest.update(cli._rows_to_csv(rows).encode())
+    # certification runs inside the builds: the build stage is what is left
+    spent["build"] -= spent["certify"]
+    return {"suite_s": seconds, "rank_stages_s": spent, "sha256": digest.hexdigest()}
+
+
+def run_side(src: Path, seed: int) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "SUBMODTREE_ENUM_CAP"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", str(seed)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    if len(sys.argv) > 1 and sys.argv[1] == "--child":
+        print(json.dumps(child(int(sys.argv[2]))))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--out")
+    opts = parser.parse_args()
+    sides = {"change": ROOT / "src"}
+    if opts.parent is not None:
+        sides = {"parent": opts.parent.resolve() / "src", **sides}
+    result = {
+        "what": __doc__.split("\n")[0],
+        "machine": f"{os.cpu_count()}-core {platform.machine()}, "
+                   f"Python {platform.python_version()}",
+        "seed": opts.seed,
+    }
+    for name, src in sides.items():
+        result[name] = run_side(src, opts.seed)
+        print(name, json.dumps(result[name]), flush=True)
+    hashes = {result[name].pop("sha256") for name in sides}
+    result["rows_equal"] = len(hashes) == 1
+    if opts.out:
+        Path(opts.out).write_text(json.dumps(result, indent=1) + "\n")
+    return 0 if result["rows_equal"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,7 @@ from .decompose import (
     approximate_by_tree,
     build_exact_discrete_tree,
     build_lipschitz_tree,
+    build_lipschitz_trees,
     build_monotone_tree,
     constantize_leaves,
     proper_learn_discrete,
@@ -24,6 +25,7 @@ from .dtree import (
     OracleLeaf,
     evaluate,
     exact_distance,
+    exact_distances,
     pruning_bound,
     pruning_depth_for,
     random_tree,

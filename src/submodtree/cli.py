@@ -9,6 +9,7 @@ byte-identical across reruns with the same configuration.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -175,14 +176,25 @@ def _rank_row(inst: str, alpha: float, report, err: float) -> dict:
 
 
 def suite_rank(ns, seeds) -> list[dict]:
-    rows = []
-    for inst, f in funcs.iter_corpus(ns=ns, seeds=seeds):
-        for a, alpha in enumerate(ALPHA_GRID):
-            # the input check does not depend on alpha: run it once per instance
-            report = dc.build_lipschitz_tree(f, alpha, check=a == 0)
-            err = dtree.exact_distance(f, report.tree, metric="l1")
-            rows.append(_rank_row(inst, alpha, report, err))
-    return rows
+    """Rank rows of the corpus, instance by instance in corpus order, alpha
+    by alpha.  The instances of one n are built and measured one stacked
+    table at a time (`dc.build_lipschitz_trees`), so only one batch's tables
+    and trees are held."""
+    rows: dict[tuple, dict] = {}
+    for at, n in enumerate(dict.fromkeys(ns)):
+        # the j-th instance of n is family j // len(seeds), seed j % len(seeds)
+        corpus = enumerate(funcs.iter_corpus(ns=(n,), seeds=seeds))
+        size = max(1, dtree._STACK_POINTS >> n)  # instances per stacked table
+        for batch in iter(lambda: list(itertools.islice(corpus, size)), []):
+            fs = [f for _, (_, f) in batch]
+            for a, alpha in enumerate(ALPHA_GRID):
+                # the input check does not depend on alpha: run it once per instance
+                reports = dc.build_lipschitz_trees(fs, alpha, check=a == 0)
+                errs = dtree.exact_distances(fs, [r.tree for r in reports], metric="l1")
+                for (j, (inst, _)), report, err in zip(batch, reports, errs):
+                    key = j // len(seeds), at, j % len(seeds), a
+                    rows[key] = _rank_row(inst, alpha, report, err)
+    return [rows[key] for key in sorted(rows)]
 
 
 def _pruning_distributions(n: int) -> dict[float, list[ProductDistribution]]:
@@ -260,10 +272,11 @@ def suite_pruning(n: int, seeds: int) -> list[dict]:
         tree = dtree.random_tree(min(n, 14), seed=s)
         dists = _pruning_distributions(tree.n)
         rows.extend(_pruning_rows_for_tree(f"rand-n{tree.n}-s{s}", tree, dists))
-    for inst, f in funcs.iter_corpus(ns=(min(n, 10),), seeds=range(3)):
-        tree = dc.build_lipschitz_tree(f, 0.5, certify=False).tree
-        dists = _pruning_distributions(tree.n)
-        rows.extend(_pruning_rows_for_tree(f"decomp-{inst}", tree, dists))
+    corpus = list(funcs.iter_corpus(ns=(min(n, 10),), seeds=range(3)))
+    reports = dc.build_lipschitz_trees([f for _, f in corpus], 0.5, certify=False)
+    for (inst, _), report in zip(corpus, reports):
+        dists = _pruning_distributions(report.tree.n)
+        rows.extend(_pruning_rows_for_tree(f"decomp-{inst}", report.tree, dists))
     return rows
 
 
@@ -603,7 +616,7 @@ def _at_least(lo: int):
 def _add_target_options(p) -> None:
     p.add_argument("--family", choices=funcs.FAMILIES)
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--file", help="FamilySpec JSON file")
     p.add_argument("--edges", help='inline cut edges, e.g. "1-2,2-3"')
     p.add_argument("--out", help="directory for report files")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import funcs
+from . import dtree, funcs
 from .cube import enum_cap, subcube_points
 from .dtree import (
     ConstLeaf,
@@ -128,16 +128,18 @@ def _certificates_parts(certificates: list[LeafCertificate]) -> list[str]:
     return parts
 
 
-def _check_submodular(f: ValueOracle, check: bool) -> bool:
-    """Whether `funcs.is_submodular` ran on f's table at TOL and passed;
-    raises NotSubmodular when it ran and failed."""
-    if not (check and f.n <= enum_cap()):
+def _check_submodular(fs: list[ValueOracle], table, check: bool) -> bool:
+    """Whether `funcs.is_submodular` would run on every table at TOL and pass,
+    read from the pair maxima of their stack ``table`` (None beyond the
+    enumeration cap, where no check runs).  Raises NotSubmodular for the first
+    table that fails, with the witness `funcs.is_submodular` gives on it."""
+    if not (check and table is not None):
         return False
-    result = funcs.is_submodular(f)
-    if not result:
-        raise NotSubmodular(
-            "input is not submodular; witness " + funcs.describe_witness(result.witness, f.n)
-        )
+    failing = np.flatnonzero(~funcs.stacked_submodular(table, fs[0].n))
+    if failing.size:
+        f = fs[failing[0]]
+        witness = funcs.describe_witness(funcs.is_submodular(f).witness, f.n)
+        raise NotSubmodular("input is not submodular; witness " + witness)
     return True
 
 
@@ -147,9 +149,10 @@ _UPTO = (_UNIT << 1) - 1
 
 
 def _gathered_splits(table, unit, bound: float, phases: int, bits, free, late):
-    """`_grow`'s split rule read from f's cached table: one gather reads every
-    neighbour of every node at both extreme points.  The "neighbour" along a
-    fixed coordinate is the point itself, whose difference 0 never passes."""
+    """`_grow`'s split rule read from a cached (stacked) table: one gather
+    reads every neighbour of every node at both extreme points.  The
+    "neighbour" along a fixed coordinate is the point itself, whose
+    difference 0 never passes."""
     ends = np.concatenate([bits, bits | free]).reshape(2, -1)[:phases]
     hit = table[ends[..., None] ^ (free[:, None] & unit)] - table[ends][..., None] > bound
     first = np.where(hit.any(axis=2), hit.argmax(axis=2) if unit.size else 0, -1)
@@ -184,36 +187,44 @@ def _probe(f: ValueOracle, bound: float, points: np.ndarray, free: np.ndarray) -
     return split
 
 
-def _grow(f: ValueOracle, table, alpha: float, phases: int) -> tuple[np.ndarray, ...]:
-    """The decomposition tree of f, grown one depth level at a time.
+def _grow(fs: list[ValueOracle], table, alpha: float, phases: int) -> tuple[np.ndarray, ...]:
+    """The decomposition trees of oracles of one dimension n, grown together
+    one depth level at a time.
 
-    A node is the subcube with the coordinates in its mask fixed to its bits.
-    It splits on its first free coordinate i, in ascending order, with
-    f(p ^ e_i) - f(p) > alpha at its extreme point p: the all-zero point in
-    phase 1.  With ``phases`` = 2 a node that phase 1 leaves whole continues
-    at once in phase 2, as do all its descendants, at the all-ones point,
-    where the rule is f(top) - f(top - e_i) < -alpha bit for bit; so the
-    phase-2 trees sit where the phase-1 leaves were.  Per phase, each node is
-    charged what the sequential rule reads: p, then each free coordinate up
-    to the one it splits on, or all of them at a leaf.  With f's cached
-    ``table`` the rule reads the table and these charges are made in bulk.
+    A node is the subcube with the coordinates in its mask fixed to its bits;
+    the bits above n name its oracle, as in the stack `funcs.stacked_table`,
+    and node k < len(fs) is the root of fs[k].  A node splits on its first
+    free coordinate i, in ascending order, with f(p ^ e_i) - f(p) > alpha at
+    its extreme point p: the all-zero point in phase 1.  With ``phases`` = 2
+    a node that phase 1 leaves whole continues at once in phase 2, as do all
+    its descendants, at the all-ones point, where the rule is
+    f(top) - f(top - e_i) < -alpha bit for bit; so the phase-2 trees sit
+    where the phase-1 leaves were.  Per phase, each node is charged to its
+    oracle what the sequential rule reads: p, then each free coordinate up
+    to the one it splits on, or all of them at a leaf.  With the stack's
+    cached ``table`` the rule reads the table and these charges are made in
+    bulk; without it (one oracle, beyond the enumeration cap) the rule
+    evaluates f.
 
     Returns the fixed masks, fixed bits and split coordinates (-1 at a leaf)
     of the nodes in level order, left to right within a level; the children
-    of the k-th split node, lo then hi, are nodes 2k + 1 and 2k + 2.
+    of the k-th split node, lo then hi, are nodes len(fs) + 2k and
+    len(fs) + 2k + 1.
     """
-    full = np.int64((1 << f.n) - 1)
-    unit = _UNIT[: f.n]
+    n = fs[0].n
+    full = np.int64((1 << n) - 1)
+    unit = _UNIT[:n]
     bound = alpha + TOL
-    mask, bits = np.zeros((2, 1), dtype=np.int64)
-    late = np.zeros(1, dtype=bool)  # the node grows in phase 2
+    mask = np.zeros(len(fs), dtype=np.int64)
+    bits = np.arange(len(fs), dtype=np.int64) << n
+    late = np.zeros(len(fs), dtype=bool)  # the node grows in phase 2
     levels = []
     while True:
         free = ~mask & full
         if table is not None:
             split, moved = _gathered_splits(table, unit, bound, phases, bits, free, late)
         else:
-            split, moved = _probed_splits(f, bound, phases, bits, free, late)
+            split, moved = _probed_splits(fs[0], bound, phases, bits, free, late)
         levels.append((mask, bits, split, moved))
         at = (split >= 0).nonzero()[0]
         if not at.size:
@@ -227,59 +238,67 @@ def _grow(f: ValueOracle, table, alpha: float, phases: int) -> tuple[np.ndarray,
     if table is not None:
         free = ~mask & full
         read = np.bitwise_count(free & np.where(split < 0, full, _UPTO[split]))
-        f.charge(split.size + moved.sum() + read.sum() + np.bitwise_count(free[moved]).sum())
+        reads = 1 + moved + read + np.where(moved, np.bitwise_count(free), 0)
+        charges = np.bincount(bits >> n, weights=reads, minlength=len(fs))
+        for f, k in zip(fs, charges.astype(np.int64).tolist()):
+            f.charge(k)
     return mask, bits, split
 
 
-def _build(f: ValueOracle, alpha: float, phases: int, certify: bool, submodular: bool):
-    """The tree grown by `_grow` with restriction leaves, and the leaf
-    certificates when ``certify``; ``submodular`` says that the input check
-    passed on f's table (`_check_submodular`).
+def _build(fs: list[ValueOracle], alpha: float, phases: int, check: bool, certify: bool):
+    """The trees grown by `_grow` with restriction leaves, after the input
+    check when ``check``, with what `_certify` takes: the partition (None
+    beyond the enumeration cap, or without ``certify``) and whether the
+    check passed (`_check_submodular`).
 
     Within the enumeration cap the points of every leaf subcube, laid out
-    leaf after leaf, give every leaf's table as a slice of one gather and
-    the leaf of every point for `_certify`.  Beyond it each leaf is a
-    `restrict` view.
+    leaf after leaf, give every leaf's table as a slice of one gather of the
+    stacked table and the leaf of every point for `_certify`.  Beyond it the
+    one oracle's leaves are `restrict` views.
     """
-    within = f.n <= enum_cap()
-    mask, bits, split = _grow(f, f.table() if within else None, alpha, phases)
+    n = fs[0].n
+    table = funcs.stacked_table(fs) if n <= enum_cap() else None
+    submodular = _check_submodular(fs, table, check)
+    mask, bits, split = _grow(fs, table, alpha, phases)
     leaves = split < 0
     number = np.cumsum(leaves) - 1  # of each leaf node, among the leaves in level order
-    free = ~mask[leaves] & ((1 << f.n) - 1)
-    if within:
+    free = ~mask[leaves] & ((1 << n) - 1)
+    if table is not None:
         points, sizes = subcube_points(bits[leaves], free)
-        oracles = funcs.restrict_subcubes(f, points, sizes)
+        oracles = funcs.restrict_subcubes(fs, table, points, sizes)
     else:
         oracles = [
-            restrict(f, Restriction(f.n, {i: b >> i & 1 for i in range(f.n) if m >> i & 1}))
+            restrict(fs[0], Restriction(n, {i: b >> i & 1 for i in range(n) if m >> i & 1}))
             for m, b in zip(mask[leaves].tolist(), bits[leaves].tolist())
         ]
     var, numbers, masks = split.tolist(), number.tolist(), free.tolist()
     coords: dict[int, tuple[int, ...]] = {}  # free coordinates by mask
-    order: list[int] = []  # leaf numbers in preorder
+    order: list[int] = []  # leaf numbers in preorder, tree after tree
 
     def build(node: int) -> TreeNode:
         if var[node] >= 0:
-            lo = 2 * (node - numbers[node]) - 1  # node - numbers[node] - 1 splits precede it
+            # node - numbers[node] - 1 splits precede it
+            lo = len(fs) + 2 * (node - numbers[node] - 1)
             return Node(var[node], build(lo), build(lo + 1))
         k = numbers[node]
         order.append(k)
         m = masks[k]
         if m not in coords:
-            coords[m] = tuple(i for i in range(f.n) if m >> i & 1)
+            coords[m] = tuple(i for i in range(n) if m >> i & 1)
         return OracleLeaf(oracles[k], coords[m])
 
-    tree = DecisionTree(f.n, build(0))
-    if not certify:
-        return tree, []
-    if not within:
-        return tree, _certify(tree, alpha, f, None)
+    trees = [DecisionTree(n, build(k)) for k in range(len(fs))]
+    # the recursive closure refers to itself: unbound, it frees the leaf
+    # tables of the whole batch when the trees go, not at the next collection
+    del build
+    if not certify or table is None:
+        return trees, None, submodular
     preorder = np.empty(len(order), dtype=np.int32)
     preorder[order] = np.arange(len(order), dtype=np.int32)
-    leaf_of = np.empty(1 << f.n, dtype=np.int32)
+    leaf_of = np.empty(table.size, dtype=np.int32)
     leaf_of[points] = np.repeat(preorder, sizes)
-    del points  # the 2^n int64 points are not needed during certification
-    return tree, _certify(tree, alpha, f, (leaf_of, free[order]), submodular)
+    # the int64 points and the stacked table go before certification
+    return trees, (leaf_of, free[order]), submodular
 
 
 def _map_oracle_leaves(node: TreeNode, fn) -> TreeNode:
@@ -306,35 +325,42 @@ _CERTIFICATES = {
 
 
 def _certify(
-    tree: DecisionTree,
+    trees: list[DecisionTree],
     alpha: float,
-    f: ValueOracle,
+    fs: list[ValueOracle],
     partition: tuple | None,
     submodular: bool = False,
-) -> list[LeafCertificate]:
-    """Certificates of the leaves of a decomposition of f, in `_iter_leaves` order.
+) -> list[list[LeafCertificate]]:
+    """Certificates of the leaves of decompositions of oracles of one
+    dimension n, tree by tree, each in `_iter_leaves` order.
 
     Within the enumeration cap ``partition`` holds the int32 leaf of every
-    point, leaves numbered in preorder, and the int64 mask of each leaf's
-    free coordinates, and one strided pass over f's table checks every leaf
-    at once; ``submodular`` says that `funcs.is_submodular` passed on that
+    point of the stack of fs's tables (`funcs.stacked_table`), leaves
+    numbered in preorder, tree after tree, and the int64 mask of each leaf's
+    free coordinates, and one strided pass over the stack checks every leaf
+    at once; ``submodular`` says that `funcs.is_submodular` passed on every
     table, so that the pass skips the mixed differences and every leaf is
     submodular.  Beyond the cap ``partition`` is None and each leaf within it
     is checked on its own table, as a one-leaf tree, and a larger leaf gets
     None.  Constant leaves pass.
     """
     leaves: list = []
-    _iter_leaves(tree.root, leaves)
-    if f.n <= enum_cap():
+    counts = []
+    for tree in trees:
+        _iter_leaves(tree.root, leaves)
+        counts.append(len(leaves))
+    if fs[0].n <= enum_cap():
         leaf_of, free = partition
-        failed = funcs.leaf_violations(f.table(), f.n, leaf_of, free, alpha, submodular)
+        table = funcs.stacked_table(fs)
+        failed = funcs.leaf_violations(table, fs[0].n, leaf_of, free, alpha, submodular)
         ok = zip(*(np.logical_not(bad).tolist() for bad in failed))
     else:
         ok = (_leaf_ok(lf.oracle, alpha) if isinstance(lf, OracleLeaf) else None for lf in leaves)
-    return [
+    certificates = [
         _CERTIFICATES[flags if isinstance(lf, OracleLeaf) else (True, True, True)]
         for lf, flags in zip(leaves, ok)
     ]
+    return [certificates[a:b] for a, b in zip([0, *counts], counts)]
 
 
 def _leaf_ok(g: ValueOracle, alpha: float) -> tuple:
@@ -346,23 +372,41 @@ def _leaf_ok(g: ValueOracle, alpha: float) -> tuple:
     return tuple(not bad[0] for bad in failed)
 
 
-def _decompose(f: ValueOracle, alpha: float, phases: int, check: bool, certify: bool):
-    """The report of a decomposition of f in 1 or 2 phases, whose rank bound
-    is phases/alpha."""
+def _decompose(fs: list[ValueOracle], alpha: float, phases: int, check: bool, certify: bool):
+    """The report of a decomposition of each oracle in 1 or 2 phases, whose
+    rank bound is phases/alpha.
+
+    The oracles share one dimension n.  They are built in batches whose
+    stacked table holds at most dtree._STACK_POINTS points, one oracle at a
+    time beyond the enumeration cap.  A batch fails as soon as the input
+    check fails on one of its tables (`_check_submodular`), so the error
+    names the first failing oracle in input order.
+    """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    submodular = _check_submodular(f, check)
-    if f.n <= enum_cap():
-        f.table()  # one bulk materialization makes every frontier query a gather
-    tree, certificates = _build(f, alpha, phases, certify, submodular)
-    return DecompositionReport(
-        tree=tree,
-        alpha=alpha,
-        rank=tree_rank(tree),
-        claimed_rank_bound=phases / alpha,
-        leaf_certificates=certificates,
-        phase="monotone" if phases == 1 else "lipschitz",
-    )
+    n = fs[0].n
+    if any(f.n != n for f in fs):
+        raise ValueError(f"a batch has one dimension, got {sorted({f.n for f in fs})}")
+    step = max(1, dtree._STACK_POINTS >> n) if n <= enum_cap() else 1
+    reports = []
+    for k in range(0, len(fs), step):
+        batch = fs[k:k + step]
+        trees, partition, submodular = _build(batch, alpha, phases, check, certify)
+        certificates = (
+            _certify(trees, alpha, batch, partition, submodular) if certify else [[] for _ in trees]
+        )
+        reports += [
+            DecompositionReport(
+                tree=tree,
+                alpha=alpha,
+                rank=tree_rank(tree),
+                claimed_rank_bound=phases / alpha,
+                leaf_certificates=certs,
+                phase="monotone" if phases == 1 else "lipschitz",
+            )
+            for tree, certs in zip(trees, certificates)
+        ]
+    return reports
 
 
 def build_monotone_tree(
@@ -374,7 +418,7 @@ def build_monotone_tree(
     inputs.  Leaves are oracle restrictions of f; they stay submodular but
     need not be Lipschitz (their lipschitz_ok certificate can be False).
     """
-    return _decompose(f, alpha, 1, check, certify)
+    return _decompose([f], alpha, 1, check, certify)[0]
 
 
 def build_lipschitz_tree(
@@ -386,9 +430,20 @@ def build_lipschitz_tree(
     inside each phase-1 leaf with the bit-flipped restriction (derivatives
     bounded below), realized directly by splitting while some derivative at
     the subcube's all-ones point is below -alpha.  Rank <= ceil(2/alpha) for
-    range-[0,1] inputs.
+    range-[0,1] inputs.  A build is a batch of one (`build_lipschitz_trees`).
     """
-    return _decompose(f, alpha, 2, check, certify)
+    return _decompose([f], alpha, 2, check, certify)[0]
+
+
+def build_lipschitz_trees(
+    fs: list[ValueOracle], alpha: float, *, check: bool = True, certify: bool = True
+) -> list[DecompositionReport]:
+    """`build_lipschitz_tree` of each oracle of one dimension, the same
+    trees, certificates and query charges bit for bit, grown, restricted and
+    certified as one stacked cube per batch: the tables one after another,
+    each tree rooted at its own table's slot.  Raises NotSubmodular for the
+    first input, in order, that fails the check."""
+    return _decompose(list(fs), alpha, 2, check, certify)
 
 
 def default_mean_samples(alpha: float) -> int:

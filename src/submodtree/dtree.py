@@ -24,7 +24,7 @@ import numpy as np
 
 from .cube import ProductDistribution, check_enumerable, popcount, subcube_points
 from .fourier import Spectrum, transform
-from .funcs import ValueOracle, full_tables
+from .funcs import ValueOracle, full_tables, stacked_table
 
 TreeNode = Union["ConstLeaf", "OracleLeaf", "Node"]
 
@@ -105,6 +105,7 @@ def _leaf_subcubes(tree: DecisionTree) -> tuple[list, np.ndarray, np.ndarray]:
             fixed.append(bits)
 
     walk(tree.root, 0, 0)
+    del walk  # the recursive closure would keep the leaves alive until a collection
     return leaves, np.array(paths, dtype=np.int64), np.array(fixed, dtype=np.int64)
 
 
@@ -145,26 +146,43 @@ def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
 # through its subcube view
 _LEAF_GROUP = 1 << 20
 
+# Batches of trees of one small dimension are decomposed and measured as one
+# stack of tables of at most this many points: the per-tree cost of the
+# array passes is spread over the batch, while each of the stack's
+# temporaries (leaf points, leaf tables, differences) stays near 128 KB.
+_STACK_POINTS = 1 << 14
 
-def _cube_values(tree: DecisionTree, what: str, depths: bool = False) -> tuple:
-    """The tree's value at every point and, with ``depths``, the depth of the
-    leaf every point reaches (else None).
 
-    A walk of the tree gives each leaf's subcube.  The points of an oracle
+def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> tuple:
+    """Each tree's value at every point and, with ``depths``, the depth of
+    the leaf every point reaches (else None), for trees of one dimension n,
+    stacked as `funcs.stacked_table` stacks tables: point k * 2^n + x holds
+    tree k at x.
+
+    A walk of each tree gives each leaf's subcube.  The points of an oracle
     leaf, taken in ascending order, are its local points in order, so its
     whole table fills them in one scatter; each oracle leaf is charged its
     2^k points.  A leaf of more than _LEAF_GROUP points fills the view of
-    its subcube in the cube-shaped table, ``values.reshape((2,) * n)[idx]``,
-    with an int at each tested axis and a slice elsewhere (axis 0 is
-    coordinate n-1), so none of its points is listed.
+    its subcube in the cube-shaped table of its tree,
+    ``values.reshape((2,) * n)[idx]``, with an int at each tested axis and a
+    slice elsewhere (axis 0 is coordinate n-1), so none of its points is
+    listed.
     """
-    check_enumerable(tree.n, what)
-    n = tree.n
-    leaves, tested, fixed = _leaf_subcubes(tree)
+    n = trees[0].n
+    check_enumerable(n, what)
+    if any(tree.n != n for tree in trees):
+        raise ValueError(f"trees of dimensions {sorted({tree.n for tree in trees})}")
+    leaves, tested, fixed = [], [], []
+    for k, tree in enumerate(trees):
+        tree_leaves, tree_tested, tree_fixed = _leaf_subcubes(tree)
+        leaves += tree_leaves
+        tested.append(tree_tested)
+        fixed.append(tree_fixed | k << n)
+    tested, fixed = np.concatenate(tested), np.concatenate(fixed)
     free = tested ^ ((1 << n) - 1)
     alone = np.zeros(len(leaves), dtype=bool)
     bounds = [0, len(leaves)]
-    if 1 << n > _LEAF_GROUP:
+    if len(trees) << n > _LEAF_GROUP:
         sizes = np.int64(1) << popcount(free).astype(np.int64)
         alone = sizes > _LEAF_GROUP
         window = (np.cumsum(sizes) - sizes) // _LEAF_GROUP
@@ -174,7 +192,7 @@ def _cube_values(tree: DecisionTree, what: str, depths: bool = False) -> tuple:
     for a, b in zip(bounds, bounds[1:]):
         if alone[a]:
             leaf = leaves[a]
-            idx = tuple(
+            idx = (int(fixed[a] >> n),) + tuple(
                 slice(None) if free[a] >> c & 1 else int(fixed[a] >> c & 1) for c in reversed(range(n))
             )
             if isinstance(leaf, OracleLeaf):
@@ -193,12 +211,12 @@ def _cube_values(tree: DecisionTree, what: str, depths: bool = False) -> tuple:
         if values is None:
             # allocated before the first group's arrays, the table kept 8 MB
             # more resident after a decompose at n = 20
-            values = np.empty(1 << n)
-            levels = np.empty(1 << n, dtype=np.int64) if depths else None
+            values = np.empty(len(trees) << n)
+            levels = np.empty(len(trees) << n, dtype=np.int64) if depths else None
         if alone[a]:
-            values.reshape((2,) * n)[idx] = fill
+            values.reshape((-1,) + (2,) * n)[idx] = fill
             if depths:
-                levels.reshape((2,) * n)[idx] = popcount(int(tested[a]))
+                levels.reshape((-1,) + (2,) * n)[idx] = popcount(int(tested[a]))
         else:
             values[points] = in_order
             if depths:
@@ -208,7 +226,7 @@ def _cube_values(tree: DecisionTree, what: str, depths: bool = False) -> tuple:
 
 def tree_table(tree: DecisionTree) -> np.ndarray:
     """Truth table of the tree, little-endian point order."""
-    return _cube_values(tree, "tree table")[0]
+    return _cube_values([tree], "tree table")[0]
 
 
 def leaf_profile(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +236,7 @@ def leaf_profile(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
     exceeds d and its value is nonzero, so this one traversal determines the
     truncation disagreement at every depth at once.
     """
-    return _cube_values(tree, "leaf profile", depths=True)
+    return _cube_values([tree], "leaf profile", depths=True)
 
 
 def truncation_disagreements(tree: DecisionTree, dist: ProductDistribution | None = None) -> np.ndarray:
@@ -344,28 +362,54 @@ def exact_distance(f, g, dist: ProductDistribution | None = None, metric: str = 
     tg, ng = _as_table(g)
     if nf != ng:
         raise ValueError(f"dimension mismatch: {nf} vs {ng}")
+    if dist is not None and dist.n != nf:
+        raise ValueError(f"distribution dimension {dist.n} != {nf}")
+    return _distances(tf, tg, nf, dist, metric)[0]
+
+
+def exact_distances(
+    fs: list[ValueOracle], trees: list[DecisionTree], metric: str = "l2"
+) -> list[float]:
+    """`exact_distance` (uniform weights) of each oracle and the tree at its
+    position, all of one dimension, bit for bit: the trees' tables are
+    filled by stacks of _STACK_POINTS points, one pass over the leaves of
+    all the trees of a stack."""
+    n = fs[0].n
+    if any(g.n != n for g in fs) or len(trees) != len(fs):
+        raise ValueError("exact_distances needs one tree per oracle, all of one dimension")
+    step = max(1, _STACK_POINTS >> n)
+    distances = []
+    for k in range(0, len(fs), step):
+        tg = _cube_values(trees[k:k + step], "tree table")[0]
+        distances += _distances(stacked_table(fs[k:k + step]), tg, n, None, metric)
+    return distances
+
+
+def _distances(tf, tg, n: int, dist: ProductDistribution | None, metric: str) -> list[float]:
+    """The distance of each 2^n-point table of the stack tf from the table
+    at its position in tg, each summed over its own 2^n values."""
     if dist is None:
         # every point weighs 2^-n: the same products and sums as the uniform
         # probability vector, without building it
-        w = 0.5**nf
-    elif dist.n != nf:
-        raise ValueError(f"distribution dimension {dist.n} != {nf}")
+        w = 0.5**n
     else:
         w = dist.probability_vector()
     if metric == "disagreement":
-        differ = tf != tg
-        return float(np.count_nonzero(differ) * w if dist is None else np.sum(w[differ]))
+        differ = (tf != tg).reshape(-1, 1 << n)
+        if dist is None:
+            return [float(np.count_nonzero(row) * w) for row in differ]
+        return [float(np.sum(w[row])) for row in differ]
     if metric not in ("l1", "l2"):
         raise ValueError(f"unknown metric {metric!r}")
     # the only 2^n temporary: |f - g| or (f - g)^2, then the weights, in place
-    d = tf - tg
+    d = (tf - tg).reshape(-1, 1 << n)
     if metric == "l1":
         np.abs(d, out=d)
     else:
         np.square(d, out=d)
     np.multiply(d, w, out=d)
-    total = float(np.sum(d))
-    return total if metric == "l1" else math.sqrt(total)
+    totals = [float(np.sum(row)) for row in d]
+    return totals if metric == "l1" else [math.sqrt(total) for total in totals]
 
 
 # --- random trees ------------------------------------------------------------

@@ -279,7 +279,8 @@ def coefficients(f: ValueOracle) -> np.ndarray:
     so a table holding NaN gives NaN coefficients.
     """
     t = f.table()
-    c = fwht(t) / t.size
+    c = fwht(t)
+    c /= t.size  # in place: the same quotients, with no third 2^n array
     c[(c >= -SPARSE_EPS) & (c <= SPARSE_EPS)] = 0.0  # |c| <= eps, with no float temporary
     return c
 

@@ -237,21 +237,35 @@ def restrict(f: ValueOracle, restriction: Restriction) -> ValueOracle:
     return view(f, n=len(free), points=expand, sub_table=sub_table)
 
 
-def restrict_subcubes(f: ValueOracle, points: np.ndarray, sizes: np.ndarray) -> list[ValueOracle]:
-    """The restriction of f to each of a list of subcubes.
+def stacked_table(oracles: Sequence[ValueOracle]) -> np.ndarray:
+    """The truth tables of oracles of one dimension n, one after another: the
+    table of a stack whose point k * 2^n + x is point x of oracle k, so that
+    the bits above n of a stacked point name its oracle.  One oracle's stack
+    is its cached table itself."""
+    tables = [g.table() for g in oracles]
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
 
-    ``points`` lists the points of each subcube in ascending order, one
-    subcube after another, and ``sizes`` their sizes (`cube.subcube_points`).
-    A subcube's points in ascending order are its local points in order, so
-    one gather of f's table holds every subcube's table as a slice.  Each
-    view equals `restrict` to its subcube bit for bit and shares f's counter.
+
+def restrict_subcubes(
+    oracles: Sequence[ValueOracle], table: np.ndarray, points: np.ndarray, sizes: np.ndarray
+) -> list[ValueOracle]:
+    """The restriction of its oracle to each of a list of subcubes of a stack.
+
+    ``table`` is `stacked_table` of ``oracles``; ``points`` lists the stacked
+    points of each subcube in ascending order, one subcube after another,
+    and ``sizes`` their sizes (`cube.subcube_points`).  A subcube's points in
+    ascending order are its local points in order, so one gather of the
+    stacked table holds every subcube's table as a slice.  Each view equals
+    `restrict` of its oracle to its subcube bit for bit and shares that
+    oracle's counter.
     """
-    values = f.table()[points]
+    values = table[points]
+    owners = (points[np.cumsum(sizes) - sizes] >> oracles[0].n).tolist()
     views, start = [], 0
-    for size in sizes.tolist():
+    for size, owner in zip(sizes.tolist(), owners):
         t = values[start:start + size]
         k = size.bit_length() - 1
-        views.append(ValueOracle(k, t.__getitem__, counter=f._counter, table=t))
+        views.append(ValueOracle(k, t.__getitem__, counter=oracles[owner]._counter, table=t))
         start += size
     return views
 
@@ -317,6 +331,10 @@ def _with_zero_bits(k, *bits):
 # n; above it every row is a block of its own, read through the strided views
 # above, except that the submodularity checks take pair maxima from the
 # cache-sized blocks of `_pair_maxima`.
+#
+# A stack of tables (`stacked_table`) is read through the same views: its
+# rows over the low n coordinates pair each point only with points of its
+# own table, so no difference crosses from one table into the next.
 _GATHER_BUDGET = 1 << 16
 
 
@@ -347,11 +365,12 @@ def _row_blocks(a: np.ndarray, n: int, order: int, corners: slice = slice(None))
     values[c] holds a at the c-th of the ``corners`` of each row (the row's
     coordinates set to the bits of the corner's number, as in
     `_gather_index`), shaped with one leading axis of rows; base(r, k) is the
-    k-th point of row r.
+    k-th point of row r.  ``a`` may be a stack of 2^n-point tables, whose
+    rows are read through the strided views.
     """
     if n < order:
         return
-    if math.comb(n, order) << (n - order) <= _GATHER_BUDGET:
+    if a.size == 1 << n and math.comb(n, order) << (n - order) <= _GATHER_BUDGET:
         coords, index = _gather_index(n, order)
         yield coords, a.take(index[corners]), lambda r, k: index[0][r, k]
         return
@@ -398,11 +417,24 @@ _PAIR_BLOCK = 1 << 16
 
 def _pair_maxima(t: np.ndarray, n: int) -> np.ndarray:
     """The largest mixed difference of each pair i < j, in lexicographic
-    order; NaN for a pair with a NaN difference, as ndarray.max gives."""
+    order; NaN for a pair with a NaN difference, as ndarray.max gives.  For
+    a stack of 2^n-point tables, the maxima of each table, one table after
+    another, each the bits its table alone gives."""
     if n < 2:
         return np.zeros(0)
-    if math.comb(n, 2) << (n - 2) <= _GATHER_BUDGET:
-        return _mixed(*t.take(_gather_index(n, 2)[1])).max(axis=1)
+    tables = t.reshape(-1, 1 << n)
+    if math.comb(n, 2) << (n - 2) > _GATHER_BUDGET:
+        return np.concatenate([_blocked_pair_maxima(table, n) for table in tables])
+    index = _gather_index(n, 2)[1]
+    step = max(1, _GATHER_BUDGET // index.size)  # tables per gather
+    return np.concatenate([
+        _mixed(*np.moveaxis(tables[k:k + step].take(index, axis=1), 1, 0)).max(axis=2).reshape(-1)
+        for k in range(0, len(tables), step)
+    ])
+
+
+def _blocked_pair_maxima(t: np.ndarray, n: int) -> np.ndarray:
+    """`_pair_maxima` of one table above the gather budget."""
     half = _PAIR_BLOCK >> 1
     parts = np.full((math.comb(n, 2), max(1, (1 << n) // _PAIR_BLOCK)), -np.inf)
     buf, dbuf = np.empty(half), np.empty(half)
@@ -503,6 +535,12 @@ def lipschitz_constant(f: ValueOracle) -> float:
     return worst
 
 
+def stacked_submodular(t: np.ndarray, n: int, tol: float = TOL) -> np.ndarray:
+    """Per table of a stack of 2^n-point tables, whether `is_submodular`
+    passes on it, read from the same pair maxima."""
+    return ~(_pair_maxima(t, n).reshape(t.size >> n, -1) > tol).any(axis=1)
+
+
 def leaf_violations(
     t: np.ndarray,
     n: int,
@@ -511,20 +549,21 @@ def leaf_violations(
     alpha: float,
     known_submodular: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leaves of a decomposition that fail the alpha-monotone, alpha-Lipschitz
-    and submodular checks, all found in one pass over the parent table t.
+    """Leaves of decompositions that fail the alpha-monotone, alpha-Lipschitz
+    and submodular checks, all found in one pass over the parent table t, or
+    over a stack of 2^n-point parent tables (`stacked_table`).
 
     ``leaf_of`` holds the leaf of every point and ``free`` the mask of each
-    leaf's free coordinates.  A difference along i belongs to the leaf of its
-    x_i = 0 point exactly when i is free there (a pair difference when both
-    coordinates are), and then it equals the leaf's own difference bit for
-    bit.  Each returned bool array marks the leaves on whose restriction the
-    corresponding check fails: `is_alpha_monotone_decreasing`,
+    leaf's free coordinates.  A difference along i < n belongs to the leaf of
+    its x_i = 0 point exactly when i is free there (a pair difference when
+    both coordinates are), and then it equals the leaf's own difference bit
+    for bit.  Each returned bool array marks the leaves on whose restriction
+    the corresponding check fails: `is_alpha_monotone_decreasing`,
     `lipschitz_constant` <= alpha + TOL, `is_submodular`.
 
-    ``known_submodular`` says that `is_submodular` passed on t itself at TOL:
-    it computed the same mixed differences, so none exceeds TOL, no leaf can
-    fail, and the pair pass is skipped.
+    ``known_submodular`` says that `is_submodular` passed on every table at
+    TOL: it computed the same mixed differences, so none exceeds TOL, no
+    leaf can fail, and the pair pass is skipped.
     """
     mono, lip, sub = np.zeros((3, len(free)), dtype=bool)
     bound = alpha + TOL
@@ -547,11 +586,13 @@ def leaf_violations(
             mono[ids[d[r, k] > bound]] = True
     if known_submodular:
         return mono, lip, sub
+    tables = t.reshape(-1, 1 << n)
+    tops = _pair_maxima(t, n).reshape(len(tables), -1)
     # rare on submodular input; a NaN maximum may hide differences above TOL
-    for r in np.flatnonzero(~(_pair_maxima(t, n) <= TOL)).tolist():
-        c = _pair(n, r)
-        hits = _mixed_difference_row(t, *c)[None] > TOL
-        sub[owned(hits, np.array([c]), lambda _, k: _with_zero_bits(k, *c))[2]] = True
+    for table, r in np.argwhere(~(tops <= TOL)).tolist():
+        c, at = _pair(n, r), table << n
+        hits = _mixed_difference_row(tables[table], *c)[None] > TOL
+        sub[owned(hits, np.array([c]), lambda _, k: at + _with_zero_bits(k, *c))[2]] = True
     return mono, lip, sub
 
 
@@ -646,8 +687,8 @@ def _int64(what: str, v) -> int:
     return v
 
 
-# The cut, coverage and budget-additive evaluators work on chunks of this
-# many points, so their temporaries stay in cache and none has 2^n entries.
+# Every family evaluator works on chunks of this many points, so its
+# temporaries stay in cache and none has 2^n entries.
 _POINT_CHUNK = 1 << 14
 _COVER_WIDTH = 12  # coordinates per lookup table of the coverage evaluator
 _PREFIX_WIDTH = 16  # low coordinates in the budget-additive prefix table
@@ -783,14 +824,14 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
                 r += np.minimum(popcount(xs & blk), min(c, blk.bit_count()))
             return r / total
 
-        return ValueOracle(n, rank)
+        return ValueOracle(n, _by_chunks(rank))
 
     if family == "concave_profile":
         profile = [float(v) for v in p["profile"]]
         _require_finite("concave_profile profile", profile)
         _validate_profile(profile, n)
         by_weight = np.array(profile)
-        return ValueOracle(n, lambda xs: by_weight[popcount(xs)])
+        return ValueOracle(n, _by_chunks(lambda xs: by_weight.take(popcount(xs))))
 
     # truth_table
     values = np.asarray(p["values"], dtype=float)

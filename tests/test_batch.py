@@ -1,0 +1,149 @@
+"""Batched decomposition against one build at a time.
+
+`decompose.build_lipschitz_trees` grows, restricts and certifies the trees
+of several oracles of one dimension as one stacked cube: their tables one
+after another, each tree rooted at its own table's slot.  Every tree, leaf
+table, certificate, rank, exact l1 distance and query charge must equal what
+`build_lipschitz_tree` and `dtree.exact_distance` give on each oracle
+alone, bit for bit, and a failing input check must raise what the first
+failing oracle raises alone.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_table
+from submodtree import decompose, dtree
+from submodtree.decompose import (
+    NotSubmodular,
+    build_lipschitz_tree,
+    build_lipschitz_trees,
+    constantize_leaves,
+)
+from submodtree.funcs import GENERATED_FAMILIES, ValueOracle, generate_random, instantiate
+
+ALPHAS = (0.05, 0.1, 0.25, 1 / 3, 0.5, 1.0)
+BATCH_SIZES = (1, 2, 3, 5)
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64).tobytes()
+
+
+def oracle_leaves(tree):
+    leaves = []
+    decompose._iter_leaves(tree.root, leaves)
+    return leaves
+
+
+def one_at_a_time(fs, alpha, check, certify):
+    """The reports of a loop of single builds, the query counts after them
+    and the l1 distances, or the exception the loop raises."""
+    try:
+        reports = [build_lipschitz_tree(f, alpha, check=check, certify=certify) for f in fs]
+    except NotSubmodular as e:
+        return e
+    built = [f.query_count for f in fs]
+    errs = [dtree.exact_distance(f, r.tree, metric="l1") for f, r in zip(fs, reports)]
+    return reports, built, errs
+
+
+def assert_same_batch(make_fs, alpha, check, certify=True, group=None):
+    """The batched build of make_fs() against single builds of a second copy,
+    with the batch cut at ``group`` stacked points when given."""
+    fs, refs = make_fs(), make_fs()
+    want = one_at_a_time(refs, alpha, check, certify)
+    with mock.patch.object(dtree, "_STACK_POINTS", group or dtree._STACK_POINTS):
+        if isinstance(want, NotSubmodular):
+            with pytest.raises(NotSubmodular) as got:
+                build_lipschitz_trees(fs, alpha, check=check, certify=certify)
+            assert str(got.value) == str(want)
+            return
+        reports = build_lipschitz_trees(fs, alpha, check=check, certify=certify)
+        built = [f.query_count for f in fs]
+        errs = dtree.exact_distances(fs, [r.tree for r in reports], metric="l1")
+    ref_reports, ref_built, ref_errs = want
+    assert len(reports) == len(fs)
+    assert built == ref_built
+    for report, ref in zip(reports, ref_reports):
+        assert report.rank == ref.rank and report.phase == ref.phase
+        assert report.leaf_certificates == ref.leaf_certificates
+        leaves, ref_leaves = oracle_leaves(report.tree), oracle_leaves(ref.tree)
+        assert [lf.free for lf in leaves] == [lf.free for lf in ref_leaves]
+        assert [bits(lf.oracle.table()) for lf in leaves] == [
+            bits(lf.oracle.table()) for lf in ref_leaves
+        ]
+    assert bits(errs) == bits(ref_errs)
+    assert [f.query_count for f in fs] == [g.query_count for g in refs]
+    texts = [dtree.to_json_text(constantize_leaves(r)) for r in reports]
+    assert texts == [dtree.to_json_text(constantize_leaves(r)) for r in ref_reports]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=10),
+    size=st.sampled_from(BATCH_SIZES),
+    data=st.data(),
+    alpha=st.sampled_from(ALPHAS),
+    check=st.booleans(),
+    split=st.booleans(),
+)
+def test_batches_match_single_builds_on_the_corpus(n, size, data, alpha, check, split):
+    picks = data.draw(st.lists(
+        st.tuples(st.sampled_from(GENERATED_FAMILIES), st.integers(0, 10_000)),
+        min_size=size, max_size=size,
+    ))
+    specs = [generate_random(family, n, seed) for family, seed in picks]
+    group = 2 << n if split else None  # two tables per stack: the batch is cut
+    assert_same_batch(lambda: [instantiate(s) for s in specs], alpha, check, group=group)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=10),
+    size=st.sampled_from(BATCH_SIZES),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=5, max_size=5),
+    alpha=st.sampled_from(ALPHAS),
+    check=st.booleans(),
+    certify=st.booleans(),
+)
+def test_batches_match_single_builds_on_random_tables(n, size, seeds, alpha, check, certify):
+    # grid tables, submodular families with and without a bump, and noise:
+    # batches mix inputs that pass and fail the check
+    tables = [random_table(n, seed, alpha) for seed in seeds[:size]]
+    make = lambda: [ValueOracle.from_table(t) for t in tables]  # noqa: E731
+    assert_same_batch(make, alpha, check, certify)
+
+
+def test_a_failing_check_names_the_first_failing_input():
+    good = instantiate(generate_random("cut", 5, 1)).table()
+    noise = [np.random.default_rng(k).uniform(0.0, 1.0, size=32) for k in range(2)]
+    fs = [ValueOracle.from_table(t) for t in (good, noise[1], good, noise[0])]
+    with pytest.raises(NotSubmodular) as alone:
+        build_lipschitz_tree(ValueOracle.from_table(noise[1]), 0.5)
+    with pytest.raises(NotSubmodular) as batched:
+        build_lipschitz_trees(fs, 0.5)
+    assert str(batched.value) == str(alone.value)
+    # unchecked, the same batch builds, and its noisy leaves fail certification
+    reports = build_lipschitz_trees(fs, 0.5, check=False)
+    assert [r.certificates_ok() for r in reports] == [True, False, True, False]
+
+
+def test_a_batch_has_one_dimension():
+    fs = [instantiate(generate_random("cut", n, 0)) for n in (4, 5)]
+    with pytest.raises(ValueError, match="one dimension"):
+        build_lipschitz_trees(fs, 0.5)
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_stacked_distances_sum_each_table_alone(n):
+    # each l1 total is np.sum over its own 2^n values, not a slice of a longer sum
+    fs = [instantiate(generate_random(family, n, 3)) for family in GENERATED_FAMILIES]
+    trees = [dtree.random_tree(n, seed) for seed in range(len(fs))]
+    for metric in ("l1", "l2", "disagreement"):
+        got = dtree.exact_distances(fs, trees, metric=metric)
+        want = [dtree.exact_distance(f, t, metric=metric) for f, t in zip(fs, trees)]
+        assert bits(got) == bits(want)

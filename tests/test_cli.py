@@ -267,6 +267,17 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
          {"family": "budget_additive", "n": 2, "weights": [0.5, 0.5], "budget": 10**309}),
         # the family is named in messages: an unknown one is rejected first
         (["spectrum", "--file", "SPEC"], {"family": "a\nb", "n": 100}),
+        # a negative seed is rejected where it enters, naming the flag
+        *[
+            (argv, None)
+            for argv in (
+                ["decompose", "--family", "cut", "--n", "4", "--seed", "-1", "--alpha", "0.5"],
+                ["spectrum", "--family", "cut", "--n", "4", "--seed", "-1"],
+                ["learn", "pac", "--family", "cut", "--n", "4", "--seed", "-1", "--epsilon", "0.5"],
+                ["learn", "agnostic-l2", "--family", "cut", "--n", "4", "--seed", "-1",
+                 "--epsilon", "0.5", "--L", "1"],
+            )
+        ],
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv, spec):
@@ -283,6 +294,8 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, ar
     assert err.count("\n") == 1 and "Traceback" not in err, err
     for name, value in env:  # the line names the variable and its value
         assert f"{name} must be a positive integer, got {value!r}" in err, err
+    if "--seed" in argv and argv[argv.index("--seed") + 1] == "-1":
+        assert "argument --seed: must be >= 0, got '-1'" in err, err
 
 
 # sha256 of the report files of `decompose --n 12 --alpha 0.25`, as written

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from submodtree import cube
+from submodtree import cube, funcs
 from submodtree.funcs import (
     GENERATED_FAMILIES,
     _COVER_WIDTH,
@@ -390,3 +390,24 @@ def test_view_same_with_or_without_cached_parent_table(family, name):
     lazy_table = a.table()
     assert a.query_count - before == 1 << a.n
     assert_bitwise_equal(lazy_table, eager_table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(GENERATED_FAMILIES),
+    n=st.integers(min_value=13, max_value=16),
+    seed=st.integers(0, 1000),
+    size=st.sampled_from([_POINT_CHUNK - 1, _POINT_CHUNK, _POINT_CHUNK + 1]),
+)
+def test_chunked_evaluators_match_one_whole_array_call(family, n, seed, size):
+    # every family evaluates by chunks of _POINT_CHUNK points; with a chunk
+    # larger than the cube, its evaluator is one call on the whole array
+    spec = generate_random(family, n, seed)
+    xs = np.random.default_rng(seed).integers(0, 1 << n, size=size, dtype=np.int64)
+    table, batch = instantiate(spec).table(), instantiate(spec).eval_many(xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcs, "_POINT_CHUNK", 1 << 30)
+        f = instantiate(spec)
+        whole, whole_batch = f._fn(np.arange(1 << n, dtype=np.int64)), f._fn(xs)
+    assert_bitwise_equal(table, whole)
+    assert_bitwise_equal(batch, whole_batch)

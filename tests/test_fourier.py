@@ -140,6 +140,24 @@ def test_fwht_matches_the_two_copy_butterfly_on_any_floats(values):
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+_SUBNORMAL = [5e-324, -5e-324, 2.2e-308, -1e-310]
+
+
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+def test_coefficients_divide_in_place_bit_for_bit(n, seed):
+    # the in-place quotient against fwht(t) / t.size, on tables with NaN,
+    # infinities, signed zeros and subnormals
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=1 << n) * 10.0 ** rng.integers(-310, 300, size=1 << n)
+    special = rng.random(1 << n) < rng.choice([0.0, 0.05, 0.5])
+    t[special] = rng.choice(_SPECIAL + _SUBNORMAL, size=int(special.sum()))
+    with np.errstate(all="ignore"):
+        want = fwht(t) / t.size
+        want[(want >= -SPARSE_EPS) & (want <= SPARSE_EPS)] = 0.0
+        got = coefficients(ValueOracle.from_table(t))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 @given(st.integers(min_value=1, max_value=8), st.data())
 def test_parity_matches_definition(n, data):
     s = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
