@@ -1,0 +1,144 @@
+"""In-process stage times of `submodtree decompose`, one run per side and seed.
+
+    python3 bench/decompose_stages.py [--parent DIR] [--out FILE]
+        [--kinds decompose-matroid-n16 ...] [--seeds S ...]
+
+Run from the repository root.  For every job kind (default: the deep-tree
+workload's, ``perfbench/workloads.WORKLOADS["deep-tree"]``) and every seed
+(default: that kind's seeds in ``perfbench/pool.json``), each side runs
+`decompose ... --out DIR` once with the kind's arguments, in a fresh process
+with the program imported from that side's ``src/``: this checkout, and the
+checkout at ``--parent`` when given.  The sides alternate which runs first
+from row to row.  A run prints, in seconds:
+
+- ``check``: the input's submodularity check (`decompose._check_submodular`);
+- ``grow``: the level-by-level growth (`decompose._grow`);
+- ``gather``: the rest of `decompose._build`, the leaf gather and the trees;
+- ``certify``: `decompose._certify`;
+- ``distance``: `dtree.exact_distance`;
+- ``constantize``: `decompose.constantize_leaves`;
+- ``tree_json``: `dtree.to_json_text`;
+- ``report_json``: `DecompositionReport.to_json_text`;
+- ``writes``: `cli._write`;
+- ``total``: `cli.main`, interpreter start and imports excluded.
+
+Each run also records the sha256 of every report file; with ``--parent``
+the report bytes of the two sides must be equal.  Results are written to
+FILE as JSON when given.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+STAGES = {
+    "check": ("decompose", "_check_submodular"),
+    "grow": ("decompose", "_grow"),
+    "gather": ("decompose", "_build"),
+    "certify": ("decompose", "_certify"),
+    "distance": ("dtree", "exact_distance"),
+    "constantize": ("decompose", "constantize_leaves"),
+    "tree_json": ("dtree", "to_json_text"),
+    "report_json": ("decompose", "DecompositionReport.to_json_text"),
+    "writes": ("cli", "_write"),
+}
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def child(out: str, args: list[str]) -> dict:
+    """Runs in the measured process: one CLI call with its stages timed."""
+    from submodtree import cli, decompose, dtree
+
+    modules = {"cli": cli, "decompose": decompose, "dtree": dtree}
+    spent = dict.fromkeys(STAGES, 0.0)
+
+    def timed(stage, fn):
+        @functools.wraps(fn)
+        def wrapper(*a, **kw):
+            start = time.perf_counter()
+            try:
+                return fn(*a, **kw)
+            finally:
+                spent[stage] += time.perf_counter() - start
+
+        return wrapper
+
+    for stage, (module, path) in STAGES.items():
+        owner, *rest = path.split(".")
+        holder = modules[module]
+        if rest:
+            holder, owner = getattr(holder, owner), rest[0]
+        setattr(holder, owner, timed(stage, getattr(holder, owner)))
+    start = time.perf_counter()
+    rc = cli.main(args + ["--out", out])
+    spent["total"] = time.perf_counter() - start
+    # the build's own check and growth are timed on their own
+    spent["gather"] -= spent["check"] + spent["grow"]
+    sha = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out).iterdir())}
+    return {"rc": rc, "stages_s": spent, "sha256": sha}
+
+
+def run_side(src: Path, args: list[str]) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "SUBMODTREE_ENUM_CAP"}
+    env["PYTHONPATH"] = str(src)
+    env.update({var: "1" for var in THREAD_VARS})
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--child", out, *args],
+            env=env, capture_output=True, text=True, check=True,
+        )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    if len(sys.argv) > 1 and sys.argv[1] == "--child":
+        print(json.dumps(child(sys.argv[2], sys.argv[3:])))
+        return 0
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import KINDS, WORKLOADS
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--out")
+    parser.add_argument("--kinds", nargs="+", default=WORKLOADS["deep-tree"], choices=sorted(KINDS))
+    parser.add_argument("--seeds", nargs="+", type=int)
+    opts = parser.parse_args()
+    pool = json.loads((ROOT / "perfbench" / "pool.json").read_text())
+    sides = {"change": ROOT / "src"}
+    if opts.parent is not None:
+        sides["parent"] = opts.parent.resolve() / "src"
+    result = {
+        "what": __doc__.split("\n")[0],
+        "machine": f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}",
+        "rows": [],
+    }
+    equal = True
+    for kind in opts.kinds:
+        seeds = opts.seeds or [seed for seed, _ in pool[kind]["seeds"]]
+        for seed in seeds:
+            row = {"kind": kind, "seed": seed}
+            order = list(sides) if len(result["rows"]) % 2 else list(sides)[::-1]
+            for name in order:
+                row[name] = run_side(sides[name], KINDS[kind].argv(seed))
+                print(kind, seed, name, json.dumps(row[name]["stages_s"]), flush=True)
+            equal = equal and len({json.dumps(row[name]["sha256"]) for name in sides}) == 1
+            result["rows"].append(row)
+    result["reports_equal"] = equal
+    if opts.out:
+        Path(opts.out).write_text(json.dumps(result, indent=1) + "\n")
+    return 0 if equal else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -68,20 +68,16 @@ def subcube_points(bits: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.n
     is its subcube's bits OR a subset of its free mask; the ascending subsets
     of each distinct mask are built once, by doubling.
     """
+    masks = free.tolist()
     subsets: dict[int, np.ndarray] = {}
-
-    def ascending(m: int) -> np.ndarray:
-        if m not in subsets:
-            out = np.zeros(1 << m.bit_count(), dtype=np.int64)
-            size = 1
-            for i in range(m.bit_length()):
-                if m >> i & 1:
-                    np.bitwise_or(out[:size], 1 << i, out=out[size:2 * size])
-                    size *= 2
-            subsets[m] = out
-        return subsets[m]
-
-    points = np.concatenate([ascending(m) for m in free.tolist()])
+    for m in set(masks):
+        out = subsets[m] = np.zeros(1 << m.bit_count(), dtype=np.int64)
+        size = 1
+        for i in range(m.bit_length()):
+            if m >> i & 1:
+                np.bitwise_or(out[:size], 1 << i, out=out[size:2 * size])
+                size *= 2
+    points = np.concatenate([subsets[m] for m in masks])
     subsets.clear()  # at most 2^n values, no longer needed
     sizes = np.int64(1) << popcount(free).astype(np.int64)
     points |= np.repeat(bits, sizes)

@@ -27,18 +27,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import dtree, funcs
-from .cube import enum_cap, subcube_points
+from .cube import enum_cap, popcount, subcube_points
 from .dtree import (
-    ConstLeaf,
     DecisionTree,
-    Node,
     OracleLeaf,
-    TreeNode,
     evaluate_many,
     exact_distance,
     rank as tree_rank,
@@ -78,7 +75,7 @@ class DecompositionReport:
         return self.rank <= math.ceil(self.claimed_rank_bound - TOL)
 
     def certificates_ok(self, require_lipschitz: bool = True) -> bool:
-        for cert in self.leaf_certificates:
+        for cert in _distinct(self.leaf_certificates):
             if not cert.alpha_monotone_ok or not cert.submodular_ok:
                 return False
             if require_lipschitz and not cert.lipschitz_ok:
@@ -110,19 +107,23 @@ class DecompositionReport:
         return "".join(parts)
 
 
+def _distinct(certificates: list) -> list:
+    """The distinct objects of a list, by identity: the leaves share a few
+    certificate objects."""
+    return list(dict(zip(map(id, certificates), certificates)).values())
+
+
 def _certificates_parts(certificates: list[LeafCertificate]) -> list[str]:
     """The "leaf_certificates" list as the indenting encoder writes it one
-    level deep, in pieces: each of the few distinct outcomes is rendered once."""
+    level deep, in pieces: each distinct certificate object is rendered once."""
     if not certificates:
         return ["[]"]
-    blocks: dict[tuple, str] = {}
-    parts = []
-    for cert in certificates:
-        flags = (cert.alpha_monotone_ok, cert.lipschitz_ok, cert.submodular_ok)
-        if flags not in blocks:
-            text = json.dumps(vars(cert), sort_keys=True, indent=2)
-            blocks[flags] = "    " + text.replace("\n", "\n    ")
-        parts += (",\n", blocks[flags])
+    blocks = {
+        id(cert): "    " + json.dumps(vars(cert), sort_keys=True, indent=2).replace("\n", "\n    ")
+        for cert in _distinct(certificates)
+    }
+    parts = [",\n"] * (2 * len(certificates))
+    parts[1::2] = map(blocks.__getitem__, map(id, certificates))
     parts[0] = "[\n"
     parts.append("\n  ]")
     return parts
@@ -246,82 +247,51 @@ def _grow(fs: list[ValueOracle], table, alpha: float, phases: int) -> tuple[np.n
 
 
 def _build(fs: list[ValueOracle], alpha: float, phases: int, check: bool, certify: bool):
-    """The trees grown by `_grow` with restriction leaves, after the input
-    check when ``check``, with what `_certify` takes: the partition (None
-    beyond the enumeration cap, or without ``certify``) and whether the
-    check passed (`_check_submodular`).
+    """The trees grown by `_grow` with restriction leaves, in array form,
+    after the input check when ``check``, with what `_certify` takes: the
+    partition (None beyond the enumeration cap, or without ``certify``) and
+    whether the check passed (`_check_submodular`).
 
-    Within the enumeration cap the points of every leaf subcube, laid out
-    leaf after leaf, give every leaf's table as a slice of one gather of the
-    stacked table and the leaf of every point for `_certify`.  Beyond it the
-    one oracle's leaves are `restrict` views.
+    Within the enumeration cap the points of every leaf subcube, leaf after
+    leaf in preorder, give every leaf's table as a slice of one gather of
+    the stacked table and the leaf of every point for `_certify`.  Beyond it
+    the one oracle's leaves are `restrict` views.
     """
     n = fs[0].n
     table = funcs.stacked_table(fs) if n <= enum_cap() else None
     submodular = _check_submodular(fs, table, check)
     mask, bits, split = _grow(fs, table, alpha, phases)
-    leaves = split < 0
-    number = np.cumsum(leaves) - 1  # of each leaf node, among the leaves in level order
-    free = ~mask[leaves] & ((1 << n) - 1)
+    forest, nodes, _ = dtree._preorder(
+        n, split < 0, split, np.bitwise_count(mask).astype(np.int64), len(fs)
+    )
+    free = forest.free()
+    forest.oracle[:] = True
     if table is not None:
-        points, sizes = subcube_points(bits[leaves], free)
-        oracles = funcs.restrict_subcubes(fs, table, points, sizes)
+        owner = np.repeat(np.arange(len(fs), dtype=np.int64), (nodes + 1) // 2)
+        points, sizes = subcube_points(forest.fixed | owner << n, free)
+        forest.values = table[points]
     else:
-        oracles = [
-            restrict(fs[0], Restriction(n, {i: b >> i & 1 for i in range(n) if m >> i & 1}))
-            for m, b in zip(mask[leaves].tolist(), bits[leaves].tolist())
+        forest.leaves = [
+            OracleLeaf(restrict(fs[0], Restriction(n, {i: b >> i & 1 for i in range(n) if not m >> i & 1})),
+                       tuple(i for i in range(n) if m >> i & 1))
+            for m, b in zip(free.tolist(), forest.fixed.tolist())
         ]
-    var, numbers, masks = split.tolist(), number.tolist(), free.tolist()
-    coords: dict[int, tuple[int, ...]] = {}  # free coordinates by mask
-    order: list[int] = []  # leaf numbers in preorder, tree after tree
-
-    def build(node: int) -> TreeNode:
-        if var[node] >= 0:
-            # node - numbers[node] - 1 splits precede it
-            lo = len(fs) + 2 * (node - numbers[node] - 1)
-            return Node(var[node], build(lo), build(lo + 1))
-        k = numbers[node]
-        order.append(k)
-        m = masks[k]
-        if m not in coords:
-            coords[m] = tuple(i for i in range(n) if m >> i & 1)
-        return OracleLeaf(oracles[k], coords[m])
-
-    trees = [DecisionTree(n, build(k)) for k in range(len(fs))]
-    # the recursive closure refers to itself: unbound, it frees the leaf
-    # tables of the whole batch when the trees go, not at the next collection
-    del build
+    trees = dtree._trees(forest, nodes, fs)
     if not certify or table is None:
         return trees, None, submodular
-    preorder = np.empty(len(order), dtype=np.int32)
-    preorder[order] = np.arange(len(order), dtype=np.int32)
     leaf_of = np.empty(table.size, dtype=np.int32)
-    leaf_of[points] = np.repeat(preorder, sizes)
+    leaf_of[points] = np.repeat(np.arange(free.size, dtype=np.int32), sizes)
     # the int64 points and the stacked table go before certification
-    return trees, (leaf_of, free[order]), submodular
+    return trees, (leaf_of, free), submodular
 
 
-def _map_oracle_leaves(node: TreeNode, fn) -> TreeNode:
-    if isinstance(node, OracleLeaf):
-        return fn(node)
-    if isinstance(node, Node):
-        return Node(node.var, _map_oracle_leaves(node.lo, fn), _map_oracle_leaves(node.hi, fn))
-    return node
-
-
-def _iter_leaves(node: TreeNode, out: list) -> None:
-    if isinstance(node, Node):
-        _iter_leaves(node.lo, out)
-        _iter_leaves(node.hi, out)
-    else:
-        out.append(node)
-
-
-# certificates are immutable, so the leaves share one per outcome
-_CERTIFICATES = {
-    flags: LeafCertificate(*flags)
-    for flags in [*itertools.product((True, False), repeat=3), (None, None, None)]
-}
+# certificates are immutable, so the leaves share one per outcome: the
+# outcome (a, b, c) of three flags is entry 4a + 2b + c, and None, None,
+# None is entry 8
+_CERTIFICATES = np.empty(9, dtype=object)
+_CERTIFICATES[:] = [
+    LeafCertificate(*flags) for flags in [*itertools.product((False, True), repeat=3), (None,) * 3]
+]
 
 
 def _certify(
@@ -332,7 +302,7 @@ def _certify(
     submodular: bool = False,
 ) -> list[list[LeafCertificate]]:
     """Certificates of the leaves of decompositions of oracles of one
-    dimension n, tree by tree, each in `_iter_leaves` order.
+    dimension n, tree by tree, each with its leaves in preorder.
 
     Within the enumeration cap ``partition`` holds the int32 leaf of every
     point of the stack of fs's tables (`funcs.stacked_table`), leaves
@@ -344,22 +314,21 @@ def _certify(
     is checked on its own table, as a one-leaf tree, and a larger leaf gets
     None.  Constant leaves pass.
     """
-    leaves: list = []
-    counts = []
-    for tree in trees:
-        _iter_leaves(tree.root, leaves)
-        counts.append(len(leaves))
+    flats = [dtree._flat(tree) for tree in trees]
+    oracle = np.concatenate([flat.oracle for flat in flats])
     if fs[0].n <= enum_cap():
         leaf_of, free = partition
         table = funcs.stacked_table(fs)
-        failed = funcs.leaf_violations(table, fs[0].n, leaf_of, free, alpha, submodular)
-        ok = zip(*(np.logical_not(bad).tolist() for bad in failed))
+        mono, lip, sub = funcs.leaf_violations(table, fs[0].n, leaf_of, free, alpha, submodular)
+        outcome = 7 - (4 * mono + 2 * lip + sub)
     else:
-        ok = (_leaf_ok(lf.oracle, alpha) if isinstance(lf, OracleLeaf) else None for lf in leaves)
-    certificates = [
-        _CERTIFICATES[flags if isinstance(lf, OracleLeaf) else (True, True, True)]
-        for lf, flags in zip(leaves, ok)
-    ]
+        flags = [
+            _leaf_ok(lf.oracle, alpha) if is_oracle else (True,) * 3
+            for flat in flats for lf, is_oracle in zip(flat.leaf_objects(), flat.oracle.tolist())
+        ]
+        outcome = np.array([8 if a is None else 4 * a + 2 * b + c for a, b, c in flags])
+    certificates = _CERTIFICATES[np.where(oracle, outcome, 7)].tolist()
+    counts = np.cumsum([flat.oracle.size for flat in flats]).tolist()
     return [certificates[a:b] for a, b in zip([0, *counts], counts)]
 
 
@@ -457,38 +426,66 @@ def constantize_leaves(
 ) -> DecisionTree:
     """Replace each oracle leaf by its exact subcube mean (seeded Monte Carlo
     when the leaf exceeds the enumeration cap; the sample count used is
-    recorded on the report).
+    recorded on the report).  The result keeps the array form of the tree,
+    with the means as its constants.
 
     With alpha = eps^2 / 2 the result is within l2 distance eps of the
     represented function.
     """
-    leaves: list = []
-    _iter_leaves(report.tree.root, leaves)
-    oracle = [lf for lf in leaves if isinstance(lf, OracleLeaf)]
+    flat = dtree._flat(report.tree)
     cap = enum_cap()
-    exact = [lf.oracle for lf in oracle if lf.oracle.n <= cap]
-    means = iter(_means([g.table() if g.n else np.array([g(0)]) for g in exact]).tolist())
-    m = mc_samples if mc_samples is not None else default_mean_samples(report.alpha)
-    values = [next(means) if lf.oracle.n <= cap else _sampled_mean(lf, m, seed) for lf in oracle]
-    if len(exact) < len(oracle):
+    sizes = np.int64(1) << popcount(flat.free()[flat.oracle]).astype(np.int64)
+    exact = sizes <= 1 << cap
+    values = _leaf_tables(flat, exact)
+    means = np.empty(sizes.size)
+    means[exact] = _means(values, sizes[exact])
+    if not exact.all():
+        m = mc_samples if mc_samples is not None else default_mean_samples(report.alpha)
+        oracle = [lf for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
+        means[~exact] = [_sampled_mean(oracle[k], m, seed) for k in np.flatnonzero(~exact).tolist()]
         report.leaf_mean_samples = m
-    it = iter(values)
-    root = _map_oracle_leaves(report.tree.root, lambda lf: ConstLeaf(next(it)))
-    return DecisionTree(report.tree.n, root)
+    return flat.with_constants(means)
 
 
-def _means(tables: list[np.ndarray]) -> np.ndarray:
-    """np.mean of every table, bit for bit, as one mean(axis=1) over the
-    tables of each size; a constant table keeps its value exactly."""
-    sizes = np.array([t.size for t in tables], dtype=np.int64)
-    means = np.empty(len(tables))
-    for size in np.unique(sizes).tolist():
-        at = np.flatnonzero(sizes == size)
-        block = np.stack([tables[k] for k in at.tolist()])
-        row = block.mean(axis=1)
-        const = (block == block[:, :1]).all(axis=1)
-        row[const] = block[const, 0]
-        means[at] = row
+def _leaf_tables(flat: dtree._Flat, read: np.ndarray) -> np.ndarray:
+    """The tables of the oracle leaves marked in ``read`` one after another,
+    in preorder, read and charged as each leaf's oracle reads and charges
+    them: ``table()``, or one query ``g(0)`` on a 0-dimensional leaf."""
+    if flat.values is not None:  # table-backed slices of every leaf: only g(0) charges
+        point = flat.tested[flat.oracle] == (1 << flat.n) - 1
+        flat.source.charge(int(np.count_nonzero(point & read)))
+        return flat.values
+    oracles = [lf.oracle for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
+    tables = [g.table() if g.n else np.array([g(0)]) for g, r in zip(oracles, read.tolist()) if r]
+    return np.concatenate(tables) if tables else np.empty(0)
+
+
+# rows of leaf tables are averaged in blocks of about this many points
+_MEAN_ROWS = 1 << 16
+
+
+def _means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """np.mean of every table, where ``values`` holds tables of ``sizes``
+    one after another, bit for bit, as one mean(axis=1) over the rows of
+    each size, at most _MEAN_ROWS points at a time; a constant table keeps
+    its value exactly."""
+    starts = np.cumsum(sizes) - sizes
+    means = np.empty(sizes.size)
+    # with return_inverse, np.unique does not import numpy.ma (13 ms)
+    distinct, size_of = np.unique(sizes, return_inverse=True)
+    for j, size in enumerate(distinct.tolist()):
+        at = np.flatnonzero(size_of == j)
+        step = max(1, _MEAN_ROWS // size)
+        for k in range(0, at.size, step):
+            rows = at[k:k + step]
+            if rows.size == 1:
+                block = values[starts[rows[0]]:starts[rows[0]] + size][None]
+            else:
+                block = values[starts[rows][:, None] + np.arange(size)]
+            row = block.mean(axis=1)
+            const = (block == block[:, :1]).all(axis=1)
+            row[const] = block[const, 0]
+            means[rows] = row
     return means
 
 
@@ -531,25 +528,34 @@ def build_exact_discrete_tree(
             )
     alpha = 1.0 / (k + 1.0 / 3.0)
     report = build_lipschitz_tree(f, alpha, check=check, certify=certify)
-
-    def to_const(leaf: OracleLeaf) -> ConstLeaf:
-        if leaf.oracle.n == 0:
-            return ConstLeaf(leaf.oracle(0))
-        t = leaf.oracle.table()
-        if not np.all(t == t[0]):
-            if float(np.max(t) - np.min(t)) > TOL:
-                raise NonDiscreteRange("leaf is not constant; range is not 1/k-discrete")
-        return ConstLeaf(float(t[0]))
-
-    tree = DecisionTree(f.n, _map_oracle_leaves(report.tree.root, to_const))
+    flat = dtree._flat(report.tree)
+    sizes = np.int64(1) << popcount(flat.free()[flat.oracle]).astype(np.int64)
+    values = _leaf_tables(flat, np.ones(sizes.size, dtype=bool))
+    starts = np.cumsum(sizes) - sizes
+    wide = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts) > TOL
+    if wide.any():
+        raise NonDiscreteRange("leaf is not constant; range is not 1/k-discrete")
     return DecompositionReport(
-        tree=tree,
+        tree=flat.with_constants(values[starts]),
         alpha=alpha,
         rank=report.rank,
         claimed_rank_bound=float(2 * k),
         leaf_certificates=report.leaf_certificates,
         phase="discrete",
     )
+
+
+def _lift(tree: DecisionTree, J: list[int], n: int) -> DecisionTree:
+    """The tree over coordinates J[0] < J[1] < ... of dimension n that reads
+    coordinate J[i] where ``tree`` reads i: its coordinates and path masks
+    mapped through J."""
+    flat = dtree._flat(tree)
+    tested, fixed = np.zeros_like(flat.tested), np.zeros_like(flat.fixed)
+    for i, j in enumerate(J):
+        tested |= (flat.tested >> i & 1) << j
+        fixed |= (flat.fixed >> i & 1) << j
+    var = np.array(J + [-1], dtype=np.int64)[flat.var]  # a leaf's -1 stays -1
+    return DecisionTree.of(replace(flat, n=n, var=var, tested=tested, fixed=fixed))
 
 
 @dataclass
@@ -592,12 +598,7 @@ def proper_learn_discrete(
         restricted = restrict(f, Restriction(f.n, fixed))
         sub_report = build_exact_discrete_tree(restricted, k, check=False, certify=False)
 
-        def lift(node: TreeNode) -> TreeNode:
-            if isinstance(node, Node):
-                return Node(J[node.var], lift(node.lo), lift(node.hi))
-            return node
-
-        tree = DecisionTree(f.n, lift(sub_report.tree.root))
+        tree = _lift(sub_report.tree, J, f.n)
         if exact:
             dis = exact_distance(f, tree, metric="disagreement")
         else:

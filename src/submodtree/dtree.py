@@ -5,6 +5,18 @@ on a path); a leaf either holds a constant or an oracle over the coordinates
 left free on its path.  `rank` is the Ehrenfeucht-Haussler complexity
 measure: the depth of the largest complete binary tree embeddable in T.
 
+Every consumer of a tree reads one array form of it (`_Flat`): per node in
+preorder, lo before hi, its coordinate and depth; per leaf, its path's
+tested and fixed bits and either a constant or a slice of one value array.
+Decompositions grow in level order (`decompose._grow`) and `_preorder` turns
+their level arrays into this form, one numpy pass per depth level for the
+subtree sizes and ranks (bottom-up) and the positions (top-down); a tree
+made of `Node` objects is walked once, level by level, into the same passes,
+and its form is kept on the tree.  Rank, size, depth, leaf subcubes, tree
+tables, leaf means and the JSON text are all read from the arrays.  A tree
+made from the array form builds its `Node` and leaf objects only when
+``root`` is read.
+
 Truncating a tree at depth d replaces every internal node at that depth by a
 constant-0 leaf.  Under an alpha-bounded product distribution the truncated
 tree disagrees with the original on at most 2^(r-1) * (1 - alpha/2)^d of the
@@ -14,17 +26,16 @@ that bound and its inversion.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
 from .cube import ProductDistribution, check_enumerable, popcount, subcube_points
 from .fourier import Spectrum, transform
-from .funcs import ValueOracle, full_tables, stacked_table
+from .funcs import ValueOracle, full_tables, restrict_subcubes, stacked_table
 
 TreeNode = Union["ConstLeaf", "OracleLeaf", "Node"]
 
@@ -55,12 +66,252 @@ class Node:
     hi: TreeNode
 
 
-@dataclass(frozen=True)
 class DecisionTree:
-    """A tree plus its ambient dimension."""
+    """A tree plus its ambient dimension.
+
+    ``DecisionTree(n, root)`` holds a tree of nodes; `DecisionTree.of` holds
+    an array form, whose nodes are built the first time ``root`` is read.
+    Trees compare equal when their dimensions and their nodes do.
+    """
+
+    __slots__ = ("n", "_root", "_flat")
+
+    def __init__(self, n: int, root: TreeNode) -> None:
+        self.n = n
+        self._root = root
+        self._flat = None
+
+    @staticmethod
+    def of(flat: "_Flat") -> "DecisionTree":
+        tree = DecisionTree(flat.n, None)
+        tree._flat = flat
+        return tree
+
+    @property
+    def root(self) -> TreeNode:
+        if self._root is None:
+            self._root = self._flat.root()
+        return self._root
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DecisionTree:
+            return NotImplemented
+        return (self.n, self.root) == (other.n, other.root)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.root))
+
+    def __repr__(self) -> str:
+        return f"DecisionTree(n={self.n!r}, root={self.root!r})"
+
+
+@dataclass(eq=False)
+class _Flat:
+    """The array form of a tree of dimension n.
+
+    Per node, in preorder (lo before hi): whether it is a leaf, its
+    coordinate (-1 at a leaf), its depth, the nodes of its subtree and the
+    index of its first piece of `to_json_text`.  Per leaf,
+    in the same order: the masks of the coordinates its path tests and of
+    the bits it fixes, its constant (0.0 at an oracle leaf) and whether it
+    is an oracle leaf.  The tables of the oracle leaves lie one after
+    another in ``values``, charged to ``source``'s counter; a tree made of
+    objects, or one beyond the enumeration cap, keeps its leaf objects in
+    ``leaves`` instead.  ``bad`` is the coordinate of the first node in
+    preorder that tests a coordinate twice on its path or one outside the
+    dimension, else None.
+    """
 
     n: int
-    root: TreeNode
+    leaf: np.ndarray
+    var: np.ndarray
+    depth: np.ndarray
+    count: np.ndarray
+    piece: np.ndarray
+    rank: int
+    bad: int | None
+    tested: np.ndarray
+    fixed: np.ndarray
+    value: np.ndarray
+    oracle: np.ndarray
+    values: np.ndarray | None = None
+    source: ValueOracle | None = None
+    leaves: list | None = None
+
+    def free(self) -> np.ndarray:
+        """The mask of the coordinates each leaf leaves free."""
+        return ~self.tested & ((1 << self.n) - 1)
+
+    def leaf_objects(self) -> list:
+        """The leaves in preorder, as objects: each oracle leaf of ``values``
+        a table-backed oracle over its slice sharing ``source``'s counter,
+        built once."""
+        if self.leaves is None:
+            free = self.free().tolist()
+            oracles = iter(())
+            if self.values is not None:
+                sizes = np.int64(1) << popcount(self.free()[self.oracle]).astype(np.int64)
+                oracles = iter(restrict_subcubes(self.source, self.values, sizes))
+            coords: dict[int, tuple[int, ...]] = {}  # free coordinates by mask
+            leaves = []
+            for is_oracle, value, m in zip(self.oracle.tolist(), self.value.tolist(), free):
+                if not is_oracle:
+                    leaves.append(ConstLeaf(value))
+                    continue
+                if m not in coords:
+                    coords[m] = tuple(i for i in range(self.n) if m >> i & 1)
+                leaves.append(OracleLeaf(next(oracles), coords[m]))
+            self.leaves = leaves
+        return self.leaves
+
+    def with_constants(self, values: np.ndarray) -> DecisionTree:
+        """The tree with ``values`` at its oracle leaves, in preorder, as
+        constants."""
+        value = self.value.copy()
+        value[self.oracle] = values
+        return DecisionTree.of(
+            replace(self, value=value, oracle=np.zeros_like(self.oracle), values=None, source=None,
+                    leaves=None)
+        )
+
+    def root(self) -> TreeNode:
+        """The nodes of the tree, assembled from the last node back."""
+        leaves = reversed(self.leaf_objects())
+        stack: list = []
+        for is_leaf, var in zip(self.leaf[::-1].tolist(), self.var[::-1].tolist()):
+            if is_leaf:
+                stack.append(next(leaves))
+            else:
+                lo = stack.pop()
+                stack.append(Node(var, lo, stack.pop()))
+        return stack[0]
+
+
+def _preorder(n: int, leaf: np.ndarray, var: np.ndarray, depth: np.ndarray, roots: int = 1):
+    """The array form of trees given in level order, as `decompose._grow`
+    lists them: the roots first, and the children (lo, hi) of the j-th
+    internal node at positions roots + 2j and roots + 2j + 1.
+
+    Returns the forest as one `_Flat`, trees one after another (its ``rank``
+    holds each tree's rank), each tree's node count, and the preorder
+    position of each leaf, taken in level order.  One pass per depth level
+    from the bottom gives subtree sizes and ranks; one from the top gives
+    positions and path masks.
+    """
+    size = leaf.size
+    inner = np.flatnonzero(~leaf)
+    levels = int(depth[-1])
+    # the internal nodes of depth d are inner[at[d]:at[d + 1]], and their
+    # children the nodes roots + 2 * at[d] .. roots + 2 * at[d + 1] - 1
+    at = np.searchsorted(depth[inner], np.arange(levels + 1)).tolist()
+    count = np.ones(size, dtype=np.int64)
+    rank = np.zeros(size, dtype=np.int64)
+
+    def family(d: int) -> tuple:
+        """The internal nodes of depth d and their lo and hi children."""
+        a, b = at[d], at[d + 1]
+        return inner[a:b], slice(roots + 2 * a, roots + 2 * b, 2), slice(roots + 2 * a + 1, roots + 2 * b, 2)
+
+    for d in range(levels - 1, -1, -1):
+        up, lo, hi = family(d)
+        count[up] = 1 + count[lo] + count[hi]
+        r0, r1 = rank[lo], rank[hi]
+        rank[up] = np.maximum(r0, r1) + (r0 == r1)
+    pre = np.empty(size, dtype=np.int64)
+    pre[:roots] = np.cumsum(count[:roots]) - count[:roots]
+    piece = np.zeros(size, dtype=np.int64)
+    tested = np.zeros(size, dtype=np.int64)
+    fixed = np.zeros(size, dtype=np.int64)
+    valid = (var >= 0) & (var < n)
+    bit = np.where(valid, np.left_shift(1, np.where(valid, var, 0)), 0)
+    for d in range(levels):
+        up, lo, hi = family(d)
+        pre[lo] = pre[up] + 1
+        pre[hi] = pre[lo] + count[lo]
+        # hi before lo: the node opens, then its hi subtree of 2 * count - 1
+        # pieces, then a piece between the two, then lo
+        piece[hi] = piece[up] + 1
+        piece[lo] = piece[hi] + 2 * count[hi]
+        node_bit = bit[up]
+        tested[lo] = tested[hi] = tested[up] | node_bit
+        fixed[lo] = fixed[up]
+        fixed[hi] = fixed[lo] | node_bit
+    bad = ~leaf & (~valid | (tested & bit != 0))
+    nodes = [np.empty_like(a) for a in (leaf, var, depth, count, piece, bad)]
+    for a, out in zip((leaf, var, depth, count, piece, bad), nodes):
+        out[pre] = a
+    leaf_p, var_p, depth_p, count_p, piece_p, bad_p = nodes
+    ends = np.flatnonzero(leaf)
+    position = (np.cumsum(leaf_p) - 1)[pre[ends]]
+    tested_l, fixed_l = np.empty(ends.size, dtype=np.int64), np.empty(ends.size, dtype=np.int64)
+    tested_l[position], fixed_l[position] = tested[ends], fixed[ends]
+    first = np.flatnonzero(bad_p)
+    forest = _Flat(
+        n, leaf_p, var_p, depth_p, count_p, piece_p, rank[:roots],
+        int(var_p[first[0]]) if first.size else None, tested_l, fixed_l,
+        np.zeros(ends.size), np.zeros(ends.size, dtype=bool),
+    )
+    return forest, count[:roots], position
+
+
+def _trees(forest: _Flat, nodes: np.ndarray, sources: list[ValueOracle]) -> list[DecisionTree]:
+    """The trees of a forest (`_preorder`), tree k of nodes[k] nodes with
+    the oracle sources[k]: each holds views of the forest's arrays, of its
+    leaf tables in ``values`` and of its ``leaves``."""
+    leaf_at = np.concatenate([[0], np.cumsum((nodes + 1) // 2)])
+    node_at, value_at = np.concatenate([[0], np.cumsum(nodes)]).tolist(), leaf_at.tolist()
+    if forest.values is not None:
+        sizes = np.int64(1) << popcount(forest.free()).astype(np.int64)
+        value_at = np.concatenate([[0], np.cumsum(sizes)])[leaf_at].tolist()
+    leaf_at = leaf_at.tolist()
+    trees = []
+    for k, source in enumerate(sources):
+        a, b, la, lb = node_at[k], node_at[k + 1], leaf_at[k], leaf_at[k + 1]
+        flat = _Flat(
+            forest.n, forest.leaf[a:b], forest.var[a:b], forest.depth[a:b], forest.count[a:b],
+            forest.piece[a:b], int(forest.rank[k]), None, forest.tested[la:lb], forest.fixed[la:lb],
+            forest.value[la:lb], forest.oracle[la:lb], source=source,
+        )
+        if forest.values is not None:
+            flat.values = forest.values[value_at[k]:value_at[k + 1]]
+        if forest.leaves is not None:
+            flat.leaves = forest.leaves[la:lb]
+        trees.append(DecisionTree.of(flat))
+    return trees
+
+
+def _flat(tree: DecisionTree) -> _Flat:
+    """The array form of the tree: a tree of objects is walked once, level
+    by level, and its form kept on the tree."""
+    if tree._flat is None:
+        leaf, var, depth, leaves = [], [], [], []
+        level, d = [tree.root], 0
+        while level:
+            below = []
+            for node in level:
+                if isinstance(node, Node):
+                    leaf.append(False)
+                    var.append(node.var)
+                    below += (node.lo, node.hi)
+                else:
+                    leaf.append(True)
+                    var.append(-1)
+                    leaves.append(node)
+            depth += [d] * len(level)
+            level, d = below, d + 1
+        flat, _, position = _preorder(
+            tree.n, np.array(leaf), np.array(var, dtype=np.int64), np.array(depth, dtype=np.int64)
+        )
+        flat.rank = int(flat.rank[0])
+        flat.leaves = [None] * len(leaves)
+        for k, node in zip(position.tolist(), leaves):
+            flat.leaves[k] = node
+        flat.oracle = np.array([isinstance(lf, OracleLeaf) for lf in flat.leaves])
+        flat.value = np.array(
+            [lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in flat.leaves], dtype=float
+        )
+        tree._flat = flat
+    return tree._flat
 
 
 def evaluate(tree: DecisionTree, x: int) -> float:
@@ -78,35 +329,19 @@ def evaluate(tree: DecisionTree, x: int) -> float:
     return node.oracle(local)
 
 
-def _leaf_subcubes(tree: DecisionTree) -> tuple[list, np.ndarray, np.ndarray]:
-    """The leaves in preorder, lo before hi, with the int64 masks of the
-    coordinates tested on each leaf's path and of the bits its path fixes:
-    leaf k's subcube holds the points that read fixed[k] on tested[k].
+def _leaf_subcubes(tree: DecisionTree) -> _Flat:
+    """The array form of a tree whose leaf subcubes partition the cube: leaf
+    k's subcube holds the points that read fixed[k] on tested[k].
 
     The subcubes partition the cube only when no path tests a coordinate
     twice or one outside the dimension; any other tree is rejected.
     """
-    leaves: list = []
-    paths: list[int] = []
-    fixed: list[int] = []
-
-    def walk(node: TreeNode, path: int, bits: int) -> None:
-        if isinstance(node, Node):
-            if not 0 <= node.var < tree.n or path >> node.var & 1:
-                raise ValueError(
-                    f"coordinate {node.var} tested twice on a path or outside dimension {tree.n}"
-                )
-            bit = 1 << node.var
-            walk(node.lo, path | bit, bits)
-            walk(node.hi, path | bit, bits | bit)
-        else:
-            leaves.append(node)
-            paths.append(path)
-            fixed.append(bits)
-
-    walk(tree.root, 0, 0)
-    del walk  # the recursive closure would keep the leaves alive until a collection
-    return leaves, np.array(paths, dtype=np.int64), np.array(fixed, dtype=np.int64)
+    flat = _flat(tree)
+    if flat.bad is not None:
+        raise ValueError(
+            f"coordinate {flat.bad} tested twice on a path or outside dimension {tree.n}"
+        )
+    return flat
 
 
 def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
@@ -153,17 +388,28 @@ _LEAF_GROUP = 1 << 20
 _STACK_POINTS = 1 << 14
 
 
+def _oracle_values(flat: _Flat) -> np.ndarray:
+    """The tables of the tree's oracle leaves one after another, in
+    preorder, each oracle leaf charged its 2^k points as
+    `funcs.full_tables` charges them."""
+    if flat.values is not None:
+        flat.source.charge(flat.values.size)
+        return flat.values
+    tables = full_tables([lf.oracle for lf, o in zip(flat.leaves, flat.oracle.tolist()) if o])
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+
+
 def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> tuple:
     """Each tree's value at every point and, with ``depths``, the depth of
     the leaf every point reaches (else None), for trees of one dimension n,
     stacked as `funcs.stacked_table` stacks tables: point k * 2^n + x holds
     tree k at x.
 
-    A walk of each tree gives each leaf's subcube.  The points of an oracle
-    leaf, taken in ascending order, are its local points in order, so its
-    whole table fills them in one scatter; each oracle leaf is charged its
-    2^k points.  A leaf of more than _LEAF_GROUP points fills the view of
-    its subcube in the cube-shaped table of its tree,
+    The array form of each tree gives each leaf's subcube.  The points of an
+    oracle leaf, taken in ascending order, are its local points in order, so
+    its whole table fills them in one scatter; each oracle leaf is charged
+    its 2^k points.  A leaf of more than _LEAF_GROUP points fills the view
+    of its subcube in the cube-shaped table of its tree,
     ``values.reshape((2,) * n)[idx]``, with an int at each tested axis and a
     slice elsewhere (axis 0 is coordinate n-1), so none of its points is
     listed.
@@ -172,18 +418,21 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
     check_enumerable(n, what)
     if any(tree.n != n for tree in trees):
         raise ValueError(f"trees of dimensions {sorted({tree.n for tree in trees})}")
-    leaves, tested, fixed = [], [], []
-    for k, tree in enumerate(trees):
-        tree_leaves, tree_tested, tree_fixed = _leaf_subcubes(tree)
-        leaves += tree_leaves
-        tested.append(tree_tested)
-        fixed.append(tree_fixed | k << n)
-    tested, fixed = np.concatenate(tested), np.concatenate(fixed)
+    flats = [_leaf_subcubes(tree) for tree in trees]
+    tested, fixed, oracle, constants = (
+        parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for parts in zip(*((f.tested, f.fixed | k << n, f.oracle, f.value) for k, f in enumerate(flats)))
+    )
+    tables = [_oracle_values(flat) for flat in flats if flat.oracle.any()]
+    if len(tables) > 1:
+        tables = [np.concatenate(tables)]
     free = tested ^ ((1 << n) - 1)
-    alone = np.zeros(len(leaves), dtype=bool)
-    bounds = [0, len(leaves)]
+    sizes = np.int64(1) << popcount(free).astype(np.int64)
+    ends = np.cumsum(sizes * oracle)  # of each leaf's table in tables[0]
+    starts = ends - sizes * oracle
+    alone = np.zeros(len(oracle), dtype=bool)
+    bounds = [0, len(oracle)]
     if len(trees) << n > _LEAF_GROUP:
-        sizes = np.int64(1) << popcount(free).astype(np.int64)
         alone = sizes > _LEAF_GROUP
         window = (np.cumsum(sizes) - sizes) // _LEAF_GROUP
         cuts = np.flatnonzero((np.diff(window) != 0) | alone[1:] | alone[:-1]) + 1
@@ -191,23 +440,21 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
     values = levels = None
     for a, b in zip(bounds, bounds[1:]):
         if alone[a]:
-            leaf = leaves[a]
             idx = (int(fixed[a] >> n),) + tuple(
                 slice(None) if free[a] >> c & 1 else int(fixed[a] >> c & 1) for c in reversed(range(n))
             )
-            if isinstance(leaf, OracleLeaf):
-                fill = full_tables([leaf.oracle])[0].reshape((2,) * len(leaf.free))
+            if oracle[a]:
+                fill = tables[0][starts[a]:ends[a]].reshape((2,) * popcount(int(free[a])))
             else:
-                fill = leaf.value
+                fill = constants[a]
         else:
             points, group_sizes = subcube_points(fixed[a:b], free[a:b])
-            group = leaves[a:b]
-            is_oracle = np.array([isinstance(lf, OracleLeaf) for lf in group])
-            tables = full_tables([lf.oracle for lf in group if isinstance(lf, OracleLeaf)])
-            constants = [lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in group]
-            in_order = np.repeat(np.array(constants), group_sizes)
-            if tables:
-                in_order[np.repeat(is_oracle, group_sizes)] = np.concatenate(tables)
+            if oracle[a:b].all():
+                in_order = tables[0][starts[a]:ends[b - 1]]
+            else:
+                in_order = np.repeat(constants[a:b], group_sizes)
+                if oracle[a:b].any():
+                    in_order[np.repeat(oracle[a:b], group_sizes)] = tables[0][starts[a]:ends[b - 1]]
         if values is None:
             # allocated before the first group's arrays, the table kept 8 MB
             # more resident after a decompose at n = 20
@@ -260,36 +507,17 @@ def to_oracle(tree: DecisionTree) -> ValueOracle:
 def rank(tree: DecisionTree) -> int:
     """Ehrenfeucht-Haussler rank: 0 on leaves; children's max when the child
     ranks differ, else child rank + 1."""
-    return _rank(tree.root)
-
-
-def _rank(node: TreeNode) -> int:
-    if not isinstance(node, Node):
-        return 0
-    r0, r1 = _rank(node.lo), _rank(node.hi)
-    return max(r0, r1) if r0 != r1 else r0 + 1
+    return int(_flat(tree).rank)
 
 
 def tree_size(tree: DecisionTree) -> int:
     """Number of leaves."""
-    return _size(tree.root)
-
-
-def _size(node: TreeNode) -> int:
-    if not isinstance(node, Node):
-        return 1
-    return _size(node.lo) + _size(node.hi)
+    return int(_flat(tree).oracle.size)
 
 
 def tree_depth(tree: DecisionTree) -> int:
     """Depth of the deepest leaf."""
-    return _depth(tree.root)
-
-
-def _depth(node: TreeNode) -> int:
-    if not isinstance(node, Node):
-        return 0
-    return 1 + max(_depth(node.lo), _depth(node.hi))
+    return int(_flat(tree).depth.max())
 
 
 def truncate(tree: DecisionTree, d: int) -> DecisionTree:
@@ -325,17 +553,17 @@ class NonConstantLeaf(ValueError):
     """Raised when an operation needs constant leaves only."""
 
 
-def _require_constant(node: TreeNode) -> None:
-    if isinstance(node, OracleLeaf):
+def _constant_leaves(tree: DecisionTree) -> _Flat:
+    """The array form of a tree whose leaves are all constants."""
+    flat = _flat(tree)
+    if flat.oracle.any():
         raise NonConstantLeaf("tree has oracle-valued leaves; constantize first")
-    if isinstance(node, Node):
-        _require_constant(node.lo)
-        _require_constant(node.hi)
+    return flat
 
 
 def to_spectrum(tree: DecisionTree):
     """Exact spectrum of a constant-leaf tree (via its truth table)."""
-    _require_constant(tree.root)
+    _constant_leaves(tree)
     return transform(to_oracle(tree))
 
 
@@ -364,7 +592,8 @@ def exact_distance(f, g, dist: ProductDistribution | None = None, metric: str = 
         raise ValueError(f"dimension mismatch: {nf} vs {ng}")
     if dist is not None and dist.n != nf:
         raise ValueError(f"distribution dimension {dist.n} != {nf}")
-    return _distances(tf, tg, nf, dist, metric)[0]
+    # a tree's table is made for this call, so the differences can overwrite it
+    return _distances(tf, tg, nf, dist, metric, out=tg if isinstance(g, DecisionTree) else None)[0]
 
 
 def exact_distances(
@@ -381,13 +610,15 @@ def exact_distances(
     distances = []
     for k in range(0, len(fs), step):
         tg = _cube_values(trees[k:k + step], "tree table")[0]
-        distances += _distances(stacked_table(fs[k:k + step]), tg, n, None, metric)
+        distances += _distances(stacked_table(fs[k:k + step]), tg, n, None, metric, out=tg)
     return distances
 
 
-def _distances(tf, tg, n: int, dist: ProductDistribution | None, metric: str) -> list[float]:
+def _distances(tf, tg, n: int, dist: ProductDistribution | None, metric: str, out=None) -> list[float]:
     """The distance of each 2^n-point table of the stack tf from the table
-    at its position in tg, each summed over its own 2^n values."""
+    at its position in tg, each summed over its own 2^n values; ``out``
+    (tf's shape; tg itself when no one else reads it) receives the
+    differences."""
     if dist is None:
         # every point weighs 2^-n: the same products and sums as the uniform
         # probability vector, without building it
@@ -401,8 +632,8 @@ def _distances(tf, tg, n: int, dist: ProductDistribution | None, metric: str) ->
         return [float(np.sum(w[row])) for row in differ]
     if metric not in ("l1", "l2"):
         raise ValueError(f"unknown metric {metric!r}")
-    # the only 2^n temporary: |f - g| or (f - g)^2, then the weights, in place
-    d = (tf - tg).reshape(-1, 1 << n)
+    # the only 2^n array written: |f - g| or (f - g)^2, then the weights, in place
+    d = np.subtract(tf, tg, out=out).reshape(-1, 1 << n)
     if metric == "l1":
         np.abs(d, out=d)
     else:
@@ -452,29 +683,52 @@ def to_json_text(tree: DecisionTree) -> str:
     """The tree as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
     writes the nested object whose nodes are {"var": 1-based coordinate,
     "lo": ..., "hi": ...} and whose leaves are {"leaf": value}; leaves must be
-    constants.  The text is written straight from the nodes: with ``indent``
-    set the json module runs its pure-Python encoder, and the nested dicts
-    would exist only to be encoded."""
-    # StringIO appends each piece to one buffer, so no per-node string stays alive
-    out = io.StringIO()
-    write = out.write
+    constants.
 
-    def emit(node: TreeNode, pad: str) -> None:
-        inner = pad + "  "
-        if isinstance(node, Node):
-            write(f'{{\n{inner}"hi": ')
-            emit(node.hi, inner)
-            write(f',\n{inner}"lo": ')
-            emit(node.lo, inner)
-            write(f',\n{inner}"var": {node.var + 1}\n{pad}}}')
-        elif isinstance(node, ConstLeaf):
-            write(f'{{\n{inner}"leaf": {_json_scalar(node.value)}\n{pad}}}')
-        else:
-            _require_constant(node)
+    The text is joined once from pieces placed by the array form, hi before
+    lo: a node at depth d opens with '{"hi": ' at its position, writes
+    '"lo": ' between its subtrees and '"var": ...}' after them, and a leaf is
+    one piece.  Each piece is rendered once per depth and coordinate or per
+    depth and distinct leaf value (by its bits, so -0.0 keeps its sign);
+    with ``indent`` set the json module would run its pure-Python encoder
+    over nested dicts that would exist only to be encoded.
+    """
+    flat = _constant_leaves(tree)
+    pad = ["  " * d for d in range(int(flat.depth.max()) + 2)]
+    inner, ends = np.flatnonzero(~flat.leaf), np.flatnonzero(flat.leaf)
+    depth, start = flat.depth[inner], flat.piece[inner]
+    opens = np.array([f'{{\n{p}"hi": ' for p in pad[1:]], dtype=object)
+    mids = np.array([f',\n{p}"lo": ' for p in pad[1:]], dtype=object)
+    pieces = np.empty(2 * flat.leaf.size - 1, dtype=object)
+    pieces[start] = opens[depth]
+    pieces[flat.piece[inner + 1] - 1] = mids[depth]
+    variables, var_of = np.unique(flat.var[inner], return_inverse=True)
+    pieces[start + 2 * flat.count[inner] - 2] = _rendered(
+        depth, var_of, [str(var + 1) for var in variables.tolist()],
+        lambda d, text: f',\n{pad[d + 1]}"var": {text}\n{pad[d]}}}',
+    )
+    if flat.leaves is None:
+        _, first, value_of = np.unique(flat.value.view(np.uint64), return_index=True, return_inverse=True)
+        distinct = flat.value[first].tolist()
+        texts = list(map(float.__repr__, distinct))
+        for k in np.flatnonzero(~np.isfinite(flat.value[first])).tolist():
+            texts[k] = json.dumps(distinct[k])
+    else:  # a leaf object's value may be an int, written as one
+        value_of, texts = np.arange(ends.size), [_json_scalar(lf.value) for lf in flat.leaves]
+    pieces[flat.piece[ends]] = _rendered(
+        flat.depth[ends], value_of, texts,
+        lambda d, text: f'{{\n{pad[d + 1]}"leaf": {text}\n{pad[d]}}}',
+    )
+    return "".join(pieces.tolist()) + "\n"
 
-    emit(tree.root, "")
-    write("\n")
-    return out.getvalue()
+
+def _rendered(depth: np.ndarray, keys: np.ndarray, texts: list[str], render) -> np.ndarray:
+    """render(d, texts[k]) of every element of depth d and key k, as an
+    object array, rendered once per distinct pair (d, k)."""
+    _, first, pair_of = np.unique(depth * len(texts) + keys, return_index=True, return_inverse=True)
+    out = np.empty(first.size, dtype=object)
+    out[:] = [render(d, texts[k]) for d, k in zip(depth[first].tolist(), keys[first].tolist())]
+    return out[pair_of]
 
 
 def _json_scalar(value) -> str:
@@ -482,4 +736,3 @@ def _json_scalar(value) -> str:
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
     return json.dumps(value)
-

@@ -246,26 +246,20 @@ def stacked_table(oracles: Sequence[ValueOracle]) -> np.ndarray:
     return tables[0] if len(tables) == 1 else np.concatenate(tables)
 
 
-def restrict_subcubes(
-    oracles: Sequence[ValueOracle], table: np.ndarray, points: np.ndarray, sizes: np.ndarray
-) -> list[ValueOracle]:
-    """The restriction of its oracle to each of a list of subcubes of a stack.
+def restrict_subcubes(f: ValueOracle, values: np.ndarray, sizes: np.ndarray) -> list[ValueOracle]:
+    """The restriction of f to each of a list of subcubes, as table-backed
+    views over slices of ``values`` that share f's counter.
 
-    ``table`` is `stacked_table` of ``oracles``; ``points`` lists the stacked
-    points of each subcube in ascending order, one subcube after another,
-    and ``sizes`` their sizes (`cube.subcube_points`).  A subcube's points in
-    ascending order are its local points in order, so one gather of the
-    stacked table holds every subcube's table as a slice.  Each view equals
-    `restrict` of its oracle to its subcube bit for bit and shares that
-    oracle's counter.
+    ``values`` holds the subcubes' tables one after another, and ``sizes``
+    their sizes: a subcube's points in ascending order
+    (`cube.subcube_points`) are its local points in order, so a gather of
+    f's table at them is its table.  Each view equals `restrict` of f to its
+    subcube bit for bit.
     """
-    values = table[points]
-    owners = (points[np.cumsum(sizes) - sizes] >> oracles[0].n).tolist()
     views, start = [], 0
-    for size, owner in zip(sizes.tolist(), owners):
+    for size in sizes.tolist():
         t = values[start:start + size]
-        k = size.bit_length() - 1
-        views.append(ValueOracle(k, t.__getitem__, counter=oracles[owner]._counter, table=t))
+        views.append(ValueOracle(size.bit_length() - 1, t.__getitem__, counter=f._counter, table=t))
         start += size
     return views
 

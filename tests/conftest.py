@@ -53,11 +53,18 @@ def tree_from_json(text: str, n: int) -> DecisionTree:
 def leaf_map(tree):
     """The partition `decompose._certify` takes: the int32 leaf of every
     point, leaves in preorder, and the int64 free mask of every leaf."""
-    leaves, paths, fixed = dtree._leaf_subcubes(tree)
+    flat = dtree._leaf_subcubes(tree)
+    paths, fixed = flat.tested, flat.fixed
     points, sizes = subcube_points(fixed, paths ^ ((1 << tree.n) - 1))
     leaf_of = np.empty(1 << tree.n, dtype=np.int32)
-    leaf_of[points] = np.repeat(np.arange(len(leaves), dtype=np.int32), sizes)
+    leaf_of[points] = np.repeat(np.arange(len(paths), dtype=np.int32), sizes)
     return leaf_of, paths ^ ((1 << tree.n) - 1)
+
+
+def leaves_of(tree):
+    """The leaf objects of a tree in the array form's order: preorder, lo
+    before hi, the same objects that ``tree.root`` holds."""
+    return dtree._flat(tree).leaf_objects()
 
 
 def spectrum_of(n: int, coeffs: dict) -> Spectrum:

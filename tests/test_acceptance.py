@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import as_dict, spectrum_of
+from conftest import as_dict, leaves_of, spectrum_of
 from submodtree import decompose as dc
 from submodtree import cli, dtree, fourier, funcs, hardness, learn
 from submodtree.cube import ProductDistribution, mask_of
@@ -94,9 +94,7 @@ def test_criterion_4_leaf_variance():
     for inst, f in corpus():
         for alpha in (1.0, 0.5, 0.25):
             rep = dc.build_lipschitz_tree(f, alpha, certify=False)
-            leaves = []
-            dc._iter_leaves(rep.tree.root, leaves)
-            for lf in leaves:
+            for lf in leaves_of(rep.tree):
                 if lf.oracle.n == 0:
                     continue
                 var = funcs.uniform_variance(lf.oracle)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_table
+from conftest import leaves_of, random_table
 from submodtree import decompose, dtree
 from submodtree.decompose import (
     NotSubmodular,
@@ -31,12 +31,6 @@ BATCH_SIZES = (1, 2, 3, 5)
 
 def bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=float).view(np.uint64).tobytes()
-
-
-def oracle_leaves(tree):
-    leaves = []
-    decompose._iter_leaves(tree.root, leaves)
-    return leaves
 
 
 def one_at_a_time(fs, alpha, check, certify):
@@ -71,7 +65,7 @@ def assert_same_batch(make_fs, alpha, check, certify=True, group=None):
     for report, ref in zip(reports, ref_reports):
         assert report.rank == ref.rank and report.phase == ref.phase
         assert report.leaf_certificates == ref.leaf_certificates
-        leaves, ref_leaves = oracle_leaves(report.tree), oracle_leaves(ref.tree)
+        leaves, ref_leaves = leaves_of(report.tree), leaves_of(ref.tree)
         assert [lf.free for lf in leaves] == [lf.free for lf in ref_leaves]
         assert [bits(lf.oracle.table()) for lf in leaves] == [
             bits(lf.oracle.table()) for lf in ref_leaves

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import leaf_map, random_table, with_oracle_leaves
+from conftest import leaf_map, leaves_of, random_table, with_oracle_leaves
 from submodtree import dtree
 from submodtree.cube import check_enumerable, enum_cap
 from submodtree.decompose import (
     LeafCertificate,
     _certify,
-    _iter_leaves,
     build_lipschitz_tree,
     build_monotone_tree,
 )
@@ -104,8 +103,7 @@ def certify(tree, alpha, f):
 
 def ref_certify(tree, alpha):
     """Per-leaf certification: the three checkers on each leaf restriction."""
-    leaves = []
-    _iter_leaves(tree.root, leaves)
+    leaves = leaves_of(tree)
     certs = []
     for lf in leaves:
         if not isinstance(lf, OracleLeaf):
@@ -122,8 +120,7 @@ def ref_certify(tree, alpha):
 
 def ref_leaf_of(tree, x):
     """Preorder index (lo before hi) of the leaf that point x reaches."""
-    leaves = []
-    _iter_leaves(tree.root, leaves)
+    leaves = leaves_of(tree)
     node = tree.root
     while isinstance(node, Node):
         node = node.hi if (x >> node.var) & 1 else node.lo
@@ -296,8 +293,7 @@ def test_leaf_map_matches_a_per_point_descent(n, seed):
     leaf_of, free = leaf_map(tree)
     assert leaf_of.dtype == np.int32
     assert leaf_of.tolist() == [ref_leaf_of(tree, x) for x in range(1 << n)]
-    leaves = []
-    _iter_leaves(tree.root, leaves)
+    leaves = leaves_of(tree)
     assert len(free) == len(leaves)
     # a coordinate is free in a leaf exactly when the leaf's points vary in it
     for k in range(len(leaves)):

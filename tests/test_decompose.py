@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import small_corpus
+from conftest import leaves_of, small_corpus
 from submodtree.decompose import (
     DecompositionReport,
     NonDiscreteRange,
@@ -149,11 +149,7 @@ class TestConstantize:
         alpha = 0.25
         for inst, f in small_corpus(ns=(8,), seeds=(0, 1, 2)):
             rep = build_lipschitz_tree(f, alpha)
-            leaves = []
-            from submodtree.decompose import _iter_leaves
-
-            _iter_leaves(rep.tree.root, leaves)
-            for lf in leaves:
+            for lf in leaves_of(rep.tree):
                 if lf.oracle.n == 0:
                     continue
                 var = uniform_variance(lf.oracle)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import leaf_map, random_table, tree_from_json, with_oracle_leaves
+from conftest import leaf_map, leaves_of, random_table, tree_from_json, with_oracle_leaves
 from submodtree import cube, decompose, dtree, funcs
 from submodtree.cube import popcount
 from submodtree.decompose import _certify, _grow, build_lipschitz_tree, build_monotone_tree
@@ -127,12 +127,6 @@ def ref_grown_partition(f, alpha, phases):
     preorder = np.empty(len(order), dtype=np.int32)
     preorder[order] = np.arange(len(order), dtype=np.int32)
     return preorder[level_leaf], free[order]
-
-
-def oracle_leaves(tree):
-    leaves = []
-    decompose._iter_leaves(tree.root, leaves)
-    return leaves
 
 
 # --- subcube points ----------------------------------------------------------------
@@ -289,7 +283,7 @@ def assert_same_build(make_f, alpha, phases, monkeypatch):
     ref_leaf_of, ref_free = ref_grown_partition(f_ref, alpha, phases)
     assert leaf_of.dtype == np.int32 and np.array_equal(leaf_of, ref_leaf_of)
     assert free.dtype == ref_free.dtype and np.array_equal(free, ref_free)
-    leaves = oracle_leaves(tree)
+    leaves = leaves_of(tree)
     assert len(leaves) == free.size
     for k, (leaf, m) in enumerate(zip(leaves, free.tolist())):
         assert leaf.free == tuple(i for i in range(f.n) if m >> i & 1)
