@@ -1,4 +1,4 @@
-"""Seconds of each suite of the corpus benchmark job, and of the rank suite's stages.
+"""Seconds of each suite of the corpus benchmark job, of the corpus build and of the rank suite's stages.
 
     python3 bench/corpus_stages.py --seed S [--parent DIR] [--out FILE]
 
@@ -8,8 +8,17 @@ shifted by the workload seed; this script runs the same suites in-process,
 with the same n, seeds, smax and k as ``perfbench/workloads.CORPUS`` at
 workload seed S, in a fresh process per side: this checkout, and the
 checkout at ``--parent`` when given (parent first).  Each side prints, in
-seconds, every suite's time and the stages of ``cli.suite_rank``:
+seconds, every suite's time (``suite_s``), the corpus build
+(``corpus_build_s``) and the stages of ``cli.suite_rank``
+(``rank_stages_s``), and in MB the process's VmHWM after each suite
+(``hwm_mb``):
 
+- ``corpus_build_s``: per suite, the time the variance, Parseval, pairwise
+  and rank suites spend generating the corpus: `funcs.generate_random`,
+  `funcs.instantiate` and `ValueOracle.table`.  A checkout with
+  `funcs.corpus_tables` spends it all in the first of them; one that
+  generates the corpus per suite spends it in each, and there the rank
+  suite's tables are made inside its ``build`` stage;
 - ``build``: the decompositions, certification excluded
   (`decompose.build_lipschitz_trees`, or `build_lipschitz_tree` where a
   checkout builds one tree at a time);
@@ -40,6 +49,13 @@ STAGES = {
     "certify": [("decompose", "_certify")],
     "distance": [("dtree", "exact_distances"), ("dtree", "exact_distance")],
 }
+CORPUS_BUILD = [("funcs", "generate_random"), ("funcs", "instantiate"), ("funcs", "ValueOracle.table")]
+CORPUS_SUITES = ("variance", "parseval", "pairwise", "rank")
+
+
+def vm_hwm_mb() -> float:
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
 
 
 def child(seed: int) -> dict:
@@ -47,58 +63,66 @@ def child(seed: int) -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import CORPUS
 
-    from submodtree import cli, decompose, dtree
+    from submodtree import cli, decompose, dtree, funcs
 
-    modules = {"decompose": decompose, "dtree": dtree}
+    modules = {"decompose": decompose, "dtree": dtree, "funcs": funcs}
     spent = {stage: 0.0 for stage in STAGES}
-    in_rank = [False]
+    building = {name: 0.0 for name in CORPUS_SUITES}
+    running = [None]  # the suite that runs
 
-    def timed(stage, fn):
+    def timed(fn, add, suites):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            if not in_rank[0]:
+            if running[0] not in suites:
                 return fn(*args, **kwargs)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[stage] += time.perf_counter() - start
+                add(time.perf_counter() - start)
 
         return wrapper
 
+    def patch(module, path, add, suites):
+        owner = modules[module]
+        *cls_path, name = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        if hasattr(owner, name):
+            setattr(owner, name, timed(getattr(owner, name), add, suites))
+
     for stage, targets in STAGES.items():
         for module, name in targets:
-            if hasattr(modules[module], name):
-                setattr(modules[module], name, timed(stage, getattr(modules[module], name)))
+            patch(module, name, lambda s, stage=stage: spent.__setitem__(stage, spent[stage] + s),
+                  ("rank",))
+    for module, name in CORPUS_BUILD:
+        patch(module, name, lambda s: building.__setitem__(running[0], building[running[0]] + s),
+              CORPUS_SUITES)
 
     n, count = CORPUS["n"], CORPUS["seeds"]
     ns, seeds = tuple(range(4, min(n, 10) + 1)), range(count * seed, count * seed + count)
-
-    def rank(ns, seeds):
-        in_rank[0] = True
-        try:
-            return cli.suite_rank(ns, seeds)
-        finally:
-            in_rank[0] = False
-
     suites = {
         "variance": lambda: cli.suite_variance(ns, seeds),
         "parseval": lambda: cli.suite_parseval(ns, seeds),
         "pairwise": lambda: cli.suite_pairwise(ns, seeds)[0],
-        "rank": lambda: rank(ns, seeds),
+        "rank": lambda: cli.suite_rank(ns, seeds),
         "pruning": lambda: cli.suite_pruning(n, count),
         "correlation": lambda: cli.suite_correlation(CORPUS["smax"]),
         "embedding": lambda: cli.suite_embedding(CORPUS["k"]),
     }
-    seconds, digest = {}, hashlib.sha256()
+    seconds, hwm, digest = {}, {}, hashlib.sha256()
     for name, run in suites.items():
+        running[0] = name
         start = time.perf_counter()
         rows = run()
         seconds[name] = time.perf_counter() - start
+        running[0] = None
+        hwm[name] = vm_hwm_mb()
         digest.update(cli._rows_to_csv(rows).encode())
     # certification runs inside the builds: the build stage is what is left
     spent["build"] -= spent["certify"]
-    return {"suite_s": seconds, "rank_stages_s": spent, "sha256": digest.hexdigest()}
+    return {"suite_s": seconds, "corpus_build_s": building, "rank_stages_s": spent,
+            "hwm_mb": hwm, "sha256": digest.hexdigest()}
 
 
 def run_side(src: Path, seed: int) -> dict:

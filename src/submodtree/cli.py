@@ -9,7 +9,6 @@ byte-identical across reruns with the same configuration.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -106,61 +105,76 @@ def _resolve_target(args) -> tuple[str, ValueOracle]:
 # --- verification suites --------------------------------------------------------
 
 
+def _corpus_chunks(ns, seeds):
+    """The corpus tables (`funcs.corpus_tables`) in stacks of at most
+    dtree._STACK_POINTS points: yields (n, keys, ids, stack), where keys[k]
+    sorts row k of the stack into corpus order, (family, position of n,
+    seed)."""
+    seeds = tuple(seeds)
+    for at, (n, ids, stack) in enumerate(funcs.corpus_tables(tuple(ns), seeds)):
+        size = max(1, dtree._STACK_POINTS >> n)  # instances per stack
+        for k in range(0, len(ids), size):
+            # the j-th instance of n is family j // len(seeds), seed j % len(seeds)
+            keys = [(j // len(seeds), at, j % len(seeds)) for j in range(k, min(k + size, len(ids)))]
+            yield n, keys, ids[k:k + size], stack[k:k + size]
+
+
+def _corpus_rows(ns, seeds, measure) -> list[dict]:
+    """One row per corpus instance, in corpus order: measure(n, stack) gives
+    the arrays (lhs, rhs, margin, pass) of a stack's tables, one entry per
+    row."""
+    rows = {}
+    for n, keys, ids, stack in _corpus_chunks(ns, seeds):
+        columns = [a.tolist() for a in measure(n, stack)]
+        for key, inst, lhs, rhs, margin, ok in zip(keys, ids, *columns):
+            rows[key] = {"instance": inst, "lhs": lhs, "rhs": rhs, "margin": margin, "pass": ok}
+    return [rows[key] for key in sorted(rows)]
+
+
 def suite_variance(ns, seeds) -> list[dict]:
-    rows = []
-    for inst, f in funcs.iter_corpus(ns=ns, seeds=seeds):
-        var = funcs.uniform_variance(f)
-        bound = 2.0 * funcs.lipschitz_constant(f) * funcs.uniform_mean(f)
-        rows.append(
-            {
-                "instance": inst,
-                "lhs": var,
-                "rhs": bound,
-                "margin": bound - var,
-                "pass": var <= bound + TOL,
-            }
-        )
-    return rows
+    """Var f <= 2 L E[f] per instance, L the Lipschitz constant."""
+
+    def measure(n, t):
+        mean = np.mean(t, axis=1)
+        var = np.mean((t - mean[:, None]) ** 2, axis=1)
+        bound = 2.0 * funcs.stacked_lipschitz(t, n) * mean
+        return var, bound, bound - var, var <= bound + TOL
+
+    return _corpus_rows(ns, seeds, measure)
 
 
 def suite_parseval(ns, seeds) -> list[dict]:
-    rows = []
-    for inst, f in funcs.iter_corpus(ns=ns, seeds=seeds):
-        c = fourier.coefficients(f)
-        lhs = float(np.cumsum(c * c)[-1])  # left to right, ascending mask
-        rhs = float(np.mean(f.table() ** 2))
-        rows.append(
-            {
-                "instance": inst,
-                "lhs": lhs,
-                "rhs": rhs,
-                "margin": abs(lhs - rhs),
-                "pass": abs(lhs - rhs) <= TOL,
-            }
-        )
-    return rows
+    """sum_S coeff(S)^2 = E[f^2] per instance."""
+
+    def measure(n, t):
+        c = fourier.stacked_coefficients(t)
+        lhs = np.cumsum(c * c, axis=1)[:, -1]  # left to right, ascending mask
+        rhs = np.mean(t**2, axis=1)
+        gap = np.abs(lhs - rhs)
+        return lhs, rhs, gap, gap <= TOL
+
+    return _corpus_rows(ns, seeds, measure)
 
 
 def suite_pairwise(ns, seeds) -> tuple[list[dict], float]:
-    rows = []
-    best_constant = math.inf
-    for inst, f in funcs.iter_corpus(ns=ns, seeds=seeds):
-        pair, total = fourier.pairwise_weights(f)
-        k = int(np.argmin(pair - 0.5 * total))  # the worst pair
-        lhs, rhs = float(pair[k]), 0.5 * float(total[k])
-        rows.append(
-            {
-                "instance": inst,
-                "lhs": lhs,
-                "rhs": rhs,
-                "margin": lhs - rhs,
-                "pass": lhs >= rhs - TOL,
-            }
-        )
+    """|coeff({i,j})| >= 1/2 sum of coeff(S)^2 over S containing i and j,
+    at each instance's worst pair, and the smallest ratio of the two over
+    every pair with mass (the best constant)."""
+    best = math.inf
+
+    def measure(n, t):
+        nonlocal best
+        pair, total = fourier.stacked_pairwise_weights(fourier.stacked_coefficients(t), n)
+        k = np.argmin(pair - 0.5 * total, axis=1)[:, None]  # each instance's worst pair
+        lhs = np.take_along_axis(pair, k, axis=1)[:, 0]
+        rhs = 0.5 * np.take_along_axis(total, k, axis=1)[:, 0]
         mass = total > 1e-12
         if mass.any():
-            best_constant = min(best_constant, float(np.min(pair[mass] / total[mass])))
-    return rows, best_constant
+            best = min(best, float(np.min(pair[mass] / total[mass])))
+        return lhs, rhs, lhs - rhs, lhs >= rhs - TOL
+
+    rows = _corpus_rows(ns, seeds, measure)
+    return rows, best
 
 
 def _rank_row(inst: str, alpha: float, report, err: float) -> dict:
@@ -177,23 +191,18 @@ def _rank_row(inst: str, alpha: float, report, err: float) -> dict:
 
 def suite_rank(ns, seeds) -> list[dict]:
     """Rank rows of the corpus, instance by instance in corpus order, alpha
-    by alpha.  The instances of one n are built and measured one stacked
-    table at a time (`dc.build_lipschitz_trees`), so only one batch's tables
-    and trees are held."""
+    by alpha.  Each stack of `_corpus_chunks` is built and measured as one
+    batch (`dc.build_lipschitz_trees`) of oracles over its rows, so only
+    one batch's trees are held."""
     rows: dict[tuple, dict] = {}
-    for at, n in enumerate(dict.fromkeys(ns)):
-        # the j-th instance of n is family j // len(seeds), seed j % len(seeds)
-        corpus = enumerate(funcs.iter_corpus(ns=(n,), seeds=seeds))
-        size = max(1, dtree._STACK_POINTS >> n)  # instances per stacked table
-        for batch in iter(lambda: list(itertools.islice(corpus, size)), []):
-            fs = [f for _, (_, f) in batch]
-            for a, alpha in enumerate(ALPHA_GRID):
-                # the input check does not depend on alpha: run it once per instance
-                reports = dc.build_lipschitz_trees(fs, alpha, check=a == 0)
-                errs = dtree.exact_distances(fs, [r.tree for r in reports], metric="l1")
-                for (j, (inst, _)), report, err in zip(batch, reports, errs):
-                    key = j // len(seeds), at, j % len(seeds), a
-                    rows[key] = _rank_row(inst, alpha, report, err)
+    for n, keys, ids, stack in _corpus_chunks(ns, seeds):
+        fs = [ValueOracle.from_table(t) for t in stack]
+        for a, alpha in enumerate(ALPHA_GRID):
+            # the input check does not depend on alpha: run it once per instance
+            reports = dc.build_lipschitz_trees(fs, alpha, check=a == 0)
+            errs = dtree.exact_distances(fs, [r.tree for r in reports], metric="l1")
+            for key, inst, report, err in zip(keys, ids, reports, errs):
+                rows[(*key, a)] = _rank_row(inst, alpha, report, err)
     return [rows[key] for key in sorted(rows)]
 
 
@@ -215,10 +224,11 @@ def _pruning_rows_for_tree(tag: str, tree, dists) -> list[dict]:
     rows = []
     r = dtree.rank(tree)
     depth = dtree.tree_depth(tree)
+    profile = dtree.leaf_profile(tree)
     checked_against_truncate = False
     for alpha, alpha_dists in dists.items():
         for di, dist in enumerate(alpha_dists):
-            dis_by_d = dtree.truncation_disagreements(tree, dist)
+            dis_by_d = dtree.profile_disagreements(profile, dist)
             if not checked_against_truncate and depth > 0:
                 # the profile shortcut must agree with the literal truncation
                 d0 = depth // 2
@@ -436,8 +446,9 @@ def cmd_decompose(args) -> int:
         return EXIT_CHECK_FAILED
     err = dtree.exact_distance(f, report.tree, metric="l1")
     if args.out is not None:
-        tree_text = dtree.to_json_text(dc.constantize_leaves(report))
-        report_text = report.to_json_text(tree_text, instance=inst, max_l1_error=err)
+        tree = dc.constantize_leaves(report)
+        tree_text = dtree.to_json_text(tree)
+        report_text = report.to_json_text(tree, instance=inst, max_l1_error=err)
         _write(args.out, "report.json", report_text)
         _write(args.out, "tree.json", tree_text)
     row = _rank_row(inst, args.alpha, report, err)

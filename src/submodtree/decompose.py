@@ -82,10 +82,11 @@ class DecompositionReport:
                 return False
         return True
 
-    def to_json_text(self, tree_text: str, **extra) -> str:
+    def to_json_text(self, tree: DecisionTree, **extra) -> str:
         """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` of the report
         object: its fields, the scalar keys of ``extra``, and "tree", whose
-        value is the JSON text ``tree_text`` of a tree (`dtree.to_json_text`)."""
+        value is the JSON object of a constant-leaf tree (`dtree.to_json_text`),
+        written from the tree's pieces at the report's indent."""
         scalars = {
             "n": self.tree.n,
             "alpha": self.alpha,
@@ -98,7 +99,7 @@ class DecompositionReport:
         }
         values = {key: [json.dumps(value)] for key, value in scalars.items()}
         values["leaf_certificates"] = _certificates_parts(self.leaf_certificates)
-        values["tree"] = [tree_text.rstrip("\n").replace("\n", "\n  ")]
+        values["tree"] = dtree._json_pieces(tree, 1)
         # joined once from pieces, so the certificate list is never a text of its own
         parts = ["{"]
         for key in sorted(values):

@@ -119,7 +119,8 @@ class _Flat:
     objects, or one beyond the enumeration cap, keeps its leaf objects in
     ``leaves`` instead.  ``bad`` is the coordinate of the first node in
     preorder that tests a coordinate twice on its path or one outside the
-    dimension, else None.
+    dimension, else None.  ``json`` keeps the pieces of `to_json_text`
+    once they are rendered (`_json_pieces`).
     """
 
     n: int
@@ -137,6 +138,7 @@ class _Flat:
     values: np.ndarray | None = None
     source: ValueOracle | None = None
     leaves: list | None = None
+    json: tuple | None = None
 
     def free(self) -> np.ndarray:
         """The mask of the coordinates each leaf leaves free."""
@@ -488,11 +490,17 @@ def leaf_profile(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
 
 def truncation_disagreements(tree: DecisionTree, dist: ProductDistribution | None = None) -> np.ndarray:
     """Exact Pr[tree != truncate(tree, d)] for every d = 0 .. depth."""
-    vals, depths = leaf_profile(tree)
     if dist is None:
         dist = ProductDistribution.uniform(tree.n)
+    return profile_disagreements(leaf_profile(tree), dist)
+
+
+def profile_disagreements(profile: tuple[np.ndarray, np.ndarray], dist: ProductDistribution) -> np.ndarray:
+    """`truncation_disagreements` under ``dist``, read from the tree's
+    `leaf_profile`, which does not depend on the distribution."""
+    vals, depths = profile
     p = dist.probability_vector()
-    depth = tree_depth(tree)
+    depth = int(depths.max())  # every leaf holds a point
     mask = vals != 0.0
     w = np.bincount(depths[mask], weights=p[mask], minlength=depth + 1)
     suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
@@ -684,51 +692,77 @@ def to_json_text(tree: DecisionTree) -> str:
     writes the nested object whose nodes are {"var": 1-based coordinate,
     "lo": ..., "hi": ...} and whose leaves are {"leaf": value}; leaves must be
     constants.
+    """
+    return "".join(_json_pieces(tree, 0)) + "\n"
 
-    The text is joined once from pieces placed by the array form, hi before
-    lo: a node at depth d opens with '{"hi": ' at its position, writes
-    '"lo": ' between its subtrees and '"var": ...}' after them, and a leaf is
-    one piece.  Each piece is rendered once per depth and coordinate or per
-    depth and distinct leaf value (by its bits, so -0.0 keeps its sign);
-    with ``indent`` set the json module would run its pure-Python encoder
-    over nested dicts that would exist only to be encoded.
+
+def _json_pieces(tree: DecisionTree, indent: int) -> list[str]:
+    """The pieces of `to_json_text`'s text, its last newline left out, with
+    every line after the first ``indent`` levels deeper: the tree's text as
+    the indenting encoder writes it as a value ``indent`` levels deep.
+
+    The text is joined from pieces placed by the array form, hi before lo: a
+    node at depth d opens with '{"hi": ' at its position, writes '"lo": '
+    between its subtrees and '"var": ...}' after them, and a leaf is one
+    piece.  Each piece is rendered once per depth and coordinate or per
+    depth and distinct leaf value (by its bits, so -0.0 keeps its sign), and
+    the distinct pieces and each position's piece are kept on the array
+    form, so another indent re-indents only the distinct pieces.  With
+    ``indent`` set the json module would run its pure-Python encoder over
+    nested dicts that would exist only to be encoded.
     """
     flat = _constant_leaves(tree)
+    if flat.json is None:
+        flat.json = _json_table(flat)
+    texts, codes = flat.json
+    if indent:
+        # one replace over all distinct pieces: json.dumps escapes NUL, so
+        # no piece holds one
+        deeper = "\0".join(texts.tolist()).replace("\n", "\n" + "  " * indent)
+        texts = np.array(deeper.split("\0"), dtype=object)
+    return texts[codes].tolist()
+
+
+def _json_table(flat: _Flat) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pieces of the tree's JSON text, as an object array, and
+    the index of each position's piece in it."""
     pad = ["  " * d for d in range(int(flat.depth.max()) + 2)]
     inner, ends = np.flatnonzero(~flat.leaf), np.flatnonzero(flat.leaf)
     depth, start = flat.depth[inner], flat.piece[inner]
-    opens = np.array([f'{{\n{p}"hi": ' for p in pad[1:]], dtype=object)
-    mids = np.array([f',\n{p}"lo": ' for p in pad[1:]], dtype=object)
-    pieces = np.empty(2 * flat.leaf.size - 1, dtype=object)
-    pieces[start] = opens[depth]
-    pieces[flat.piece[inner + 1] - 1] = mids[depth]
+    texts = [f'{{\n{p}"hi": ' for p in pad[1:]] + [f',\n{p}"lo": ' for p in pad[1:]]
+    codes = np.empty(2 * flat.leaf.size - 1, dtype=np.int64)
+    codes[start] = depth
+    codes[flat.piece[inner + 1] - 1] = len(pad) - 1 + depth
     variables, var_of = np.unique(flat.var[inner], return_inverse=True)
-    pieces[start + 2 * flat.count[inner] - 2] = _rendered(
-        depth, var_of, [str(var + 1) for var in variables.tolist()],
+    codes[start + 2 * flat.count[inner] - 2] = _rendered(
+        texts, depth, var_of, [str(var + 1) for var in variables.tolist()],
         lambda d, text: f',\n{pad[d + 1]}"var": {text}\n{pad[d]}}}',
     )
     if flat.leaves is None:
         _, first, value_of = np.unique(flat.value.view(np.uint64), return_index=True, return_inverse=True)
         distinct = flat.value[first].tolist()
-        texts = list(map(float.__repr__, distinct))
+        labels = list(map(float.__repr__, distinct))
         for k in np.flatnonzero(~np.isfinite(flat.value[first])).tolist():
-            texts[k] = json.dumps(distinct[k])
+            labels[k] = json.dumps(distinct[k])
     else:  # a leaf object's value may be an int, written as one
-        value_of, texts = np.arange(ends.size), [_json_scalar(lf.value) for lf in flat.leaves]
-    pieces[flat.piece[ends]] = _rendered(
-        flat.depth[ends], value_of, texts,
+        value_of, labels = np.arange(ends.size), [_json_scalar(lf.value) for lf in flat.leaves]
+    codes[flat.piece[ends]] = _rendered(
+        texts, flat.depth[ends], value_of, labels,
         lambda d, text: f'{{\n{pad[d + 1]}"leaf": {text}\n{pad[d]}}}',
     )
-    return "".join(pieces.tolist()) + "\n"
+    table = np.empty(len(texts), dtype=object)
+    table[:] = texts
+    return table, codes
 
 
-def _rendered(depth: np.ndarray, keys: np.ndarray, texts: list[str], render) -> np.ndarray:
-    """render(d, texts[k]) of every element of depth d and key k, as an
-    object array, rendered once per distinct pair (d, k)."""
-    _, first, pair_of = np.unique(depth * len(texts) + keys, return_index=True, return_inverse=True)
-    out = np.empty(first.size, dtype=object)
-    out[:] = [render(d, texts[k]) for d, k in zip(depth[first].tolist(), keys[first].tolist())]
-    return out[pair_of]
+def _rendered(texts: list[str], depth: np.ndarray, keys: np.ndarray, labels: list[str], render) -> np.ndarray:
+    """Appends render(d, labels[k]) to ``texts`` once per distinct pair of a
+    depth d and a key k, and returns the index in ``texts`` of each
+    element's."""
+    _, first, pair_of = np.unique(depth * len(labels) + keys, return_index=True, return_inverse=True)
+    at = len(texts)
+    texts += [render(d, labels[k]) for d, k in zip(depth[first].tolist(), keys[first].tolist())]
+    return at + pair_of
 
 
 def _json_scalar(value) -> str:

@@ -38,12 +38,16 @@ def parity_signs(subset: int, xs: np.ndarray) -> np.ndarray:
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
-    """In-place-style Walsh-Hadamard butterfly; output[S] = sum_x chi_S(x) v[x].
+    """In-place-style Walsh-Hadamard butterfly along the last axis;
+    output[..., S] = sum_x chi_S(x) v[..., x].
 
-    The transform matrix is its own inverse up to the factor 2^n.
+    The transform matrix is its own inverse up to the factor 2^n.  A stack
+    of tables is transformed row by row, each row with the bits it gets
+    alone: every level pairs values within one aligned block of 2h, and the
+    rows are whole blocks.
     """
     a = np.asarray(values, dtype=float).copy()
-    m = a.size
+    m = a.shape[-1]
     if m & (m - 1):
         raise ValueError(f"length {m} is not a power of two")
     h = 1
@@ -273,14 +277,19 @@ class Spectrum:
 
 def coefficients(f: ValueOracle) -> np.ndarray:
     """Every exact coefficient of an oracle by ascending mask, via the fast
-    butterfly, O(n 2^n).
+    butterfly, O(n 2^n): the stack of one of `stacked_coefficients`."""
+    return stacked_coefficients(f.table())
+
+
+def stacked_coefficients(tables: np.ndarray) -> np.ndarray:
+    """The coefficients of each table of a stack along its last axis, each
+    row the bits `coefficients` gives its table alone.
 
     A coefficient with |c| <= SPARSE_EPS is set to exactly 0.0; NaN is not,
     so a table holding NaN gives NaN coefficients.
     """
-    t = f.table()
-    c = fwht(t)
-    c /= t.size  # in place: the same quotients, with no third 2^n array
+    c = fwht(tables)
+    c /= c.shape[-1]  # in place: the same quotients, with no third array of the stack's size
     c[(c >= -SPARSE_EPS) & (c <= SPARSE_EPS)] = 0.0  # |c| <= eps, with no float temporary
     return c
 
@@ -297,21 +306,41 @@ def spectral_l1(sp: Spectrum) -> float:
 
 def pairwise_weights(f: ValueOracle) -> tuple[np.ndarray, np.ndarray]:
     """|coeff({i,j})| and the sum of coeff(S)^2 over S containing i and j, for
-    every pair i < j in lexicographic order.
+    every pair i < j in lexicographic order: the stack of one of
+    `stacked_pairwise_weights`."""
+    pair, total = stacked_pairwise_weights(coefficients(f)[None], f.n)
+    return pair[0], total[0]
 
-    Both come from `coefficients`.  Each sum is a sequential cumulative sum
-    in ascending mask order, so it equals the left-to-right sum over the
-    sparse spectrum bit for bit.
+
+def stacked_pairwise_weights(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`pairwise_weights` of each row of a (K, 2^n) stack of coefficient
+    arrays (`stacked_coefficients`): two (K, pairs) arrays.
+
+    Each sum is a sequential cumulative sum in ascending mask order, so it
+    equals the left-to-right sum over the sparse spectrum bit for bit.  The
+    masks containing both coordinates of a pair are its (1, 1) corner.
+    Within the gather budget the corners of every pair of a group of rows
+    are read with one gather through `funcs._gather_index`, and their sums
+    written into one preallocated array; above it each pair's corner is
+    read through its strided view.
     """
-    c = coefficients(f)
-    i, j = np.triu_indices(f.n, 1)
-    # the masks containing both coordinates of a pair are its (1, 1) corner
-    totals = [
-        np.cumsum(sq.reshape(len(coords), -1), axis=1)[:, -1]
-        for coords, (sq,), _ in funcs._row_blocks(c * c, f.n, 2, slice(3, None))
-    ]
-    # no blocks, and no pairs, when n < 2
-    return np.abs(c[(1 << i) | (1 << j)]), np.concatenate([np.zeros(0), *totals])
+    i, j = np.triu_indices(n, 1)
+    pair = np.abs(c[:, (1 << i) | (1 << j)])
+    total = np.empty(pair.shape)
+    if n < 2:  # no pairs
+        return pair, total
+    sq = c * c
+    if math.comb(n, 2) << (n - 2) <= funcs._GATHER_BUDGET:
+        index = funcs._gather_index(n, 2)[1][3]
+        step = max(1, funcs._GATHER_BUDGET // index.size)  # rows per gather
+        for k in range(0, len(c), step):
+            corners = sq[k:k + step].take(index, axis=1)
+            total[k:k + step] = np.cumsum(corners, axis=2, out=corners)[:, :, -1]
+    else:
+        for r, ij in enumerate(zip(i.tolist(), j.tolist())):
+            corner = funcs._quarters(sq, *ij)[3].reshape(len(c), -1)
+            total[:, r] = np.cumsum(corner, axis=1)[:, -1]
+    return pair, total
 
 
 def derivative_spectrum_check(f: ValueOracle, i: int, j: int) -> tuple[float, float]:

@@ -521,11 +521,26 @@ def is_alpha_monotone_decreasing(f: ValueOracle, alpha: float, tol: float = TOL)
 
 
 def lipschitz_constant(f: ValueOracle) -> float:
-    """max over i, x of |derivative along i at x| (exhaustive)."""
+    """max over i, x of |derivative along i at x| (exhaustive): the stack of
+    one of `stacked_lipschitz`."""
     check_enumerable(f.n, "Lipschitz constant")
-    worst = 0.0
-    for _, d, _ in _derivative_blocks(f.table(), f.n):
-        worst = max(worst, float(np.max(np.abs(d))))
+    return float(stacked_lipschitz(f.table(), f.n)[0])
+
+
+def stacked_lipschitz(t: np.ndarray, n: int) -> np.ndarray:
+    """Per table of a stack of 2^n-point tables (`stacked_table`), the
+    largest |derivative along i at x| over every i and x (exhaustive).
+
+    Each block of `_derivative_blocks` contributes its maximum as the
+    builtin ``max`` folds it in, so a block whose maximum is NaN is passed
+    over.  One table is one gathered block (n <= 13), a stack of several
+    one block per coordinate: the two can differ only on a table holding
+    NaN.
+    """
+    worst = np.zeros(t.size >> n)
+    for _, d, _ in _derivative_blocks(t, n):
+        top = np.abs(d).reshape(len(worst), -1).max(axis=1)
+        worst = np.where(top > worst, top, worst)
     return worst
 
 
@@ -588,15 +603,6 @@ def leaf_violations(
         hits = _mixed_difference_row(tables[table], *c)[None] > TOL
         sub[owned(hits, np.array([c]), lambda _, k: at + _with_zero_bits(k, *c))[2]] = True
     return mono, lip, sub
-
-
-def uniform_mean(f: ValueOracle) -> float:
-    return float(np.mean(f.table()))
-
-
-def uniform_variance(f: ValueOracle) -> float:
-    t = f.table()
-    return float(np.mean((t - np.mean(t)) ** 2))
 
 
 # --- families ---------------------------------------------------------------
@@ -909,6 +915,30 @@ def iter_corpus(
                 spec = generate_random(family, n, seed)
                 oracle = instantiate(spec)
                 yield f"{family}-n{n}-s{seed}", oracle
+
+
+@functools.lru_cache(maxsize=1)
+def corpus_tables(
+    ns: tuple[int, ...], seeds: tuple[int, ...]
+) -> tuple[tuple[int, tuple[str, ...], np.ndarray], ...]:
+    """The truth tables of the corpus `iter_corpus` generates, made once and
+    kept until another corpus is asked for: per distinct n, in the order of
+    ``ns``, (n, instance ids, stack).  Row k of the read-only float64 stack
+    is the table of instance k, family by family and seed by seed within a
+    family, as `iter_corpus` yields them.
+
+    Only arrays and strings are kept, no oracle: 8 * 2^n bytes per instance.
+    """
+    corpus = []
+    for n in dict.fromkeys(ns):
+        names = []
+        stack = np.empty((len(GENERATED_FAMILIES) * len(seeds), 1 << n))
+        for row, (inst, f) in zip(stack, iter_corpus(ns=(n,), seeds=seeds)):
+            names.append(inst)
+            row[:] = f.table()
+        stack.flags.writeable = False
+        corpus.append((n, tuple(names), stack))
+    return tuple(corpus)
 
 
 def describe_witness(witness: tuple, n: int) -> str:

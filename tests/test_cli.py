@@ -551,3 +551,22 @@ def test_pruning_truncation_mismatch_is_a_failing_row(monkeypatch):
     rows = cli._pruning_rows_for_tree("t", tree, dists)
     failed = [r for r in rows if not r["pass"]]
     assert [r["instance"] for r in failed] == [f"t-truncate-d{dtree.tree_depth(tree) // 2}"]
+
+
+def test_pruning_builds_each_trees_leaf_profile_once(monkeypatch):
+    # the profile does not depend on the distribution: six distributions
+    # per tree read one profile
+    from submodtree import cli, dtree
+
+    profiled = []
+    leaf_profile = dtree.leaf_profile
+
+    def spy(tree):
+        profiled.append(tree)
+        return leaf_profile(tree)
+
+    monkeypatch.setattr(dtree, "leaf_profile", spy)
+    rows = cli.suite_pruning(8, 3)
+    trees = 3 + 3 * 5  # random trees, then three decompositions per family
+    assert len(profiled) == trees
+    assert all(r["pass"] for r in rows)

@@ -137,5 +137,4 @@ def test_report_text_matches_the_indenting_encoder(
     obj["instance"] = instance
     obj["max_l1_error"] = err
     obj["tree"] = ref_tree_obj(tree)
-    tree_text = dtree.to_json_text(tree)
-    assert report.to_json_text(tree_text, instance=instance, max_l1_error=err) == ref_dump(obj)
+    assert report.to_json_text(tree, instance=instance, max_l1_error=err) == ref_dump(obj)
