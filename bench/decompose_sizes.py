@@ -1,17 +1,20 @@
-"""Wall time, peak RSS and report bytes of `submodtree decompose` at large n.
+"""Wall time, peak RSS, report bytes and stdout of `submodtree decompose`
+or `submodtree spectrum` at large n.
 
-    python3 bench/decompose_sizes.py --out FILE [--parent DIR] [--ns 20 22 24]
-        [--families coverage cut ...]
+    python3 bench/decompose_sizes.py --out FILE [--command spectrum]
+        [--parent DIR] [--ns 20 22 24] [--families coverage cut ...]
 
 Run from the repository root.  For every generated family (or each one of
 ``--families``) and n, each side runs
-`decompose --family F --n N --seed 1 --alpha 0.1 --out DIR` once in a
-fresh process, with the program imported from that side's ``src/``: this
-checkout, and the checkout at ``--parent`` when given.  The sides alternate
-which runs first from row to row.  A run records the time of `cli.main`
-(interpreter start and imports excluded), the process's peak RSS (VmHWM)
-and the sha256 of every report file; with ``--parent`` the report bytes of
-the two sides must be equal.  Results are written to FILE as JSON.
+`decompose --family F --n N --seed 1 --alpha 0.1 --out DIR` (or
+`spectrum --family F --n N --seed 1 --out DIR`) once in a fresh process,
+with the program imported from that side's ``src/``: this checkout, and the
+checkout at ``--parent`` when given.  The sides alternate which runs first
+from row to row.  A run records the time of `cli.main` (interpreter start
+and imports excluded), the process's peak RSS (VmHWM) and the sha256 of
+every report file and of stdout, which goes to a file; with ``--parent`` the
+report and stdout bytes of the two sides must be equal.  Results are
+written to FILE as JSON.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ SEED, ALPHA = "1", "0.1"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def child(out: str, args: list[str]) -> int:
-    """Runs in the measured process: one CLI call, then one JSON line."""
+def child(result: str, out: str, args: list[str]) -> int:
+    """Runs in the measured process: one CLI call, then one JSON file."""
     from submodtree import cli
 
     start = time.perf_counter()
@@ -42,31 +45,39 @@ def child(out: str, args: list[str]) -> int:
     wall = time.perf_counter() - start
     with open("/proc/self/status") as fh:
         hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-    print(json.dumps({"rc": rc, "wall_s": wall, "peak_rss_mb": hwm / 1024}))
+    Path(result).write_text(json.dumps({"rc": rc, "wall_s": wall, "peak_rss_mb": hwm / 1024}))
     return 0
+
+
+def sha256(path: Path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def run_side(src: Path, args: list[str]) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "SUBMODTREE_ENUM_CAP"}
     env["PYTHONPATH"] = str(src)
     env.update({var: "1" for var in THREAD_VARS})
-    with tempfile.TemporaryDirectory() as out:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--child", out, *args],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        result["sha256"] = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out).iterdir())
-        }
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out, stdout = tmp / "out", tmp / "stdout"
+        with open(stdout, "wb") as fh:
+            subprocess.run(
+                [sys.executable, __file__, "--child", str(tmp / "result.json"), str(out), *args],
+                env=env, stdout=fh, check=True,
+            )
+        result = json.loads((tmp / "result.json").read_text())
+        result["sha256"] = {p.name: sha256(p) for p in sorted(out.iterdir())}
+        result["sha256"]["stdout"] = sha256(stdout)
     return result
 
 
 def main() -> int:
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
-        return child(sys.argv[2], sys.argv[3:])
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+        return child(sys.argv[2], sys.argv[3], sys.argv[4:])
+    parser = argparse.ArgumentParser(description=" ".join(__doc__.split("\n\n")[0].split()))
     parser.add_argument("--out", required=True)
+    parser.add_argument("--command", choices=("decompose", "spectrum"), default="decompose")
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--ns", type=int, nargs="+", default=[20, 22, 24])
     parser.add_argument("--families", nargs="+", choices=FAMILIES, default=list(FAMILIES))
@@ -77,8 +88,9 @@ def main() -> int:
     rows = []
     for family in opts.families:
         for n in opts.ns:
-            args = ["decompose", "--family", family, "--n", str(n),
-                    "--seed", SEED, "--alpha", ALPHA]
+            args = [opts.command, "--family", family, "--n", str(n), "--seed", SEED]
+            if opts.command == "decompose":
+                args += ["--alpha", ALPHA]
             names = list(sides)
             if len(rows) % 2:
                 names.reverse()
@@ -91,7 +103,7 @@ def main() -> int:
             rows.append(row)
             print(json.dumps({k: v for k, v in row.items() if k != "sha256"}), flush=True)
     result = {
-        "what": __doc__.split("\n")[0],
+        "what": " ".join(__doc__.split("\n\n")[0].split()),
         "machine": f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}",
         "rows": rows,
     }

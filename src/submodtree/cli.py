@@ -9,6 +9,7 @@ byte-identical across reruns with the same configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -282,9 +283,10 @@ def suite_pruning(n: int, seeds: int) -> list[dict]:
         tree = dtree.random_tree(min(n, 14), seed=s)
         dists = _pruning_distributions(tree.n)
         rows.extend(_pruning_rows_for_tree(f"rand-n{tree.n}-s{s}", tree, dists))
-    corpus = list(funcs.iter_corpus(ns=(min(n, 10),), seeds=range(3)))
-    reports = dc.build_lipschitz_trees([f for _, f in corpus], 0.5, certify=False)
-    for (inst, _), report in zip(corpus, reports):
+    # read from the corpus the other suites hold, when it has these instances
+    ((_, ids, stack),) = funcs.corpus_tables((min(n, 10),), (0, 1, 2))
+    reports = dc.build_lipschitz_trees([ValueOracle.from_table(t) for t in stack], 0.5, certify=False)
+    for inst, report in zip(ids, reports):
         dists = _pruning_distributions(report.tree.n)
         rows.extend(_pruning_rows_for_tree(f"decomp-{inst}", report.tree, dists))
     return rows
@@ -595,10 +597,36 @@ def cmd_spectrum(args) -> int:
     if f.n > enum_cap():
         print(f"error: n={f.n} exceeds the enumeration cap {enum_cap()}", file=sys.stderr)
         return EXIT_USAGE
-    csv = fourier.transform(f).to_csv()
-    _write(args.out, "spectrum.csv", csv)
-    print(csv, end="")
+    chunks = fourier.spectrum_csv(f)  # the spectrum is computed before any file is made
+    report = None
+    if args.out is not None:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        report = open(Path(args.out) / "spectrum.csv", "wb")
+    with report or contextlib.nullcontext():
+        _stream(chunks, report)
     return EXIT_OK
+
+
+def _stream(chunks, report) -> None:
+    """Write each chunk of bytes to the report file, when there is one, and
+    then to stdout (its text layer when it has no binary buffer).
+
+    A reader that closes stdout early stops only stdout: the report gets
+    every chunk, then the BrokenPipeError is raised.
+    """
+    sys.stdout.flush()  # what was printed goes first
+    binary = getattr(sys.stdout, "buffer", None)
+    out = binary.write if binary is not None else lambda chunk: sys.stdout.write(chunk.decode("ascii"))
+    try:
+        for chunk in chunks:
+            if report is not None:
+                report.write(chunk)
+            out(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if report is not None:
+            report.writelines(chunks)
+        raise
 
 
 # --- parser -----------------------------------------------------------------------

@@ -9,7 +9,9 @@ coordinate sets, matching the point packing in `cube`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,18 +48,45 @@ def fwht(values: np.ndarray) -> np.ndarray:
     alone: every level pairs values within one aligned block of 2h, and the
     rows are whole blocks.
     """
-    a = np.asarray(values, dtype=float).copy()
+    a = np.array(values, dtype=float, order="C")  # a copy, transformed in place
     m = a.shape[-1]
     if m & (m - 1):
         raise ValueError(f"length {m} is not a power of two")
-    h = 1
-    while h < m:
-        v = a.reshape(-1, 2 * h)
-        lo = v[:, :h].copy()
-        v[:, :h] += v[:, h:]
-        np.subtract(lo, v[:, h:], out=v[:, h:])
-        h *= 2
+    _fwht_in_place(a.reshape(-1), m)
     return a
+
+
+# Entries per block of the butterfly: 256 KB of float64, which stays in cache.
+_BLOCK = 1 << 15
+
+
+def _fwht_in_place(flat: np.ndarray, m: int) -> None:
+    """`fwht` in place on a contiguous 1-D array of rows of length m.
+
+    Levels h < _BLOCK run block by block, every level of a block before the
+    next block; each higher level pairs block-sized slices at distance h.
+    Every pair of values at a level gets lo + hi and lo - hi, level after
+    level, as a butterfly over the whole array gives it, so the bits do not
+    depend on the block; no temporary is larger than a block.
+    """
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        h = 1
+        while h < min(m, _BLOCK):
+            v = block.reshape(-1, 2 * h)
+            lo = v[:, :h].copy()
+            v[:, :h] += v[:, h:]
+            np.subtract(lo, v[:, h:], out=v[:, h:])
+            h *= 2
+    h = _BLOCK
+    while h < m:
+        for start in range(0, flat.size, 2 * h):
+            for j in range(start, start + h, _BLOCK):
+                x, y = flat[j : j + _BLOCK], flat[j + h : j + h + _BLOCK]
+                lo = x.copy()
+                x += y
+                np.subtract(lo, y, out=y)
+        h *= 2
 
 
 # --- the spectrum CSV writer --------------------------------------------------
@@ -222,13 +251,27 @@ def _csv_chunk(masks: np.ndarray, x: np.ndarray) -> bytearray:
     return raw.translate(None, b"\0")
 
 
-def _csv_rows(masks: np.ndarray, coeffs: np.ndarray) -> bytes:
+CSV_HEADER = b"mask,coefficient\n"
+
+
+def _csv_chunks(masks: np.ndarray, coeffs: np.ndarray) -> Iterator[bytes]:
     """The bytes of "{},{:.17g}\\n".format(m, c) for every int64 mask m >= 0
-    and float64 coefficient c, in order."""
-    return b"".join(
-        _csv_chunk(masks[i : i + _CSV_CHUNK], coeffs[i : i + _CSV_CHUNK])
-        for i in range(0, masks.size, _CSV_CHUNK)
-    )
+    and float64 coefficient c, in order, _CSV_CHUNK rows at a time."""
+    for i in range(0, masks.size, _CSV_CHUNK):
+        yield _csv_chunk(masks[i : i + _CSV_CHUNK], coeffs[i : i + _CSV_CHUNK])
+
+
+_SCAN = _CSV_CHUNK << 4  # entries of a dense array searched for nonzeros at a time
+
+
+def _dense_csv_chunks(c: np.ndarray) -> Iterator[bytes]:
+    """The rows of the nonzero entries of a 1-D coefficient array, by
+    ascending mask, as `_csv_chunks` of `Spectrum.from_dense` writes them,
+    with no array of the whole support."""
+    for start in range(0, c.size, _SCAN):
+        masks = np.flatnonzero(c[start : start + _SCAN])
+        masks += start
+        yield from _csv_chunks(masks, c[masks])
 
 
 @dataclass(eq=False)
@@ -272,7 +315,7 @@ class Spectrum:
         return fwht(self.dense())
 
     def to_csv(self) -> str:
-        return "mask,coefficient\n" + _csv_rows(self.masks, self.coeffs).decode("ascii")
+        return b"".join([CSV_HEADER, *_csv_chunks(self.masks, self.coeffs)]).decode("ascii")
 
 
 def coefficients(f: ValueOracle) -> np.ndarray:
@@ -288,15 +331,39 @@ def stacked_coefficients(tables: np.ndarray) -> np.ndarray:
     A coefficient with |c| <= SPARSE_EPS is set to exactly 0.0; NaN is not,
     so a table holding NaN gives NaN coefficients.
     """
-    c = fwht(tables)
-    c /= c.shape[-1]  # in place: the same quotients, with no third array of the stack's size
-    c[(c >= -SPARSE_EPS) & (c <= SPARSE_EPS)] = 0.0  # |c| <= eps, with no float temporary
+    return _to_coefficients(fwht(tables))
+
+
+def _to_coefficients(c: np.ndarray) -> np.ndarray:
+    """Turn the butterfly's sums into coefficients in place, block by block:
+    divide by the row length, then set |c| <= SPARSE_EPS to 0.0."""
+    m = c.shape[-1]
+    flat = c.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        block /= m
+        block[(block >= -SPARSE_EPS) & (block <= SPARSE_EPS)] = 0.0
     return c
 
 
 def transform(f: ValueOracle) -> Spectrum:
     """Full exact spectrum of an oracle: its nonzero coefficients."""
     return Spectrum.from_dense(coefficients(f), f.n)
+
+
+def spectrum_csv(f: ValueOracle) -> Iterator[bytes]:
+    """`transform(f).to_csv()` in ASCII: the header, then the rows chunk by
+    chunk as they are read.
+
+    The coefficients are computed at once, in one array of 2^n float64:
+    `funcs.fresh_table` (charged 2^n queries, nothing cached), transformed
+    in place into `coefficients(f)`'s bits.  The rows take per chunk arrays
+    of fixed size; no array of the support and no whole CSV is made.
+    """
+    c = np.ascontiguousarray(funcs.fresh_table(f), dtype=float)
+    _fwht_in_place(c, c.size)
+    _to_coefficients(c)
+    return itertools.chain([CSV_HEADER], _dense_csv_chunks(c))
 
 
 def spectral_l1(sp: Spectrum) -> float:

@@ -120,7 +120,7 @@ class ValueOracle:
         if self._table is None:
             check_enumerable(self.n, "truth table")
             self._counter.charge(1 << self.n)
-            self._table = self._fn(np.arange(1 << self.n, dtype=np.int64))
+            self._table = _cube_values(self._fn, self.n)
         return self._table
 
     @property
@@ -158,7 +158,7 @@ def view(
     elif points is None:
         table = values(f._table)
     else:
-        table = fn(np.arange(1 << n, dtype=np.int64))
+        table = _cube_values(fn, n)
     # a table-backed view holds only its table, not f and the maps
     return ValueOracle(n, table.__getitem__, counter=f._counter, table=table)
 
@@ -174,10 +174,16 @@ def full_tables(oracles: Sequence[ValueOracle]) -> list[np.ndarray]:
         charges[g._counter] = charges.get(g._counter, 0) + (1 << g.n)
     for counter, k in charges.items():
         counter.charge(k)
-    return [
-        g._table if g._table is not None else g._fn(np.arange(1 << g.n, dtype=np.int64))
-        for g in oracles
-    ]
+    return [g._table if g._table is not None else _cube_values(g._fn, g.n) for g in oracles]
+
+
+def fresh_table(f: ValueOracle) -> np.ndarray:
+    """f's truth table in a new array the caller may overwrite: a copy of
+    the cached table, or else filled from the evaluator and not cached.
+    Charges 2^n queries, as `full_tables` does."""
+    check_enumerable(f.n, "truth table")
+    f.charge(1 << f.n)
+    return f._table.copy() if f._table is not None else _cube_values(f._fn, f.n)
 
 
 @dataclass(frozen=True)
@@ -707,6 +713,19 @@ def _by_chunks(per_chunk: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.nd
     return fn
 
 
+def _cube_values(fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """fn at every point of {0,1}^n, in little-endian point order.  Above
+    one chunk the values are written into one preallocated table,
+    _POINT_CHUNK points at a time, each chunk's points made from a range:
+    no array of the 2^n points is made."""
+    if (1 << n) <= _POINT_CHUNK:
+        return fn(np.arange(1 << n, dtype=np.int64))
+    out = np.empty(1 << n)
+    for lo in range(0, 1 << n, _POINT_CHUNK):
+        out[lo : lo + _POINT_CHUNK] = fn(np.arange(lo, lo + _POINT_CHUNK, dtype=np.int64))
+    return out
+
+
 def _doubling_table(rows: np.ndarray, op) -> np.ndarray:
     """T over the 2^k subsets x of k coordinates, T[0] = 0 and
     T[x | 2^i] = op(T[x], rows[i]) for x < 2^i: the rows of x's coordinates
@@ -917,18 +936,27 @@ def iter_corpus(
                 yield f"{family}-n{n}-s{seed}", oracle
 
 
-@functools.lru_cache(maxsize=1)
+_KEPT: list = []  # the last corpus made, as [(ns, seeds, corpus)]
+
+
 def corpus_tables(
     ns: tuple[int, ...], seeds: tuple[int, ...]
 ) -> tuple[tuple[int, tuple[str, ...], np.ndarray], ...]:
-    """The truth tables of the corpus `iter_corpus` generates, made once and
-    kept until another corpus is asked for: per distinct n, in the order of
-    ``ns``, (n, instance ids, stack).  Row k of the read-only float64 stack
-    is the table of instance k, family by family and seed by seed within a
-    family, as `iter_corpus` yields them.
+    """The truth tables of the corpus `iter_corpus` generates: per distinct
+    n, in the order of ``ns``, (n, instance ids, stack).  Row k of the
+    read-only float64 stack is the table of instance k, family by family and
+    seed by seed within a family, as `iter_corpus` yields them.
 
-    Only arrays and strings are kept, no oracle: 8 * 2^n bytes per instance.
+    The last corpus made is kept until one it does not hold is asked for.  A
+    corpus whose ns and seeds are all among the kept one's is read from the
+    kept rows, so no instance is generated twice.  Only arrays and strings
+    are kept, no oracle: 8 * 2^n bytes per instance.
     """
+    for kept_ns, kept_seeds, kept in _KEPT:
+        if (ns, seeds) == (kept_ns, kept_seeds):
+            return kept
+        if set(ns) <= set(kept_ns) and set(seeds) <= set(kept_seeds):
+            return _sub_corpus(kept, kept_seeds, ns, seeds)
     corpus = []
     for n in dict.fromkeys(ns):
         names = []
@@ -938,6 +966,22 @@ def corpus_tables(
             row[:] = f.table()
         stack.flags.writeable = False
         corpus.append((n, tuple(names), stack))
+    _KEPT[:] = [(ns, seeds, tuple(corpus))]
+    return _KEPT[0][2]
+
+
+def _sub_corpus(kept, kept_seeds, ns, seeds):
+    """The corpus of ``ns`` and ``seeds`` as copies of rows of ``kept``, the
+    corpus of ``kept_seeds``."""
+    by_n = {n: (ids, stack) for n, ids, stack in kept}
+    at = [kept_seeds.index(s) for s in seeds]
+    corpus = []
+    for n in dict.fromkeys(ns):
+        ids, stack = by_n[n]
+        rows = [k * len(kept_seeds) + j for k in range(len(GENERATED_FAMILIES)) for j in at]
+        sub = stack[rows]
+        sub.flags.writeable = False
+        corpus.append((n, tuple(ids[r] for r in rows), sub))
     return tuple(corpus)
 
 

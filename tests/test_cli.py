@@ -2,10 +2,14 @@ import builtins
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import submodtree
 from submodtree.cli import main
 
 
@@ -149,6 +153,43 @@ def test_spectrum_output(tmp_path, capsys):
     assert lines[0] == "mask,coefficient"
     assert lines[1] == "0,0.5"
     assert lines[2] == "3,-0.5"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_spectrum_finishes_its_report_when_stdout_closes_early(tmp_path, unbuffered):
+    # `spectrum ... --out D | head -c 100`: the CSV (1.9 MB) is longer than
+    # a pipe holds, so the reader closes stdout while it is written
+    env = {**os.environ, "PYTHONPATH": str(Path(submodtree.__file__).parents[1]),
+           "PYTHONUNBUFFERED": unbuffered}
+    argv = [sys.executable, "-m", "submodtree.cli", "spectrum", "--family", "budget_additive",
+            "--n", "16", "--seed", "1", "--out"]
+    subprocess.run(argv + [str(tmp_path / "full")], env=env, stdout=subprocess.DEVNULL, check=True)
+    proc = subprocess.Popen(argv + [str(tmp_path / "cut")], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"mask,coefficient\n0,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b"error: [Errno 32] Broken pipe\n"  # one line, nothing at exit
+    assert _csv_hashes(tmp_path / "cut") == _csv_hashes(tmp_path / "full")
+
+
+def test_spectrum_to_a_pipe_closed_before_the_first_byte(tmp_path):
+    # the short CSV waits in stdout's buffer; its flush fails, and the
+    # interpreter's flush at exit must not fail again
+    env = {**os.environ, "PYTHONPATH": str(Path(submodtree.__file__).parents[1])}
+    argv = [sys.executable, "-m", "submodtree.cli", "spectrum", "--family", "cut", "--n", "5",
+            "--out"]
+    subprocess.run(argv + [str(tmp_path / "full")], env=env, stdout=subprocess.DEVNULL, check=True)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(argv + [str(tmp_path / "cut")], env=env, stdout=write,
+                              stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"error: [Errno 32] Broken pipe\n")
+    assert _csv_hashes(tmp_path / "cut") == _csv_hashes(tmp_path / "full")
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from submodtree.fourier import (
     BudgetExceeded,
     LabeledSample,
     Spectrum,
-    _csv_rows,
+    _csv_chunks,
     candidate_masks,
     coefficients,
     coefficients_at,
@@ -482,6 +482,10 @@ def test_parseval_lhs_is_left_to_right(n, seed):
 
 
 # --- the CSV kernel, checked against one `format` call per row -----------------
+
+
+def _csv_rows(masks, coeffs) -> bytes:
+    return b"".join(_csv_chunks(masks, coeffs))
 
 
 def _format_rows(masks, coeffs) -> bytes:

@@ -188,6 +188,20 @@ def test_cached_stacks_are_read_only():
             t[1:][0, 0] = 1.0
 
 
+def test_a_corpus_within_the_kept_one_is_read_from_its_rows():
+    funcs._KEPT.clear()
+    kept = funcs.corpus_tables((4, 6, 5), (0, 1, 2, 3))
+    within = funcs.corpus_tables((5, 4), (2, 0))
+    assert funcs.corpus_tables((4, 6, 5), (0, 1, 2, 3)) is kept  # still kept
+    funcs._KEPT.clear()
+    made = funcs.corpus_tables((5, 4), (2, 0))
+    assert [(n, ids) for n, ids, _ in within] == [(n, ids) for n, ids, _ in made]
+    for (_, _, t), (_, _, want) in zip(within, made):
+        assert t.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        with pytest.raises(ValueError):
+            t[0, 0] = 1.0
+
+
 def test_other_seeds_give_other_rows():
     a, b = cli.suite_variance((6,), range(2)), cli.suite_variance((6,), range(2, 4))
     assert [r["instance"] for r in a] != [r["instance"] for r in b]
@@ -205,13 +219,10 @@ def test_verify_all_generates_each_corpus_instance_once(tmp_path, monkeypatch):
         return generate_random(family, n, seed)
 
     monkeypatch.setattr(funcs, "generate_random", counting)
-    funcs.corpus_tables.cache_clear()
+    funcs._KEPT.clear()
     assert cli.main(["verify", "all", "--n", "10", "--seeds", "20", "--out", str(tmp_path)]) == 0
     corpus = {(family, n, seed) for family in funcs.GENERATED_FAMILIES
               for n in range(4, 11) for seed in range(20)}
-    # the pruning suite decomposes its own corpus, three seeds at n = 10,
-    # generated on its own
-    pruning = {(family, 10, seed) for family in funcs.GENERATED_FAMILIES for seed in range(3)}
+    # the pruning suite's three seeds at n = 10 are read from the same corpus
     assert set(calls) == corpus
-    assert {key for key, count in calls.items() if count != 1} == pruning
-    assert all(calls[key] == 2 for key in pruning)
+    assert all(count == 1 for count in calls.values())
