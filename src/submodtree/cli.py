@@ -20,7 +20,7 @@ import numpy as np
 
 from . import decompose as dc
 from . import dtree, fourier, funcs, hardness, learn
-from .cube import ProductDistribution, check_enumerable, enum_cap, format_subset, mask_of
+from .cube import ProductDistribution, check_enumerable, check_packable, enum_cap, format_subset, mask_of
 from .funcs import FamilySpec, InvalidFamilySpec, TOL, ValueOracle
 
 EXIT_OK = 0
@@ -563,6 +563,7 @@ def cmd_hardness(args) -> int:
 
     # lpn
     n, k = args.n, args.k
+    check_packable(n, "lpn")
     if not 1 <= k <= n:
         raise _UsageError(f"lpn needs 1 <= --k <= --n, got --k {k} --n {n}")
     successes = 0

@@ -74,13 +74,9 @@ class DecompositionReport:
     def rank_bound_ok(self) -> bool:
         return self.rank <= math.ceil(self.claimed_rank_bound - TOL)
 
-    def certificates_ok(self, require_lipschitz: bool = True) -> bool:
-        for cert in _distinct(self.leaf_certificates):
-            if not cert.alpha_monotone_ok or not cert.submodular_ok:
-                return False
-            if require_lipschitz and not cert.lipschitz_ok:
-                return False
-        return True
+    def certificates_ok(self) -> bool:
+        certs = _distinct(self.leaf_certificates)
+        return all(c.alpha_monotone_ok and c.lipschitz_ok and c.submodular_ok for c in certs)
 
     def to_json_text(self, tree: DecisionTree, **extra) -> str:
         """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` of the report
@@ -352,8 +348,8 @@ def _decompose(fs: list[ValueOracle], alpha: float, phases: int, check: bool, ce
     check fails on one of its tables (`_check_submodular`), so the error
     names the first failing oracle in input order.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(phases / alpha)):
+        raise ValueError(f"alpha must be positive, with {phases}/alpha finite, got {alpha}")
     n = fs[0].n
     if any(f.n != n for f in fs):
         raise ValueError(f"a batch has one dimension, got {sorted({f.n for f in fs})}")

@@ -385,28 +385,14 @@ def stacked_pairwise_weights(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndar
 
     Each sum is a sequential cumulative sum in ascending mask order, so it
     equals the left-to-right sum over the sparse spectrum bit for bit.  The
-    masks containing both coordinates of a pair are its (1, 1) corner.
-    Within the gather budget the corners of every pair of a group of rows
-    are read with one gather through `funcs._gather_index`, and their sums
-    written into one preallocated array; above it each pair's corner is
-    read through its strided view.
+    masks containing both coordinates of a pair are the (1, 1) corner of its
+    row, read by `funcs._pair_rows`.
     """
     i, j = np.triu_indices(n, 1)
     pair = np.abs(c[:, (1 << i) | (1 << j)])
     total = np.empty(pair.shape)
-    if n < 2:  # no pairs
-        return pair, total
-    sq = c * c
-    if math.comb(n, 2) << (n - 2) <= funcs._GATHER_BUDGET:
-        index = funcs._gather_index(n, 2)[1][3]
-        step = max(1, funcs._GATHER_BUDGET // index.size)  # rows per gather
-        for k in range(0, len(c), step):
-            corners = sq[k:k + step].take(index, axis=1)
-            total[k:k + step] = np.cumsum(corners, axis=2, out=corners)[:, :, -1]
-    else:
-        for r, ij in enumerate(zip(i.tolist(), j.tolist())):
-            corner = funcs._quarters(sq, *ij)[3].reshape(len(c), -1)
-            total[:, r] = np.cumsum(corner, axis=1)[:, -1]
+    for at, (corner,) in funcs._pair_rows(c * c, n, np.s_[3:]):
+        total[at] = np.cumsum(corner, axis=2, out=corner)[:, :, -1]
     return pair, total
 
 

@@ -298,15 +298,22 @@ def second_derivative(f: ValueOracle, i: int, j: int, x: int) -> float:
 
 # --- exhaustive checkers ------------------------------------------------------
 #
-# t.reshape(-1, 2, 1 << i) puts coordinate i on the middle axis, so fixing x_i
-# is a strided view of the table, and what is left lists the other points in
-# ascending order when flattened in C order.
-
-
-def _halves(a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of a per-point array at x_i = 0 and at x_i = 1."""
-    v = a.reshape(-1, 2, 1 << i)
-    return v[:, 0], v[:, 1]
+# The checkers read a table in rows: one row per coordinate i (derivatives)
+# or per pair i < j (mixed differences, pairwise weights), in lexicographic
+# order, each over the points with zeros at its coordinates in ascending
+# order.  t.reshape(-1, 2, 1 << i) puts coordinate i on the middle axis, so
+# fixing x_i is a strided view of the table, and what is left lists the other
+# points in ascending order when flattened in C order.  Derivative rows are
+# always read through these views.  Pair rows are read by `_pair_rows`: while
+# a table's pair rows fit _GATHER_BUDGET values, with one gather through an
+# index array cached per n, and one strided pair at a time above it, where
+# the submodularity checks take pair maxima from the cache-sized blocks of
+# `_blocked_pair_maxima` instead.
+#
+# A stack of tables (`stacked_table`) is read through the same views: its
+# rows over the low n coordinates pair each point only with points of its
+# own table, so no difference crosses from one table into the next.
+_GATHER_BUDGET = 1 << 16
 
 
 def _quarters(a: np.ndarray, i: int, j: int) -> tuple[np.ndarray, ...]:
@@ -323,71 +330,51 @@ def _with_zero_bits(k, *bits):
     return k
 
 
-# The checkers read a table in blocks of rows: one row per coordinate i
-# (derivatives) or per pair i < j (mixed differences, pairwise weights), in
-# lexicographic order, each over the points with zeros at its coordinates in
-# ascending order.  When all rows of a table fit _GATHER_BUDGET values, one
-# block holds them all, read with one gather through index arrays cached per
-# n; above it every row is a block of its own, read through the strided views
-# above, except that the submodularity checks take pair maxima from the
-# cache-sized blocks of `_pair_maxima`.
-#
-# A stack of tables (`stacked_table`) is read through the same views: its
-# rows over the low n coordinates pair each point only with points of its
-# own table, so no difference crosses from one table into the next.
-_GATHER_BUDGET = 1 << 16
+def _derivative_rows(t: np.ndarray, n: int):
+    """(i, d) per coordinate i < n: d[k] is the derivative along i at the
+    k-th point with x_i = 0, `_with_zero_bits(k, i)`, of t or of a stack of
+    2^n-point tables."""
+    for i in range(n):
+        v = t.reshape(-1, 2, 1 << i)
+        yield i, (v[:, 1] - v[:, 0]).reshape(-1)
 
 
 @functools.cache
-def _gather_index(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(coords, index) for the rows of the sets of ``order`` coordinates.
+def _gather_index(n: int) -> np.ndarray:
+    """index[s, r, k]: the k-th point of the row of the r-th pair i < j, with
+    x_i and x_j set to bits 0 and 1 of s, so index[0] holds the rows' points
+    themselves.  Every caller shares the array, and none may write to it; it
+    is not flagged read-only because numpy gathers more slowly through a
+    read-only index."""
+    i, j = (c[:, None] for c in np.triu_indices(n, 1))
+    base = _with_zero_bits(np.arange(1 << (n - 2), dtype=np.int64), i, j)
+    return np.stack([base, base | 1 << i, base | 1 << j, base | 1 << i | 1 << j])
 
-    coords[r] lists row r's coordinates; index[s, r, k] is the k-th point of
-    row r with its coordinates set to the bits of s (first coordinate
-    lowest), so index[0] holds the rows' points themselves.  Every caller
-    shares both arrays, and none may write to them; they are not flagged
-    read-only because numpy gathers more slowly through a read-only index.
+
+def _pair_rows(t: np.ndarray, n: int, corners: slice):
+    """The pair rows of a stack of 2^n-point tables (one table is a stack
+    of one), in groups: yields (at, rows), where rows[c] holds the values at
+    the c-th of the ``corners`` (numbered as in `_gather_index`) of the rows
+    of the group, shaped (tables, pairs, 2^(n-2)), and ``at`` indexes the
+    group's tables and pairs in a (tables, pairs) array.  rows is a new
+    array, which the caller may overwrite.
+
+    Within the gather budget a group is every pair of as many tables as one
+    gather of _GATHER_BUDGET values reads; above it, one pair of every
+    table.
     """
-    coords = np.array(list(itertools.combinations(range(n), order)), dtype=np.int64)
-    cols = [coords[:, b:b + 1] for b in range(order)]
-    base = _with_zero_bits(np.arange(1 << (n - order), dtype=np.int64), *cols)
-    index = np.stack([
-        base | sum((1 << c) * ((s >> b) & 1) for b, c in enumerate(cols))
-        for s in range(1 << order)
-    ])
-    return coords, index
-
-
-def _row_blocks(a: np.ndarray, n: int, order: int, corners: slice = slice(None)):
-    """Blocks of rows of a per-point array, one row per set of ``order``
-    coordinates (1 or 2): yields (coords, values, base).
-
-    values[c] holds a at the c-th of the ``corners`` of each row (the row's
-    coordinates set to the bits of the corner's number, as in
-    `_gather_index`), shaped with one leading axis of rows; base(r, k) is the
-    k-th point of row r.  ``a`` may be a stack of 2^n-point tables, whose
-    rows are read through the strided views.
-    """
-    if n < order:
+    if n < 2:
         return
-    if a.size == 1 << n and math.comb(n, order) << (n - order) <= _GATHER_BUDGET:
-        coords, index = _gather_index(n, order)
-        yield coords, a.take(index[corners]), lambda r, k: index[0][r, k]
+    tables = t.reshape(-1, 1 << n)
+    if math.comb(n, 2) << (n - 2) <= _GATHER_BUDGET:
+        index = _gather_index(n)[corners]
+        step = max(1, _GATHER_BUDGET // index.size)  # tables per gather
+        for k in range(0, len(tables), step):
+            yield np.s_[k:k + step], np.moveaxis(tables[k:k + step].take(index, axis=1), 1, 0)
         return
-    split = _halves if order == 1 else _quarters
-    for c in itertools.combinations(range(n), order):
-        yield (
-            np.array([c]),
-            [view[None] for view in split(a, *c)[corners]],
-            lambda r, k, c=c: _with_zero_bits(k, *c),
-        )
-
-
-def _derivative_blocks(t: np.ndarray, n: int):
-    """(coords, d, base) per block of coordinates: d[r] holds the derivatives
-    along coords[r, 0] at the points base(r, k) with that coordinate 0."""
-    for coords, (lo, hi), base in _row_blocks(t, n, 1):
-        yield coords, (hi - lo).reshape(len(coords), -1), base
+    for r, c in enumerate(itertools.combinations(range(n), 2)):
+        rows = [q.reshape(len(tables), 1, -1) for q in _quarters(t, *c)[corners]]
+        yield np.s_[:, r:r + 1], np.array(rows)
 
 
 def _mixed(t00, t10, t01, t11) -> np.ndarray:
@@ -420,17 +407,13 @@ def _pair_maxima(t: np.ndarray, n: int) -> np.ndarray:
     order; NaN for a pair with a NaN difference, as ndarray.max gives.  For
     a stack of 2^n-point tables, the maxima of each table, one table after
     another, each the bits its table alone gives."""
-    if n < 2:
-        return np.zeros(0)
     tables = t.reshape(-1, 1 << n)
-    if math.comb(n, 2) << (n - 2) > _GATHER_BUDGET:
+    if n > 1 and math.comb(n, 2) << (n - 2) > _GATHER_BUDGET:
         return np.concatenate([_blocked_pair_maxima(table, n) for table in tables])
-    index = _gather_index(n, 2)[1]
-    step = max(1, _GATHER_BUDGET // index.size)  # tables per gather
-    return np.concatenate([
-        _mixed(*np.moveaxis(tables[k:k + step].take(index, axis=1), 1, 0)).max(axis=2).reshape(-1)
-        for k in range(0, len(tables), step)
-    ])
+    tops = np.empty((len(tables), math.comb(n, 2)))
+    for at, rows in _pair_rows(t, n, np.s_[:]):
+        tops[at] = _mixed(*rows).max(axis=2)
+    return tops.reshape(-1)
 
 
 def _blocked_pair_maxima(t: np.ndarray, n: int) -> np.ndarray:
@@ -485,16 +468,14 @@ class CheckResult:
         return self.ok
 
 
-def _first_failure(blocks, fails, pick) -> CheckResult:
-    """The failed check at the first row, in block order, whose values fail
+def _first_failure(t: np.ndarray, n: int, fails, pick) -> CheckResult:
+    """The failed check at the first coordinate whose derivatives fail
     ``fails`` (elementwise), witnessed at the first ``pick`` (an argmin or
-    argmax) of that row; a pass when no row fails."""
-    for coords, rows, base in blocks:
-        bad = np.flatnonzero(fails(rows).any(axis=1))
-        if bad.size:
-            r = int(bad[0])
-            k = int(pick(rows[r]))
-            return CheckResult(False, (*coords[r].tolist(), int(base(r, k))), float(rows[r, k]))
+    argmax) of its row; a pass when no row fails."""
+    for i, d in _derivative_rows(t, n):
+        if fails(d).any():
+            k = int(pick(d))
+            return CheckResult(False, (i, int(_with_zero_bits(k, i))), float(d[k]))
     return CheckResult(True)
 
 
@@ -516,14 +497,14 @@ def is_submodular(f: ValueOracle, tol: float = TOL) -> CheckResult:
 def is_monotone(f: ValueOracle, tol: float = TOL) -> CheckResult:
     """Exhaustive check that all discrete derivatives are >= -tol."""
     check_enumerable(f.n, "monotonicity check")
-    return _first_failure(_derivative_blocks(f.table(), f.n), lambda d: d < -tol, np.argmin)
+    return _first_failure(f.table(), f.n, lambda d: d < -tol, np.argmin)
 
 
 def is_alpha_monotone_decreasing(f: ValueOracle, alpha: float, tol: float = TOL) -> CheckResult:
     """Exhaustive check that every discrete derivative is <= alpha + tol."""
     check_enumerable(f.n, "alpha-monotone check")
     bound = alpha + tol
-    return _first_failure(_derivative_blocks(f.table(), f.n), lambda d: d > bound, np.argmax)
+    return _first_failure(f.table(), f.n, lambda d: d > bound, np.argmax)
 
 
 def lipschitz_constant(f: ValueOracle) -> float:
@@ -537,14 +518,11 @@ def stacked_lipschitz(t: np.ndarray, n: int) -> np.ndarray:
     """Per table of a stack of 2^n-point tables (`stacked_table`), the
     largest |derivative along i at x| over every i and x (exhaustive).
 
-    Each block of `_derivative_blocks` contributes its maximum as the
-    builtin ``max`` folds it in, so a block whose maximum is NaN is passed
-    over.  One table is one gathered block (n <= 13), a stack of several
-    one block per coordinate: the two can differ only on a table holding
-    NaN.
+    Each coordinate's maximum is folded in when it is larger, so a table
+    holding NaN, whose every coordinate's maximum is NaN, gets 0.0.
     """
     worst = np.zeros(t.size >> n)
-    for _, d, _ in _derivative_blocks(t, n):
+    for _, d in _derivative_rows(t, n):
         top = np.abs(d).reshape(len(worst), -1).max(axis=1)
         worst = np.where(top > worst, top, worst)
     return worst
@@ -583,31 +561,31 @@ def leaf_violations(
     mono, lip, sub = np.zeros((3, len(free)), dtype=bool)
     bound = alpha + TOL
 
-    def owned(hits, coords, base):
-        """The hits (r, k) of a block whose leaf has all of row r's
-        coordinates free, with those leaves."""
-        r, k = np.nonzero(hits)
-        ids = leaf_of[base(r, k)]
-        own = np.bitwise_or.reduce(1 << coords, axis=1)[r]
+    def owned(hits, *c):
+        """The hits k of the row over coordinates c whose leaf has all of c
+        free, with those leaves."""
+        k = np.flatnonzero(hits)
+        ids = leaf_of[_with_zero_bits(k, *c)]
+        own = sum(1 << b for b in c)
         keep = free[ids] & own == own
-        return r[keep], k[keep], ids[keep]
+        return k[keep], ids[keep]
 
-    for coords, d, base in _derivative_blocks(t, n):
+    for i, d in _derivative_rows(t, n):
         hits = np.abs(d) > bound
         if hits.any():  # none at all when alpha >= 1 on [0, 1]-valued input
-            r, k, ids = owned(hits, coords, base)
+            k, ids = owned(hits, i)
             lip[ids] = True
             # a derivative above the bound is above it in absolute value too
-            mono[ids[d[r, k] > bound]] = True
+            mono[ids[d[k] > bound]] = True
     if known_submodular:
         return mono, lip, sub
-    tables = t.reshape(-1, 1 << n)
-    tops = _pair_maxima(t, n).reshape(len(tables), -1)
-    # rare on submodular input; a NaN maximum may hide differences above TOL
-    for table, r in np.argwhere(~(tops <= TOL)).tolist():
-        c, at = _pair(n, r), table << n
-        hits = _mixed_difference_row(tables[table], *c)[None] > TOL
-        sub[owned(hits, np.array([c]), lambda _, k: at + _with_zero_bits(k, *c))[2]] = True
+    tops = _pair_maxima(t, n).reshape(t.size >> n, -1)
+    # rare on submodular input; a NaN maximum may hide differences above TOL.
+    # A pair's row is read over the whole stack: a table whose maximum for
+    # the pair is at most TOL has no difference above it
+    for r in np.flatnonzero(~(tops <= TOL).all(axis=0)).tolist():
+        c = _pair(n, r)
+        sub[owned(_mixed_difference_row(t, *c) > TOL, *c)[1]] = True
     return mono, lip, sub
 
 
@@ -923,12 +901,12 @@ GENERATED_FAMILIES = (
 
 
 def iter_corpus(
-    families: Sequence[str] = GENERATED_FAMILIES,
     ns: Sequence[int] = tuple(range(4, 11)),
     seeds: Sequence[int] = tuple(range(20)),
 ) -> Iterator[tuple[str, ValueOracle]]:
-    """The generated test corpus: (instance id, oracle) pairs."""
-    for family in families:
+    """The generated test corpus: (instance id, oracle) pairs, family by
+    family of GENERATED_FAMILIES."""
+    for family in GENERATED_FAMILIES:
         for n in ns:
             for seed in seeds:
                 spec = generate_random(family, n, seed)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import check_enumerable, check_packable, fw_rank, fw_unrank, popcount
+from .cube import MAX_PACKED_N, check_enumerable, check_packable, fw_rank, fw_unrank, popcount
 from .fourier import LabeledSample, low_degree_estimate, parity_signs
 from .funcs import ValueOracle
 from .learn import Hypothesis
@@ -162,8 +162,8 @@ class EmbeddingSpec:
 
 
 def embedding_spec_for(k: int) -> EmbeddingSpec:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= MAX_PACKED_N:  # 2^k must stay a small int
+        raise ValueError(f"k must be in 1..{MAX_PACKED_N}, got {k}")
     t = 1
     while math.comb(2 * t, t) < (1 << k):
         t += 1

@@ -95,8 +95,8 @@ def pac_learn(
     one sample feeds both stages.  gamma and degree default from epsilon but
     every suite here passes them explicitly.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (epsilon > 0 and epsilon * epsilon > 0 and math.isfinite(1.0 / (epsilon * epsilon))):
+        raise ValueError(f"epsilon must be positive, with 1/epsilon^2 finite, got {epsilon}")
     gamma = gamma if gamma is not None else default_gamma(epsilon)
     degree = degree if degree is not None else default_degree(epsilon)
 
@@ -147,11 +147,20 @@ def _bucket_weight_estimate(
     return float(np.mean(terms))
 
 
-def _km_sample_sizes(theta: float, n: int) -> tuple[int, int]:
-    scale = math.log(48.0 * max(n, 2))
-    bucket = math.ceil(64.0 * scale / theta**4)
-    coeff = math.ceil(256.0 * scale / theta**2)
-    return bucket, coeff
+def _default_sample_count(factor: float, theta: float, power: int, n: int) -> int:
+    """ceil(factor * log(48 max(n, 2)) / theta^power), at least 1: a default
+    sample count of `km_search`.  Raises fourier.BudgetExceeded when the
+    count is not finite or exceeds fourier.SAMPLE_WORK_LIMIT."""
+    try:
+        count = factor * math.log(48.0 * max(n, 2)) / theta**power
+    except (ZeroDivisionError, OverflowError):  # theta^power left the float range
+        count = math.inf if theta < 1 else 0.0
+    if not count <= fourier.SAMPLE_WORK_LIMIT:
+        raise fourier.BudgetExceeded(
+            f"a default of {count:.3g} samples per estimate at theta={theta:g} exceeds the"
+            f" work limit {fourier.SAMPLE_WORK_LIMIT}; pass the sample count"
+        )
+    return max(1, math.ceil(count))
 
 
 def km_search(
@@ -172,14 +181,14 @@ def km_search(
     pruned.  Surviving singleton masks keep their estimated coefficient when
     |estimate| >= 3 theta / 4.  Each estimate draws from its own
     bucket-derived seed, so results are independent of evaluation order.
+    A sample count not given defaults from theta (`_default_sample_count`).
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     n = f.n
     d = degree if degree is not None else n
-    mb_default, mc_default = _km_sample_sizes(theta, n)
-    mb = bucket_samples if bucket_samples is not None else mb_default
-    mc = coeff_samples if coeff_samples is not None else mc_default
+    mb = bucket_samples if bucket_samples is not None else _default_sample_count(64.0, theta, 4, n)
+    mc = coeff_samples if coeff_samples is not None else _default_sample_count(256.0, theta, 2, n)
 
     queries_before = f.query_count
     expand_cut = theta * theta / 2.0

@@ -319,6 +319,16 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
                  "--epsilon", "0.5", "--L", "1"],
             )
         ],
+        # values whose rank bound 2/alpha, 1/epsilon^2 or default bucket
+        # count (theta^-4) leaves the float range
+        (["decompose", "--family", "cut", "--n", "4", "--alpha", "1e-320"], None),
+        (["learn", "pac", "--family", "cut", "--n", "4", "--epsilon", "1e-200", "--samples", "10"],
+         None),
+        (["learn", "agnostic-l2", "--family", "cut", "--n", "4", "--epsilon", "1e-100", "--L", "1"],
+         None),
+        # a default of about 9e8 samples per bucket estimate: above the work limit
+        (["learn", "agnostic-l2", "--family", "cut", "--n", "30", "--epsilon", "0.2", "--L", "1"],
+         None),
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv, spec):

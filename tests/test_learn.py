@@ -250,6 +250,20 @@ class TestKmSearch:
         assert hyp.queries_used > 0
         assert hyp.info["buckets_examined"] > 0
 
+    def test_default_sample_counts_outside_the_float_range(self):
+        # theta^4 overflows: less than one sample, so one; theta^4
+        # underflows, or the count exceeds the work limit: no draw at all
+        f = planted_oracle(4, {1: 1.0})
+        hyp = km_search(f, theta=1e100, seed=0)
+        assert (hyp.info["bucket_samples"], hyp.info["coeff_samples"]) == (1, 1)
+        before = f.query_count
+        for theta in (1e-100, 0.01):
+            with pytest.raises(fourier.BudgetExceeded, match="exceeds the work limit"):
+                km_search(f, theta=theta, seed=0)
+        assert f.query_count == before
+        # given counts are used as they are
+        assert km_search(f, theta=1e-100, seed=0, bucket_samples=4, coeff_samples=4).queries_used
+
 
 class TestAgnostic:
     def test_realizable_parity(self):

@@ -3,15 +3,15 @@ passes they replace.
 
 Checkers, leaf certification and the pairwise Fourier bound read every
 coordinate (derivatives) or pair of coordinates (mixed differences, pairwise
-weights) of a table in blocks: all rows in one gather while a table's rows
-fit ``funcs._GATHER_BUDGET`` values, one strided row per block above it,
-where the submodularity checks take pair maxima from blocks of
-``funcs._PAIR_BLOCK`` points instead.  Each test forces both paths by
-patching the budget (and a block size small enough to cut these tables into
-many blocks), and compares the result bit for bit with a reference: the
-strided per-pair generators and the ``np.arange``-mask checkers of
-``test_certify``, and the dict-spectrum loops that computed the pairwise
-bound and its best constant.
+weights) of a table in rows.  Derivative rows are strided views; pair rows
+come in one gather while a table's rows fit ``funcs._GATHER_BUDGET`` values
+and one strided pair at a time above it, where the submodularity checks
+take pair maxima from blocks of ``funcs._PAIR_BLOCK`` points instead.  Each
+test forces both paths by patching the budget (and a block size small
+enough to cut these tables into many blocks), and compares the result bit
+for bit with a reference: the strided per-pair generators and the
+``np.arange``-mask checkers of ``test_certify``, and the dict-spectrum
+loops that computed the pairwise bound and its best constant.
 """
 
 import itertools
@@ -112,28 +112,24 @@ def ref_best_constant(f, best):
     return best
 
 
-def collect(blocks):
-    """Every block of a kernel joined: (coords, rows, base points, block count)."""
-    coords, rows, points, count = [], [], [], 0
-    for c, r, base in blocks:
-        coords.append(c)
-        rows.append(r)
-        k = np.arange(r.shape[1])
-        points.append(np.stack([base(np.full_like(k, q), k) for q in range(len(c))]))
-        count += 1
-    return np.concatenate(coords), np.concatenate(rows), np.concatenate(points), count
-
-
 # --- rows -----------------------------------------------------------------------
 
 
 def mixed_difference_rows(t, n):
-    """Every pair's row of `_mixed_difference_row` as a one-row block."""
-    return [
-        (np.array([c]), funcs._mixed_difference_row(t, *c)[None],
-         lambda r, k, c=c: funcs._with_zero_bits(k, *c))
-        for c in itertools.combinations(range(n), 2)
-    ]
+    """Every pair's row of `_mixed_difference_row`, in lexicographic order."""
+    return [(c, funcs._mixed_difference_row(t, *c)) for c in itertools.combinations(range(n), 2)]
+
+
+def pair_reader_rows(t, n):
+    """Every pair's row of mixed differences as `_pair_rows` reads it, with
+    the number of groups it yields."""
+    rows = np.empty((1, math.comb(n, 2), (1 << n) >> 2))
+    groups = 0
+    for at, corners in funcs._pair_rows(t, n, np.s_[:]):
+        assert not np.shares_memory(corners, t)  # the caller may overwrite them
+        rows[at] = funcs._mixed(*corners)
+        groups += 1
+    return list(zip(itertools.combinations(range(n), 2), rows[0])), groups
 
 
 @pytest.mark.parametrize("name", sorted(PATHS))
@@ -141,23 +137,28 @@ def mixed_difference_rows(t, n):
 def test_rows_match_per_pair_references(name, n):
     t = random_table(n, 7 * n + 1, 0.25)
     with path(name):
-        derivative_blocks = list(funcs._derivative_blocks(t, n))
-    for order, blocks, ref in (
-        (1, derivative_blocks, lambda c: ref_derivative_table(t, n, *c)),
+        derivative_rows = [((i,), d) for i, d in funcs._derivative_rows(t, n)]
+        pair_rows, groups = pair_reader_rows(t, n)
+    # derivatives are read one coordinate at a time on either path; pair
+    # rows in one gather of the table, or one strided pair at a time
+    assert groups == (min(1, n // 2) if name == "gather" else math.comb(n, 2))
+    for order, rows, ref in (
+        (1, derivative_rows, lambda c: ref_derivative_table(t, n, *c)),
         (2, mixed_difference_rows(t, n), lambda c: ref_mixed_difference_table(t, n, *c)),
+        (2, pair_rows, lambda c: ref_mixed_difference_table(t, n, *c)),
     ):
         want = list(itertools.combinations(range(n), order))
-        if not want:
-            assert blocks == []
-            continue
-        coords, rows, points, count = collect(blocks)
-        # mixed differences are read one pair at a time, on either path
-        assert count == (1 if name == "gather" and order == 1 else len(want))
-        assert coords.tolist() == [list(c) for c in want]
-        for r, c in enumerate(want):
+        assert [c for c, _ in rows] == want
+        for c, row in rows:
             values, base = ref(c)
-            assert same_bits(rows[r], values), (order, c)
-            assert points[r].tolist() == base.tolist(), (order, c)
+            assert same_bits(row, values), (order, c)
+            points = funcs._with_zero_bits(np.arange(row.size), *c)
+            assert points.tolist() == base.tolist(), (order, c)
+    # the gathered corners of each pair's row
+    for r, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        base = ref_mixed_difference_table(t, n, i, j)[1]
+        corners = [(base | s).tolist() for s in (0, 1 << i, 1 << j, (1 << i) | (1 << j))]
+        assert funcs._gather_index(n)[:, r].tolist() == corners, (i, j)
 
 
 # pair blocks of 2 and 4 points hold no pair within a block, and from 64
@@ -338,7 +339,7 @@ def test_pairwise_identities_hold_on_the_corpus():
     worst = 0.0
     for _, f in iter_corpus():
         pair, total = fourier.pairwise_weights(f)
-        dd = np.array([row for _, (row,), _ in mixed_difference_rows(f.table(), f.n)])
+        dd = np.array([row for _, row in mixed_difference_rows(f.table(), f.n)])
         worst = max(
             worst,
             float(np.max(np.abs(np.abs(dd.mean(axis=1) / 4) - pair))),

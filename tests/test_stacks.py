@@ -147,8 +147,8 @@ def test_stacked_pairwise_weights_equal_each_table_alone(n):
 
 @pytest.mark.parametrize("n", [0, 1, 3, 10, 13, 14])
 def test_stacked_lipschitz_equals_each_table_alone(n):
-    # one table is one gathered block up to n = 13, a stack one block per
-    # coordinate; finite tables give the same maxima either way
+    # a stack's derivatives along each coordinate are one row over all its
+    # tables, so each table's maximum is read from a reshape of that row
     rng = np.random.default_rng(n)
     t = rng.normal(size=(4, 1 << n))
     got = funcs.stacked_lipschitz(t, n)
