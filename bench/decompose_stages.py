@@ -13,7 +13,7 @@ from row to row.  A run prints, in seconds:
 
 - ``check``: the input's submodularity check (`decompose._check_submodular`);
 - ``grow``: the level-by-level growth (`decompose._grow`);
-- ``gather``: the rest of `decompose._build`, the leaf gather and the trees;
+- ``gather``: the rest of `decompose._build`: the input's table and the trees;
 - ``certify``: `decompose._certify`;
 - ``distance``: `dtree.exact_distance`;
 - ``constantize``: `decompose.constantize_leaves`;

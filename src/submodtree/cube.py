@@ -77,10 +77,11 @@ def subcube_points(bits: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.n
             if m >> i & 1:
                 np.bitwise_or(out[:size], 1 << i, out=out[size:2 * size])
                 size *= 2
-    points = np.concatenate([subsets[m] for m in masks])
+    one = len(masks) == 1  # one subcube: its points are its subsets, not a copy of them
+    points = subsets[masks[0]] if one else np.concatenate([subsets[m] for m in masks])
     subsets.clear()  # at most 2^n values, no longer needed
     sizes = np.int64(1) << popcount(free).astype(np.int64)
-    points |= np.repeat(bits, sizes)
+    points |= bits[0] if one else np.repeat(bits, sizes)
     return points, sizes
 
 
@@ -88,11 +89,11 @@ def subcube_points(bits: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.n
 _BINOMIAL = np.array([[math.comb(a, b) for b in range(64)] for a in range(64)], dtype=np.int64)
 
 
-def check_packable(n: int, what: str = "operation") -> None:
+def check_packable(n: int, what: str = "operation", least: int = 1) -> None:
     """Points of n coordinates must fit the int64 packing used by arrays."""
-    if not 1 <= n <= MAX_PACKED_N:
+    if not least <= n <= MAX_PACKED_N:
         raise DimensionTooLarge(
-            f"{what} needs 1 <= n <= {MAX_PACKED_N} (int64 point packing), got n={n}"
+            f"{what} needs {least} <= n <= {MAX_PACKED_N} (int64 point packing), got n={n}"
         )
 
 

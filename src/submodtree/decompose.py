@@ -243,43 +243,15 @@ def _grow(fs: list[ValueOracle], table, alpha: float, phases: int) -> tuple[np.n
     return mask, bits, split
 
 
-def _build(fs: list[ValueOracle], alpha: float, phases: int, check: bool, certify: bool):
-    """The trees grown by `_grow` with restriction leaves, in array form,
-    after the input check when ``check``, with what `_certify` takes: the
-    partition (None beyond the enumeration cap, or without ``certify``) and
-    whether the check passed (`_check_submodular`).
-
-    Within the enumeration cap the points of every leaf subcube, leaf after
-    leaf in preorder, give every leaf's table as a slice of one gather of
-    the stacked table and the leaf of every point for `_certify`.  Beyond it
-    the one oracle's leaves are `restrict` views.
-    """
-    n = fs[0].n
-    table = funcs.stacked_table(fs) if n <= enum_cap() else None
+def _build(fs: list[ValueOracle], alpha: float, phases: int, check: bool):
+    """The trees grown by `_grow`, in array form, after the input check
+    when ``check``, and whether the check passed (`_check_submodular`).
+    Every leaf is its oracle restricted to the leaf's subcube
+    (`dtree._trees`)."""
+    table = funcs.stacked_table(fs) if fs[0].n <= enum_cap() else None
     submodular = _check_submodular(fs, table, check)
-    mask, bits, split = _grow(fs, table, alpha, phases)
-    forest, nodes, _ = dtree._preorder(
-        n, split < 0, split, np.bitwise_count(mask).astype(np.int64), len(fs)
-    )
-    free = forest.free()
-    forest.oracle[:] = True
-    if table is not None:
-        owner = np.repeat(np.arange(len(fs), dtype=np.int64), (nodes + 1) // 2)
-        points, sizes = subcube_points(forest.fixed | owner << n, free)
-        forest.values = table[points]
-    else:
-        forest.leaves = [
-            OracleLeaf(restrict(fs[0], Restriction(n, {i: b >> i & 1 for i in range(n) if not m >> i & 1})),
-                       tuple(i for i in range(n) if m >> i & 1))
-            for m, b in zip(free.tolist(), forest.fixed.tolist())
-        ]
-    trees = dtree._trees(forest, nodes, fs)
-    if not certify or table is None:
-        return trees, None, submodular
-    leaf_of = np.empty(table.size, dtype=np.int32)
-    leaf_of[points] = np.repeat(np.arange(free.size, dtype=np.int32), sizes)
-    # the int64 points and the stacked table go before certification
-    return trees, (leaf_of, free), submodular
+    mask, _, split = _grow(fs, table, alpha, phases)
+    return dtree._trees(fs[0].n, mask, split, fs), submodular
 
 
 # certificates are immutable, so the leaves share one per outcome: the
@@ -292,31 +264,32 @@ _CERTIFICATES[:] = [
 
 
 def _certify(
-    trees: list[DecisionTree],
-    alpha: float,
-    fs: list[ValueOracle],
-    partition: tuple | None,
-    submodular: bool = False,
+    trees: list[DecisionTree], alpha: float, fs: list[ValueOracle], submodular: bool = False
 ) -> list[list[LeafCertificate]]:
     """Certificates of the leaves of decompositions of oracles of one
     dimension n, tree by tree, each with its leaves in preorder.
 
-    Within the enumeration cap ``partition`` holds the int32 leaf of every
+    Within the enumeration cap the trees' masks give the int32 leaf of every
     point of the stack of fs's tables (`funcs.stacked_table`), leaves
-    numbered in preorder, tree after tree, and the int64 mask of each leaf's
-    free coordinates, and one strided pass over the stack checks every leaf
-    at once; ``submodular`` says that `funcs.is_submodular` passed on every
-    table, so that the pass skips the mixed differences and every leaf is
-    submodular.  Beyond the cap ``partition`` is None and each leaf within it
-    is checked on its own table, as a one-leaf tree, and a larger leaf gets
-    None.  Constant leaves pass.
+    numbered in preorder, tree after tree, and one strided pass over the
+    stack checks every leaf at once; ``submodular`` says that
+    `funcs.is_submodular` passed on every table, so that the pass skips the
+    mixed differences and every leaf is submodular.  Beyond the cap each
+    leaf within it is checked on its own table, as a one-leaf tree, and a
+    larger leaf gets None.  Constant leaves pass.
     """
     flats = [dtree._flat(tree) for tree in trees]
     oracle = np.concatenate([flat.oracle for flat in flats])
-    if fs[0].n <= enum_cap():
-        leaf_of, free = partition
+    n = fs[0].n
+    if n <= enum_cap():
+        owner = np.repeat(np.arange(len(flats), dtype=np.int64), [flat.oracle.size for flat in flats])
+        free = np.concatenate([flat.tested for flat in flats]) ^ ((1 << n) - 1)
+        points, sizes = subcube_points(np.concatenate([flat.fixed for flat in flats]) | owner << n, free)
         table = funcs.stacked_table(fs)
-        mono, lip, sub = funcs.leaf_violations(table, fs[0].n, leaf_of, free, alpha, submodular)
+        leaf_of = np.empty(table.size, dtype=np.int32)
+        leaf_of[points] = np.repeat(np.arange(free.size, dtype=np.int32), sizes)
+        del points  # 2^n int64 values, not needed by the pass
+        mono, lip, sub = funcs.leaf_violations(table, n, leaf_of, free, alpha, submodular)
         outcome = 7 - (4 * mono + 2 * lip + sub)
     else:
         flags = [
@@ -357,10 +330,8 @@ def _decompose(fs: list[ValueOracle], alpha: float, phases: int, check: bool, ce
     reports = []
     for k in range(0, len(fs), step):
         batch = fs[k:k + step]
-        trees, partition, submodular = _build(batch, alpha, phases, check, certify)
-        certificates = (
-            _certify(trees, alpha, batch, partition, submodular) if certify else [[] for _ in trees]
-        )
+        trees, submodular = _build(batch, alpha, phases, check)
+        certificates = _certify(trees, alpha, batch, submodular) if certify else [[] for _ in trees]
         reports += [
             DecompositionReport(
                 tree=tree,
@@ -433,9 +404,7 @@ def constantize_leaves(
     cap = enum_cap()
     sizes = np.int64(1) << popcount(flat.free()[flat.oracle]).astype(np.int64)
     exact = sizes <= 1 << cap
-    values = _leaf_tables(flat, exact)
-    means = np.empty(sizes.size)
-    means[exact] = _means(values, sizes[exact])
+    means = _means(dtree._leaf_blocks(flat, exact), sizes.size)
     if not exact.all():
         m = mc_samples if mc_samples is not None else default_mean_samples(report.alpha)
         oracle = [lf for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
@@ -444,45 +413,16 @@ def constantize_leaves(
     return flat.with_constants(means)
 
 
-def _leaf_tables(flat: dtree._Flat, read: np.ndarray) -> np.ndarray:
-    """The tables of the oracle leaves marked in ``read`` one after another,
-    in preorder, read and charged as each leaf's oracle reads and charges
-    them: ``table()``, or one query ``g(0)`` on a 0-dimensional leaf."""
-    if flat.values is not None:  # table-backed slices of every leaf: only g(0) charges
-        point = flat.tested[flat.oracle] == (1 << flat.n) - 1
-        flat.source.charge(int(np.count_nonzero(point & read)))
-        return flat.values
-    oracles = [lf.oracle for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
-    tables = [g.table() if g.n else np.array([g(0)]) for g, r in zip(oracles, read.tolist()) if r]
-    return np.concatenate(tables) if tables else np.empty(0)
-
-
-# rows of leaf tables are averaged in blocks of about this many points
-_MEAN_ROWS = 1 << 16
-
-
-def _means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """np.mean of every table, where ``values`` holds tables of ``sizes``
-    one after another, bit for bit, as one mean(axis=1) over the rows of
-    each size, at most _MEAN_ROWS points at a time; a constant table keeps
-    its value exactly."""
-    starts = np.cumsum(sizes) - sizes
-    means = np.empty(sizes.size)
-    # with return_inverse, np.unique does not import numpy.ma (13 ms)
-    distinct, size_of = np.unique(sizes, return_inverse=True)
-    for j, size in enumerate(distinct.tolist()):
-        at = np.flatnonzero(size_of == j)
-        step = max(1, _MEAN_ROWS // size)
-        for k in range(0, at.size, step):
-            rows = at[k:k + step]
-            if rows.size == 1:
-                block = values[starts[rows[0]]:starts[rows[0]] + size][None]
-            else:
-                block = values[starts[rows][:, None] + np.arange(size)]
-            row = block.mean(axis=1)
-            const = (block == block[:, :1]).all(axis=1)
-            row[const] = block[const, 0]
-            means[rows] = row
+def _means(blocks, count: int) -> np.ndarray:
+    """np.mean of each of ``count`` tables, bit for bit, from ``blocks`` of
+    them (`dtree._leaf_blocks`), as one mean(axis=1) per block; a constant
+    table keeps its value exactly; a table in no block is left unset."""
+    means = np.empty(count)
+    for rows, block in blocks:
+        row = block.mean(axis=1)
+        const = (block == block[:, :1]).all(axis=1)
+        row[const] = block[const, 0]
+        means[rows] = row
     return means
 
 
@@ -526,14 +466,13 @@ def build_exact_discrete_tree(
     alpha = 1.0 / (k + 1.0 / 3.0)
     report = build_lipschitz_tree(f, alpha, check=check, certify=certify)
     flat = dtree._flat(report.tree)
-    sizes = np.int64(1) << popcount(flat.free()[flat.oracle]).astype(np.int64)
-    values = _leaf_tables(flat, np.ones(sizes.size, dtype=bool))
-    starts = np.cumsum(sizes) - sizes
-    wide = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts) > TOL
-    if wide.any():
-        raise NonDiscreteRange("leaf is not constant; range is not 1/k-discrete")
+    values = np.empty(np.count_nonzero(flat.oracle))
+    for rows, block in dtree._leaf_blocks(flat, np.ones(values.size, dtype=bool)):
+        if np.any(block.max(axis=1) - block.min(axis=1) > TOL):
+            raise NonDiscreteRange("leaf is not constant; range is not 1/k-discrete")
+        values[rows] = block[:, 0]
     return DecompositionReport(
-        tree=flat.with_constants(values[starts]),
+        tree=flat.with_constants(values),
         alpha=alpha,
         rank=report.rank,
         claimed_rank_bound=float(2 * k),

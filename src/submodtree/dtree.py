@@ -7,7 +7,9 @@ measure: the depth of the largest complete binary tree embeddable in T.
 
 Every consumer of a tree reads one array form of it (`_Flat`): per node in
 preorder, lo before hi, its coordinate and depth; per leaf, its path's
-tested and fixed bits and either a constant or a slice of one value array.
+tested and fixed bits and either a constant or an oracle.  Every leaf of a
+decomposition is its source oracle restricted to the leaf's subcube, read
+from the source's table where it lies; no copy of the table is made.
 Decompositions grow in level order (`decompose._grow`) and `_preorder` turns
 their level arrays into this form, one numpy pass per depth level for the
 subtree sizes and ranks (bottom-up) and the positions (top-down); a tree
@@ -33,9 +35,9 @@ from typing import Union
 
 import numpy as np
 
-from .cube import ProductDistribution, check_enumerable, popcount, subcube_points
+from .cube import ProductDistribution, check_enumerable, check_packable, popcount, subcube_points
 from .fourier import Spectrum, transform
-from .funcs import ValueOracle, full_tables, restrict_subcubes, stacked_table
+from .funcs import Restriction, ValueOracle, full_tables, restrict, stacked_table
 
 TreeNode = Union["ConstLeaf", "OracleLeaf", "Node"]
 
@@ -77,6 +79,7 @@ class DecisionTree:
     __slots__ = ("n", "_root", "_flat")
 
     def __init__(self, n: int, root: TreeNode) -> None:
+        check_packable(n, "a tree", 0)
         self.n = n
         self._root = root
         self._flat = None
@@ -114,13 +117,12 @@ class _Flat:
     index of its first piece of `to_json_text`.  Per leaf,
     in the same order: the masks of the coordinates its path tests and of
     the bits it fixes, its constant (0.0 at an oracle leaf) and whether it
-    is an oracle leaf.  The tables of the oracle leaves lie one after
-    another in ``values``, charged to ``source``'s counter; a tree made of
-    objects, or one beyond the enumeration cap, keeps its leaf objects in
-    ``leaves`` instead.  ``bad`` is the coordinate of the first node in
-    preorder that tests a coordinate twice on its path or one outside the
-    dimension, else None.  ``json`` keeps the pieces of `to_json_text`
-    once they are rendered (`_json_pieces`).
+    is an oracle leaf.  A decomposition (`_trees`) has only oracle leaves,
+    each ``source`` restricted to its subcube; a tree made of objects keeps
+    its leaf objects in ``leaves``.  ``bad`` is the coordinate of the first
+    node in preorder that tests a coordinate twice on its path or one
+    outside the dimension, else None.  ``json`` keeps the pieces of
+    `to_json_text` once they are rendered (`_json_pieces`).
     """
 
     n: int
@@ -135,7 +137,6 @@ class _Flat:
     fixed: np.ndarray
     value: np.ndarray
     oracle: np.ndarray
-    values: np.ndarray | None = None
     source: ValueOracle | None = None
     leaves: list | None = None
     json: tuple | None = None
@@ -145,24 +146,18 @@ class _Flat:
         return ~self.tested & ((1 << self.n) - 1)
 
     def leaf_objects(self) -> list:
-        """The leaves in preorder, as objects: each oracle leaf of ``values``
-        a table-backed oracle over its slice sharing ``source``'s counter,
-        built once."""
+        """The leaves in preorder, as objects, built once: a decomposition's
+        leaf is `restrict` of ``source`` to the leaf's subcube."""
         if self.leaves is None:
-            free = self.free().tolist()
-            oracles = iter(())
-            if self.values is not None:
-                sizes = np.int64(1) << popcount(self.free()[self.oracle]).astype(np.int64)
-                oracles = iter(restrict_subcubes(self.source, self.values, sizes))
-            coords: dict[int, tuple[int, ...]] = {}  # free coordinates by mask
             leaves = []
-            for is_oracle, value, m in zip(self.oracle.tolist(), self.value.tolist(), free):
+            for is_oracle, value, m, bits in zip(
+                self.oracle.tolist(), self.value.tolist(), self.free().tolist(), self.fixed.tolist()
+            ):
                 if not is_oracle:
                     leaves.append(ConstLeaf(value))
                     continue
-                if m not in coords:
-                    coords[m] = tuple(i for i in range(self.n) if m >> i & 1)
-                leaves.append(OracleLeaf(next(oracles), coords[m]))
+                r = Restriction(self.n, {i: bits >> i & 1 for i in range(self.n) if not m >> i & 1})
+                leaves.append(OracleLeaf(restrict(self.source, r), r.free))
             self.leaves = leaves
         return self.leaves
 
@@ -172,8 +167,7 @@ class _Flat:
         value = self.value.copy()
         value[self.oracle] = values
         return DecisionTree.of(
-            replace(self, value=value, oracle=np.zeros_like(self.oracle), values=None, source=None,
-                    leaves=None)
+            replace(self, value=value, oracle=np.zeros_like(self.oracle), source=None, leaves=None)
         )
 
     def root(self) -> TreeNode:
@@ -256,29 +250,23 @@ def _preorder(n: int, leaf: np.ndarray, var: np.ndarray, depth: np.ndarray, root
     return forest, count[:roots], position
 
 
-def _trees(forest: _Flat, nodes: np.ndarray, sources: list[ValueOracle]) -> list[DecisionTree]:
-    """The trees of a forest (`_preorder`), tree k of nodes[k] nodes with
-    the oracle sources[k]: each holds views of the forest's arrays, of its
-    leaf tables in ``values`` and of its ``leaves``."""
-    leaf_at = np.concatenate([[0], np.cumsum((nodes + 1) // 2)])
-    node_at, value_at = np.concatenate([[0], np.cumsum(nodes)]).tolist(), leaf_at.tolist()
-    if forest.values is not None:
-        sizes = np.int64(1) << popcount(forest.free()).astype(np.int64)
-        value_at = np.concatenate([[0], np.cumsum(sizes)])[leaf_at].tolist()
-    leaf_at = leaf_at.tolist()
+def _trees(n: int, mask: np.ndarray, split: np.ndarray, sources: list[ValueOracle]) -> list[DecisionTree]:
+    """The decompositions of the oracles ``sources`` that `decompose._grow`
+    grew, from its level arrays of fixed masks and split coordinates: tree k
+    holds views of one forest's arrays, and each of its leaves is sources[k]
+    restricted to the leaf's subcube."""
+    forest, nodes, _ = _preorder(n, split < 0, split, popcount(mask).astype(np.int64), len(sources))
+    forest.oracle[:] = True
+    node_at = np.concatenate([[0], np.cumsum(nodes)]).tolist()
+    leaf_at = np.concatenate([[0], np.cumsum((nodes + 1) // 2)]).tolist()
     trees = []
     for k, source in enumerate(sources):
         a, b, la, lb = node_at[k], node_at[k + 1], leaf_at[k], leaf_at[k + 1]
-        flat = _Flat(
-            forest.n, forest.leaf[a:b], forest.var[a:b], forest.depth[a:b], forest.count[a:b],
+        trees.append(DecisionTree.of(_Flat(
+            n, forest.leaf[a:b], forest.var[a:b], forest.depth[a:b], forest.count[a:b],
             forest.piece[a:b], int(forest.rank[k]), None, forest.tested[la:lb], forest.fixed[la:lb],
             forest.value[la:lb], forest.oracle[la:lb], source=source,
-        )
-        if forest.values is not None:
-            flat.values = forest.values[value_at[k]:value_at[k + 1]]
-        if forest.leaves is not None:
-            flat.leaves = forest.leaves[la:lb]
-        trees.append(DecisionTree.of(flat))
+        )))
     return trees
 
 
@@ -383,6 +371,9 @@ def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
 # through its subcube view
 _LEAF_GROUP = 1 << 20
 
+# leaf tables are read as rows of blocks of about this many points
+_BLOCK_POINTS = 1 << 16
+
 # Batches of trees of one small dimension are decomposed and measured as one
 # stack of tables of at most this many points: the per-tree cost of the
 # array passes is spread over the batch, while each of the stack's
@@ -390,15 +381,53 @@ _LEAF_GROUP = 1 << 20
 _STACK_POINTS = 1 << 14
 
 
-def _oracle_values(flat: _Flat) -> np.ndarray:
-    """The tables of the tree's oracle leaves one after another, in
-    preorder, each oracle leaf charged its 2^k points as
-    `funcs.full_tables` charges them."""
-    if flat.values is not None:
-        flat.source.charge(flat.values.size)
-        return flat.values
-    tables = full_tables([lf.oracle for lf, o in zip(flat.leaves, flat.oracle.tolist()) if o])
-    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+def _leaf_blocks(flat: _Flat, read: np.ndarray):
+    """The tables of the oracle leaves marked in ``read``, as pairs (k, b):
+    row r of the 2-D block b is the table of oracle leaf k[r] (in preorder).
+    Each leaf is read and charged as its oracle reads and charges it:
+    ``table()``, or one query ``g(0)`` on a 0-dimensional leaf.
+
+    A decomposition grown within the enumeration cap cached its source's
+    table.  Its leaves of one free mask read that table where they lie, at
+    their fixed bits OR the ascending subsets of the mask, at most
+    _BLOCK_POINTS points per block, and a larger leaf through its subcube
+    view; as a restriction of a cached table charges nothing for its own,
+    only g(0) charges.  Other leaves are read from their objects, one per
+    block.
+    """
+    at = np.flatnonzero(read)
+    if flat.source is None or not flat.source.cached:
+        oracles = [lf.oracle for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
+        tables = [oracles[k].table() if oracles[k].n else np.array([oracles[k](0)]) for k in at.tolist()]
+        yield from ((at[i:i + 1], t[None]) for i, t in enumerate(tables))
+        return
+    free = flat.free()[at]  # every leaf of a decomposition is an oracle leaf
+    flat.source.charge(int(np.count_nonzero(free == 0)))
+    table, cube = flat.source.table(), (-1,) + (2,) * flat.n
+    # with return_inverse, np.unique does not import numpy.ma (13 ms)
+    masks, mask_of = np.unique(free, return_inverse=True)
+    order = np.argsort(mask_of, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(mask_of))]).tolist()
+    for j, m in enumerate(masks.tolist()):
+        members = at[order[bounds[j]:bounds[j + 1]]]
+        if 1 << m.bit_count() > _BLOCK_POINTS:
+            for k in members.tolist():
+                view = table.reshape(cube)[_subcube_index(flat.n, int(flat.fixed[k]), m)]
+                yield np.array([k]), np.ascontiguousarray(view).reshape(1, -1)
+            continue
+        subsets = subcube_points(np.zeros(1, dtype=np.int64), masks[j:j + 1])[0]
+        step = _BLOCK_POINTS // subsets.size
+        for r in range(0, members.size, step):
+            k = members[r:r + step]
+            yield k, table[flat.fixed[k][:, None] | subsets]
+
+
+def _subcube_index(n: int, fixed: int, free: int) -> tuple:
+    """The index of a subcube in a stack of 2^n-point tables shaped
+    (-1,) + (2,) * n: its table (the bits of ``fixed`` above n) at axis 0,
+    then an int at each fixed axis and a slice at each free one (axis 1 is
+    coordinate n-1), so that none of its points is listed."""
+    return (fixed >> n,) + tuple(slice(None) if free >> c & 1 else fixed >> c & 1 for c in reversed(range(n)))
 
 
 def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> tuple:
@@ -407,14 +436,14 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
     stacked as `funcs.stacked_table` stacks tables: point k * 2^n + x holds
     tree k at x.
 
-    The array form of each tree gives each leaf's subcube.  The points of an
-    oracle leaf, taken in ascending order, are its local points in order, so
-    its whole table fills them in one scatter; each oracle leaf is charged
-    its 2^k points.  A leaf of more than _LEAF_GROUP points fills the view
-    of its subcube in the cube-shaped table of its tree,
-    ``values.reshape((2,) * n)[idx]``, with an int at each tested axis and a
-    slice elsewhere (axis 0 is coordinate n-1), so none of its points is
-    listed.
+    The array form of each tree gives each leaf's subcube.  When every tree
+    is a decomposition, its leaves read the stack of the sources' tables
+    where they lie, and each source is charged its 2^n points.  Otherwise
+    the points of an oracle leaf, taken in ascending order, are its local
+    points in order, so its whole table fills them in one scatter; each
+    oracle leaf is charged its 2^k points, as `funcs.full_tables` charges
+    them.  A leaf of more than _LEAF_GROUP points fills the view of its
+    subcube (`_subcube_index`) in the cube-shaped stack.
     """
     n = trees[0].n
     check_enumerable(n, what)
@@ -425,9 +454,18 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
         parts[0] if len(parts) == 1 else np.concatenate(parts)
         for parts in zip(*((f.tested, f.fixed | k << n, f.oracle, f.value) for k, f in enumerate(flats)))
     )
-    tables = [_oracle_values(flat) for flat in flats if flat.oracle.any()]
-    if len(tables) > 1:
-        tables = [np.concatenate(tables)]
+    stack = None
+    if all(flat.source is not None for flat in flats):
+        # a decomposition's leaves cover its cube: the charge is 2^n
+        tables = full_tables([flat.source for flat in flats])
+        stack = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    else:
+        tables = full_tables([
+            lf.oracle for flat in flats if flat.oracle.any()
+            for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)
+        ])
+        if len(tables) > 1:
+            tables = [np.concatenate(tables)]
     free = tested ^ ((1 << n) - 1)
     sizes = np.int64(1) << popcount(free).astype(np.int64)
     ends = np.cumsum(sizes * oracle)  # of each leaf's table in tables[0]
@@ -439,19 +477,22 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
         window = (np.cumsum(sizes) - sizes) // _LEAF_GROUP
         cuts = np.flatnonzero((np.diff(window) != 0) | alone[1:] | alone[:-1]) + 1
         bounds[1:1] = cuts.tolist()
+    cube = (-1,) + (2,) * n
     values = levels = None
     for a, b in zip(bounds, bounds[1:]):
         if alone[a]:
-            idx = (int(fixed[a] >> n),) + tuple(
-                slice(None) if free[a] >> c & 1 else int(fixed[a] >> c & 1) for c in reversed(range(n))
-            )
-            if oracle[a]:
+            idx = _subcube_index(n, int(fixed[a]), int(free[a]))
+            if stack is not None:
+                fill = stack.reshape(cube)[idx]
+            elif oracle[a]:
                 fill = tables[0][starts[a]:ends[a]].reshape((2,) * popcount(int(free[a])))
             else:
                 fill = constants[a]
         else:
             points, group_sizes = subcube_points(fixed[a:b], free[a:b])
-            if oracle[a:b].all():
+            if stack is not None:
+                in_order = stack[points]
+            elif oracle[a:b].all():
                 in_order = tables[0][starts[a]:ends[b - 1]]
             else:
                 in_order = np.repeat(constants[a:b], group_sizes)
@@ -463,9 +504,9 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
             values = np.empty(len(trees) << n)
             levels = np.empty(len(trees) << n, dtype=np.int64) if depths else None
         if alone[a]:
-            values.reshape((-1,) + (2,) * n)[idx] = fill
+            values.reshape(cube)[idx] = fill
             if depths:
-                levels.reshape((-1,) + (2,) * n)[idx] = popcount(int(tested[a]))
+                levels.reshape(cube)[idx] = popcount(int(tested[a]))
         else:
             values[points] = in_order
             if depths:
@@ -531,8 +572,8 @@ def tree_depth(tree: DecisionTree) -> int:
 def truncate(tree: DecisionTree, d: int) -> DecisionTree:
     """Replace every internal node at depth d by the constant leaf 0, the
     form the disagreement bound is stated for."""
-    if d < 0:
-        raise ValueError("depth must be nonnegative")
+    if not isinstance(d, (int, np.integer)) or d < 0:
+        raise ValueError(f"depth must be a nonnegative integer, got {d!r}")
 
     def cut(node: TreeNode, remaining: int) -> TreeNode:
         if not isinstance(node, Node):
@@ -665,6 +706,7 @@ def random_tree(
     candidate node becomes a leaf with probability ``leaf_prob`` (drawn from
     the seed when omitted, which spreads the generated ranks).
     """
+    check_packable(n, "a tree", 0)
     rng = np.random.default_rng((0x7EEE, seed, n))
     if leaf_prob is None:
         leaf_prob = float(rng.uniform(0.15, 0.6))

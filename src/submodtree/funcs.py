@@ -127,6 +127,12 @@ class ValueOracle:
     def query_count(self) -> int:
         return self._counter.count
 
+    @property
+    def cached(self) -> bool:
+        """Whether the truth table is cached: views made of it then hold
+        their own tables, read and charged for nothing."""
+        return self._table is not None
+
 
 def view(
     f: ValueOracle,
@@ -250,24 +256,6 @@ def stacked_table(oracles: Sequence[ValueOracle]) -> np.ndarray:
     is its cached table itself."""
     tables = [g.table() for g in oracles]
     return tables[0] if len(tables) == 1 else np.concatenate(tables)
-
-
-def restrict_subcubes(f: ValueOracle, values: np.ndarray, sizes: np.ndarray) -> list[ValueOracle]:
-    """The restriction of f to each of a list of subcubes, as table-backed
-    views over slices of ``values`` that share f's counter.
-
-    ``values`` holds the subcubes' tables one after another, and ``sizes``
-    their sizes: a subcube's points in ascending order
-    (`cube.subcube_points`) are its local points in order, so a gather of
-    f's table at them is its table.  Each view equals `restrict` of f to its
-    subcube bit for bit.
-    """
-    views, start = [], 0
-    for size in sizes.tolist():
-        t = values[start:start + size]
-        views.append(ValueOracle(size.bit_length() - 1, t.__getitem__, counter=f._counter, table=t))
-        start += size
-    return views
 
 
 def flip_oracle(f: ValueOracle) -> ValueOracle:

@@ -265,6 +265,10 @@ def agnostic_l2_learn(
         eps_eff = epsilon
         L_eff = L
     theta = eps_eff * eps_eff / (2.0 * L_eff)
+    if not (theta > 0 and math.isfinite(theta)):
+        raise ValueError(
+            f"epsilon and L must give a positive, finite epsilon^2 / (2 L), got epsilon={epsilon}, L={L}"
+        )
     hyp = km_search(
         F, theta, degree, seed, bucket_samples=bucket_samples, coeff_samples=coeff_samples
     )

@@ -96,9 +96,8 @@ def ref_lipschitz_constant(f):
 
 
 def certify(tree, alpha, f):
-    """`_certify` as `_build` calls it: with the tree's leaf map within the
-    enumeration cap, without one beyond it."""
-    return _certify([tree], alpha, [f], leaf_map(tree) if f.n <= enum_cap() else None)[0]
+    """`_certify` of one tree, as `_decompose` calls it."""
+    return _certify([tree], alpha, [f])[0]
 
 
 def ref_certify(tree, alpha):

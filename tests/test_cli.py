@@ -329,6 +329,11 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
         # a default of about 9e8 samples per bucket estimate: above the work limit
         (["learn", "agnostic-l2", "--family", "cut", "--n", "30", "--epsilon", "0.2", "--L", "1"],
          None),
+        # epsilon^2 underflows to 0, or 2L + 1 overflows: the threshold is 0
+        (["learn", "agnostic-l2", "--family", "cut", "--n", "6", "--epsilon", "1e-200", "--L", "1"],
+         None),
+        (["learn", "agnostic-l2", "--family", "cut", "--n", "6", "--epsilon", "0.5", "--L", "1e308"],
+         None),
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv, spec):

@@ -143,6 +143,19 @@ class TestConstantize:
         err = exact_distance(exact_tree, mc_tree, metric="l2")
         assert err <= 0.05
 
+    def test_exact_leaf_means_after_the_cap_is_lowered(self, monkeypatch):
+        # a tree built within the cap, averaged under a lower one: the means
+        # of the leaves still within it are their own, although larger leaves
+        # come before them (they once read the slices of earlier leaves)
+        f = instantiate(generate_random("coverage", 10, 0))
+        rep = build_lipschitz_tree(f, 0.2)
+        leaves = leaves_of(rep.tree)
+        monkeypatch.setenv("SUBMODTREE_ENUM_CAP", "4")
+        means = leaves_of(constantize_leaves(rep, mc_samples=64, seed=1))
+        small = [k for k, lf in enumerate(leaves) if lf.oracle.n <= 4]
+        assert 0 < small[-1] and len(small) < len(leaves)
+        assert [means[k].value for k in small] == [float(np.mean(leaves[k].oracle.table())) for k in small]
+
     def test_per_leaf_variance_bound(self):
         alpha = 0.25
         for inst, f in small_corpus(ns=(8,), seeds=(0, 1, 2)):

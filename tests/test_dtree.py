@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import as_dict, tree_from_json
-from submodtree.cube import ProductDistribution
+from submodtree import dtree
+from submodtree.cube import DimensionTooLarge, ProductDistribution
 from submodtree.dtree import (
     ConstLeaf,
     DecisionTree,
@@ -101,6 +103,29 @@ def test_truncate_examples():
     assert tree_depth(cut2) == 2
     vals, depths = leaf_profile(cut2)
     assert set(vals[depths == 2]) == {0.0}
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, -1, "2", None])
+def test_truncate_rejects_a_depth_that_is_not_a_nonnegative_integer(d):
+    # a fractional depth never reached 0 and returned the whole tree
+    with pytest.raises(ValueError, match="depth must be a nonnegative integer"):
+        truncate(random_tree(5, 0), d)
+    assert tree_depth(truncate(random_tree(5, 0), np.int64(2))) == 2
+
+
+def test_dimensions_outside_the_int64_packing_are_rejected():
+    # n = 64 recorded the tested mask -2^63, and n = 70 the mask 0
+    for n in (-1, 63, 64, 70):
+        with pytest.raises(DimensionTooLarge, match=f"got n={n}$"):
+            DecisionTree(n, Node(n - 1, ConstLeaf(0.0), ConstLeaf(1.0)))
+        with pytest.raises(DimensionTooLarge):
+            DecisionTree.of(replace(dtree._flat(DecisionTree(1, ConstLeaf(0.0))), n=n))
+        with pytest.raises(DimensionTooLarge):
+            random_tree(n, 0)
+    assert rank(DecisionTree(0, ConstLeaf(1.0))) == 0
+    wide = DecisionTree(62, Node(61, ConstLeaf(0.0), ConstLeaf(1.0)))
+    assert dtree._flat(wide).tested.tolist() == [1 << 61] * 2
+    assert tree_size(random_tree(62, 0, max_depth=3)) >= 1
 
 
 def test_exact_distance_examples():

@@ -306,6 +306,50 @@ def assert_same_decompositions(specs, alpha):
 def test_batched_corpus_decompositions_match_the_object_build(n, seeds, alpha):
     specs = [generate_random(family, n, seed) for family in GENERATED_FAMILIES for seed in seeds]
     assert_same_decompositions(specs, alpha)
+    for spec in specs:
+        assert_same_beyond_the_cap(spec, alpha)
+
+
+def assert_same_beyond_the_cap(spec, alpha):
+    """A build within the enumeration cap against one beyond it, the cap set
+    to the largest leaf dimension: the same shape, leaf tables read through
+    ``tree.root``, certificates, means and query counts."""
+    f, g = instantiate(spec), instantiate(spec)
+    report = build_lipschitz_trees([f], alpha)[0]
+    means = constantize_leaves(report)
+    leaves = []
+    ref_iter_leaves(report.tree.root, leaves)
+    top = max(lf.oracle.n for lf in leaves)
+    if top == f.n:
+        return  # a one-leaf tree: its leaf is beyond any cap below n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SUBMODTREE_ENUM_CAP", str(max(top, 1)))
+        beyond = build_lipschitz_trees([g], alpha)[0]
+        beyond_means = constantize_leaves(beyond)
+        beyond_leaves = []
+        ref_iter_leaves(beyond.tree.root, beyond_leaves)
+        assert [lf.free for lf in beyond_leaves] == [lf.free for lf in leaves]
+        for lf, ref_lf in zip(beyond_leaves, leaves, strict=True):
+            assert bits(lf.oracle.table()) == bits(ref_lf.oracle.table())
+    assert beyond.leaf_certificates == report.leaf_certificates
+    assert beyond_means.n == means.n and ref_json(beyond_means) == ref_json(means)
+    assert beyond.leaf_mean_samples is report.leaf_mean_samples is None
+    assert g.query_count == f.query_count
+
+
+def test_a_grown_tree_holds_no_copy_of_the_table():
+    # its leaves read the input's table where it lies: a tree of 470 leaves
+    # at n = 16 holds its nodes and masks, not 2^16 values of 8 bytes
+    f = instantiate(generate_random("coverage", 16, 1))
+    report = build_lipschitz_trees([f], 0.1)[0]
+    flat = dtree._flat(report.tree)
+    assert flat.oracle.size == 470 and flat.leaves is None
+    held = sum(a.nbytes for a in vars(flat).values() if isinstance(a, np.ndarray))
+    assert held < 8 * (1 << 16) // 8
+    # reading the leaves' tables and means leaves the tree as it was
+    dtree.tree_table(report.tree)
+    constantize_leaves(report)
+    assert sum(a.nbytes for a in vars(flat).values() if isinstance(a, np.ndarray)) == held
 
 
 @settings(max_examples=4, deadline=None)

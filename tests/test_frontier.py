@@ -333,7 +333,10 @@ def test_grouped_means_equal_per_table_np_mean(seed):
         else:
             tables.append(rng.uniform(-1.0, 1.0, size=s) * 10.0 ** rng.integers(-3, 4))
     want = [float(t[0]) if np.all(t == t[0]) else float(np.mean(t)) for t in tables]
-    assert bits(_means(np.concatenate(tables), sizes)) == bits(want)
+    # blocks as `dtree._leaf_blocks` gives them: the tables of one size as rows
+    rows = [np.flatnonzero(sizes == s) for s in np.unique(sizes).tolist()]
+    blocks = [(k, np.stack([tables[i] for i in k.tolist()])) for k in rows]
+    assert bits(_means(blocks, len(tables))) == bits(want)
 
 
 def assert_same_means(make, **kwargs):

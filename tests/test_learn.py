@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -305,6 +306,14 @@ class TestAgnostic:
         for g in competitors:
             assert spectral_l1(g) <= 1.2
             assert err <= exact_distance(f, g, metric="l2") + 0.5 + 1e-9
+
+    @pytest.mark.parametrize("epsilon, L", [(1e-200, 1.0), (0.5, 1e308), (1e200, 1.0)])
+    def test_a_threshold_outside_the_floats_names_epsilon_and_l(self, epsilon, L):
+        f = planted_oracle(4, {mask_of([0]): 0.5})
+        for unit_range in (False, True):
+            with pytest.raises(ValueError, match=re.escape(f"got epsilon={epsilon}, L={L}") + "$"):
+                agnostic_l2_learn(f, epsilon, L, unit_range=unit_range, **KM_FAST)
+        assert f.query_count == 0
 
 
 class TestThresholdDecompose:

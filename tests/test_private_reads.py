@@ -18,10 +18,9 @@ PACKAGE = Path(submodtree.__file__).parent
 SHARED = {
     "cli -> dtree._STACK_POINTS": "the corpus suites stack as many tables as a tree batch",
     "decompose -> dtree._STACK_POINTS": "batches hold as many points as a stacked tree table",
-    "decompose -> dtree._flat": "certification and leaf tables read a tree's flat arrays",
-    "decompose -> dtree._Flat": "annotates the flat arrays that leaf tables are read from",
-    "decompose -> dtree._preorder": "growth turns its level-order arrays into preorder ones",
-    "decompose -> dtree._trees": "growth makes its trees from those arrays",
+    "decompose -> dtree._flat": "certification and leaf means read a tree's masks",
+    "decompose -> dtree._trees": "growth's level-order arrays become trees in one call",
+    "decompose -> dtree._leaf_blocks": "leaf means read the leaves where dtree keeps them",
     "decompose -> dtree._json_pieces": "the report embeds the tree's JSON pieces",
     "fourier -> funcs._pair_rows": "the pairwise weights read pair rows as the checkers do",
     "fourier -> funcs._mixed_difference_row": "the derivative identity reads one pair's row",

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import leaf_map, leaves_of, random_table, tree_from_json, with_oracle_leaves
 from submodtree import cube, decompose, dtree, funcs
 from submodtree.cube import popcount
-from submodtree.decompose import _certify, _grow, build_lipschitz_tree, build_monotone_tree
+from submodtree.decompose import _grow, build_lipschitz_tree, build_monotone_tree
 from submodtree.dtree import ConstLeaf, DecisionTree, Node, OracleLeaf
 from submodtree.funcs import (
     GENERATED_FAMILIES,
@@ -204,6 +204,34 @@ def test_leaves_above_the_group_size_fill_their_subcube_views(n, seed, kind, gro
     assert f.query_count == f_ref.query_count
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(GENERATED_FAMILIES),
+    n=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=10_000),
+    alpha=st.sampled_from(ALPHAS),
+    group=st.sampled_from([1, 2, 4, 16]),
+)
+def test_decomposition_leaves_above_the_group_size_read_their_subcube_views(family, n, seed, alpha, group):
+    # a decomposition's leaves read the input's table where it lies: through
+    # subcube views above the group and block sizes, at listed points below
+    spec = generate_random(family, max(n, 2), seed)
+    f, f_ref = instantiate(spec), instantiate(spec)
+    report = build_lipschitz_tree(f, alpha, certify=False)
+    ref_report = build_lipschitz_tree(f_ref, alpha, certify=False)
+    with mock.patch.object(dtree, "_LEAF_GROUP", group), mock.patch.object(dtree, "_BLOCK_POINTS", group):
+        table = dtree.tree_table(report.tree)
+        values, depths = dtree.leaf_profile(report.tree)
+        means = decompose.constantize_leaves(report)
+    assert bits(table) == bits(dtree.tree_table(ref_report.tree)) == bits(f.table())
+    ref_values, ref_depths = dtree.leaf_profile(ref_report.tree)
+    assert bits(values) == bits(ref_values)
+    assert np.array_equal(depths, ref_depths)
+    ref_means = decompose.constantize_leaves(ref_report)
+    assert bits(dtree._flat(means).value) == bits(dtree._flat(ref_means).value)
+    assert f.query_count == f_ref.query_count
+
+
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_a_constant_and_an_oracle_leaf_with_one_tested_mask(n):
     f, f_ref = table_oracles(n, n)
@@ -267,16 +295,18 @@ def test_decomposition_tables_match_the_descent(family, n, seed, alpha):
 
 
 def assert_same_build(make_f, alpha, phases, monkeypatch):
-    """`_build`'s leaf tables, free coordinates and certification partition
-    against `restrict` and a descent of every point through `_grow`'s arrays."""
+    """A build's leaf tables and free coordinates, and the leaf map that
+    certification passes to `funcs.leaf_violations`, against `restrict` and
+    a descent of every point through `_grow`'s arrays."""
     f, f_ref = make_f(), make_f()
     seen = []
+    leaf_violations = funcs.leaf_violations
 
-    def spy(tree, alpha, g, partition, submodular=False):
-        seen.append(partition)
-        return _certify(tree, alpha, g, partition, submodular)
+    def spy(t, n, leaf_of, free, *args):
+        seen.append((leaf_of, free))
+        return leaf_violations(t, n, leaf_of, free, *args)
 
-    monkeypatch.setattr(decompose, "_certify", spy)
+    monkeypatch.setattr(funcs, "leaf_violations", spy)
     builder = build_monotone_tree if phases == 1 else build_lipschitz_tree
     tree = builder(f, alpha, check=False).tree
     (leaf_of, free), = seen
