@@ -2,19 +2,22 @@
 or `submodtree spectrum` at large n.
 
     python3 bench/decompose_sizes.py --out FILE [--command spectrum]
-        [--parent DIR] [--ns 20 22 24] [--families coverage cut ...]
+        [--parent DIR] [--ns 20 22 24] [--families coverage cut ...] [--repeat R]
 
 Run from the repository root.  For every generated family (or each one of
 ``--families``) and n, each side runs
 `decompose --family F --n N --seed 1 --alpha 0.1 --out DIR` (or
-`spectrum --family F --n N --seed 1 --out DIR`) once in a fresh process,
-with the program imported from that side's ``src/``: this checkout, and the
-checkout at ``--parent`` when given.  The sides alternate which runs first
-from row to row.  A run records the time of `cli.main` (interpreter start
-and imports excluded), the process's peak RSS (VmHWM) and the sha256 of
-every report file and of stdout, which goes to a file; with ``--parent`` the
-report and stdout bytes of the two sides must be equal.  Results are
-written to FILE as JSON.
+`spectrum --family F --n N --seed 1 --out DIR`) R times (default 1), each in
+a fresh process, with the program imported from that side's ``src/``: this
+checkout, and the checkout at ``--parent`` when given.  Within a row the
+sides take turns, one run each per repetition, and which side runs first
+alternates from repetition to repetition and from row to row.  A run
+records the time of `cli.main` (interpreter start and imports excluded),
+the process's peak RSS (VmHWM) and the sha256 of every report file and of
+stdout, which goes to a file; every run of a row, on either side, must give
+the same report and stdout bytes.  Per side, a row keeps each run's
+``wall_s`` and ``peak_rss_mb`` and their quartiles (``q1``, ``median``,
+``q3``).  Results are written to FILE as JSON.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -54,6 +58,20 @@ def sha256(path: Path) -> str:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
+def at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return dict.fromkeys(("q1", "median", "q3"), values[0])
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
 def run_side(src: Path, args: list[str]) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "SUBMODTREE_ENUM_CAP"}
     env["PYTHONPATH"] = str(src)
@@ -81,6 +99,7 @@ def main() -> int:
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--ns", type=int, nargs="+", default=[20, 22, 24])
     parser.add_argument("--families", nargs="+", choices=FAMILIES, default=list(FAMILIES))
+    parser.add_argument("--repeat", type=at_least_one, default=1, metavar="R")
     opts = parser.parse_args()
     sides = {"change": ROOT / "src"}
     if opts.parent is not None:
@@ -91,13 +110,20 @@ def main() -> int:
             args = [opts.command, "--family", family, "--n", str(n), "--seed", SEED]
             if opts.command == "decompose":
                 args += ["--alpha", ALPHA]
-            names = list(sides)
-            if len(rows) % 2:
-                names.reverse()
+            runs = {name: [] for name in sides}
+            for r in range(opts.repeat):
+                names = list(sides)
+                if (len(rows) + r) % 2:
+                    names.reverse()
+                for name in names:
+                    runs[name].append(run_side(sides[name], args))
+            hashes = [run.pop("sha256") for name in sides for run in runs[name]]
             row = {"family": family, "n": n, "args": " ".join(args)}
-            for name in names:
-                row[name] = run_side(sides[name], args)
-            hashes = [row[name].pop("sha256") for name in sides]
+            for name in sides:
+                row[name] = {"rc": [run["rc"] for run in runs[name]]}
+                for metric in ("wall_s", "peak_rss_mb"):
+                    values = [run[metric] for run in runs[name]]
+                    row[name][metric] = {"runs": values, **quartiles(values)}
             row["report_bytes_equal"] = all(h == hashes[0] for h in hashes)
             row["sha256"] = hashes[0]
             rows.append(row)

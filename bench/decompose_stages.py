@@ -1,4 +1,4 @@
-"""In-process stage times of `submodtree decompose`, one run per side and seed.
+"""In-process stage times and peaks of `submodtree decompose`, one run per side and seed.
 
     python3 bench/decompose_stages.py [--parent DIR] [--out FILE]
         [--kinds decompose-matroid-n16 ...] [--seeds S ...]
@@ -9,7 +9,7 @@ workload's, ``perfbench/workloads.WORKLOADS["deep-tree"]``) and every seed
 `decompose ... --out DIR` once with the kind's arguments, in a fresh process
 with the program imported from that side's ``src/``: this checkout, and the
 checkout at ``--parent`` when given.  The sides alternate which runs first
-from row to row.  A run prints, in seconds:
+from row to row.  A run prints, in seconds, the time spent in:
 
 - ``check``: the input's submodularity check (`decompose._check_submodular`);
 - ``grow``: the level-by-level growth (`decompose._grow`);
@@ -17,14 +17,20 @@ from row to row.  A run prints, in seconds:
 - ``certify``: `decompose._certify`;
 - ``distance``: `dtree.exact_distance`;
 - ``constantize``: `decompose.constantize_leaves`;
-- ``tree_json``: `dtree.to_json_text`;
-- ``report_json``: `DecompositionReport.to_json_text`;
-- ``writes``: `cli._write`;
+- ``tree_json``: `dtree.to_json_chunks` (`to_json_text` on a side without
+  it), both calls: the one for tree.json and the one that renders the tree
+  inside report.json, which ``report_json`` counts too;
+- ``report_json``: `DecompositionReport.to_json_chunks` (or `to_json_text`);
+- ``writes``: `cli._write`, which joins the chunks of the two JSON writers
+  as it writes them;
 - ``total``: `cli.main`, interpreter start and imports excluded.
 
-Each run also records the sha256 of every report file; with ``--parent``
-the report bytes of the two sides must be equal.  Results are written to
-FILE as JSON when given.
+Beside each stage's time, ``peak_mb`` holds the process's VmHWM read from
+``/proc/self/status`` when the stage last returned (at the end for
+``total``): the high-water RSS up to the end of that stage.  Each run also
+records the sha256 of every report file; with ``--parent`` the report bytes
+of the two sides must be equal.  Results are written to FILE as JSON when
+given.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# stage -> module, then the names it wraps: the first one the side defines
 STAGES = {
     "check": ("decompose", "_check_submodular"),
     "grow": ("decompose", "_grow"),
@@ -49,11 +56,16 @@ STAGES = {
     "certify": ("decompose", "_certify"),
     "distance": ("dtree", "exact_distance"),
     "constantize": ("decompose", "constantize_leaves"),
-    "tree_json": ("dtree", "to_json_text"),
-    "report_json": ("decompose", "DecompositionReport.to_json_text"),
+    "tree_json": ("dtree", "to_json_chunks", "to_json_text"),
+    "report_json": ("decompose", "DecompositionReport.to_json_chunks", "DecompositionReport.to_json_text"),
     "writes": ("cli", "_write"),
 }
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def peak_mb() -> float:
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
 
 
 def child(out: str, args: list[str]) -> dict:
@@ -62,6 +74,7 @@ def child(out: str, args: list[str]) -> dict:
 
     modules = {"cli": cli, "decompose": decompose, "dtree": dtree}
     spent = dict.fromkeys(STAGES, 0.0)
+    peaks = dict.fromkeys(STAGES, 0.0)
 
     def timed(stage, fn):
         @functools.wraps(fn)
@@ -71,22 +84,27 @@ def child(out: str, args: list[str]) -> dict:
                 return fn(*a, **kw)
             finally:
                 spent[stage] += time.perf_counter() - start
+                peaks[stage] = peak_mb()
 
         return wrapper
 
-    for stage, (module, path) in STAGES.items():
-        owner, *rest = path.split(".")
-        holder = modules[module]
-        if rest:
-            holder, owner = getattr(holder, owner), rest[0]
-        setattr(holder, owner, timed(stage, getattr(holder, owner)))
+    for stage, (module, *paths) in STAGES.items():
+        for path in paths:
+            owner, *rest = path.split(".")
+            holder = modules[module]
+            if rest:
+                holder, owner = getattr(holder, owner), rest[0]
+            if hasattr(holder, owner):
+                setattr(holder, owner, timed(stage, getattr(holder, owner)))
+                break
     start = time.perf_counter()
     rc = cli.main(args + ["--out", out])
     spent["total"] = time.perf_counter() - start
+    peaks["total"] = peak_mb()
     # the build's own check and growth are timed on their own
     spent["gather"] -= spent["check"] + spent["grow"]
     sha = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out).iterdir())}
-    return {"rc": rc, "stages_s": spent, "sha256": sha}
+    return {"rc": rc, "stages_s": spent, "peak_mb": peaks, "sha256": sha}
 
 
 def run_side(src: Path, args: list[str]) -> dict:
@@ -131,7 +149,8 @@ def main() -> int:
             order = list(sides) if len(result["rows"]) % 2 else list(sides)[::-1]
             for name in order:
                 row[name] = run_side(sides[name], KINDS[kind].argv(seed))
-                print(kind, seed, name, json.dumps(row[name]["stages_s"]), flush=True)
+                stages, peaks = (json.dumps(row[name][key]) for key in ("stages_s", "peak_mb"))
+                print(kind, seed, name, stages, peaks, flush=True)
             equal = equal and len({json.dumps(row[name]["sha256"]) for name in sides}) == 1
             result["rows"].append(row)
     result["reports_equal"] = equal

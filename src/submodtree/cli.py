@@ -13,6 +13,7 @@ import contextlib
 import json
 import math
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,12 +63,16 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return header + "\n" + "\n".join(body) + "\n"
 
 
-def _write(out_dir: str | None, name: str, text: str) -> None:
+def _write(out_dir: str | None, name: str, chunks: str | Iterable[str]) -> None:
+    """Writes a report file from its text or its text's chunks, one write per
+    chunk, so no text longer than a chunk is made or encoded at once."""
     if out_dir is None:
         return
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
-    (path / name).write_text(text)
+    with open(path / name, "w") as fh:
+        for chunk in [chunks] if isinstance(chunks, str) else chunks:
+            fh.write(chunk)
 
 
 def _dump_json(obj) -> str:
@@ -449,10 +454,8 @@ def cmd_decompose(args) -> int:
     err = dtree.exact_distance(f, report.tree, metric="l1")
     if args.out is not None:
         tree = dc.constantize_leaves(report)
-        tree_text = dtree.to_json_text(tree)
-        report_text = report.to_json_text(tree, instance=inst, max_l1_error=err)
-        _write(args.out, "report.json", report_text)
-        _write(args.out, "tree.json", tree_text)
+        _write(args.out, "report.json", report.to_json_chunks(tree, instance=inst, max_l1_error=err))
+        _write(args.out, "tree.json", dtree.to_json_chunks(tree))
     row = _rank_row(inst, args.alpha, report, err)
     _write(args.out, "rank.csv", _rows_to_csv([row]))
     print(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,11 +79,13 @@ class DecompositionReport:
         certs = _distinct(self.leaf_certificates)
         return all(c.alpha_monotone_ok and c.lipschitz_ok and c.submodular_ok for c in certs)
 
-    def to_json_text(self, tree: DecisionTree, **extra) -> str:
+    def to_json_chunks(self, tree: DecisionTree, **extra) -> Iterator[str]:
         """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` of the report
-        object: its fields, the scalar keys of ``extra``, and "tree", whose
-        value is the JSON object of a constant-leaf tree (`dtree.to_json_text`),
-        written from the tree's pieces at the report's indent."""
+        object, in chunks: its fields, the scalar keys of ``extra``, and
+        "tree", whose value is the JSON object of a constant-leaf tree, written
+        by `dtree.to_json_chunks` at the report's indent.  The certificate
+        list and the tree come in chunks of at most `dtree.JSON_BATCH` pieces,
+        so neither is ever a text of its own."""
         scalars = {
             "n": self.tree.n,
             "alpha": self.alpha,
@@ -94,14 +97,13 @@ class DecompositionReport:
             **extra,
         }
         values = {key: [json.dumps(value)] for key, value in scalars.items()}
-        values["leaf_certificates"] = _certificates_parts(self.leaf_certificates)
-        values["tree"] = dtree._json_pieces(tree, 1)
-        # joined once from pieces, so the certificate list is never a text of its own
-        parts = ["{"]
+        values["leaf_certificates"] = _certificates_chunks(self.leaf_certificates)
+        values["tree"] = dtree.to_json_chunks(tree, 1)
+        parts = [["{"]]
         for key in sorted(values):
-            parts += ("\n  ", json.dumps(key), ": ", *values[key], ",")
-        parts[-1] = "\n}\n"
-        return "".join(parts)
+            parts += (["\n  " + json.dumps(key) + ": "], values[key], [","])
+        parts[-1] = ["\n}\n"]
+        return itertools.chain.from_iterable(parts)
 
 
 def _distinct(certificates: list) -> list:
@@ -110,20 +112,22 @@ def _distinct(certificates: list) -> list:
     return list(dict(zip(map(id, certificates), certificates)).values())
 
 
-def _certificates_parts(certificates: list[LeafCertificate]) -> list[str]:
+def _certificates_chunks(certificates: list[LeafCertificate]) -> Iterator[str]:
     """The "leaf_certificates" list as the indenting encoder writes it one
-    level deep, in pieces: each distinct certificate object is rendered once."""
+    level deep, in chunks of at most `dtree.JSON_BATCH` certificates: each
+    distinct certificate object is rendered once."""
     if not certificates:
-        return ["[]"]
+        yield "[]"
+        return
     blocks = {
         id(cert): "    " + json.dumps(vars(cert), sort_keys=True, indent=2).replace("\n", "\n    ")
         for cert in _distinct(certificates)
     }
-    parts = [",\n"] * (2 * len(certificates))
-    parts[1::2] = map(blocks.__getitem__, map(id, certificates))
-    parts[0] = "[\n"
-    parts.append("\n  ]")
-    return parts
+    yield "[\n"
+    for at in range(0, len(certificates), dtree.JSON_BATCH):
+        batch = map(blocks.__getitem__, map(id, certificates[at : at + dtree.JSON_BATCH]))
+        yield (",\n" if at else "") + ",\n".join(batch)
+    yield "\n  ]"
 
 
 def _check_submodular(fs: list[ValueOracle], table, check: bool) -> bool:

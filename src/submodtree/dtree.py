@@ -15,9 +15,9 @@ their level arrays into this form, one numpy pass per depth level for the
 subtree sizes and ranks (bottom-up) and the positions (top-down); a tree
 made of `Node` objects is walked once, level by level, into the same passes,
 and its form is kept on the tree.  Rank, size, depth, leaf subcubes, tree
-tables, leaf means and the JSON text are all read from the arrays.  A tree
-made from the array form builds its `Node` and leaf objects only when
-``root`` is read.
+tables, leaf means and the JSON text (written a batch of pieces at a time)
+are all read from the arrays.  A tree made from the array form builds its
+`Node` and leaf objects only when ``root`` is read.
 
 Truncating a tree at depth d replaces every internal node at that depth by a
 constant-0 leaf.  Under an alpha-bounded product distribution the truncated
@@ -28,8 +28,10 @@ that bound and its inversion.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -40,6 +42,10 @@ from .fourier import Spectrum, transform
 from .funcs import Restriction, ValueOracle, full_tables, restrict, stacked_table
 
 TreeNode = Union["ConstLeaf", "OracleLeaf", "Node"]
+
+# pieces of JSON text joined into one chunk (`to_json_chunks`), so a report
+# file is written a bounded text at a time
+JSON_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -114,15 +120,15 @@ class _Flat:
 
     Per node, in preorder (lo before hi): whether it is a leaf, its
     coordinate (-1 at a leaf), its depth, the nodes of its subtree and the
-    index of its first piece of `to_json_text`.  Per leaf,
+    index of its first piece of `to_json_chunks`.  Per leaf,
     in the same order: the masks of the coordinates its path tests and of
     the bits it fixes, its constant (0.0 at an oracle leaf) and whether it
     is an oracle leaf.  A decomposition (`_trees`) has only oracle leaves,
     each ``source`` restricted to its subcube; a tree made of objects keeps
     its leaf objects in ``leaves``.  ``bad`` is the coordinate of the first
     node in preorder that tests a coordinate twice on its path or one
-    outside the dimension, else None.  ``json`` keeps the pieces of
-    `to_json_text` once they are rendered (`_json_pieces`).
+    outside the dimension, else None.  ``json`` keeps the distinct pieces of
+    `to_json_chunks` and each position's piece index once they are rendered.
     """
 
     n: int
@@ -729,29 +735,25 @@ def random_tree(
 
 # --- serialization -----------------------------------------------------------
 
-def to_json_text(tree: DecisionTree) -> str:
-    """The tree as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    writes the nested object whose nodes are {"var": 1-based coordinate,
-    "lo": ..., "hi": ...} and whose leaves are {"leaf": value}; leaves must be
-    constants.
-    """
-    return "".join(_json_pieces(tree, 0)) + "\n"
+def to_json_chunks(tree: DecisionTree, indent: int = 0) -> Iterator[str]:
+    """The tree's text, ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    of the nested object whose nodes are {"var": 1-based coordinate, "lo":
+    ..., "hi": ...} and whose leaves are {"leaf": value}, in chunks of at most
+    `JSON_BATCH` pieces; leaves must be constants, which is checked before
+    the first chunk.  With ``indent`` set, the text is the tree as the
+    indenting encoder writes it as a value ``indent`` levels deep: every line
+    after the first that much deeper, and no final newline.
 
-
-def _json_pieces(tree: DecisionTree, indent: int) -> list[str]:
-    """The pieces of `to_json_text`'s text, its last newline left out, with
-    every line after the first ``indent`` levels deeper: the tree's text as
-    the indenting encoder writes it as a value ``indent`` levels deep.
-
-    The text is joined from pieces placed by the array form, hi before lo: a
+    The text is made of pieces placed by the array form, hi before lo: a
     node at depth d opens with '{"hi": ' at its position, writes '"lo": '
     between its subtrees and '"var": ...}' after them, and a leaf is one
     piece.  Each piece is rendered once per depth and coordinate or per
     depth and distinct leaf value (by its bits, so -0.0 keeps its sign), and
-    the distinct pieces and each position's piece are kept on the array
-    form, so another indent re-indents only the distinct pieces.  With
-    ``indent`` set the json module would run its pure-Python encoder over
-    nested dicts that would exist only to be encoded.
+    the distinct pieces and each position's piece index are kept on the
+    array form, so another indent re-indents only the distinct pieces.  A
+    chunk joins the pieces of one batch of positions: no whole text is made.
+    With ``indent`` set the json module would run its pure-Python encoder
+    over nested dicts that would exist only to be encoded.
     """
     flat = _constant_leaves(tree)
     if flat.json is None:
@@ -762,7 +764,10 @@ def _json_pieces(tree: DecisionTree, indent: int) -> list[str]:
         # no piece holds one
         deeper = "\0".join(texts.tolist()).replace("\n", "\n" + "  " * indent)
         texts = np.array(deeper.split("\0"), dtype=object)
-    return texts[codes].tolist()
+    chunks = (
+        "".join(texts[codes[at : at + JSON_BATCH]].tolist()) for at in range(0, codes.size, JSON_BATCH)
+    )
+    return chunks if indent else itertools.chain(chunks, ["\n"])
 
 
 def _json_table(flat: _Flat) -> tuple[np.ndarray, np.ndarray]:

@@ -750,14 +750,28 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
             if a == b or not (1 <= a <= n and 1 <= b <= n):
                 raise InvalidFamilySpec(f"bad edge ({a},{b}) for n={n}")
         m = len(edges)
-        vertices = {v for edge in edges for v in edge}
+        # (v, mask of v's neighbours above v), one layer of masks at a time:
+        # an edge already in a layer, in either order, goes to the next one,
+        # so a repeated or reversed edge counts once per occurrence
+        layers: list[tuple[int, int]] = []
+        rest = edges
+        while rest:
+            masks, again = [0] * n, []
+            for a, b in rest:
+                lo, hi = (a - 1, b - 1) if a < b else (b - 1, a - 1)
+                if masks[lo] >> hi & 1:
+                    again.append((a, b))
+                else:
+                    masks[lo] |= 1 << hi
+            layers += [(v, mask) for v, mask in enumerate(masks) if mask]
+            rest = again
 
         def cut(xs: np.ndarray) -> np.ndarray:
-            # each vertex's bit once, then one XOR and one add per edge
-            bit = {v: ((xs >> (v - 1)) & 1).astype(np.uint8) for v in vertices}
+            # the crossing edges at v: its neighbours whose bit differs from
+            # v's, that is the mask's bits of x, or of ~x when v's bit is set
             crossing = np.zeros(xs.shape, dtype=np.int32)
-            for a, b in edges:
-                crossing += bit[a] ^ bit[b]
+            for v, mask in layers:
+                crossing += popcount(mask & (xs ^ -((xs >> v) & 1)))
             return crossing / m
 
         return ValueOracle(n, _by_chunks(cut))

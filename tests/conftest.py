@@ -39,8 +39,13 @@ def pt(s: str) -> int:
     return sum(1 << i for i, c in enumerate(s) if c == "1")
 
 
+def tree_text(tree: DecisionTree) -> str:
+    """The chunks of `dtree.to_json_chunks`, joined: the text of tree.json."""
+    return "".join(dtree.to_json_chunks(tree))
+
+
 def tree_from_json(text: str, n: int) -> DecisionTree:
-    """The constant-leaf tree of the JSON that `dtree.to_json_text` writes."""
+    """The constant-leaf tree of the text of `tree_text`."""
 
     def conv(o):
         if "leaf" in o:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import leaves_of, random_table
+from conftest import leaves_of, random_table, tree_text
 from submodtree import decompose, dtree
 from submodtree.decompose import (
     NotSubmodular,
@@ -72,8 +72,8 @@ def assert_same_batch(make_fs, alpha, check, certify=True, group=None):
         ]
     assert bits(errs) == bits(ref_errs)
     assert [f.query_count for f in fs] == [g.query_count for g in refs]
-    texts = [dtree.to_json_text(constantize_leaves(r)) for r in reports]
-    assert texts == [dtree.to_json_text(constantize_leaves(r)) for r in ref_reports]
+    texts = [tree_text(constantize_leaves(r)) for r in reports]
+    assert texts == [tree_text(constantize_leaves(r)) for r in ref_reports]
 
 
 @settings(max_examples=60, deadline=None)

@@ -563,20 +563,28 @@ def test_golden_reports_do_not_depend_on_a_compensated_sum(tmp_path, monkeypatch
 
 def test_decompose_renders_report_text_only_for_out(tmp_path, monkeypatch):
     from submodtree import dtree
+    from submodtree.decompose import DecompositionReport
 
-    rendered = []
-    to_json_text = dtree.to_json_text
+    rendered, reports = [], []
+    to_json_chunks = dtree.to_json_chunks
+    report_chunks = DecompositionReport.to_json_chunks
 
-    def spy(tree):
-        rendered.append(tree)
-        return to_json_text(tree)
+    def spy(tree, indent=0):
+        if not indent:  # the text of tree.json; report.json embeds it at indent 1
+            rendered.append(tree)
+        return to_json_chunks(tree, indent)
 
-    monkeypatch.setattr(dtree, "to_json_text", spy)
+    def report_spy(report, tree, **extra):
+        reports.append(report)
+        return report_chunks(report, tree, **extra)
+
+    monkeypatch.setattr(dtree, "to_json_chunks", spy)
+    monkeypatch.setattr(DecompositionReport, "to_json_chunks", report_spy)
     argv = ["decompose", "--family", "matroid_rank_partition", "--n", "8", "--alpha", "0.25"]
     assert run(argv) == 0
-    assert rendered == []
+    assert rendered == [] and reports == []
     assert run(argv + ["--out", str(tmp_path)]) == 0
-    assert len(rendered) == 1
+    assert len(rendered) == 1 and len(reports) == 1
 
 
 def test_decompose_constantizes_leaves_only_for_out(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import as_dict, tree_from_json
+from conftest import as_dict, tree_from_json, tree_text
 from submodtree import dtree
 from submodtree.cube import DimensionTooLarge, ProductDistribution
 from submodtree.dtree import (
@@ -22,7 +22,7 @@ from submodtree.dtree import (
     pruning_depth_for,
     random_tree,
     rank,
-    to_json_text,
+    to_json_chunks,
     to_spectrum,
     tree_depth,
     tree_size,
@@ -252,7 +252,7 @@ def test_depth_d_trees_have_degree_at_most_d():
 
 def test_json_roundtrip():
     t = random_tree(6, seed=12)
-    text = to_json_text(t)
+    text = tree_text(t)
     obj = json.loads(text)
 
     def check_vars_one_based(o):
@@ -269,5 +269,5 @@ def test_json_roundtrip():
 def test_json_rejects_oracle_leaves():
     inner = ValueOracle.from_table([0.0, 1.0])
     tree = DecisionTree(2, Node(0, OracleLeaf(inner, (1,)), ConstLeaf(1.0)))
-    with pytest.raises(NonConstantLeaf):
-        to_json_text(tree)
+    with pytest.raises(NonConstantLeaf):  # before the first chunk
+        to_json_chunks(tree)

@@ -254,6 +254,49 @@ def kernel_points(n, size, rng):
     return xs
 
 
+def ref_cut_per_edge(edges):
+    """The cut evaluator before its per-vertex masks: each vertex's bit once,
+    then one XOR and one add per edge."""
+    m = len(edges)
+    vertices = {v for edge in edges for v in edge}
+
+    def cut(xs):
+        bit = {v: ((xs >> (v - 1)) & 1).astype(np.uint8) for v in vertices}
+        crossing = np.zeros(xs.shape, dtype=np.int32)
+        for a, b in edges:
+            crossing += bit[a] ^ bit[b]
+        return crossing / m
+
+    return cut
+
+
+@st.composite
+def edge_multisets(draw, n):
+    """Edges on 1..n, with some of them repeated as drawn and some reversed."""
+    vertex = st.integers(min_value=1, max_value=n)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), min_size=1, max_size=40))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=6))
+    edges += [(b, a) for a, b in draw(st.lists(st.sampled_from(edges), max_size=6))]
+    return draw(st.permutations(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=2, max_value=12), data=st.data())
+def test_cut_masks_match_the_per_edge_loop_on_whole_tables(n, data):
+    edges = data.draw(edge_multisets(n))
+    f = instantiate(FamilySpec("cut", n, {"edges": [list(e) for e in edges]}))
+    assert_bitwise_equal(f.table(), ref_cut_per_edge(edges)(np.arange(1 << n, dtype=np.int64)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=KERNEL_NS.filter(lambda n: n >= 2), seed=st.integers(0, 1000), data=st.data())
+def test_cut_masks_match_the_per_edge_loop_on_sampled_points(n, seed, data):
+    edges = data.draw(edge_multisets(n))
+    xs = kernel_points(n, data.draw(st.sampled_from(BATCHES)), np.random.default_rng(seed))
+    f = instantiate(FamilySpec("cut", n, {"edges": [list(e) for e in edges]}))
+    assert_bitwise_equal(f.eval_many(xs), ref_cut_per_edge(edges)(xs))
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     n=KERNEL_NS,

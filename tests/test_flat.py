@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import leaves_of, with_oracle_leaves
+from conftest import leaves_of, tree_text, with_oracle_leaves
 from submodtree import decompose, dtree, funcs
 from submodtree.cube import subcube_points
 from submodtree.decompose import LeafCertificate, build_lipschitz_trees, constantize_leaves
@@ -244,11 +244,11 @@ def test_random_trees_read_as_the_walkers_read_them(n, seed, leaf_prob, values, 
     tree = DecisionTree(n, relabel(shape.root))
     ref_leaves = assert_same_shape(tree, tree)
     assert all(a is b for a, b in zip(leaves_of(tree), ref_leaves, strict=True))
-    assert dtree.to_json_text(tree) == ref_json(tree)
+    assert tree_text(tree) == ref_json(tree)
     assert bits(dtree.tree_table(tree)) == bits(ref_table(tree))
     # the same tree made from its array form builds equal nodes on demand
     again = DecisionTree.of(dtree._flat(tree))
-    assert dtree.to_json_text(again) == ref_json(tree)
+    assert tree_text(again) == ref_json(tree)
     assert ref_json(again) == ref_json(tree)
 
 
@@ -264,7 +264,7 @@ def test_trees_with_oracle_leaves_charge_as_the_walk_charged(n, seed):
     assert bits(dtree.tree_table(tree)) == bits(ref_table(ref_tree))
     assert f.query_count == f_ref.query_count
     means = constantize_leaves(decompose.DecompositionReport(tree, 0.5, 0, 1.0))
-    assert dtree.to_json_text(means) == ref_json(ref_constantize(ref_tree))
+    assert tree_text(means) == ref_json(ref_constantize(ref_tree))
     assert f.query_count == f_ref.query_count
 
 
@@ -294,7 +294,7 @@ def assert_same_decompositions(specs, alpha):
         means, ref_means_ = constantize_leaves(report), ref_constantize(ref_tree)
         assert f.query_count == f_ref.query_count
         assert bits(dtree._flat(means).value) == bits([lf.value for lf in leaves_of(ref_means_)])
-        assert dtree.to_json_text(means) == ref_json(ref_means_)
+        assert tree_text(means) == ref_json(ref_means_)
 
 
 @settings(max_examples=12, deadline=None)

@@ -21,7 +21,6 @@ SHARED = {
     "decompose -> dtree._flat": "certification and leaf means read a tree's masks",
     "decompose -> dtree._trees": "growth's level-order arrays become trees in one call",
     "decompose -> dtree._leaf_blocks": "leaf means read the leaves where dtree keeps them",
-    "decompose -> dtree._json_pieces": "the report embeds the tree's JSON pieces",
     "fourier -> funcs._pair_rows": "the pairwise weights read pair rows as the checkers do",
     "fourier -> funcs._mixed_difference_row": "the derivative identity reads one pair's row",
 }
