@@ -9,7 +9,10 @@ workload's, ``perfbench/workloads.WORKLOADS["deep-tree"]``) and every seed
 `decompose ... --out DIR` once with the kind's arguments, in a fresh process
 with the program imported from that side's ``src/``: this checkout, and the
 checkout at ``--parent`` when given.  The sides alternate which runs first
-from row to row.  A run prints, in seconds, the time spent in:
+from row to row.  A run prints, in seconds, the self time of each stage:
+the time spent in its functions, and in reading the chunks they return,
+less the time of the other stages they call, so that the stages are
+disjoint and sum to no more than ``total``:
 
 - ``check``: the input's submodularity check (`decompose._check_submodular`);
 - ``grow``: the level-by-level growth (`decompose._grow`);
@@ -19,10 +22,10 @@ from row to row.  A run prints, in seconds, the time spent in:
 - ``constantize``: `decompose.constantize_leaves`;
 - ``tree_json``: `dtree.to_json_chunks` (`to_json_text` on a side without
   it), both calls: the one for tree.json and the one that renders the tree
-  inside report.json, which ``report_json`` counts too;
-- ``report_json``: `DecompositionReport.to_json_chunks` (or `to_json_text`);
-- ``writes``: `cli._write`, which joins the chunks of the two JSON writers
-  as it writes them;
+  inside report.json;
+- ``report_json``: `DecompositionReport.to_json_chunks` (or `to_json_text`),
+  less the tree inside it;
+- ``writes``: `cli._write`, less the chunks it reads from the writers;
 - ``total``: `cli.main`, interpreter start and imports excluded.
 
 Beside each stage's time, ``peak_mb`` holds the process's VmHWM read from
@@ -45,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,16 +79,35 @@ def child(out: str, args: list[str]) -> dict:
     modules = {"cli": cli, "decompose": decompose, "dtree": dtree}
     spent = dict.fromkeys(STAGES, 0.0)
     peaks = dict.fromkeys(STAGES, 0.0)
+    running = []  # the stages entered and not yet left, innermost last
+
+    def within(stage, step):
+        """step() timed as ``stage``, its time taken off the enclosing stage."""
+        running.append(stage)
+        start = time.perf_counter()
+        try:
+            return step()
+        finally:
+            took = time.perf_counter() - start
+            running.pop()
+            spent[stage] += took
+            if running:
+                spent[running[-1]] -= took
+            peaks[stage] = peak_mb()
+
+    def chunks(stage, lazy):
+        """The items of a lazy result, each produced within ``stage``."""
+        while True:
+            try:
+                yield within(stage, lambda: next(lazy))
+            except StopIteration:
+                return
 
     def timed(stage, fn):
         @functools.wraps(fn)
         def wrapper(*a, **kw):
-            start = time.perf_counter()
-            try:
-                return fn(*a, **kw)
-            finally:
-                spent[stage] += time.perf_counter() - start
-                peaks[stage] = peak_mb()
+            result = within(stage, lambda: fn(*a, **kw))
+            return chunks(stage, result) if isinstance(result, Iterator) else result
 
         return wrapper
 
@@ -101,8 +124,6 @@ def child(out: str, args: list[str]) -> dict:
     rc = cli.main(args + ["--out", out])
     spent["total"] = time.perf_counter() - start
     peaks["total"] = peak_mb()
-    # the build's own check and growth are timed on their own
-    spent["gather"] -= spent["check"] + spent["grow"]
     sha = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out).iterdir())}
     return {"rc": rc, "stages_s": spent, "peak_mb": peaks, "sha256": sha}
 

@@ -23,7 +23,6 @@ from .dtree import (
     DecisionTree,
     Node,
     OracleLeaf,
-    evaluate,
     exact_distance,
     exact_distances,
     pruning_bound,

@@ -113,12 +113,12 @@ def _resolve_target(args) -> tuple[str, ValueOracle]:
 
 def _corpus_chunks(ns, seeds):
     """The corpus tables (`funcs.corpus_tables`) in stacks of at most
-    dtree._STACK_POINTS points: yields (n, keys, ids, stack), where keys[k]
+    dtree.STACK_POINTS points: yields (n, keys, ids, stack), where keys[k]
     sorts row k of the stack into corpus order, (family, position of n,
     seed)."""
     seeds = tuple(seeds)
     for at, (n, ids, stack) in enumerate(funcs.corpus_tables(tuple(ns), seeds)):
-        size = max(1, dtree._STACK_POINTS >> n)  # instances per stack
+        size = max(1, dtree.STACK_POINTS >> n)  # instances per stack
         for k in range(0, len(ids), size):
             # the j-th instance of n is family j // len(seeds), seed j % len(seeds)
             keys = [(j // len(seeds), at, j % len(seeds)) for j in range(k, min(k + size, len(ids)))]

@@ -251,11 +251,12 @@ def _build(fs: list[ValueOracle], alpha: float, phases: int, check: bool):
     """The trees grown by `_grow`, in array form, after the input check
     when ``check``, and whether the check passed (`_check_submodular`).
     Every leaf is its oracle restricted to the leaf's subcube
-    (`dtree._trees`)."""
+    (`dtree.from_levels`)."""
     table = funcs.stacked_table(fs) if fs[0].n <= enum_cap() else None
     submodular = _check_submodular(fs, table, check)
     mask, _, split = _grow(fs, table, alpha, phases)
-    return dtree._trees(fs[0].n, mask, split, fs), submodular
+    leaf, depth = split < 0, popcount(mask).astype(np.int64)
+    return dtree.from_levels(fs[0].n, leaf, split, depth, np.zeros(leaf.size), leaf, sources=fs), submodular
 
 
 # certificates are immutable, so the leaves share one per outcome: the
@@ -282,7 +283,7 @@ def _certify(
     leaf within it is checked on its own table, as a one-leaf tree, and a
     larger leaf gets None.  Constant leaves pass.
     """
-    flats = [dtree._flat(tree) for tree in trees]
+    flats = [dtree.arrays(tree) for tree in trees]
     oracle = np.concatenate([flat.oracle for flat in flats])
     n = fs[0].n
     if n <= enum_cap():
@@ -320,7 +321,7 @@ def _decompose(fs: list[ValueOracle], alpha: float, phases: int, check: bool, ce
     rank bound is phases/alpha.
 
     The oracles share one dimension n.  They are built in batches whose
-    stacked table holds at most dtree._STACK_POINTS points, one oracle at a
+    stacked table holds at most dtree.STACK_POINTS points, one oracle at a
     time beyond the enumeration cap.  A batch fails as soon as the input
     check fails on one of its tables (`_check_submodular`), so the error
     names the first failing oracle in input order.
@@ -330,7 +331,7 @@ def _decompose(fs: list[ValueOracle], alpha: float, phases: int, check: bool, ce
     n = fs[0].n
     if any(f.n != n for f in fs):
         raise ValueError(f"a batch has one dimension, got {sorted({f.n for f in fs})}")
-    step = max(1, dtree._STACK_POINTS >> n) if n <= enum_cap() else 1
+    step = max(1, dtree.STACK_POINTS >> n) if n <= enum_cap() else 1
     reports = []
     for k in range(0, len(fs), step):
         batch = fs[k:k + step]
@@ -404,11 +405,11 @@ def constantize_leaves(
     With alpha = eps^2 / 2 the result is within l2 distance eps of the
     represented function.
     """
-    flat = dtree._flat(report.tree)
+    flat = dtree.arrays(report.tree)
     cap = enum_cap()
     sizes = np.int64(1) << popcount(flat.free()[flat.oracle]).astype(np.int64)
     exact = sizes <= 1 << cap
-    means = _means(dtree._leaf_blocks(flat, exact), sizes.size)
+    means = _means(flat.leaf_blocks(exact), sizes.size)
     if not exact.all():
         m = mc_samples if mc_samples is not None else default_mean_samples(report.alpha)
         oracle = [lf for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
@@ -419,7 +420,7 @@ def constantize_leaves(
 
 def _means(blocks, count: int) -> np.ndarray:
     """np.mean of each of ``count`` tables, bit for bit, from ``blocks`` of
-    them (`dtree._leaf_blocks`), as one mean(axis=1) per block; a constant
+    them (`_Flat.leaf_blocks`), as one mean(axis=1) per block; a constant
     table keeps its value exactly; a table in no block is left unset."""
     means = np.empty(count)
     for rows, block in blocks:
@@ -469,9 +470,9 @@ def build_exact_discrete_tree(
             )
     alpha = 1.0 / (k + 1.0 / 3.0)
     report = build_lipschitz_tree(f, alpha, check=check, certify=certify)
-    flat = dtree._flat(report.tree)
+    flat = dtree.arrays(report.tree)
     values = np.empty(np.count_nonzero(flat.oracle))
-    for rows, block in dtree._leaf_blocks(flat, np.ones(values.size, dtype=bool)):
+    for rows, block in flat.leaf_blocks(np.ones(values.size, dtype=bool)):
         if np.any(block.max(axis=1) - block.min(axis=1) > TOL):
             raise NonDiscreteRange("leaf is not constant; range is not 1/k-discrete")
         values[rows] = block[:, 0]
@@ -489,7 +490,7 @@ def _lift(tree: DecisionTree, J: list[int], n: int) -> DecisionTree:
     """The tree over coordinates J[0] < J[1] < ... of dimension n that reads
     coordinate J[i] where ``tree`` reads i: its coordinates and path masks
     mapped through J."""
-    flat = dtree._flat(tree)
+    flat = dtree.arrays(tree)
     tested, fixed = np.zeros_like(flat.tested), np.zeros_like(flat.fixed)
     for i, j in enumerate(J):
         tested |= (flat.tested >> i & 1) << j

@@ -5,19 +5,21 @@ on a path); a leaf either holds a constant or an oracle over the coordinates
 left free on its path.  `rank` is the Ehrenfeucht-Haussler complexity
 measure: the depth of the largest complete binary tree embeddable in T.
 
-Every consumer of a tree reads one array form of it (`_Flat`): per node in
-preorder, lo before hi, its coordinate and depth; per leaf, its path's
-tested and fixed bits and either a constant or an oracle.  Every leaf of a
-decomposition is its source oracle restricted to the leaf's subcube, read
-from the source's table where it lies; no copy of the table is made.
-Decompositions grow in level order (`decompose._grow`) and `_preorder` turns
-their level arrays into this form, one numpy pass per depth level for the
-subtree sizes and ranks (bottom-up) and the positions (top-down); a tree
-made of `Node` objects is walked once, level by level, into the same passes,
-and its form is kept on the tree.  Rank, size, depth, leaf subcubes, tree
-tables, leaf means and the JSON text (written a batch of pieces at a time)
-are all read from the arrays.  A tree made from the array form builds its
-`Node` and leaf objects only when ``root`` is read.
+Every consumer of a tree reads one array form of it (`arrays`, a `_Flat`):
+per node in preorder, lo before hi, its coordinate and depth; per leaf, its
+path's tested and fixed bits and either a constant or an oracle.  One
+constructor, `from_levels`, builds every tree in this form from arrays in
+level order, one numpy pass per depth level for the subtree sizes and ranks
+(bottom-up) and the positions and path masks (top-down).  Decompositions
+grow in level order (`decompose._grow`); each of their leaves is the source
+oracle restricted to the leaf's subcube, read from the source's table where
+it lies.  `random_tree` draws its nodes in preorder, and `truncate` keeps
+the nodes above a depth in preorder; a stable sort by depth puts either in
+level order.  A tree made of `Node` objects, the way to build one by hand,
+is walked once, level by level, and its form kept on the tree.  Rank, size,
+depth, leaf subcubes, tree tables, leaf means, values at points and the
+JSON text are all read from the arrays; a tree made from them builds its
+`Node` and leaf objects only when ``root`` is read or trees are compared.
 
 Truncating a tree at depth d replaces every internal node at that depth by a
 constant-0 leaf.  Under an alpha-bounded product distribution the truncated
@@ -96,22 +98,23 @@ class DecisionTree:
         tree._flat = flat
         return tree
 
-    @property
-    def root(self) -> TreeNode:
+    def _nodes(self) -> TreeNode:
         if self._root is None:
-            self._root = self._flat.root()
+            self._root = self._flat.nodes()
         return self._root
+
+    root = property(_nodes, doc="The root node; a tree made from its array form builds its nodes once.")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not DecisionTree:
             return NotImplemented
-        return (self.n, self.root) == (other.n, other.root)
+        return (self.n, self._nodes()) == (other.n, other._nodes())
 
     def __hash__(self) -> int:
-        return hash((self.n, self.root))
+        return hash((self.n, self._nodes()))
 
     def __repr__(self) -> str:
-        return f"DecisionTree(n={self.n!r}, root={self.root!r})"
+        return f"DecisionTree(n={self.n!r}, root={self._nodes()!r})"
 
 
 @dataclass(eq=False)
@@ -123,12 +126,13 @@ class _Flat:
     index of its first piece of `to_json_chunks`.  Per leaf,
     in the same order: the masks of the coordinates its path tests and of
     the bits it fixes, its constant (0.0 at an oracle leaf) and whether it
-    is an oracle leaf.  A decomposition (`_trees`) has only oracle leaves,
-    each ``source`` restricted to its subcube; a tree made of objects keeps
-    its leaf objects in ``leaves``.  ``bad`` is the coordinate of the first
-    node in preorder that tests a coordinate twice on its path or one
-    outside the dimension, else None.  ``json`` keeps the distinct pieces of
-    `to_json_chunks` and each position's piece index once they are rendered.
+    is an oracle leaf.  The oracle leaves of a decomposition (and of its
+    truncations) are ``source`` restricted to their subcubes; a tree made
+    of objects keeps its leaf objects in ``leaves``.  ``bad`` is the
+    coordinate of the first node in preorder that tests a coordinate twice
+    on its path or one outside the dimension, else None.  ``json`` keeps
+    the distinct pieces of `to_json_chunks` and each position's piece index
+    once they are rendered.
     """
 
     n: int
@@ -153,7 +157,7 @@ class _Flat:
 
     def leaf_objects(self) -> list:
         """The leaves in preorder, as objects, built once: a decomposition's
-        leaf is `restrict` of ``source`` to the leaf's subcube."""
+        oracle leaf is `restrict` of ``source`` to the leaf's subcube."""
         if self.leaves is None:
             leaves = []
             for is_oracle, value, m, bits in zip(
@@ -167,6 +171,60 @@ class _Flat:
             self.leaves = leaves
         return self.leaves
 
+    def oracle_tables(self) -> list[np.ndarray]:
+        """The tables of the oracle leaves in preorder, one after another,
+        each charged its 2^k points as `funcs.full_tables` charges them.  The
+        leaves of a decomposition whose source's table is cached read it at
+        their points, taken in ascending order, which are their local points
+        in order; other leaves are read from their objects."""
+        if self.source is not None and self.source.cached:
+            points, _ = subcube_points(self.fixed[self.oracle], self.free()[self.oracle])
+            self.source.charge(points.size)
+            return [self.source.table()[points]]
+        return full_tables([lf.oracle for lf in self.leaf_objects() if isinstance(lf, OracleLeaf)])
+
+    def leaf_blocks(self, read: np.ndarray):
+        """The tables of the oracle leaves marked in ``read`` (one flag per
+        oracle leaf, in preorder), as pairs (k, b): row r of the 2-D block b
+        is the table of oracle leaf k[r].  Each leaf is read and charged as
+        its oracle reads and charges it: ``table()``, or one query ``g(0)``
+        on a 0-dimensional leaf.
+
+        A decomposition grown within the enumeration cap cached its source's
+        table.  Its leaves of one free mask read that table where they lie,
+        at their fixed bits OR the ascending subsets of the mask, at most
+        _BLOCK_POINTS points per block, and a larger leaf through its subcube
+        view; as a restriction of a cached table charges nothing for its
+        own, only g(0) charges.  Other leaves are read from their objects,
+        one per block.
+        """
+        at = np.flatnonzero(read)
+        if self.source is None or not self.source.cached:
+            oracles = [lf.oracle for lf in self.leaf_objects() if isinstance(lf, OracleLeaf)]
+            tables = [oracles[k].table() if oracles[k].n else np.array([oracles[k](0)]) for k in at.tolist()]
+            yield from ((at[i:i + 1], t[None]) for i, t in enumerate(tables))
+            return
+        fixed = self.fixed[self.oracle]
+        free = self.free()[self.oracle][at]
+        self.source.charge(int(np.count_nonzero(free == 0)))
+        table, cube = self.source.table(), (-1,) + (2,) * self.n
+        # with return_inverse, np.unique does not import numpy.ma (13 ms)
+        masks, mask_of = np.unique(free, return_inverse=True)
+        order = np.argsort(mask_of, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(mask_of))]).tolist()
+        for j, m in enumerate(masks.tolist()):
+            members = at[order[bounds[j]:bounds[j + 1]]]
+            if 1 << m.bit_count() > _BLOCK_POINTS:
+                for k in members.tolist():
+                    view = table.reshape(cube)[_subcube_index(self.n, int(fixed[k]), m)]
+                    yield np.array([k]), np.ascontiguousarray(view).reshape(1, -1)
+                continue
+            subsets = subcube_points(np.zeros(1, dtype=np.int64), masks[j:j + 1])[0]
+            step = _BLOCK_POINTS // subsets.size
+            for r in range(0, members.size, step):
+                k = members[r:r + step]
+                yield k, table[fixed[k][:, None] | subsets]
+
     def with_constants(self, values: np.ndarray) -> DecisionTree:
         """The tree with ``values`` at its oracle leaves, in preorder, as
         constants."""
@@ -176,7 +234,7 @@ class _Flat:
             replace(self, value=value, oracle=np.zeros_like(self.oracle), source=None, leaves=None)
         )
 
-    def root(self) -> TreeNode:
+    def nodes(self) -> TreeNode:
         """The nodes of the tree, assembled from the last node back."""
         leaves = reversed(self.leaf_objects())
         stack: list = []
@@ -189,18 +247,25 @@ class _Flat:
         return stack[0]
 
 
-def _preorder(n: int, leaf: np.ndarray, var: np.ndarray, depth: np.ndarray, roots: int = 1):
-    """The array form of trees given in level order, as `decompose._grow`
-    lists them: the roots first, and the children (lo, hi) of the j-th
-    internal node at positions roots + 2j and roots + 2j + 1.
+def from_levels(
+    n: int, leaf: np.ndarray, var: np.ndarray, depth: np.ndarray, value: np.ndarray, oracle: np.ndarray,
+    leaves: np.ndarray | None = None, sources: list = (None,),
+) -> list[DecisionTree]:
+    """The trees of dimension n given in level order, one per entry of
+    ``sources``, in their array form: the roots first, and the children
+    (lo, hi) of the j-th internal node at positions len(sources) + 2j and
+    len(sources) + 2j + 1, as `decompose._grow` lists them.
 
-    Returns the forest as one `_Flat`, trees one after another (its ``rank``
-    holds each tree's rank), each tree's node count, and the preorder
-    position of each leaf, taken in level order.  One pass per depth level
-    from the bottom gives subtree sizes and ranks; one from the top gives
-    positions and path masks.
+    Per node: whether it is a leaf, its coordinate and its depth, and at a
+    leaf its constant ``value``, whether it is an oracle leaf and, when
+    ``leaves`` (an object array) is given, its leaf object; entries at
+    internal nodes are not read.  An oracle leaf of tree k without an object
+    is sources[k] restricted to the leaf's subcube.  Tree k holds views of
+    one forest's arrays.  One pass per depth level from the bottom gives
+    subtree sizes and ranks; one from the top gives positions and path
+    masks.
     """
-    size = leaf.size
+    roots, size = len(sources), leaf.size
     inner = np.flatnonzero(~leaf)
     levels = int(depth[-1])
     # the internal nodes of depth d are inner[at[d]:at[d + 1]], and their
@@ -239,90 +304,45 @@ def _preorder(n: int, leaf: np.ndarray, var: np.ndarray, depth: np.ndarray, root
         fixed[lo] = fixed[up]
         fixed[hi] = fixed[lo] | node_bit
     bad = ~leaf & (~valid | (tested & bit != 0))
-    nodes = [np.empty_like(a) for a in (leaf, var, depth, count, piece, bad)]
-    for a, out in zip((leaf, var, depth, count, piece, bad), nodes):
-        out[pre] = a
-    leaf_p, var_p, depth_p, count_p, piece_p, bad_p = nodes
-    ends = np.flatnonzero(leaf)
-    position = (np.cumsum(leaf_p) - 1)[pre[ends]]
-    tested_l, fixed_l = np.empty(ends.size, dtype=np.int64), np.empty(ends.size, dtype=np.int64)
-    tested_l[position], fixed_l[position] = tested[ends], fixed[ends]
-    first = np.flatnonzero(bad_p)
-    forest = _Flat(
-        n, leaf_p, var_p, depth_p, count_p, piece_p, rank[:roots],
-        int(var_p[first[0]]) if first.size else None, tested_l, fixed_l,
-        np.zeros(ends.size), np.zeros(ends.size, dtype=bool),
-    )
-    return forest, count[:roots], position
-
-
-def _trees(n: int, mask: np.ndarray, split: np.ndarray, sources: list[ValueOracle]) -> list[DecisionTree]:
-    """The decompositions of the oracles ``sources`` that `decompose._grow`
-    grew, from its level arrays of fixed masks and split coordinates: tree k
-    holds views of one forest's arrays, and each of its leaves is sources[k]
-    restricted to the leaf's subcube."""
-    forest, nodes, _ = _preorder(n, split < 0, split, popcount(mask).astype(np.int64), len(sources))
-    forest.oracle[:] = True
-    node_at = np.concatenate([[0], np.cumsum(nodes)]).tolist()
-    leaf_at = np.concatenate([[0], np.cumsum((nodes + 1) // 2)]).tolist()
+    order = np.empty_like(pre)
+    order[pre] = np.arange(size)  # the node at each preorder position
+    leaf_p, var_p, depth_p, count_p, piece_p, bad_p = (a[order] for a in (leaf, var, depth, count, piece, bad))
+    ends = order[leaf_p]  # the leaves in preorder
+    tested_l, fixed_l, value_l, oracle_l = (a[ends] for a in (tested, fixed, value, oracle))
+    first = np.flatnonzero(bad_p).tolist()  # empty unless a tree was made by hand
+    node_at = np.concatenate([[0], np.cumsum(count[:roots])]).tolist()
+    leaf_at = np.concatenate([[0], np.cumsum((count[:roots] + 1) // 2)]).tolist()
     trees = []
     for k, source in enumerate(sources):
         a, b, la, lb = node_at[k], node_at[k + 1], leaf_at[k], leaf_at[k + 1]
         trees.append(DecisionTree.of(_Flat(
-            n, forest.leaf[a:b], forest.var[a:b], forest.depth[a:b], forest.count[a:b],
-            forest.piece[a:b], int(forest.rank[k]), None, forest.tested[la:lb], forest.fixed[la:lb],
-            forest.value[la:lb], forest.oracle[la:lb], source=source,
+            n, leaf_p[a:b], var_p[a:b], depth_p[a:b], count_p[a:b], piece_p[a:b], int(rank[k]),
+            next((int(var_p[i]) for i in first if a <= i < b), None) if first else None,
+            tested_l[la:lb], fixed_l[la:lb], value_l[la:lb], oracle_l[la:lb], source=source,
+            leaves=None if leaves is None else leaves[ends[la:lb]].tolist(),
         )))
     return trees
 
 
-def _flat(tree: DecisionTree) -> _Flat:
+def arrays(tree: DecisionTree) -> _Flat:
     """The array form of the tree: a tree of objects is walked once, level
-    by level, and its form kept on the tree."""
+    by level, into `from_levels`, and its form kept on the tree."""
     if tree._flat is None:
-        leaf, var, depth, leaves = [], [], [], []
-        level, d = [tree.root], 0
+        nodes, depth, level, d = [], [], [tree._root], 0
         while level:
-            below = []
-            for node in level:
-                if isinstance(node, Node):
-                    leaf.append(False)
-                    var.append(node.var)
-                    below += (node.lo, node.hi)
-                else:
-                    leaf.append(True)
-                    var.append(-1)
-                    leaves.append(node)
+            nodes += level
             depth += [d] * len(level)
-            level, d = below, d + 1
-        flat, _, position = _preorder(
-            tree.n, np.array(leaf), np.array(var, dtype=np.int64), np.array(depth, dtype=np.int64)
-        )
-        flat.rank = int(flat.rank[0])
-        flat.leaves = [None] * len(leaves)
-        for k, node in zip(position.tolist(), leaves):
-            flat.leaves[k] = node
-        flat.oracle = np.array([isinstance(lf, OracleLeaf) for lf in flat.leaves])
-        flat.value = np.array(
-            [lf.value if isinstance(lf, ConstLeaf) else 0.0 for lf in flat.leaves], dtype=float
-        )
-        tree._flat = flat
+            level, d = [c for node in level if isinstance(node, Node) for c in (node.lo, node.hi)], d + 1
+        leaf = [not isinstance(node, Node) for node in nodes]
+        objects = np.empty(len(nodes), dtype=object)
+        objects[:] = nodes
+        var = [-1 if is_leaf else node.var for is_leaf, node in zip(leaf, nodes)]
+        tree._flat = from_levels(
+            tree.n, np.array(leaf), np.array(var, dtype=np.int64), np.array(depth, dtype=np.int64),
+            np.array([node.value if isinstance(node, ConstLeaf) else 0.0 for node in nodes], dtype=float),
+            np.array([isinstance(node, OracleLeaf) for node in nodes]), objects,
+        )[0]._flat
     return tree._flat
-
-
-def evaluate(tree: DecisionTree, x: int) -> float:
-    if x < 0 or x >> tree.n:
-        raise ValueError(f"point {x} outside dimension {tree.n}")
-    node = tree.root
-    while isinstance(node, Node):
-        node = node.hi if (x >> node.var) & 1 else node.lo
-    if isinstance(node, ConstLeaf):
-        return node.value
-    local = 0
-    for k, g in enumerate(node.free):
-        if (x >> g) & 1:
-            local |= 1 << k
-    return node.oracle(local)
 
 
 def _leaf_subcubes(tree: DecisionTree) -> _Flat:
@@ -332,7 +352,7 @@ def _leaf_subcubes(tree: DecisionTree) -> _Flat:
     The subcubes partition the cube only when no path tests a coordinate
     twice or one outside the dimension; any other tree is rejected.
     """
-    flat = _flat(tree)
+    flat = arrays(tree)
     if flat.bad is not None:
         raise ValueError(
             f"coordinate {flat.bad} tested twice on a path or outside dimension {tree.n}"
@@ -341,35 +361,40 @@ def _leaf_subcubes(tree: DecisionTree) -> _Flat:
 
 
 def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
-    """Values of the tree at an int64 point array.
+    """Values of the tree at an int64 point array, in its shape.
 
-    One walk of the tree splits the positions of the points by each node's
-    bit, keeping them ascending.  The leaves are reached in preorder, lo
-    before hi, and each oracle leaf that some point reaches answers all of
-    its points in one eval_many.
+    The points descend the preorder arrays together, one depth level at a
+    time: a point at an internal node moves to the next node, its lo child,
+    or past the lo subtree to its hi child.  The points that reach a
+    decomposition's oracle leaves are answered by one eval_many of its
+    source; each other oracle leaf that some point reaches answers all of
+    its points, in ascending order, in one eval_many.  Either way a point
+    is charged one query, as its leaf's oracle charges it.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if np.any((xs < 0) | (xs >> tree.n != 0)):
         raise ValueError(f"points outside dimension {tree.n}")
-    out = np.empty(xs.shape)
-
-    def walk(node: TreeNode, at: np.ndarray) -> None:
-        if not at.size:
-            return  # no point reaches the subtree: no leaf of it is charged
-        if isinstance(node, Node):
-            hi = (xs[at] >> node.var) & 1 == 1
-            walk(node.lo, at[~hi])
-            walk(node.hi, at[hi])
-        elif isinstance(node, ConstLeaf):
-            out[at] = node.value
-        else:
-            points, local = xs[at], np.zeros(at.shape, dtype=np.int64)
-            for j, g in enumerate(node.free):
-                local |= ((points >> g) & 1) << j
-            out[at] = node.oracle.eval_many(local)
-
-    walk(tree.root, np.arange(xs.size))
-    return out
+    flat, points = arrays(tree), xs.reshape(-1)
+    node = np.zeros(points.size, dtype=np.int64)
+    going = np.flatnonzero(~flat.leaf[node])
+    while going.size:
+        at = node[going]
+        node[going] = at + 1 + (points[going] >> flat.var[at] & 1) * flat.count[at + 1]
+        going = going[~flat.leaf[node[going]]]
+    reached = (np.cumsum(flat.leaf) - 1)[node]  # the leaf of each point, in preorder
+    out = flat.value[reached]
+    asked = np.flatnonzero(flat.oracle[reached])
+    if asked.size and flat.source is not None:
+        out[asked] = flat.source.eval_many(points[asked])
+    elif asked.size:
+        asked = asked[np.argsort(reached[asked], kind="stable")]
+        objects = flat.leaf_objects()
+        for group in np.split(asked, np.flatnonzero(np.diff(reached[asked])) + 1):
+            leaf, local = objects[reached[group[0]]], np.zeros(group.size, dtype=np.int64)
+            for j, g in enumerate(leaf.free):
+                local |= (points[group] >> g & 1) << j
+            out[group] = leaf.oracle.eval_many(local)
+    return out.reshape(xs.shape)
 
 
 # leaves are written into a cube array in groups of about this many points,
@@ -384,48 +409,7 @@ _BLOCK_POINTS = 1 << 16
 # stack of tables of at most this many points: the per-tree cost of the
 # array passes is spread over the batch, while each of the stack's
 # temporaries (leaf points, leaf tables, differences) stays near 128 KB.
-_STACK_POINTS = 1 << 14
-
-
-def _leaf_blocks(flat: _Flat, read: np.ndarray):
-    """The tables of the oracle leaves marked in ``read``, as pairs (k, b):
-    row r of the 2-D block b is the table of oracle leaf k[r] (in preorder).
-    Each leaf is read and charged as its oracle reads and charges it:
-    ``table()``, or one query ``g(0)`` on a 0-dimensional leaf.
-
-    A decomposition grown within the enumeration cap cached its source's
-    table.  Its leaves of one free mask read that table where they lie, at
-    their fixed bits OR the ascending subsets of the mask, at most
-    _BLOCK_POINTS points per block, and a larger leaf through its subcube
-    view; as a restriction of a cached table charges nothing for its own,
-    only g(0) charges.  Other leaves are read from their objects, one per
-    block.
-    """
-    at = np.flatnonzero(read)
-    if flat.source is None or not flat.source.cached:
-        oracles = [lf.oracle for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
-        tables = [oracles[k].table() if oracles[k].n else np.array([oracles[k](0)]) for k in at.tolist()]
-        yield from ((at[i:i + 1], t[None]) for i, t in enumerate(tables))
-        return
-    free = flat.free()[at]  # every leaf of a decomposition is an oracle leaf
-    flat.source.charge(int(np.count_nonzero(free == 0)))
-    table, cube = flat.source.table(), (-1,) + (2,) * flat.n
-    # with return_inverse, np.unique does not import numpy.ma (13 ms)
-    masks, mask_of = np.unique(free, return_inverse=True)
-    order = np.argsort(mask_of, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(mask_of))]).tolist()
-    for j, m in enumerate(masks.tolist()):
-        members = at[order[bounds[j]:bounds[j + 1]]]
-        if 1 << m.bit_count() > _BLOCK_POINTS:
-            for k in members.tolist():
-                view = table.reshape(cube)[_subcube_index(flat.n, int(flat.fixed[k]), m)]
-                yield np.array([k]), np.ascontiguousarray(view).reshape(1, -1)
-            continue
-        subsets = subcube_points(np.zeros(1, dtype=np.int64), masks[j:j + 1])[0]
-        step = _BLOCK_POINTS // subsets.size
-        for r in range(0, members.size, step):
-            k = members[r:r + step]
-            yield k, table[flat.fixed[k][:, None] | subsets]
+STACK_POINTS = 1 << 14
 
 
 def _subcube_index(n: int, fixed: int, free: int) -> tuple:
@@ -443,12 +427,12 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
     tree k at x.
 
     The array form of each tree gives each leaf's subcube.  When every tree
-    is a decomposition, its leaves read the stack of the sources' tables
-    where they lie, and each source is charged its 2^n points.  Otherwise
-    the points of an oracle leaf, taken in ascending order, are its local
-    points in order, so its whole table fills them in one scatter; each
-    oracle leaf is charged its 2^k points, as `funcs.full_tables` charges
-    them.  A leaf of more than _LEAF_GROUP points fills the view of its
+    is a whole decomposition, its leaves read the stack of the sources'
+    tables where they lie, and each source is charged its 2^n points.
+    Otherwise the points of an oracle leaf, taken in ascending order, are
+    its local points in order, so its whole table (`_Flat.oracle_tables`)
+    fills them in one scatter; each oracle leaf is charged its 2^k points,
+    as `funcs.full_tables` charges them.  A leaf of more than _LEAF_GROUP points fills the view of its
     subcube (`_subcube_index`) in the cube-shaped stack.
     """
     n = trees[0].n
@@ -461,15 +445,12 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
         for parts in zip(*((f.tested, f.fixed | k << n, f.oracle, f.value) for k, f in enumerate(flats)))
     )
     stack = None
-    if all(flat.source is not None for flat in flats):
+    if oracle.all() and all(flat.source is not None for flat in flats):
         # a decomposition's leaves cover its cube: the charge is 2^n
         tables = full_tables([flat.source for flat in flats])
         stack = tables[0] if len(tables) == 1 else np.concatenate(tables)
     else:
-        tables = full_tables([
-            lf.oracle for flat in flats if flat.oracle.any()
-            for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)
-        ])
+        tables = [t for flat in flats if flat.oracle.any() for t in flat.oracle_tables()]
         if len(tables) > 1:
             tables = [np.concatenate(tables)]
     free = tested ^ ((1 << n) - 1)
@@ -562,33 +543,38 @@ def to_oracle(tree: DecisionTree) -> ValueOracle:
 def rank(tree: DecisionTree) -> int:
     """Ehrenfeucht-Haussler rank: 0 on leaves; children's max when the child
     ranks differ, else child rank + 1."""
-    return int(_flat(tree).rank)
+    return int(arrays(tree).rank)
 
 
 def tree_size(tree: DecisionTree) -> int:
     """Number of leaves."""
-    return int(_flat(tree).oracle.size)
+    return int(arrays(tree).oracle.size)
 
 
 def tree_depth(tree: DecisionTree) -> int:
     """Depth of the deepest leaf."""
-    return int(_flat(tree).depth.max())
+    return int(arrays(tree).depth.max())
 
 
 def truncate(tree: DecisionTree, d: int) -> DecisionTree:
     """Replace every internal node at depth d by the constant leaf 0, the
-    form the disagreement bound is stated for."""
+    form the disagreement bound is stated for.  The nodes of depth at most
+    d, sorted by depth with ties kept in preorder, are the truncated tree in
+    level order (`from_levels`); a decomposition's truncation keeps its
+    source."""
     if not isinstance(d, (int, np.integer)) or d < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {d!r}")
-
-    def cut(node: TreeNode, remaining: int) -> TreeNode:
-        if not isinstance(node, Node):
-            return node
-        if remaining == 0:
-            return ConstLeaf(0.0)
-        return Node(node.var, cut(node.lo, remaining - 1), cut(node.hi, remaining - 1))
-
-    return DecisionTree(tree.n, cut(tree.root, d))
+    flat = arrays(tree)
+    kept = np.flatnonzero(flat.depth <= d)
+    kept = kept[np.argsort(flat.depth[kept], kind="stable")]
+    leaf = flat.leaf[kept] | (flat.depth[kept] == d)
+    # each node's leaf in preorder; -1, a constant-0 leaf, at a cut node
+    number = np.where(flat.leaf, np.cumsum(flat.leaf) - 1, -1)[kept]
+    leaves = None if flat.leaves is None else np.array([*flat.leaves, ConstLeaf(0.0)], dtype=object)[number]
+    return from_levels(
+        tree.n, leaf, np.where(leaf, -1, flat.var[kept]), flat.depth[kept], np.append(flat.value, 0.0)[number],
+        np.append(flat.oracle, False)[number], leaves, [flat.source],
+    )[0]
 
 
 def pruning_bound(r: int, alpha: float, d: int) -> float:
@@ -610,7 +596,7 @@ class NonConstantLeaf(ValueError):
 
 def _constant_leaves(tree: DecisionTree) -> _Flat:
     """The array form of a tree whose leaves are all constants."""
-    flat = _flat(tree)
+    flat = arrays(tree)
     if flat.oracle.any():
         raise NonConstantLeaf("tree has oracle-valued leaves; constantize first")
     return flat
@@ -656,12 +642,12 @@ def exact_distances(
 ) -> list[float]:
     """`exact_distance` (uniform weights) of each oracle and the tree at its
     position, all of one dimension, bit for bit: the trees' tables are
-    filled by stacks of _STACK_POINTS points, one pass over the leaves of
+    filled by stacks of STACK_POINTS points, one pass over the leaves of
     all the trees of a stack."""
     n = fs[0].n
     if any(g.n != n for g in fs) or len(trees) != len(fs):
         raise ValueError("exact_distances needs one tree per oracle, all of one dimension")
-    step = max(1, _STACK_POINTS >> n)
+    step = max(1, STACK_POINTS >> n)
     distances = []
     for k in range(0, len(fs), step):
         tg = _cube_values(trees[k:k + step], "tree table")[0]
@@ -719,18 +705,20 @@ def random_tree(
     if max_depth is None:
         max_depth = n
 
-    def grow(available: list[int], depth: int, force_split: bool) -> TreeNode:
-        stop = not available or depth >= max_depth
-        if not stop and not force_split:
-            stop = rng.random() < leaf_prob
-        if stop:
-            return ConstLeaf(float(rng.uniform(0.0, 1.0)))
+    # drawn depth first, lo before hi: the nodes come in preorder
+    nodes, todo = [], [(list(range(n)), 0, n > 0)]
+    while todo:
+        available, d, force_split = todo.pop()
+        if not available or d >= max_depth or not force_split and rng.random() < leaf_prob:
+            nodes.append((-1, d, float(rng.uniform(0.0, 1.0))))
+            continue
         k = int(rng.integers(len(available)))
-        var = available[k]
-        rest = available[:k] + available[k + 1:]
-        return Node(var, grow(rest, depth + 1, False), grow(rest, depth + 1, False))
-
-    return DecisionTree(n, grow(list(range(n)), 0, n > 0))
+        nodes.append((available[k], d, 0.0))
+        todo += [(available[:k] + available[k + 1:], d + 1, False)] * 2
+    var, depth, value = (np.array(a) for a in zip(*nodes))
+    level = np.argsort(depth, kind="stable")
+    var = var[level]
+    return from_levels(n, var < 0, var, depth[level], value[level], np.zeros(var.size, dtype=bool))[0]
 
 
 # --- serialization -----------------------------------------------------------

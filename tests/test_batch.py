@@ -50,7 +50,7 @@ def assert_same_batch(make_fs, alpha, check, certify=True, group=None):
     with the batch cut at ``group`` stacked points when given."""
     fs, refs = make_fs(), make_fs()
     want = one_at_a_time(refs, alpha, check, certify)
-    with mock.patch.object(dtree, "_STACK_POINTS", group or dtree._STACK_POINTS):
+    with mock.patch.object(dtree, "STACK_POINTS", group or dtree.STACK_POINTS):
         if isinstance(want, NotSubmodular):
             with pytest.raises(NotSubmodular) as got:
                 build_lipschitz_trees(fs, alpha, check=check, certify=certify)

@@ -15,7 +15,7 @@ from submodtree.dtree import (
     Node,
     NonConstantLeaf,
     OracleLeaf,
-    evaluate,
+    evaluate_many,
     exact_distance,
     leaf_profile,
     pruning_bound,
@@ -57,19 +57,19 @@ def caterpillar(depth: int) -> DecisionTree:
 
 
 def test_evaluate_examples():
-    assert evaluate(DecisionTree(3, ConstLeaf(0.7)), 0b101) == 0.7
+    assert evaluate_many(DecisionTree(3, ConstLeaf(0.7)), [0b101])[0] == 0.7
     dictator = DecisionTree(2, Node(0, ConstLeaf(0.0), ConstLeaf(1.0)))
-    assert evaluate(dictator, 0b01) == 1.0  # x_1 = 1
-    assert evaluate(dictator, 0b10) == 0.0
+    assert evaluate_many(dictator, [0b01])[0] == 1.0  # x_1 = 1
+    assert evaluate_many(dictator, [0b10])[0] == 0.0
 
 
 def test_evaluate_oracle_leaf():
     inner = ValueOracle.from_table([0.0, 1.0, 1.0, 1.0])
     tree = DecisionTree(3, Node(1, ConstLeaf(0.0), OracleLeaf(inner, (0, 2))))
     # x_2 = 1 routes to the oracle over (x_1, x_3)
-    assert evaluate(tree, 0b010) == 0.0
-    assert evaluate(tree, 0b011) == 1.0
-    assert evaluate(tree, 0b110) == 1.0
+    assert evaluate_many(tree, [0b010])[0] == 0.0
+    assert evaluate_many(tree, [0b011])[0] == 1.0
+    assert evaluate_many(tree, [0b110])[0] == 1.0
 
 
 def test_rank_examples():
@@ -119,12 +119,12 @@ def test_dimensions_outside_the_int64_packing_are_rejected():
         with pytest.raises(DimensionTooLarge, match=f"got n={n}$"):
             DecisionTree(n, Node(n - 1, ConstLeaf(0.0), ConstLeaf(1.0)))
         with pytest.raises(DimensionTooLarge):
-            DecisionTree.of(replace(dtree._flat(DecisionTree(1, ConstLeaf(0.0))), n=n))
+            DecisionTree.of(replace(dtree.arrays(DecisionTree(1, ConstLeaf(0.0))), n=n))
         with pytest.raises(DimensionTooLarge):
             random_tree(n, 0)
     assert rank(DecisionTree(0, ConstLeaf(1.0))) == 0
     wide = DecisionTree(62, Node(61, ConstLeaf(0.0), ConstLeaf(1.0)))
-    assert dtree._flat(wide).tested.tolist() == [1 << 61] * 2
+    assert dtree.arrays(wide).tested.tolist() == [1 << 61] * 2
     assert tree_size(random_tree(62, 0, max_depth=3)) >= 1
 
 

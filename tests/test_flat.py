@@ -189,7 +189,7 @@ def ref_certify(trees, alpha, fs, partition, submodular):
 def ref_decompose(fs, alpha):
     """The parent's batched build: check, grow, objects, certificates, ranks."""
     n = fs[0].n
-    step = max(1, dtree._STACK_POINTS >> n)
+    step = max(1, dtree.STACK_POINTS >> n)
     out = []
     for k in range(0, len(fs), step):
         batch = fs[k:k + step]
@@ -247,7 +247,7 @@ def test_random_trees_read_as_the_walkers_read_them(n, seed, leaf_prob, values, 
     assert tree_text(tree) == ref_json(tree)
     assert bits(dtree.tree_table(tree)) == bits(ref_table(tree))
     # the same tree made from its array form builds equal nodes on demand
-    again = DecisionTree.of(dtree._flat(tree))
+    again = DecisionTree.of(dtree.arrays(tree))
     assert tree_text(again) == ref_json(tree)
     assert ref_json(again) == ref_json(tree)
 
@@ -293,7 +293,7 @@ def assert_same_decompositions(specs, alpha):
             assert bits(lf.oracle.table()) == bits(ref_lf.oracle.table())
         means, ref_means_ = constantize_leaves(report), ref_constantize(ref_tree)
         assert f.query_count == f_ref.query_count
-        assert bits(dtree._flat(means).value) == bits([lf.value for lf in leaves_of(ref_means_)])
+        assert bits(dtree.arrays(means).value) == bits([lf.value for lf in leaves_of(ref_means_)])
         assert tree_text(means) == ref_json(ref_means_)
 
 
@@ -342,7 +342,7 @@ def test_a_grown_tree_holds_no_copy_of_the_table():
     # at n = 16 holds its nodes and masks, not 2^16 values of 8 bytes
     f = instantiate(generate_random("coverage", 16, 1))
     report = build_lipschitz_trees([f], 0.1)[0]
-    flat = dtree._flat(report.tree)
+    flat = dtree.arrays(report.tree)
     assert flat.oracle.size == 470 and flat.leaves is None
     held = sum(a.nbytes for a in vars(flat).values() if isinstance(a, np.ndarray))
     assert held < 8 * (1 << 16) // 8

@@ -101,6 +101,22 @@ def ref_build(f, alpha, phases):
     return DecisionTree(f.n, ref_grow_monotone(f, alpha, {}, leaf))
 
 
+def ref_evaluate(tree, x):
+    """The tree's value at one point, down its nodes."""
+    if x < 0 or x >> tree.n:
+        raise ValueError(f"point {x} outside dimension {tree.n}")
+    node = tree.root
+    while isinstance(node, Node):
+        node = node.hi if (x >> node.var) & 1 else node.lo
+    if isinstance(node, ConstLeaf):
+        return node.value
+    local = 0
+    for k, g in enumerate(node.free):
+        if (x >> g) & 1:
+            local |= 1 << k
+    return node.oracle(local)
+
+
 def ref_map_leaves(node, fn):
     if isinstance(node, OracleLeaf):
         return fn(node)
@@ -333,7 +349,7 @@ def test_grouped_means_equal_per_table_np_mean(seed):
         else:
             tables.append(rng.uniform(-1.0, 1.0, size=s) * 10.0 ** rng.integers(-3, 4))
     want = [float(t[0]) if np.all(t == t[0]) else float(np.mean(t)) for t in tables]
-    # blocks as `dtree._leaf_blocks` gives them: the tables of one size as rows
+    # blocks as `_Flat.leaf_blocks` gives them: the tables of one size as rows
     rows = [np.flatnonzero(sizes == s) for s in np.unique(sizes).tolist()]
     blocks = [(k, np.stack([tables[i] for i in k.tolist()])) for k in rows]
     assert bits(_means(blocks, len(tables))) == bits(want)
@@ -462,8 +478,9 @@ def test_tree_table_of_a_decomposition_is_the_input_table(inp, alpha):
     seed=st.integers(min_value=0, max_value=10_000),
     kind=st.sampled_from(TREE_KINDS),
     cap=st.sampled_from([None, 2]),
+    shape=st.sampled_from([(50,), (5, 10)]),
 )
-def test_evaluate_many_matches_per_point_evaluate(n, seed, kind, cap):
+def test_evaluate_many_matches_per_point_evaluate(n, seed, kind, cap, shape):
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             mp.setenv("SUBMODTREE_ENUM_CAP", str(cap))
@@ -472,10 +489,10 @@ def test_evaluate_many_matches_per_point_evaluate(n, seed, kind, cap):
         if n == 0:
             f, f_ref = table_oracles(0, seed)
         tree, ref_tree = make_tree(kind, n, seed, f), make_tree(kind, n, seed, f_ref)
-        xs = np.random.default_rng(seed).integers(0, 1 << n, size=50, dtype=np.int64)
+        xs = np.random.default_rng(seed).integers(0, 1 << n, size=shape, dtype=np.int64)
         got = dtree.evaluate_many(tree, xs)
-        want = [dtree.evaluate(ref_tree, int(x)) for x in xs]
-        assert bits(got) == bits(want)
+        want = [ref_evaluate(ref_tree, int(x)) for x in xs.reshape(-1)]
+        assert got.shape == xs.shape and bits(got) == bits(want)
         assert f.query_count == f_ref.query_count
 
 
@@ -493,7 +510,7 @@ def test_proper_learn_above_the_cap_matches_per_point_evaluation(monkeypatch, se
     monkeypatch.setenv("SUBMODTREE_ENUM_CAP", "6")
     f, f_ref = instantiate(spec), instantiate(spec)
     got = proper_learn_discrete(f, k, [0, 1, 2, 3], seed=seed)
-    per_point = lambda tree, xs: np.array([dtree.evaluate(tree, int(x)) for x in xs])  # noqa: E731
+    per_point = lambda tree, xs: np.array([ref_evaluate(tree, int(x)) for x in xs])  # noqa: E731
     monkeypatch.setattr(decompose, "evaluate_many", per_point)
     want = proper_learn_discrete(f_ref, k, [0, 1, 2, 3], seed=seed)
     assert got.disagreement == want.disagreement and got.submodular is None

@@ -16,11 +16,6 @@ import submodtree
 PACKAGE = Path(submodtree.__file__).parent
 
 SHARED = {
-    "cli -> dtree._STACK_POINTS": "the corpus suites stack as many tables as a tree batch",
-    "decompose -> dtree._STACK_POINTS": "batches hold as many points as a stacked tree table",
-    "decompose -> dtree._flat": "certification and leaf means read a tree's masks",
-    "decompose -> dtree._trees": "growth's level-order arrays become trees in one call",
-    "decompose -> dtree._leaf_blocks": "leaf means read the leaves where dtree keeps them",
     "fourier -> funcs._pair_rows": "the pairwise weights read pair rows as the checkers do",
     "fourier -> funcs._mixed_difference_row": "the derivative identity reads one pair's row",
 }

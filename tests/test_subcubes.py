@@ -228,7 +228,7 @@ def test_decomposition_leaves_above_the_group_size_read_their_subcube_views(fami
     assert bits(values) == bits(ref_values)
     assert np.array_equal(depths, ref_depths)
     ref_means = decompose.constantize_leaves(ref_report)
-    assert bits(dtree._flat(means).value) == bits(dtree._flat(ref_means).value)
+    assert bits(dtree.arrays(means).value) == bits(dtree.arrays(ref_means).value)
     assert f.query_count == f_ref.query_count
 
 

@@ -18,7 +18,6 @@ ROOT = PACKAGE.parents[1]
 
 KEEP = {
     "error": "argparse calls _Parser.error on a usage error",
-    "evaluate": "the per-point reference that the evaluate_many tests compare against",
     "approximate_by_tree": "states the rank-4/eps^2 approximation that the acceptance tests check",
     "proper_learn_discrete": "states the proper learner for grid-valued functions",
     "to_spectrum": "states that a depth-d tree has Fourier degree at most d",
