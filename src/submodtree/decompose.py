@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dtree, funcs
-from .cube import enum_cap, popcount, subcube_points
+from .cube import enum_cap, popcount
 from .dtree import (
     DecisionTree,
     OracleLeaf,
@@ -269,51 +269,31 @@ _CERTIFICATES[:] = [
 
 
 def _certify(
-    trees: list[DecisionTree], alpha: float, fs: list[ValueOracle], submodular: bool = False
+    trees: list[DecisionTree], alpha: float, submodular: bool = False
 ) -> list[list[LeafCertificate]]:
     """Certificates of the leaves of decompositions of oracles of one
-    dimension n, tree by tree, each with its leaves in preorder.
+    dimension, tree by tree, each with its leaves in preorder.
 
-    Within the enumeration cap the trees' masks give the int32 leaf of every
-    point of the stack of fs's tables (`funcs.stacked_table`), leaves
-    numbered in preorder, tree after tree, and one strided pass over the
-    stack checks every leaf at once; ``submodular`` says that
-    `funcs.is_submodular` passed on every table, so that the pass skips the
-    mixed differences and every leaf is submodular.  Beyond the cap each
-    leaf within it is checked on its own table, as a one-leaf tree, and a
-    larger leaf gets None.  Constant leaves pass.
+    Each oracle leaf within the enumeration cap is checked on its own table:
+    `dtree.leaf_blocks` reads the leaves of all the trees, those of one
+    dimension as one stack of tables, and one `funcs.leaf_violations` per
+    block checks them.  ``submodular`` says that `funcs.is_submodular`
+    passed on every tree's source, so that every leaf, a restriction of
+    one, is submodular and the pair pass is skipped.  A larger leaf gets
+    None; constant leaves pass.
     """
     flats = [dtree.arrays(tree) for tree in trees]
     oracle = np.concatenate([flat.oracle for flat in flats])
-    n = fs[0].n
-    if n <= enum_cap():
-        owner = np.repeat(np.arange(len(flats), dtype=np.int64), [flat.oracle.size for flat in flats])
-        free = np.concatenate([flat.tested for flat in flats]) ^ ((1 << n) - 1)
-        points, sizes = subcube_points(np.concatenate([flat.fixed for flat in flats]) | owner << n, free)
-        table = funcs.stacked_table(fs)
-        leaf_of = np.empty(table.size, dtype=np.int32)
-        leaf_of[points] = np.repeat(np.arange(free.size, dtype=np.int32), sizes)
-        del points  # 2^n int64 values, not needed by the pass
-        mono, lip, sub = funcs.leaf_violations(table, n, leaf_of, free, alpha, submodular)
-        outcome = 7 - (4 * mono + 2 * lip + sub)
-    else:
-        flags = [
-            _leaf_ok(lf.oracle, alpha) if is_oracle else (True,) * 3
-            for flat in flats for lf, is_oracle in zip(flat.leaf_objects(), flat.oracle.tolist())
-        ]
-        outcome = np.array([8 if a is None else 4 * a + 2 * b + c for a, b, c in flags])
-    certificates = _CERTIFICATES[np.where(oracle, outcome, 7)].tolist()
+    dims = trees[0].n - popcount(np.concatenate([flat.tested for flat in flats])[oracle])
+    outcome = np.where(dims <= enum_cap(), 7, 8)
+    for rows, block in dtree.leaf_blocks(trees, outcome == 7):
+        mono, lip, sub = funcs.leaf_violations(block, block.shape[1].bit_length() - 1, alpha, submodular)
+        outcome[rows] = 7 - (4 * mono + 2 * lip + sub)
+    leaves = np.full(oracle.size, 7)
+    leaves[oracle] = outcome
+    certificates = _CERTIFICATES[leaves].tolist()
     counts = np.cumsum([flat.oracle.size for flat in flats]).tolist()
     return [certificates[a:b] for a, b in zip([0, *counts], counts)]
-
-
-def _leaf_ok(g: ValueOracle, alpha: float) -> tuple:
-    """The three certificate flags of a leaf oracle checked on its own table."""
-    if g.n > enum_cap():
-        return (None, None, None)
-    whole = np.array([(1 << g.n) - 1])
-    failed = funcs.leaf_violations(g.table(), g.n, np.zeros(1 << g.n, dtype=np.int32), whole, alpha)
-    return tuple(not bad[0] for bad in failed)
 
 
 def _decompose(fs: list[ValueOracle], alpha: float, phases: int, check: bool, certify: bool):
@@ -336,7 +316,7 @@ def _decompose(fs: list[ValueOracle], alpha: float, phases: int, check: bool, ce
     for k in range(0, len(fs), step):
         batch = fs[k:k + step]
         trees, submodular = _build(batch, alpha, phases, check)
-        certificates = _certify(trees, alpha, batch, submodular) if certify else [[] for _ in trees]
+        certificates = _certify(trees, alpha, submodular) if certify else [[] for _ in trees]
         reports += [
             DecompositionReport(
                 tree=tree,
@@ -406,10 +386,9 @@ def constantize_leaves(
     represented function.
     """
     flat = dtree.arrays(report.tree)
-    cap = enum_cap()
-    sizes = np.int64(1) << popcount(flat.free()[flat.oracle]).astype(np.int64)
-    exact = sizes <= 1 << cap
-    means = _means(flat.leaf_blocks(exact), sizes.size)
+    dims = popcount(flat.free()[flat.oracle])
+    exact = dims <= enum_cap()
+    means = _means(dtree.leaf_blocks([report.tree], exact, point_queries=True), dims.size)
     if not exact.all():
         m = mc_samples if mc_samples is not None else default_mean_samples(report.alpha)
         oracle = [lf for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
@@ -420,7 +399,7 @@ def constantize_leaves(
 
 def _means(blocks, count: int) -> np.ndarray:
     """np.mean of each of ``count`` tables, bit for bit, from ``blocks`` of
-    them (`_Flat.leaf_blocks`), as one mean(axis=1) per block; a constant
+    them (`dtree.leaf_blocks`), as one mean(axis=1) per block; a constant
     table keeps its value exactly; a table in no block is left unset."""
     means = np.empty(count)
     for rows, block in blocks:
@@ -472,7 +451,7 @@ def build_exact_discrete_tree(
     report = build_lipschitz_tree(f, alpha, check=check, certify=certify)
     flat = dtree.arrays(report.tree)
     values = np.empty(np.count_nonzero(flat.oracle))
-    for rows, block in flat.leaf_blocks(np.ones(values.size, dtype=bool)):
+    for rows, block in dtree.leaf_blocks([report.tree], np.ones(values.size, dtype=bool), point_queries=True):
         if np.any(block.max(axis=1) - block.min(axis=1) > TOL):
             raise NonDiscreteRange("leaf is not constant; range is not 1/k-discrete")
         values[rows] = block[:, 0]

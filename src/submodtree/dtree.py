@@ -183,48 +183,6 @@ class _Flat:
             return [self.source.table()[points]]
         return full_tables([lf.oracle for lf in self.leaf_objects() if isinstance(lf, OracleLeaf)])
 
-    def leaf_blocks(self, read: np.ndarray):
-        """The tables of the oracle leaves marked in ``read`` (one flag per
-        oracle leaf, in preorder), as pairs (k, b): row r of the 2-D block b
-        is the table of oracle leaf k[r].  Each leaf is read and charged as
-        its oracle reads and charges it: ``table()``, or one query ``g(0)``
-        on a 0-dimensional leaf.
-
-        A decomposition grown within the enumeration cap cached its source's
-        table.  Its leaves of one free mask read that table where they lie,
-        at their fixed bits OR the ascending subsets of the mask, at most
-        _BLOCK_POINTS points per block, and a larger leaf through its subcube
-        view; as a restriction of a cached table charges nothing for its
-        own, only g(0) charges.  Other leaves are read from their objects,
-        one per block.
-        """
-        at = np.flatnonzero(read)
-        if self.source is None or not self.source.cached:
-            oracles = [lf.oracle for lf in self.leaf_objects() if isinstance(lf, OracleLeaf)]
-            tables = [oracles[k].table() if oracles[k].n else np.array([oracles[k](0)]) for k in at.tolist()]
-            yield from ((at[i:i + 1], t[None]) for i, t in enumerate(tables))
-            return
-        fixed = self.fixed[self.oracle]
-        free = self.free()[self.oracle][at]
-        self.source.charge(int(np.count_nonzero(free == 0)))
-        table, cube = self.source.table(), (-1,) + (2,) * self.n
-        # with return_inverse, np.unique does not import numpy.ma (13 ms)
-        masks, mask_of = np.unique(free, return_inverse=True)
-        order = np.argsort(mask_of, kind="stable")
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(mask_of))]).tolist()
-        for j, m in enumerate(masks.tolist()):
-            members = at[order[bounds[j]:bounds[j + 1]]]
-            if 1 << m.bit_count() > _BLOCK_POINTS:
-                for k in members.tolist():
-                    view = table.reshape(cube)[_subcube_index(self.n, int(fixed[k]), m)]
-                    yield np.array([k]), np.ascontiguousarray(view).reshape(1, -1)
-                continue
-            subsets = subcube_points(np.zeros(1, dtype=np.int64), masks[j:j + 1])[0]
-            step = _BLOCK_POINTS // subsets.size
-            for r in range(0, members.size, step):
-                k = members[r:r + step]
-                yield k, table[fixed[k][:, None] | subsets]
-
     def with_constants(self, values: np.ndarray) -> DecisionTree:
         """The tree with ``values`` at its oracle leaves, in preorder, as
         constants."""
@@ -418,6 +376,62 @@ def _subcube_index(n: int, fixed: int, free: int) -> tuple:
     then an int at each fixed axis and a slice at each free one (axis 1 is
     coordinate n-1), so that none of its points is listed."""
     return (fixed >> n,) + tuple(slice(None) if free >> c & 1 else fixed >> c & 1 for c in reversed(range(n)))
+
+
+def leaf_blocks(trees: list[DecisionTree], read: np.ndarray, point_queries: bool = False):
+    """The tables of the oracle leaves marked in ``read`` of trees of one
+    dimension n (one flag per oracle leaf, in preorder, tree after tree), as
+    pairs (k, b): row r of the 2-D block b is the table of oracle leaf k[r],
+    and the leaves of a block share one dimension.  Each leaf is read and
+    charged as its oracle's ``table()`` reads and charges it; with
+    ``point_queries``, a 0-dimensional leaf is read as its one query g(0),
+    which charges one query even where ``table()`` charges none.
+
+    When every tree is a decomposition whose source's table is cached, as
+    within the enumeration cap, the leaves read the stack of those tables
+    (`funcs.stacked_table`) where they lie, and a restriction of a cached
+    table charges nothing.  The leaves of one dimension k are read in blocks
+    of at most _BLOCK_POINTS points, each at its fixed bits OR the ascending
+    subsets of its free mask (`cube.subcube_points`, once per distinct mask
+    of the block), which are its local points in order; a larger leaf is
+    read through its subcube view (`_subcube_index`).  Other leaves are read
+    from their objects, one per block.
+    """
+    flats = [arrays(tree) for tree in trees]
+    at = np.flatnonzero(read)
+    if not all(flat.source is not None and flat.source.cached for flat in flats):
+        oracles = [lf.oracle for flat in flats for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
+        for k in at.tolist():
+            g = oracles[k]
+            yield np.array([k]), (np.array([g(0)]) if point_queries and not g.n else g.table())[None]
+        return
+    n = flats[0].n
+    tested, fixed, oracle = (np.concatenate(a) for a in zip(*((f.tested, f.fixed, f.oracle) for f in flats)))
+    owner = np.repeat(np.arange(len(flats), dtype=np.int64), [flat.oracle.size for flat in flats])
+    fixed = (fixed | owner << n)[oracle]
+    free = tested[oracle] ^ ((1 << n) - 1)
+    stack, cube = stacked_table([flat.source for flat in flats]), (-1,) + (2,) * n
+    dims = popcount(free[at])
+    if point_queries:
+        queries = np.bincount(fixed[at[dims == 0]] >> n, minlength=len(flats))
+        for flat, k in zip(flats, queries.tolist()):
+            flat.source.charge(k)
+    order = np.argsort(dims, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(dims))]).tolist()
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        members = at[order[a:b]]
+        if 1 << k > _BLOCK_POINTS:
+            for j in members.tolist():
+                view = stack.reshape(cube)[_subcube_index(n, int(fixed[j]), int(free[j]))]
+                yield np.array([j]), np.ascontiguousarray(view).reshape(1, -1)
+            continue
+        step = _BLOCK_POINTS >> k
+        for r in range(0, members.size, step):
+            rows = members[r:r + step]
+            # with return_inverse, np.unique does not import numpy.ma (13 ms)
+            masks, mask_of = np.unique(free[rows], return_inverse=True)
+            subsets = subcube_points(np.zeros(masks.size, dtype=np.int64), masks)[0].reshape(masks.size, -1)
+            yield rows, stack[subsets[mask_of] | fixed[rows, None]]
 
 
 def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> tuple:

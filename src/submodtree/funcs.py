@@ -300,7 +300,9 @@ def second_derivative(f: ValueOracle, i: int, j: int, x: int) -> float:
 #
 # A stack of tables (`stacked_table`) is read through the same views: its
 # rows over the low n coordinates pair each point only with points of its
-# own table, so no difference crosses from one table into the next.
+# own table, so no difference crosses from one table into the next.  Leaf
+# certification checks the leaves of one dimension as such a stack of their
+# own tables (`leaf_violations`).
 _GATHER_BUDGET = 1 << 16
 
 
@@ -523,57 +525,41 @@ def stacked_submodular(t: np.ndarray, n: int, tol: float = TOL) -> np.ndarray:
 
 
 def leaf_violations(
-    t: np.ndarray,
-    n: int,
-    leaf_of: np.ndarray,
-    free: np.ndarray,
-    alpha: float,
-    known_submodular: bool = False,
+    t: np.ndarray, n: int, alpha: float, known_submodular: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leaves of decompositions that fail the alpha-monotone, alpha-Lipschitz
-    and submodular checks, all found in one pass over the parent table t, or
-    over a stack of 2^n-point parent tables (`stacked_table`).
+    """Per table of a stack of 2^n-point tables, such as the leaf tables of
+    decompositions (`dtree.leaf_blocks`), whether it fails the
+    alpha-monotone, alpha-Lipschitz and submodular checks:
+    `is_alpha_monotone_decreasing`, `lipschitz_constant` <= alpha + TOL and
+    `is_submodular`, as three bool arrays.  A NaN difference fails none of
+    them; a table fails the submodular check when some mixed difference is
+    above TOL, even in a row that holds a NaN.
 
-    ``leaf_of`` holds the leaf of every point and ``free`` the mask of each
-    leaf's free coordinates.  A difference along i < n belongs to the leaf of
-    its x_i = 0 point exactly when i is free there (a pair difference when
-    both coordinates are), and then it equals the leaf's own difference bit
-    for bit.  Each returned bool array marks the leaves on whose restriction
-    the corresponding check fails: `is_alpha_monotone_decreasing`,
-    `lipschitz_constant` <= alpha + TOL, `is_submodular`.
-
-    ``known_submodular`` says that `is_submodular` passed on every table at
-    TOL: it computed the same mixed differences, so none exceeds TOL, no
-    leaf can fail, and the pair pass is skipped.
+    ``known_submodular`` says that `is_submodular` passed at TOL on tables
+    of which these are restrictions: it computed the same mixed
+    differences, so none exceeds TOL, no table can fail, and the pair pass
+    is skipped.
     """
-    mono, lip, sub = np.zeros((3, len(free)), dtype=bool)
+    rows = t.size >> n
+    mono, lip, sub = np.zeros((3, rows), dtype=bool)
     bound = alpha + TOL
-
-    def owned(hits, *c):
-        """The hits k of the row over coordinates c whose leaf has all of c
-        free, with those leaves."""
-        k = np.flatnonzero(hits)
-        ids = leaf_of[_with_zero_bits(k, *c)]
-        own = sum(1 << b for b in c)
-        keep = free[ids] & own == own
-        return k[keep], ids[keep]
-
-    for i, d in _derivative_rows(t, n):
-        hits = np.abs(d) > bound
+    for _, d in _derivative_rows(t, n):
+        # |d| > bound, without a float temporary the size of d
+        up = d > bound
+        hits = up | (d < -bound)
         if hits.any():  # none at all when alpha >= 1 on [0, 1]-valued input
-            k, ids = owned(hits, i)
-            lip[ids] = True
-            # a derivative above the bound is above it in absolute value too
-            mono[ids[d[k] > bound]] = True
-    if known_submodular:
+            lip |= hits.reshape(rows, -1).any(axis=1)
+            mono |= up.reshape(rows, -1).any(axis=1)
+        del d, up, hits  # freed before the next row is taken, not after
+    if known_submodular or n < 2:
         return mono, lip, sub
-    tops = _pair_maxima(t, n).reshape(t.size >> n, -1)
-    # rare on submodular input; a NaN maximum may hide differences above TOL.
-    # A pair's row is read over the whole stack: a table whose maximum for
-    # the pair is at most TOL has no difference above it
-    for r in np.flatnonzero(~(tops <= TOL).all(axis=0)).tolist():
-        c = _pair(n, r)
-        sub[owned(_mixed_difference_row(t, *c) > TOL, *c)[1]] = True
+    tops = _pair_maxima(t, n).reshape(rows, -1)
+    sub = (tops > TOL).any(axis=1)
+    # rare on submodular input: a NaN maximum may hide differences above
+    # TOL, so that table's row is read again
+    for r, p in zip(*np.nonzero(np.isnan(tops) & ~sub[:, None])):
+        table = t.reshape(rows, -1)[r]
+        sub[r] = (_mixed_difference_row(table, *_pair(n, int(p))) > TOL).any()
     return mono, lip, sub
 
 

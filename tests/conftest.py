@@ -56,7 +56,7 @@ def tree_from_json(text: str, n: int) -> DecisionTree:
 
 
 def leaf_map(tree):
-    """The partition `decompose._certify` certifies by: the int32 leaf of
+    """The partition of the cube by a tree's leaves: the int32 leaf of
     every point, leaves in preorder, and the int64 free mask of every leaf."""
     flat = dtree._leaf_subcubes(tree)
     paths, fixed = flat.tested, flat.fixed

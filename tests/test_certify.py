@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import leaf_map, leaves_of, random_table, with_oracle_leaves
-from submodtree import dtree
+from submodtree import cube, decompose, dtree
 from submodtree.cube import check_enumerable, enum_cap
 from submodtree.decompose import (
     LeafCertificate,
     _certify,
     build_lipschitz_tree,
     build_monotone_tree,
+    constantize_leaves,
 )
 from submodtree.dtree import ConstLeaf, DecisionTree, Node, OracleLeaf
 from submodtree.funcs import (
@@ -95,9 +96,9 @@ def ref_lipschitz_constant(f):
     return worst
 
 
-def certify(tree, alpha, f):
+def certify(tree, alpha):
     """`_certify` of one tree, as `_decompose` calls it."""
-    return _certify([tree], alpha, [f])[0]
+    return _certify([tree], alpha)[0]
 
 
 def ref_certify(tree, alpha):
@@ -177,7 +178,7 @@ def assert_same_certification(make_tree, f_ref, f, alpha):
     ref_tree, tree = make_tree(f_ref), make_tree(f)
     before_ref, before = f_ref.query_count, f.query_count
     want = ref_certify(ref_tree, alpha)
-    got = certify(tree, alpha, f)
+    got = certify(tree, alpha)
     assert got == want
     assert f.query_count - before == f_ref.query_count - before_ref
     return got
@@ -212,7 +213,7 @@ def test_whole_tree_certificates_match_per_leaf_on_monotone_trees(family, n, see
     spec = generate_random(family, n, seed)
     f = instantiate(spec)
     tree = build_monotone_tree(f, alpha, certify=False).tree
-    assert certify(tree, alpha, f) == ref_certify(tree, alpha)
+    assert certify(tree, alpha) == ref_certify(tree, alpha)
 
 
 @pytest.mark.parametrize("over", [0.0, TOL])
@@ -228,14 +229,14 @@ def test_leaf_differences_exactly_at_the_bounds_pass(over):
     ok = not over
     want = [LeafCertificate(True, True, ok), LeafCertificate(ok, ok, True)]
     assert ref_certify(tree, alpha) == want
-    assert certify(tree, alpha, f) == want
+    assert certify(tree, alpha) == want
 
 
 def test_monotone_trees_can_fail_the_lipschitz_certificate():
     # the comparison above covers failing certificates too
     f = instantiate(generate_random("cut", 5, 1))
     tree = build_monotone_tree(f, 0.25, certify=False).tree
-    certs = certify(tree, 0.25, f)
+    certs = certify(tree, 0.25)
     assert certs == ref_certify(tree, 0.25)
     assert sum(c.lipschitz_ok is False for c in certs) == 5
     assert all(c.alpha_monotone_ok and c.submodular_ok for c in certs)
@@ -266,9 +267,9 @@ def test_constant_leaves_pass_and_big_leaves_get_none(monkeypatch):
         6,
         Node(0, ConstLeaf(0.5), OracleLeaf(restrict(f, Restriction(6, {0: 1})), (1, 2, 3, 4, 5))),
     )
-    assert certify(tree, 0.5, f)[0] == LeafCertificate(True, True, True)
+    assert certify(tree, 0.5)[0] == LeafCertificate(True, True, True)
     monkeypatch.setenv("SUBMODTREE_ENUM_CAP", "4")
-    assert certify(tree, 0.5, f) == [
+    assert certify(tree, 0.5) == [
         LeafCertificate(True, True, True),
         LeafCertificate(None, None, None),
     ]
@@ -299,3 +300,62 @@ def test_leaf_map_matches_a_per_point_descent(n, seed):
         points = np.flatnonzero(leaf_of == k)
         varying = int(np.bitwise_or.reduce(points ^ points[0]))
         assert int(free[k]) == varying
+
+
+# --- blocks and charges -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("family, alpha", [("cut", 1.0), ("coverage", 0.1)])
+def test_certification_lists_at_most_a_block_of_points(family, alpha, monkeypatch):
+    # each leaf is read from its own table in blocks: no listing of the
+    # points of every leaf at once, and a leaf above the block size is read
+    # through its subcube view
+    f = instantiate(generate_random(family, 18, 1))
+    sizes = []
+    listed = cube.subcube_points
+
+    def spy(bits, free):
+        points, counts = listed(bits, free)
+        sizes.append(points.size)
+        return points, counts
+
+    for module in (cube, dtree, decompose):
+        if hasattr(module, "subcube_points"):
+            monkeypatch.setattr(module, "subcube_points", spy)
+    report = build_lipschitz_tree(f, alpha)
+    leaves = dtree.tree_size(report.tree)
+    assert (leaves == 1) == (family == "cut")
+    assert report.certificates_ok()
+    assert max(sizes, default=0) <= dtree._BLOCK_POINTS
+
+
+def build_charges(family, alpha):
+    """The leaf dimensions of the decomposition of a generated n = 6 input,
+    its certificates, and the queries its certification and then its leaf
+    means charge: a certified build against an uncertified one of a copy."""
+    spec = generate_random(family, 6, 0)
+    bare, f = instantiate(spec), instantiate(spec)
+    build_lipschitz_tree(bare, alpha, certify=False)
+    report = build_lipschitz_tree(f, alpha)
+    certified = f.query_count - bare.query_count
+    constantize_leaves(report, mc_samples=50)
+    flat = dtree.arrays(report.tree)
+    dims = np.bitwise_count(flat.free()[flat.oracle])
+    return dims, report, certified, f.query_count - bare.query_count - certified
+
+
+@pytest.mark.parametrize("family", ["coverage", "budget_additive"])
+def test_certification_and_means_charge_as_the_leaf_oracles(family, monkeypatch):
+    # within the cap the leaves are read from the input's cached table; a
+    # 0-dimensional leaf's mean is the query g(0)
+    dims, _, certified, means = build_charges(family, 0.1)
+    assert (dims == 0).any()
+    assert (certified, means) == (0, np.count_nonzero(dims == 0))
+    # beyond it each leaf within the cap is charged its table, g.table(),
+    # which it then keeps, and a larger leaf its Monte Carlo samples
+    monkeypatch.setenv("SUBMODTREE_ENUM_CAP", "2")
+    dims, report, certified, means = build_charges(family, 0.1)
+    assert (dims == 0).any() and (dims > 2).any() and ((dims > 0) & (dims <= 2)).any()
+    assert report.leaf_certificates == ref_certify(report.tree, 0.1)
+    assert certified == int(np.sum(1 << dims[dims <= 2]))
+    assert means == np.count_nonzero(dims == 0) + 50 * np.count_nonzero(dims > 2)

@@ -143,7 +143,7 @@ def ref_constantize(tree):
 
 def ref_build(fs, table, mask, bits, split):
     """`_grow`'s level arrays as objects: leaf views over one gather of the
-    stacked table, and the certification partition, leaves in preorder."""
+    stacked table."""
     n = fs[0].n
     leaves = split < 0
     number = np.cumsum(leaves) - 1
@@ -157,33 +157,26 @@ def ref_build(fs, table, mask, bits, split):
         oracles.append(ValueOracle(size.bit_length() - 1, t.__getitem__, counter=fs[owner]._counter, table=t))
         start += size
     var, numbers, masks = split.tolist(), number.tolist(), free.tolist()
-    order = []
 
     def build(node):
         if var[node] >= 0:
             lo = len(fs) + 2 * (node - numbers[node] - 1)
             return Node(var[node], build(lo), build(lo + 1))
         k = numbers[node]
-        order.append(k)
         return OracleLeaf(oracles[k], tuple(i for i in range(n) if masks[k] >> i & 1))
 
-    trees = [DecisionTree(n, build(k)) for k in range(len(fs))]
-    preorder = np.empty(len(order), dtype=np.int32)
-    preorder[order] = np.arange(len(order), dtype=np.int32)
-    leaf_of = np.empty(table.size, dtype=np.int32)
-    leaf_of[points] = np.repeat(preorder, sizes)
-    return trees, (leaf_of, free[order])
+    return [DecisionTree(n, build(k)) for k in range(len(fs))]
 
 
-def ref_certify(trees, alpha, fs, partition, submodular):
-    leaves, counts = [], []
+def ref_certify(trees, alpha, submodular):
+    """Each leaf checked on its own table, one leaf at a time."""
+    certs = []
     for tree in trees:
+        leaves = []
         ref_iter_leaves(tree.root, leaves)
-        counts.append(len(leaves))
-    leaf_of, free = partition
-    failed = funcs.leaf_violations(funcs.stacked_table(fs), fs[0].n, leaf_of, free, alpha, submodular)
-    certs = [LeafCertificate(*flags) for flags in zip(*(np.logical_not(b).tolist() for b in failed))]
-    return [certs[a:b] for a, b in zip([0, *counts], counts)]
+        failed = [funcs.leaf_violations(lf.oracle.table(), lf.oracle.n, alpha, submodular) for lf in leaves]
+        certs.append([LeafCertificate(*(not bad[0] for bad in flags)) for flags in failed])
+    return certs
 
 
 def ref_decompose(fs, alpha):
@@ -196,8 +189,8 @@ def ref_decompose(fs, alpha):
         table = funcs.stacked_table(batch)
         submodular = decompose._check_submodular(batch, table, True)
         grown = decompose._grow(batch, table, alpha, 2)
-        trees, partition = ref_build(batch, table, *grown)
-        certs = ref_certify(trees, alpha, batch, partition, submodular)
+        trees = ref_build(batch, table, *grown)
+        certs = ref_certify(trees, alpha, submodular)
         out += [(tree, ref_rank(tree.root), c) for tree, c in zip(trees, certs)]
     return out
 

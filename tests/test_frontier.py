@@ -239,7 +239,7 @@ def assert_same_growth(make_f, alpha, phases):
     assert got.leaf_certificates == []
     assert_same_tree(got.tree, want)
     report = BUILDERS[phases](f_cert, alpha, check=False)
-    assert report.leaf_certificates == certify(report.tree, alpha, f_cert)
+    assert report.leaf_certificates == certify(report.tree, alpha)
     return got
 
 
@@ -349,7 +349,7 @@ def test_grouped_means_equal_per_table_np_mean(seed):
         else:
             tables.append(rng.uniform(-1.0, 1.0, size=s) * 10.0 ** rng.integers(-3, 4))
     want = [float(t[0]) if np.all(t == t[0]) else float(np.mean(t)) for t in tables]
-    # blocks as `_Flat.leaf_blocks` gives them: the tables of one size as rows
+    # blocks as `dtree.leaf_blocks` gives them: the tables of one size as rows
     rows = [np.flatnonzero(sizes == s) for s in np.unique(sizes).tolist()]
     blocks = [(k, np.stack([tables[i] for i in k.tolist()])) for k in rows]
     assert bits(_means(blocks, len(tables))) == bits(want)

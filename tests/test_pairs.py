@@ -205,8 +205,7 @@ def test_nan_tables_match_the_references(name):
                     for c in itertools.combinations(range(n), 2))
         with path(name):
             got = is_submodular(f)
-            sub = funcs.leaf_violations(t, n, np.zeros(1 << n, dtype=np.int32),
-                                        np.array([(1 << n) - 1]), 0.25)[2]
+            sub = funcs.leaf_violations(t, n, 0.25)[2]
         ref = ref_is_submodular(f)
         assert got == ref and same_bits(got.extreme, ref.extreme), (n, got, ref)
         assert sub.tolist() == [above], n
@@ -274,7 +273,7 @@ def test_leaf_certificates_match_per_leaf_on_random_trees(n, seed, alpha):
     want = ref_certify(tree, alpha)
     for name in PATHS:
         with path(name):
-            assert certify(tree, alpha, f) == want, name
+            assert certify(tree, alpha) == want, name
 
 
 @pytest.mark.parametrize("block", [4, 64])
@@ -290,7 +289,7 @@ def test_unchecked_certificates_on_non_submodular_tables(block):
                 f = ValueOracle.from_table(random_table(n, 6 * n + seed, 0.25))
                 tree = with_oracle_leaves(dtree.random_tree(n, seed=seed), f)
                 want = ref_certify(tree, 0.25)
-                assert certify(tree, 0.25, f) == want, (n, seed)
+                assert certify(tree, 0.25) == want, (n, seed)
                 failed += sum(not c.submodular_ok for c in want)
     assert failed > 0
 

@@ -294,26 +294,17 @@ def test_decomposition_tables_match_the_descent(family, n, seed, alpha):
 # --- the leaves of a build -----------------------------------------------------------
 
 
-def assert_same_build(make_f, alpha, phases, monkeypatch):
-    """A build's leaf tables and free coordinates, and the leaf map that
-    certification passes to `funcs.leaf_violations`, against `restrict` and
-    a descent of every point through `_grow`'s arrays."""
+def assert_same_build(make_f, alpha, phases):
+    """A build's leaf tables, free coordinates and certificates against
+    `restrict`, a descent of every point through `_grow`'s arrays and the
+    checkers run on each leaf restriction."""
     f, f_ref = make_f(), make_f()
-    seen = []
-    leaf_violations = funcs.leaf_violations
-
-    def spy(t, n, leaf_of, free, *args):
-        seen.append((leaf_of, free))
-        return leaf_violations(t, n, leaf_of, free, *args)
-
-    monkeypatch.setattr(funcs, "leaf_violations", spy)
     builder = build_monotone_tree if phases == 1 else build_lipschitz_tree
-    tree = builder(f, alpha, check=False).tree
-    (leaf_of, free), = seen
+    report = builder(f, alpha, check=False)
     ref_leaf_of, ref_free = ref_grown_partition(f_ref, alpha, phases)
-    assert leaf_of.dtype == np.int32 and np.array_equal(leaf_of, ref_leaf_of)
+    free = dtree.arrays(report.tree).free()
     assert free.dtype == ref_free.dtype and np.array_equal(free, ref_free)
-    leaves = leaves_of(tree)
+    leaves = leaves_of(report.tree)
     assert len(leaves) == free.size
     for k, (leaf, m) in enumerate(zip(leaves, free.tolist())):
         assert leaf.free == tuple(i for i in range(f.n) if m >> i & 1)
@@ -321,6 +312,7 @@ def assert_same_build(make_f, alpha, phases, monkeypatch):
         fixed = {i: point >> i & 1 for i in range(f.n) if not m >> i & 1}
         want = restrict(f_ref, Restriction(f.n, fixed)).table()
         assert bits(leaf.oracle.table()) == bits(want)
+    assert report.leaf_certificates == ref_certify(report.tree, alpha)
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,8 +325,7 @@ def assert_same_build(make_f, alpha, phases, monkeypatch):
 )
 def test_build_leaves_match_restrict_and_the_descent_on_families(family, n, seed, alpha, phases):
     spec = generate_random(family, max(n, 2), seed)
-    with pytest.MonkeyPatch.context() as mp:
-        assert_same_build(lambda: instantiate(spec), alpha, phases, mp)
+    assert_same_build(lambda: instantiate(spec), alpha, phases)
 
 
 @settings(max_examples=80, deadline=None)
@@ -346,8 +337,7 @@ def test_build_leaves_match_restrict_and_the_descent_on_families(family, n, seed
 )
 def test_build_leaves_match_restrict_and_the_descent_on_grid_tables(n, seed, alpha, phases):
     t = random_table(n, seed, alpha)
-    with pytest.MonkeyPatch.context() as mp:
-        assert_same_build(lambda: ValueOracle.from_table(t), alpha, phases, mp)
+    assert_same_build(lambda: ValueOracle.from_table(t), alpha, phases)
 
 
 # --- the submodular certificate of the input check -------------------------------------
@@ -400,7 +390,10 @@ def test_unchecked_builds_still_run_the_pair_pass(n, seed, alpha, phases):
     with pytest.MonkeyPatch.context() as mp:
         calls = count_pair_passes(mp)
         report = builder(f, alpha, check=False)
-        assert len(calls) == 1
+    # one pair pass per dimension of two or more among the leaves: at n <= 8
+    # the leaves of one dimension are one block of tables
+    dims = {leaf.oracle.n for leaf in leaves_of(report.tree)}
+    assert calls == sorted(k for k in dims if k >= 2)
     assert report.leaf_certificates == ref_certify(report.tree, alpha)
 
 
