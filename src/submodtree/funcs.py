@@ -556,10 +556,11 @@ def leaf_violations(
     tops = _pair_maxima(t, n).reshape(rows, -1)
     sub = (tops > TOL).any(axis=1)
     # rare on submodular input: a NaN maximum may hide differences above
-    # TOL, so that table's row is read again
+    # TOL, so that table's row is read again until one row fails it
     for r, p in zip(*np.nonzero(np.isnan(tops) & ~sub[:, None])):
-        table = t.reshape(rows, -1)[r]
-        sub[r] = (_mixed_difference_row(table, *_pair(n, int(p))) > TOL).any()
+        if not sub[r]:
+            table = t.reshape(rows, -1)[r]
+            sub[r] = (_mixed_difference_row(table, *_pair(n, int(p))) > TOL).any()
     return mono, lip, sub
 
 

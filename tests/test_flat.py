@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_certify
 from conftest import leaves_of, tree_text, with_oracle_leaves
 from submodtree import decompose, dtree, funcs
 from submodtree.cube import subcube_points
@@ -168,15 +169,11 @@ def ref_build(fs, table, mask, bits, split):
     return [DecisionTree(n, build(k)) for k in range(len(fs))]
 
 
-def ref_certify(trees, alpha, submodular):
-    """Each leaf checked on its own table, one leaf at a time."""
-    certs = []
-    for tree in trees:
-        leaves = []
-        ref_iter_leaves(tree.root, leaves)
-        failed = [funcs.leaf_violations(lf.oracle.table(), lf.oracle.n, alpha, submodular) for lf in leaves]
-        certs.append([LeafCertificate(*(not bad[0] for bad in flags)) for flags in failed])
-    return certs
+def ref_certify(trees, alpha):
+    """Each leaf checked on its own table by the reference checkers, one leaf
+    at a time.  The build skips the pair pass on a batch that passed
+    `is_submodular`, so every leaf must pass it here too."""
+    return [test_certify.ref_certify(tree, alpha) for tree in trees]
 
 
 def ref_decompose(fs, alpha):
@@ -187,10 +184,10 @@ def ref_decompose(fs, alpha):
     for k in range(0, len(fs), step):
         batch = fs[k:k + step]
         table = funcs.stacked_table(batch)
-        submodular = decompose._check_submodular(batch, table, True)
+        decompose._check_submodular(batch, table, True)  # raises as the build does
         grown = decompose._grow(batch, table, alpha, 2)
         trees = ref_build(batch, table, *grown)
-        certs = ref_certify(trees, alpha, submodular)
+        certs = ref_certify(trees, alpha)
         out += [(tree, ref_rank(tree.root), c) for tree, c in zip(trees, certs)]
     return out
 

@@ -192,17 +192,32 @@ def test_pair_maxima_match_the_reference_rows(block, n):
                 assert got == ref and same_bits(got.extreme, ref.extreme), (tol, got, ref)
 
 
+def above_tol(t, n):
+    """Whether some mixed difference of t is above TOL, in rows that hold a
+    NaN too."""
+    return any((ref_mixed_difference_table(t, n, *c)[0] > TOL).any()
+               for c in itertools.combinations(range(n), 2))
+
+
+# x0 x1 (1 - x2), and -x0 x1, each with a NaN at point 4 (x2 = 1), where every
+# pair row holds a NaN.  The first has its one difference above TOL in the
+# (0, 1) row, and the (0, 2) and (1, 2) rows after it are at most TOL where
+# they are not NaN; the second has no difference above TOL
+NAN_FAILS = np.array([0, 0, 0, 1, np.nan, 0, 0, 0])
+NAN_PASSES = np.array([0, 0, 0, -1, np.nan, 0, 0, -1])
+
+
 @pytest.mark.parametrize("name", sorted(PATHS))
 def test_nan_tables_match_the_references(name):
     # a NaN row neither fails nor sets the passing extreme, on both paths;
     # leaf certification still flags a leaf for a difference above TOL in a
-    # row that holds a NaN
+    # row that holds a NaN, whichever pair rows follow it and wherever the
+    # table sits in a stack
     flagged = 0
     for n in range(2, 9):
         t = nan_table(n, n)
         f = ValueOracle.from_table(t)
-        above = any((ref_mixed_difference_table(t, n, *c)[0] > TOL).any()
-                    for c in itertools.combinations(range(n), 2))
+        above = above_tol(t, n)
         with path(name):
             got = is_submodular(f)
             sub = funcs.leaf_violations(t, n, 0.25)[2]
@@ -210,7 +225,18 @@ def test_nan_tables_match_the_references(name):
         assert got == ref and same_bits(got.extreme, ref.extreme), (n, got, ref)
         assert sub.tolist() == [above], n
         flagged += above and ref.ok
+        # NaN tables behind clean passing and failing ones
+        tables = [random_table(n, 5 * n + k, 0.25) for k in range(3)] + [t, nan_table(n, n + 100)]
+        with path(name):
+            sub = funcs.leaf_violations(np.concatenate(tables), n, 0.25)[2]
+        assert sub.tolist() == [above_tol(u, n) for u in tables], n
     assert flagged > 0
+    tables = [NAN_PASSES, NAN_FAILS, NAN_PASSES, NAN_FAILS]
+    assert [above_tol(u, 3) for u in tables] == [False, True, False, True]
+    for stack in (NAN_FAILS, np.concatenate(tables)):
+        with path(name):
+            sub = funcs.leaf_violations(stack, 3, 0.25)[2]
+        assert sub.tolist() == [above_tol(u, 3) for u in np.split(stack, len(stack) // 8)]
 
 
 # --- checkers -------------------------------------------------------------------
