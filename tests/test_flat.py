@@ -22,7 +22,7 @@ import test_certify
 from conftest import leaves_of, tree_text, with_oracle_leaves
 from submodtree import decompose, dtree, funcs
 from submodtree.cube import subcube_points
-from submodtree.decompose import LeafCertificate, build_lipschitz_trees, constantize_leaves
+from submodtree.decompose import build_lipschitz_trees, constantize_leaves
 from submodtree.dtree import ConstLeaf, DecisionTree, Node, OracleLeaf
 from submodtree.funcs import GENERATED_FAMILIES, ValueOracle, full_tables, generate_random, instantiate
 
