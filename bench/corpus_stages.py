@@ -20,8 +20,9 @@ seconds, every suite's time (``suite_s``), the corpus build
   generates the corpus per suite spends it in each, and there the rank
   suite's tables are made inside its ``build`` stage;
 - ``build``: the decompositions, certification excluded
-  (`decompose.build_lipschitz_trees`, or `build_lipschitz_tree` where a
-  checkout builds one tree at a time);
+  (`decompose.build_lipschitz_grid` where a checkout builds every alpha at
+  once, `build_lipschitz_trees` where it builds one alpha at a time, or
+  `build_lipschitz_tree` where it builds one tree at a time);
 - ``certify``: `decompose._certify`;
 - ``distance``: the exact l1 distances (`dtree.exact_distances`, or
   `exact_distance`).
@@ -45,7 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = {
-    "build": [("decompose", "build_lipschitz_trees"), ("decompose", "build_lipschitz_tree")],
+    "build": [("decompose", "build_lipschitz_grid"), ("decompose", "build_lipschitz_trees"),
+              ("decompose", "build_lipschitz_tree")],
     "certify": [("decompose", "_certify")],
     "distance": [("dtree", "exact_distances"), ("dtree", "exact_distance")],
 }

@@ -12,6 +12,7 @@ from .decompose import (
     DecompositionReport,
     approximate_by_tree,
     build_exact_discrete_tree,
+    build_lipschitz_grid,
     build_lipschitz_tree,
     build_lipschitz_trees,
     build_monotone_tree,

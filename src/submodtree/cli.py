@@ -43,12 +43,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, bool):
-        return "true" if x else "false"
+    # float and bool first: isinstance against Fraction goes through ABCMeta
     if isinstance(x, float):
         return format(x, ".17g")
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
     return str(x)
 
 
@@ -197,15 +198,14 @@ def _rank_row(inst: str, alpha: float, report, err: float) -> dict:
 
 def suite_rank(ns, seeds) -> list[dict]:
     """Rank rows of the corpus, instance by instance in corpus order, alpha
-    by alpha.  Each stack of `_corpus_chunks` is built and measured as one
-    batch (`dc.build_lipschitz_trees`) of oracles over its rows, so only
-    one batch's trees are held."""
+    by alpha.  Each stack of `_corpus_chunks` is built at every alpha as one
+    batch (`dc.build_lipschitz_grid`) of oracles over its rows, so it is
+    checked and certified once and only one batch's trees are held."""
     rows: dict[tuple, dict] = {}
     for n, keys, ids, stack in _corpus_chunks(ns, seeds):
         fs = [ValueOracle.from_table(t) for t in stack]
-        for a, alpha in enumerate(ALPHA_GRID):
-            # the input check does not depend on alpha: run it once per instance
-            reports = dc.build_lipschitz_trees(fs, alpha, check=a == 0)
+        grid = dc.build_lipschitz_grid(fs, ALPHA_GRID)
+        for a, (alpha, reports) in enumerate(zip(ALPHA_GRID, grid)):
             errs = dtree.exact_distances(fs, [r.tree for r in reports], metric="l1")
             for key, inst, report, err in zip(keys, ids, reports, errs):
                 rows[(*key, a)] = _rank_row(inst, alpha, report, err)

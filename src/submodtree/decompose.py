@@ -131,18 +131,22 @@ def _certificates_chunks(certificates: list[LeafCertificate]) -> Iterator[str]:
 
 
 def _check_submodular(fs: list[ValueOracle], table, check: bool) -> bool:
-    """Whether `funcs.is_submodular` would run on every table at TOL and pass,
-    read from the pair maxima of their stack ``table`` (None beyond the
-    enumeration cap, where no check runs).  Raises NotSubmodular for the first
-    table that fails, with the witness `funcs.is_submodular` gives on it."""
+    """Whether `funcs.is_submodular` would run on every table at TOL and pass
+    with no NaN pair maximum, read from the pair maxima of their stack
+    ``table`` (None beyond the enumeration cap, where no check runs): then
+    no mixed difference of any table, nor of a restriction of one, exceeds
+    TOL.  A NaN maximum may hide a difference above TOL, which
+    `funcs.is_submodular` passes.  Raises NotSubmodular for the first table
+    that fails, with the witness `funcs.is_submodular` gives on it."""
     if not (check and table is not None):
         return False
-    failing = np.flatnonzero(~funcs.stacked_submodular(table, fs[0].n))
+    tops = funcs.stacked_pair_maxima(table, fs[0].n)
+    failing = np.flatnonzero((tops > TOL).any(axis=1))
     if failing.size:
         f = fs[failing[0]]
         witness = funcs.describe_witness(funcs.is_submodular(f).witness, f.n)
         raise NotSubmodular("input is not submodular; witness " + witness)
-    return True
+    return not np.isnan(tops).any()
 
 
 # bit i, and the bits 0..i, of every coordinate of a packed point
@@ -150,13 +154,15 @@ _UNIT = np.int64(1) << np.arange(62, dtype=np.int64)
 _UPTO = (_UNIT << 1) - 1
 
 
-def _gathered_splits(table, unit, bound: float, phases: int, bits, free, late):
-    """`_grow`'s split rule read from a cached (stacked) table: one gather
-    reads every neighbour of every node at both extreme points.  The
-    "neighbour" along a fixed coordinate is the point itself, whose
-    difference 0 never passes."""
+def _gathered_splits(table, unit, bounds, alpha_of, phases: int, bits, free, late):
+    """`_grow`'s split rule read from a cached (stacked) table, each node at
+    its tree's bound, bounds[alpha_of]: one gather reads every neighbour of
+    every node at both extreme points.  The "neighbour" along a fixed
+    coordinate is the point itself, whose difference 0 never passes."""
     ends = np.concatenate([bits, bits | free]).reshape(2, -1)[:phases]
-    hit = table[ends[..., None] ^ (free[:, None] & unit)] - table[ends][..., None] > bound
+    # the per-node bounds are made after the gather, not held through it
+    hit = (table[ends[..., None] ^ (free[:, None] & unit)] - table[ends][..., None]
+           > bounds[alpha_of][:, None])
     first = np.where(hit.any(axis=2), hit.argmax(axis=2) if unit.size else 0, -1)
     if phases == 1:
         return first[0], np.zeros(bits.size, dtype=bool)
@@ -164,69 +170,72 @@ def _gathered_splits(table, unit, bound: float, phases: int, bits, free, late):
     return np.where(late | moved, first[1], first[0]), moved
 
 
-def _probed_splits(f: ValueOracle, bound: float, phases: int, bits, free, late):
+def _probed_splits(f: ValueOracle, bound, phases: int, bits, free, late):
     """`_grow`'s split rule read through `eval_many`, phase by phase, so that
     no point the rule does not read is evaluated or charged."""
     split = np.full(bits.size, -1, dtype=np.int64)
-    split[~late] = _probe(f, bound, bits[~late], free[~late])
+    split[~late] = _probe(f, bound[~late], bits[~late], free[~late])
     moved = ~late & (split < 0) if phases == 2 else np.zeros(bits.size, dtype=bool)
     if phases == 2:
         late = late | moved
-        split[late] = _probe(f, bound, (bits | free)[late], free[late])
+        split[late] = _probe(f, bound[late], (bits | free)[late], free[late])
     return split, moved
 
 
-def _probe(f: ValueOracle, bound: float, points: np.ndarray, free: np.ndarray) -> np.ndarray:
+def _probe(f: ValueOracle, bound, points: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Per point, the first coordinate i in its ``free`` mask, in ascending
-    order, with f(p ^ e_i) - f(p) > bound, or -1: one `eval_many` per
-    coordinate, over the points still undecided with that coordinate free."""
+    order, with f(p ^ e_i) - f(p) > its ``bound``, or -1: one `eval_many`
+    per coordinate, over the points still undecided with that coordinate
+    free."""
     at = f.eval_many(points)
     split = np.full(points.size, -1, dtype=np.int64)
     for i in range(f.n):
         todo = np.flatnonzero((free >> i & 1 == 1) & (split < 0))
         if todo.size:
-            split[todo[f.eval_many(points[todo] ^ _UNIT[i]) - at[todo] > bound]] = i
+            split[todo[f.eval_many(points[todo] ^ _UNIT[i]) - at[todo] > bound[todo]]] = i
     return split
 
 
-def _grow(fs: list[ValueOracle], table, alpha: float, phases: int) -> tuple[np.ndarray, ...]:
-    """The decomposition trees of oracles of one dimension n, grown together
-    one depth level at a time.
+def _grow(fs: list[ValueOracle], table, alphas: list[float], phases: int) -> tuple[np.ndarray, ...]:
+    """The decomposition trees of oracles of one dimension n, one per oracle
+    at each alpha of ``alphas``, grown together one depth level at a time.
 
     A node is the subcube with the coordinates in its mask fixed to its bits;
     the bits above n name its oracle, as in the stack `funcs.stacked_table`,
-    and node k < len(fs) is the root of fs[k].  A node splits on its first
-    free coordinate i, in ascending order, with f(p ^ e_i) - f(p) > alpha at
-    its extreme point p: the all-zero point in phase 1.  With ``phases`` = 2
-    a node that phase 1 leaves whole continues at once in phase 2, as do all
-    its descendants, at the all-ones point, where the rule is
-    f(top) - f(top - e_i) < -alpha bit for bit; so the phase-2 trees sit
-    where the phase-1 leaves were.  Per phase, each node is charged to its
-    oracle what the sequential rule reads: p, then each free coordinate up
-    to the one it splits on, or all of them at a leaf.  With the stack's
-    cached ``table`` the rule reads the table and these charges are made in
-    bulk; without it (one oracle, beyond the enumeration cap) the rule
-    evaluates f.
+    and node a * len(fs) + k is the root of the tree of fs[k] at alphas[a].
+    A node splits on its first free coordinate i, in ascending order, with
+    f(p ^ e_i) - f(p) > alpha, its tree's alpha, at its extreme point p: the
+    all-zero point in phase 1.  With ``phases`` = 2 a node that phase 1
+    leaves whole continues at once in phase 2, as do all its descendants, at
+    the all-ones point, where the rule is f(top) - f(top - e_i) < -alpha bit
+    for bit; so the phase-2 trees sit where the phase-1 leaves were.  Per
+    phase, each node is charged to its oracle what the sequential rule
+    reads: p, then each free coordinate up to the one it splits on, or all
+    of them at a leaf.  With the stack's cached ``table`` the rule reads the
+    table and these charges are made in bulk; without it (one oracle, beyond
+    the enumeration cap) the rule evaluates f.
 
     Returns the fixed masks, fixed bits and split coordinates (-1 at a leaf)
     of the nodes in level order, left to right within a level; the children
-    of the k-th split node, lo then hi, are nodes len(fs) + 2k and
-    len(fs) + 2k + 1.
+    of the k-th split node, lo then hi, are nodes R + 2k and R + 2k + 1, for
+    R = len(alphas) * len(fs) roots.
     """
     n = fs[0].n
     full = np.int64((1 << n) - 1)
     unit = _UNIT[:n]
-    bound = alpha + TOL
-    mask = np.zeros(len(fs), dtype=np.int64)
-    bits = np.arange(len(fs), dtype=np.int64) << n
-    late = np.zeros(len(fs), dtype=bool)  # the node grows in phase 2
+    bounds = np.array(alphas, dtype=float) + TOL
+    # per node, the index of its tree's alpha, in as few bytes as will hold it
+    alpha_of = np.repeat(np.arange(len(alphas), dtype=np.min_scalar_type(len(alphas))), len(fs))
+    bits = np.tile(np.arange(len(fs), dtype=np.int64) << n, len(alphas))
+    mask = np.zeros(bits.size, dtype=np.int64)
+    late = np.zeros(bits.size, dtype=bool)  # the node grows in phase 2
     levels = []
     while True:
         free = ~mask & full
         if table is not None:
-            split, moved = _gathered_splits(table, unit, bound, phases, bits, free, late)
+            split, moved = _gathered_splits(table, unit, bounds, alpha_of, phases, bits, free, late)
         else:
-            split, moved = _probed_splits(fs[0], bound, phases, bits, free, late)
+            split, moved = _probed_splits(fs[0], bounds[alpha_of], phases, bits, free, late)
         levels.append((mask, bits, split, moved))
         at = (split >= 0).nonzero()[0]
         if not at.size:
@@ -236,6 +245,7 @@ def _grow(fs: list[ValueOracle], table, alpha: float, phases: int) -> tuple[np.n
         bits = bits[at].repeat(2)
         bits[1::2] |= bit
         late = (late | moved)[at].repeat(2)
+        alpha_of = alpha_of[at].repeat(2)
     mask, bits, split, moved = (np.concatenate(a) for a in zip(*levels))
     if table is not None:
         free = ~mask & full
@@ -247,16 +257,17 @@ def _grow(fs: list[ValueOracle], table, alpha: float, phases: int) -> tuple[np.n
     return mask, bits, split
 
 
-def _build(fs: list[ValueOracle], alpha: float, phases: int, check: bool):
-    """The trees grown by `_grow`, in array form, after the input check
-    when ``check``, and whether the check passed (`_check_submodular`).
-    Every leaf is its oracle restricted to the leaf's subcube
-    (`dtree.from_levels`)."""
+def _build(fs: list[ValueOracle], alphas: list[float], phases: int, check: bool):
+    """The trees grown by `_grow`, in array form, tree a * len(fs) + k that
+    of fs[k] at alphas[a], after the input check when ``check``, and whether
+    the check passed (`_check_submodular`).  Every leaf is its oracle
+    restricted to the leaf's subcube (`dtree.from_levels`)."""
     table = funcs.stacked_table(fs) if fs[0].n <= enum_cap() else None
     submodular = _check_submodular(fs, table, check)
-    mask, _, split = _grow(fs, table, alpha, phases)
+    mask, _, split = _grow(fs, table, alphas, phases)
     leaf, depth = split < 0, popcount(mask).astype(np.int64)
-    return dtree.from_levels(fs[0].n, leaf, split, depth, np.zeros(leaf.size), leaf, sources=fs), submodular
+    trees = dtree.from_levels(fs[0].n, leaf, split, depth, np.zeros(leaf.size), leaf, sources=fs * len(alphas))
+    return trees, submodular
 
 
 # certificates are immutable, so the leaves share one per outcome: the
@@ -269,24 +280,30 @@ _CERTIFICATES[:] = [
 
 
 def _certify(
-    trees: list[DecisionTree], alpha: float, submodular: bool = False
+    trees: list[DecisionTree], alphas: list[float], submodular: bool = False
 ) -> list[list[LeafCertificate]]:
     """Certificates of the leaves of decompositions of oracles of one
-    dimension, tree by tree, each with its leaves in preorder.
+    dimension, tree k at alphas[k], tree by tree, each with its leaves in
+    preorder.
 
     Each oracle leaf within the enumeration cap is checked on its own table:
     `dtree.leaf_blocks` reads the leaves of all the trees, those of one
     dimension as one stack of tables, and one `funcs.leaf_violations` per
-    block checks them.  ``submodular`` says that `funcs.is_submodular`
-    passed on every tree's source, so that every leaf, a restriction of
-    one, is submodular and the pair pass is skipped.  A larger leaf gets
-    None; constant leaves pass.
+    block checks them, each at its tree's alpha.  ``submodular`` says that
+    no mixed difference of any tree's source exceeds TOL
+    (`_check_submodular`), so that neither does one of a leaf, a
+    restriction of a source, and the pair pass is skipped.  A larger leaf
+    gets None; constant leaves pass.
     """
     flats = [dtree.arrays(tree) for tree in trees]
     oracle = np.concatenate([flat.oracle for flat in flats])
     dims = trees[0].n - popcount(np.concatenate([flat.tested for flat in flats])[oracle])
+    # the oracle leaves of tree k end before oracle leaf ends[k]
+    ends = np.cumsum([np.count_nonzero(flat.oracle) for flat in flats])
+    alphas = np.asarray(alphas, dtype=float)
     outcome = np.where(dims <= enum_cap(), 7, 8)
     for rows, block in dtree.leaf_blocks(trees, outcome == 7):
+        alpha = alphas[np.searchsorted(ends, rows, side="right")]  # each row's tree's
         mono, lip, sub = funcs.leaf_violations(block, block.shape[1].bit_length() - 1, alpha, submodular)
         outcome[rows] = 7 - (4 * mono + 2 * lip + sub)
     leaves = np.full(oracle.size, 7)
@@ -296,38 +313,43 @@ def _certify(
     return [certificates[a:b] for a, b in zip([0, *counts], counts)]
 
 
-def _decompose(fs: list[ValueOracle], alpha: float, phases: int, check: bool, certify: bool):
-    """The report of a decomposition of each oracle in 1 or 2 phases, whose
-    rank bound is phases/alpha.
+def _decompose(fs: list[ValueOracle], alphas: list[float], phases: int, check: bool, certify: bool):
+    """The reports of a decomposition of each oracle in 1 or 2 phases at
+    each alpha, whose rank bound is phases/alpha: one list per alpha, in
+    the order of ``alphas``.
 
     The oracles share one dimension n.  They are built in batches whose
     stacked table holds at most dtree.STACK_POINTS points, one oracle at a
-    time beyond the enumeration cap.  A batch fails as soon as the input
-    check fails on one of its tables (`_check_submodular`), so the error
-    names the first failing oracle in input order.
+    time beyond the enumeration cap.  Each batch is checked once, grown at
+    every alpha as one frontier (`_grow`) and certified once.  A batch fails
+    as soon as the input check fails on one of its tables
+    (`_check_submodular`), so the error names the first failing oracle in
+    input order.
     """
-    if not (alpha > 0 and math.isfinite(phases / alpha)):
-        raise ValueError(f"alpha must be positive, with {phases}/alpha finite, got {alpha}")
+    if not alphas:
+        raise ValueError("at least one alpha is needed")
+    for alpha in alphas:
+        if not (alpha > 0 and math.isfinite(phases / alpha)):
+            raise ValueError(f"alpha must be positive, with {phases}/alpha finite, got {alpha}")
     n = fs[0].n
     if any(f.n != n for f in fs):
         raise ValueError(f"a batch has one dimension, got {sorted({f.n for f in fs})}")
     step = max(1, dtree.STACK_POINTS >> n) if n <= enum_cap() else 1
-    reports = []
+    reports = [[] for _ in alphas]
     for k in range(0, len(fs), step):
         batch = fs[k:k + step]
-        trees, submodular = _build(batch, alpha, phases, check)
-        certificates = _certify(trees, alpha, submodular) if certify else [[] for _ in trees]
-        reports += [
-            DecompositionReport(
+        trees, submodular = _build(batch, alphas, phases, check)
+        grid = [alpha for alpha in alphas for _ in batch]
+        certificates = _certify(trees, grid, submodular) if certify else [[] for _ in trees]
+        for j, (tree, certs, alpha) in enumerate(zip(trees, certificates, grid)):
+            reports[j // len(batch)].append(DecompositionReport(
                 tree=tree,
                 alpha=alpha,
                 rank=tree_rank(tree),
                 claimed_rank_bound=phases / alpha,
                 leaf_certificates=certs,
                 phase="monotone" if phases == 1 else "lipschitz",
-            )
-            for tree, certs in zip(trees, certificates)
-        ]
+            ))
     return reports
 
 
@@ -340,7 +362,7 @@ def build_monotone_tree(
     inputs.  Leaves are oracle restrictions of f; they stay submodular but
     need not be Lipschitz (their lipschitz_ok certificate can be False).
     """
-    return _decompose([f], alpha, 1, check, certify)[0]
+    return _decompose([f], [alpha], 1, check, certify)[0][0]
 
 
 def build_lipschitz_tree(
@@ -354,7 +376,7 @@ def build_lipschitz_tree(
     the subcube's all-ones point is below -alpha.  Rank <= ceil(2/alpha) for
     range-[0,1] inputs.  A build is a batch of one (`build_lipschitz_trees`).
     """
-    return _decompose([f], alpha, 2, check, certify)[0]
+    return _decompose([f], [alpha], 2, check, certify)[0][0]
 
 
 def build_lipschitz_trees(
@@ -364,8 +386,20 @@ def build_lipschitz_trees(
     trees, certificates and query charges bit for bit, grown, restricted and
     certified as one stacked cube per batch: the tables one after another,
     each tree rooted at its own table's slot.  Raises NotSubmodular for the
-    first input, in order, that fails the check."""
-    return _decompose(list(fs), alpha, 2, check, certify)
+    first input, in order, that fails the check.  A grid of one alpha
+    (`build_lipschitz_grid`)."""
+    return _decompose(list(fs), [alpha], 2, check, certify)[0]
+
+
+def build_lipschitz_grid(
+    fs: list[ValueOracle], alphas, *, check: bool = True, certify: bool = True
+) -> list[list[DecompositionReport]]:
+    """`build_lipschitz_trees(fs, alpha)` at each alpha of ``alphas``, one
+    list of reports per alpha, the same reports bit for bit, with each
+    oracle charged the sum of those builds' charges.  Each batch's stack is
+    made, checked and certified once for the whole grid, and its trees at
+    every alpha grow as one frontier."""
+    return _decompose(list(fs), list(alphas), 2, check, certify)
 
 
 def default_mean_samples(alpha: float) -> int:

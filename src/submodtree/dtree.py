@@ -389,13 +389,15 @@ def leaf_blocks(trees: list[DecisionTree], read: np.ndarray, point_queries: bool
 
     When every tree is a decomposition whose source's table is cached, as
     within the enumeration cap, the leaves read the stack of those tables
-    (`funcs.stacked_table`) where they lie, and a restriction of a cached
-    table charges nothing.  The leaves of one dimension k are read in blocks
-    of at most _BLOCK_POINTS points, each at its fixed bits OR the ascending
-    subsets of its free mask (`cube.subcube_points`, once per distinct mask
-    of the block), which are its local points in order; a larger leaf is
-    read through its subcube view (`_subcube_index`).  Other leaves are read
-    from their objects, one per block.
+    (`funcs.stacked_table`, each distinct source's table once, however many
+    trees share it) where they lie, and a restriction of a cached table
+    charges nothing.  The leaves of one dimension k are read in blocks of at
+    most _BLOCK_POINTS points, each at its fixed bits OR the ascending
+    subsets of its free mask, which are its local points in order, built by
+    doubling over the mask's bits from the lowest: k array operations per
+    block.  A larger leaf is read through its subcube view
+    (`_subcube_index`).  Other leaves are read from their objects, one per
+    block.
     """
     flats = [arrays(tree) for tree in trees]
     at = np.flatnonzero(read)
@@ -406,16 +408,19 @@ def leaf_blocks(trees: list[DecisionTree], read: np.ndarray, point_queries: bool
             yield np.array([k]), (np.array([g(0)]) if point_queries and not g.n else g.table())[None]
         return
     n = flats[0].n
+    sources = {id(flat.source): flat.source for flat in flats}
+    slot = {key: k for k, key in enumerate(sources)}  # each source's table in the stack
     tested, fixed, oracle = (np.concatenate(a) for a in zip(*((f.tested, f.fixed, f.oracle) for f in flats)))
-    owner = np.repeat(np.arange(len(flats), dtype=np.int64), [flat.oracle.size for flat in flats])
+    owner = np.repeat(np.array([slot[id(flat.source)] for flat in flats], dtype=np.int64),
+                      [flat.oracle.size for flat in flats])
     fixed = (fixed | owner << n)[oracle]
     free = tested[oracle] ^ ((1 << n) - 1)
-    stack, cube = stacked_table([flat.source for flat in flats]), (-1,) + (2,) * n
+    stack, cube = stacked_table(list(sources.values())), (-1,) + (2,) * n
     dims = popcount(free[at])
     if point_queries:
-        queries = np.bincount(fixed[at[dims == 0]] >> n, minlength=len(flats))
-        for flat, k in zip(flats, queries.tolist()):
-            flat.source.charge(k)
+        queries = np.bincount(fixed[at[dims == 0]] >> n, minlength=len(sources))
+        for source, k in zip(sources.values(), queries.tolist()):
+            source.charge(k)
     order = np.argsort(dims, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(dims))]).tolist()
     for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
@@ -428,10 +433,13 @@ def leaf_blocks(trees: list[DecisionTree], read: np.ndarray, point_queries: bool
         step = _BLOCK_POINTS >> k
         for r in range(0, members.size, step):
             rows = members[r:r + step]
-            # with return_inverse, np.unique does not import numpy.ma (13 ms)
-            masks, mask_of = np.unique(free[rows], return_inverse=True)
-            subsets = subcube_points(np.zeros(masks.size, dtype=np.int64), masks)[0].reshape(masks.size, -1)
-            yield rows, stack[subsets[mask_of] | fixed[rows, None]]
+            points = np.empty((rows.size, 1 << k), dtype=np.int64)
+            points[:, 0], left = fixed[rows], free[rows]
+            for j in range(k):
+                low = left & -left  # each row's j-th free coordinate
+                left ^= low
+                np.bitwise_or(points[:, :1 << j], low[:, None], out=points[:, 1 << j:2 << j])
+            yield rows, stack[points]
 
 
 def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> tuple:

@@ -518,42 +518,43 @@ def stacked_lipschitz(t: np.ndarray, n: int) -> np.ndarray:
     return worst
 
 
-def stacked_submodular(t: np.ndarray, n: int, tol: float = TOL) -> np.ndarray:
-    """Per table of a stack of 2^n-point tables, whether `is_submodular`
-    passes on it, read from the same pair maxima."""
-    return ~(_pair_maxima(t, n).reshape(t.size >> n, -1) > tol).any(axis=1)
+def stacked_pair_maxima(t: np.ndarray, n: int) -> np.ndarray:
+    """Per table of a stack of 2^n-point tables, the largest mixed difference
+    of each pair i < j, as `is_submodular` reads them: one row per table."""
+    return _pair_maxima(t, n).reshape(t.size >> n, -1)
 
 
 def leaf_violations(
-    t: np.ndarray, n: int, alpha: float, known_submodular: bool = False
+    t: np.ndarray, n: int, alpha, known_submodular: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per table of a stack of 2^n-point tables, such as the leaf tables of
     decompositions (`dtree.leaf_blocks`), whether it fails the
     alpha-monotone, alpha-Lipschitz and submodular checks:
     `is_alpha_monotone_decreasing`, `lipschitz_constant` <= alpha + TOL and
-    `is_submodular`, as three bool arrays.  A NaN difference fails none of
-    them; a table fails the submodular check when some mixed difference is
-    above TOL, even in a row that holds a NaN.
+    `is_submodular`, as three bool arrays, with ``alpha`` one per table (or
+    one for all).  A NaN difference fails none of them; a table fails the
+    submodular check when some mixed difference is above TOL, even in a row
+    that holds a NaN.
 
-    ``known_submodular`` says that `is_submodular` passed at TOL on tables
-    of which these are restrictions: it computed the same mixed
-    differences, so none exceeds TOL, no table can fail, and the pair pass
-    is skipped.
+    ``known_submodular`` says that no mixed difference of tables of which
+    these are restrictions exceeds TOL, so no table can fail, and the pair
+    pass is skipped.
     """
     rows = t.size >> n
     mono, lip, sub = np.zeros((3, rows), dtype=bool)
-    bound = alpha + TOL
+    bound = (np.asarray(alpha, dtype=float) + TOL).reshape(-1, 1)
     for _, d in _derivative_rows(t, n):
         # |d| > bound, without a float temporary the size of d
+        d = d.reshape(rows, -1)
         up = d > bound
         hits = up | (d < -bound)
         if hits.any():  # none at all when alpha >= 1 on [0, 1]-valued input
-            lip |= hits.reshape(rows, -1).any(axis=1)
-            mono |= up.reshape(rows, -1).any(axis=1)
+            lip |= hits.any(axis=1)
+            mono |= up.any(axis=1)
         del d, up, hits  # freed before the next row is taken, not after
     if known_submodular or n < 2:
         return mono, lip, sub
-    tops = _pair_maxima(t, n).reshape(rows, -1)
+    tops = stacked_pair_maxima(t, n)
     sub = (tops > TOL).any(axis=1)
     # rare on submodular input: a NaN maximum may hide differences above
     # TOL, so that table's row is read again until one row fails it

@@ -6,9 +6,12 @@ after another, each tree rooted at its own table's slot.  Every tree, leaf
 table, certificate, rank, exact l1 distance and query charge must equal what
 `build_lipschitz_tree` and `dtree.exact_distance` give on each oracle
 alone, bit for bit, and a failing input check must raise what the first
-failing oracle raises alone.
+failing oracle raises alone.  `decompose.build_lipschitz_grid` builds a
+batch at several alphas at once, and must give what `build_lipschitz_trees`
+gives at each alpha in turn.
 """
 
+import os
 from unittest import mock
 
 import numpy as np
@@ -16,9 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import leaves_of, random_table, tree_text
-from submodtree import decompose, dtree
+from submodtree import cli, dtree
 from submodtree.decompose import (
     NotSubmodular,
+    build_lipschitz_grid,
     build_lipschitz_tree,
     build_lipschitz_trees,
     constantize_leaves,
@@ -126,6 +130,14 @@ def test_a_failing_check_names_the_first_failing_input():
     assert [r.certificates_ok() for r in reports] == [True, False, True, False]
 
 
+def test_a_grid_checks_every_alpha():
+    fs = [instantiate(generate_random("cut", 4, 0))]
+    for alphas in ([], [0.5, 0.0], [float("nan"), 0.5], [0.5, 1e-320]):
+        with pytest.raises(ValueError, match="alpha"):
+            build_lipschitz_grid(fs, alphas)
+    assert fs[0].query_count == 0
+
+
 def test_a_batch_has_one_dimension():
     fs = [instantiate(generate_random("cut", n, 0)) for n in (4, 5)]
     with pytest.raises(ValueError, match="one dimension"):
@@ -141,3 +153,109 @@ def test_stacked_distances_sum_each_table_alone(n):
         got = dtree.exact_distances(fs, trees, metric=metric)
         want = [dtree.exact_distance(f, t, metric=metric) for f, t in zip(fs, trees)]
         assert bits(got) == bits(want)
+
+
+# --- alpha grids ------------------------------------------------------------------
+
+FLAT_ARRAYS = ("leaf", "var", "depth", "count", "piece", "tested", "fixed", "value", "oracle")
+
+
+def assert_same_grid(make_fs, alphas, check=True, certify=True):
+    """`build_lipschitz_grid` of make_fs() against `build_lipschitz_trees` of
+    a second copy at each alpha in turn: the same tree arrays, certificates,
+    ranks and alphas, and the same query counts after all the builds, or the
+    same error."""
+    fs, refs = make_fs(), make_fs()
+    try:
+        want = [build_lipschitz_trees(refs, alpha, check=check, certify=certify) for alpha in alphas]
+    except NotSubmodular as e:
+        with pytest.raises(NotSubmodular) as got:
+            build_lipschitz_grid(fs, alphas, check=check, certify=certify)
+        assert str(got.value) == str(e)
+        return
+    grid = build_lipschitz_grid(fs, alphas, check=check, certify=certify)
+    assert len(grid) == len(alphas)
+    for alpha, reports, ref_reports in zip(alphas, grid, want):
+        assert len(reports) == len(ref_reports) == len(fs)
+        for f, report, ref in zip(fs, reports, ref_reports):
+            assert type(report.alpha) is type(ref.alpha) and report.alpha == ref.alpha == alpha
+            assert (report.rank, report.claimed_rank_bound, report.phase) == (
+                ref.rank, ref.claimed_rank_bound, ref.phase)
+            assert report.leaf_certificates == ref.leaf_certificates
+            flat, ref_flat = dtree.arrays(report.tree), dtree.arrays(ref.tree)
+            assert flat.source is f
+            assert (flat.n, flat.rank, flat.bad) == (ref_flat.n, ref_flat.rank, ref_flat.bad)
+            for name in FLAT_ARRAYS:
+                a, b = getattr(flat, name), getattr(ref_flat, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert [f.query_count for f in fs] == [g.query_count for g in refs]
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_grids_match_builds_alpha_by_alpha_on_corpus_stacks(n):
+    # the rank suite's stacks and alphas
+    for _, _, _, stack in cli._corpus_chunks((n,), range(930, 933)):
+        assert_same_grid(lambda: [ValueOracle.from_table(t) for t in stack], cli.ALPHA_GRID)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=10),
+    size=st.sampled_from(BATCH_SIZES),
+    data=st.data(),
+    alphas=st.lists(st.sampled_from(ALPHAS), min_size=1, max_size=4),
+    split=st.booleans(),
+)
+def test_grids_match_builds_alpha_by_alpha_on_generated_oracles(n, size, data, alphas, split):
+    picks = data.draw(st.lists(
+        st.tuples(st.sampled_from(GENERATED_FAMILIES), st.integers(0, 10_000)),
+        min_size=size, max_size=size,
+    ))
+    specs = [generate_random(family, n, seed) for family, seed in picks]
+    with mock.patch.object(dtree, "STACK_POINTS", 2 << n if split else dtree.STACK_POINTS):
+        assert_same_grid(lambda: [instantiate(s) for s in specs], alphas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=10),
+    size=st.sampled_from(BATCH_SIZES),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=5, max_size=5),
+    alphas=st.lists(st.sampled_from(ALPHAS), min_size=1, max_size=4),
+    check=st.booleans(),
+    certify=st.booleans(),
+)
+def test_grids_match_builds_alpha_by_alpha_on_random_tables(n, size, seeds, alphas, check, certify):
+    # unchecked, leaves fail certification; checked, many stacks raise
+    tables = [random_table(n, seed, alphas[0]) for seed in seeds[:size]]
+    assert_same_grid(lambda: [ValueOracle.from_table(t) for t in tables], alphas, check, certify)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=7),
+    family=st.sampled_from(GENERATED_FAMILIES),
+    seed=st.integers(0, 10_000),
+    alphas=st.lists(st.sampled_from(ALPHAS), min_size=1, max_size=3),
+    cached=st.booleans(),
+)
+def test_grids_match_builds_alpha_by_alpha_beyond_the_cap(n, family, seed, alphas, cached):
+    # growth probes the oracle, and leaves above the cap get no certificate
+    spec = generate_random(family, n, seed)
+    table = instantiate(spec).table()
+    make = (lambda: [ValueOracle.from_table(table)]) if cached else (lambda: [instantiate(spec)])
+    with mock.patch.dict(os.environ, {"SUBMODTREE_ENUM_CAP": "3"}):
+        assert_same_grid(make, alphas)
+
+
+def test_a_failing_grid_names_the_first_failing_input():
+    good = instantiate(generate_random("cut", 5, 1)).table()
+    noise = [np.random.default_rng(k).uniform(0.0, 1.0, size=32) for k in range(2)]
+    tables = (good, noise[1], good, noise[0])
+    with pytest.raises(NotSubmodular) as alone:
+        build_lipschitz_tree(ValueOracle.from_table(noise[1]), 0.5)
+    with pytest.raises(NotSubmodular) as grid:
+        build_lipschitz_grid([ValueOracle.from_table(t) for t in tables], cli.ALPHA_GRID)
+    assert str(grid.value) == str(alone.value)
+    assert_same_grid(lambda: [ValueOracle.from_table(t) for t in tables], cli.ALPHA_GRID)
+    assert_same_grid(lambda: [ValueOracle.from_table(t) for t in tables], cli.ALPHA_GRID, check=False)

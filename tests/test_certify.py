@@ -98,7 +98,7 @@ def ref_lipschitz_constant(f):
 
 def certify(tree, alpha):
     """`_certify` of one tree, as `_decompose` calls it."""
-    return _certify([tree], alpha)[0]
+    return _certify([tree], [alpha])[0]
 
 
 def ref_certify(tree, alpha):
@@ -319,13 +319,24 @@ def test_certification_lists_at_most_a_block_of_points(family, alpha, monkeypatc
         sizes.append(points.size)
         return points, counts
 
+    class Gathered(np.ndarray):
+        """A stack of tables that lists the size of each gather from it."""
+
+        def __getitem__(self, index):
+            if isinstance(index, np.ndarray) and index.dtype.kind == "i":
+                sizes.append(index.size)
+            return np.asarray(super().__getitem__(index))
+
     for module in (cube, dtree, decompose):
         if hasattr(module, "subcube_points"):
             monkeypatch.setattr(module, "subcube_points", spy)
+    stacked = dtree.stacked_table
+    monkeypatch.setattr(dtree, "stacked_table", lambda fs: stacked(fs).view(Gathered))
     report = build_lipschitz_tree(f, alpha)
     leaves = dtree.tree_size(report.tree)
     assert (leaves == 1) == (family == "cut")
     assert report.certificates_ok()
+    assert (sizes != []) == (family != "cut")
     assert max(sizes, default=0) <= dtree._BLOCK_POINTS
 
 

@@ -185,7 +185,7 @@ def ref_decompose(fs, alpha):
         batch = fs[k:k + step]
         table = funcs.stacked_table(batch)
         decompose._check_submodular(batch, table, True)  # raises as the build does
-        grown = decompose._grow(batch, table, alpha, 2)
+        grown = decompose._grow(batch, table, [alpha], 2)
         trees = ref_build(batch, table, *grown)
         certs = ref_certify(trees, alpha)
         out += [(tree, ref_rank(tree.root), c) for tree, c in zip(trees, certs)]

@@ -34,6 +34,7 @@ from test_certify import (
     ref_lipschitz_constant,
 )
 from submodtree import cli, dtree, fourier, funcs
+from submodtree.decompose import build_lipschitz_tree
 from submodtree.funcs import (
     GENERATED_FAMILIES,
     TOL,
@@ -237,6 +238,23 @@ def test_nan_tables_match_the_references(name):
         with path(name):
             sub = funcs.leaf_violations(stack, 3, 0.25)[2]
         assert sub.tolist() == [above_tol(u, 3) for u in np.split(stack, len(stack) // 8)]
+
+
+def test_a_nan_table_that_passes_the_check_is_certified_as_unchecked():
+    # is_submodular passes NAN_FAILS and some NaN tables with a difference
+    # above TOL beside a NaN in its pair row; the check's verdict must not
+    # let certification skip the pair pass on them
+    hidden = 0
+    for t in [NAN_FAILS] + [nan_table(n, n) for n in range(2, 9)]:
+        n = t.size.bit_length() - 1
+        if not is_submodular(ValueOracle.from_table(t)):
+            continue
+        hidden += above_tol(t, n)
+        for alpha in cli.ALPHA_GRID:
+            checked = build_lipschitz_tree(ValueOracle.from_table(t), alpha)
+            unchecked = build_lipschitz_tree(ValueOracle.from_table(t), alpha, check=False)
+            assert checked.leaf_certificates == unchecked.leaf_certificates, (n, alpha)
+    assert hidden > 0
 
 
 # --- checkers -------------------------------------------------------------------

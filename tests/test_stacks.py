@@ -179,6 +179,23 @@ def test_rank_rows_equal_single_builds_from_generated_oracles():
     assert bits(cli.suite_rank(ns, seeds)) == bits(ref_rank(ns, seeds))
 
 
+def test_the_rank_suite_reads_pair_maxima_once_per_stack(monkeypatch):
+    # the input check reads each stack's pair maxima for every alpha, and
+    # its verdict lets every leaf skip the pair pass
+    ns, seeds = (4, 7, 10), range(930, 934)
+    stacks = len(list(cli._corpus_chunks(ns, seeds)))
+    calls = []
+    pair_maxima = funcs._pair_maxima
+
+    def counting(t, n):
+        calls.append(n)
+        return pair_maxima(t, n)
+
+    monkeypatch.setattr(funcs, "_pair_maxima", counting)
+    cli.suite_rank(ns, seeds)
+    assert len(calls) == stacks
+
+
 def test_cached_stacks_are_read_only():
     for _, ids, t in funcs.corpus_tables((5, 4), (0, 1)):
         assert len(ids) == len(t) == 2 * len(funcs.GENERATED_FAMILIES)

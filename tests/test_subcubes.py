@@ -104,7 +104,7 @@ def ref_cube_values(tree):
 def ref_grown_partition(f, alpha, phases):
     """The leaf of every point, in preorder, and the free mask of every leaf,
     found by descending all points through `_grow`'s node arrays."""
-    mask, fixed, split = _grow([f], f.table(), alpha, phases)
+    mask, fixed, split = _grow([f], f.table(), [alpha], phases)
     leaves = split < 0
     number = np.cumsum(leaves) - 1
     free = ~mask[leaves] & ((1 << f.n) - 1)
