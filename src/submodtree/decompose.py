@@ -304,6 +304,8 @@ def _certify(
     outcome = np.where(dims <= enum_cap(), 7, 8)
     for rows, block in dtree.leaf_blocks(trees, outcome == 7):
         alpha = alphas[np.searchsorted(ends, rows, side="right")]  # each row's tree's
+        if (alpha == alpha[0]).all():  # one bound is one compare loop, not one per row
+            alpha = alpha[:1]
         mono, lip, sub = funcs.leaf_violations(block, block.shape[1].bit_length() - 1, alpha, submodular)
         outcome[rows] = 7 - (4 * mono + 2 * lip + sub)
     leaves = np.full(oracle.size, 7)
@@ -391,15 +393,13 @@ def build_lipschitz_trees(
     return _decompose(list(fs), [alpha], 2, check, certify)[0]
 
 
-def build_lipschitz_grid(
-    fs: list[ValueOracle], alphas, *, check: bool = True, certify: bool = True
-) -> list[list[DecompositionReport]]:
+def build_lipschitz_grid(fs: list[ValueOracle], alphas) -> list[list[DecompositionReport]]:
     """`build_lipschitz_trees(fs, alpha)` at each alpha of ``alphas``, one
     list of reports per alpha, the same reports bit for bit, with each
     oracle charged the sum of those builds' charges.  Each batch's stack is
     made, checked and certified once for the whole grid, and its trees at
     every alpha grow as one frontier."""
-    return _decompose(list(fs), list(alphas), 2, check, certify)
+    return _decompose(list(fs), list(alphas), 2, True, True)
 
 
 def default_mean_samples(alpha: float) -> int:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import leaves_of, random_table, tree_text
-from submodtree import cli, dtree
+from submodtree import cli, decompose, dtree
 from submodtree.decompose import (
     NotSubmodular,
     build_lipschitz_grid,
@@ -166,14 +166,22 @@ def assert_same_grid(make_fs, alphas, check=True, certify=True):
     ranks and alphas, and the same query counts after all the builds, or the
     same error."""
     fs, refs = make_fs(), make_fs()
+
+    def build():
+        # the grid always checks and certifies; the other cases reach its
+        # one builder directly
+        if check and certify:
+            return build_lipschitz_grid(fs, alphas)
+        return decompose._decompose(fs, list(alphas), 2, check, certify)
+
     try:
         want = [build_lipschitz_trees(refs, alpha, check=check, certify=certify) for alpha in alphas]
     except NotSubmodular as e:
         with pytest.raises(NotSubmodular) as got:
-            build_lipschitz_grid(fs, alphas, check=check, certify=certify)
+            build()
         assert str(got.value) == str(e)
         return
-    grid = build_lipschitz_grid(fs, alphas, check=check, certify=certify)
+    grid = build()
     assert len(grid) == len(alphas)
     for alpha, reports, ref_reports in zip(alphas, grid, want):
         assert len(reports) == len(ref_reports) == len(fs)
