@@ -59,32 +59,6 @@ def popcount(values: np.ndarray | int) -> np.ndarray | int:
     return np.bitwise_count(np.asarray(values, dtype=np.int64))
 
 
-def subcube_points(bits: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points of subcubes, one subcube after another, each in ascending
-    order, and the size of each subcube.
-
-    Subcube k holds the points that read ``bits[k]`` outside its mask of
-    free coordinates ``free[k]`` (``bits[k]`` has no free bit set).  A point
-    is its subcube's bits OR a subset of its free mask; the ascending subsets
-    of each distinct mask are built once, by doubling.
-    """
-    masks = free.tolist()
-    subsets: dict[int, np.ndarray] = {}
-    for m in set(masks):
-        out = subsets[m] = np.zeros(1 << m.bit_count(), dtype=np.int64)
-        size = 1
-        for i in range(m.bit_length()):
-            if m >> i & 1:
-                np.bitwise_or(out[:size], 1 << i, out=out[size:2 * size])
-                size *= 2
-    one = len(masks) == 1  # one subcube: its points are its subsets, not a copy of them
-    points = subsets[masks[0]] if one else np.concatenate([subsets[m] for m in masks])
-    subsets.clear()  # at most 2^n values, no longer needed
-    sizes = np.int64(1) << popcount(free).astype(np.int64)
-    points |= bits[0] if one else np.repeat(bits, sizes)
-    return points, sizes
-
-
 # C(a, b) for 0 <= a, b <= 63 (zero when b > a); every entry fits int64
 _BINOMIAL = np.array([[math.comb(a, b) for b in range(64)] for a in range(64)], dtype=np.int64)
 

@@ -288,12 +288,13 @@ def _certify(
 
     Each oracle leaf within the enumeration cap is checked on its own table:
     `dtree.leaf_blocks` reads the leaves of all the trees, those of one
-    dimension as one stack of tables, and one `funcs.leaf_violations` per
-    block checks them, each at its tree's alpha.  ``submodular`` says that
-    no mixed difference of any tree's source exceeds TOL
-    (`_check_submodular`), so that neither does one of a leaf, a
-    restriction of a source, and the pair pass is skipped.  A larger leaf
-    gets None; constant leaves pass.
+    dimension as one stack of tables, and `funcs.leaf_violations` checks
+    each run of a block's rows whose trees share one alpha.  The rows of a
+    block ascend and the trees come alpha by alpha, so a block holds at most
+    one run per alpha.  ``submodular`` says that no mixed difference of any
+    tree's source exceeds TOL (`_check_submodular`), so that neither does
+    one of a leaf, a restriction of a source, and the pair pass is skipped.
+    A larger leaf gets None; constant leaves pass.
     """
     flats = [dtree.arrays(tree) for tree in trees]
     oracle = np.concatenate([flat.oracle for flat in flats])
@@ -304,10 +305,11 @@ def _certify(
     outcome = np.where(dims <= enum_cap(), 7, 8)
     for rows, block in dtree.leaf_blocks(trees, outcome == 7):
         alpha = alphas[np.searchsorted(ends, rows, side="right")]  # each row's tree's
-        if (alpha == alpha[0]).all():  # one bound is one compare loop, not one per row
-            alpha = alpha[:1]
-        mono, lip, sub = funcs.leaf_violations(block, block.shape[1].bit_length() - 1, alpha, submodular)
-        outcome[rows] = 7 - (4 * mono + 2 * lip + sub)
+        cuts = [0, *(np.flatnonzero(np.diff(alpha)) + 1).tolist(), rows.size]
+        k = block.shape[1].bit_length() - 1
+        for a, b in zip(cuts, cuts[1:]):
+            mono, lip, sub = funcs.leaf_violations(block[a:b], k, alpha[a], submodular)
+            outcome[rows[a:b]] = 7 - (4 * mono + 2 * lip + sub)
     leaves = np.full(oracle.size, 7)
     leaves[oracle] = outcome
     certificates = _CERTIFICATES[leaves].tolist()

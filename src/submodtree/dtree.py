@@ -20,6 +20,10 @@ is walked once, level by level, and its form kept on the tree.  Rank, size,
 depth, leaf subcubes, tree tables, leaf means, values at points and the
 JSON text are all read from the arrays; a tree made from them builds its
 `Node` and leaf objects only when ``root`` is read or trees are compared.
+One reader, `_leaf_cells`, lists the leaves' subcubes for tree tables, leaf
+profiles, distances, certification and leaf means alike: the leaves of one
+dimension in blocks of at most _BLOCK_POINTS listed points, a larger leaf
+alone as its subcube view.
 
 Truncating a tree at depth d replaces every internal node at that depth by a
 constant-0 leaf.  Under an alpha-bounded product distribution the truncated
@@ -39,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .cube import ProductDistribution, check_enumerable, check_packable, popcount, subcube_points
+from .cube import ProductDistribution, check_enumerable, check_packable, popcount
 from .fourier import Spectrum, transform
 from .funcs import Restriction, ValueOracle, full_tables, restrict, stacked_table
 
@@ -170,18 +174,6 @@ class _Flat:
                 leaves.append(OracleLeaf(restrict(self.source, r), r.free))
             self.leaves = leaves
         return self.leaves
-
-    def oracle_tables(self) -> list[np.ndarray]:
-        """The tables of the oracle leaves in preorder, one after another,
-        each charged its 2^k points as `funcs.full_tables` charges them.  The
-        leaves of a decomposition whose source's table is cached read it at
-        their points, taken in ascending order, which are their local points
-        in order; other leaves are read from their objects."""
-        if self.source is not None and self.source.cached:
-            points, _ = subcube_points(self.fixed[self.oracle], self.free()[self.oracle])
-            self.source.charge(points.size)
-            return [self.source.table()[points]]
-        return full_tables([lf.oracle for lf in self.leaf_objects() if isinstance(lf, OracleLeaf)])
 
     def with_constants(self, values: np.ndarray) -> DecisionTree:
         """The tree with ``values`` at its oracle leaves, in preorder, as
@@ -355,12 +347,7 @@ def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
     return out.reshape(xs.shape)
 
 
-# leaves are written into a cube array in groups of about this many points,
-# so no other array of 2^n values is built; a larger leaf is written alone,
-# through its subcube view
-_LEAF_GROUP = 1 << 20
-
-# leaf tables are read as rows of blocks of about this many points
+# leaf tables are read and written as rows of blocks of about this many points
 _BLOCK_POINTS = 1 << 16
 
 # Batches of trees of one small dimension are decomposed and measured as one
@@ -378,6 +365,66 @@ def _subcube_index(n: int, fixed: int, free: int) -> tuple:
     return (fixed >> n,) + tuple(slice(None) if free >> c & 1 else fixed >> c & 1 for c in reversed(range(n)))
 
 
+def _leaf_cells(n: int, fixed: np.ndarray, free: np.ndarray, at: np.ndarray) -> Iterator[tuple]:
+    """The subcubes of the leaves ``at`` in a stack of 2^n-point tables, as
+    pairs (rows, cell): leaf j holds the points that read ``fixed[j]`` (its
+    table's index above bit n) outside its mask of free coordinates
+    ``free[j]``.
+
+    The leaves are sorted stably by dimension, so the rows of a cell ascend.
+    The leaves of one dimension k form cells of at most _BLOCK_POINTS
+    points: an int64 array whose row r lists the points of leaf rows[r], its
+    fixed bits OR the ascending subsets of its free mask, which are its
+    local points in order, built by doubling over the mask's bits from the
+    lowest (k array operations per cell; the j-th lowest free coordinate of
+    every leaf is found once, in one pass over the leaves of more than j).
+    A larger leaf is a cell of its own, the index of its subcube view
+    (`_subcube_index`), so none of its points is listed.  `_take` and `_put`
+    read and write a stack at a cell.
+    """
+    if not at.size:
+        return
+    dims = popcount(free[at])
+    at = at[np.argsort(dims, kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(dims))]).tolist()
+    # lows[j][i - bounds[j + 1]] is the j-th free coordinate of leaf at[i],
+    # for the leaves of more than j free coordinates, which come last
+    left, lows = free[at], []
+    for j in range(len(bounds) - 2):
+        rest = left[bounds[j + 1]:]
+        lows.append(rest & -rest)
+        rest ^= lows[j]
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if 1 << k > _BLOCK_POINTS:
+            for j in at[a:b].tolist():
+                yield np.array([j]), _subcube_index(n, int(fixed[j]), int(free[j]))
+            continue
+        for r in range(a, b, _BLOCK_POINTS >> k):
+            rows = at[r:min(b, r + (_BLOCK_POINTS >> k))]
+            points = np.empty((rows.size, 1 << k), dtype=np.int64)
+            points[:, 0] = fixed[rows]
+            for j in range(k):
+                low = lows[j][r - bounds[j + 1]:][:rows.size, None]
+                np.bitwise_or(points[:, :1 << j], low, out=points[:, 1 << j:2 << j])
+            yield rows, points
+
+
+def _take(stack: np.ndarray, n: int, cell) -> np.ndarray:
+    """The entries of a stack of 2^n-point tables at a cell of `_leaf_cells`:
+    gathered at its points, or its subcube view."""
+    return stack[cell] if isinstance(cell, np.ndarray) else stack.reshape((-1,) + (2,) * n)[cell]
+
+
+def _put(stack: np.ndarray, n: int, cell, fill: np.ndarray) -> None:
+    """Writes ``fill``, per row of a cell of `_leaf_cells` its table or one
+    value, at the cell in a stack of 2^n-point tables."""
+    if isinstance(cell, np.ndarray):
+        stack[cell] = fill
+    else:
+        view = _take(stack, n, cell)
+        view[...] = fill.reshape(view.shape if fill.size > 1 else ())
+
+
 def leaf_blocks(trees: list[DecisionTree], read: np.ndarray, point_queries: bool = False):
     """The tables of the oracle leaves marked in ``read`` of trees of one
     dimension n (one flag per oracle leaf, in preorder, tree after tree), as
@@ -390,14 +437,10 @@ def leaf_blocks(trees: list[DecisionTree], read: np.ndarray, point_queries: bool
     When every tree is a decomposition whose source's table is cached, as
     within the enumeration cap, the leaves read the stack of those tables
     (`funcs.stacked_table`, each distinct source's table once, however many
-    trees share it) where they lie, and a restriction of a cached table
-    charges nothing.  The leaves of one dimension k are read in blocks of at
-    most _BLOCK_POINTS points, each at its fixed bits OR the ascending
-    subsets of its free mask, which are its local points in order, built by
-    doubling over the mask's bits from the lowest: k array operations per
-    block.  A larger leaf is read through its subcube view
-    (`_subcube_index`).  Other leaves are read from their objects, one per
-    block.
+    trees share it) at the cells of `_leaf_cells`, and a restriction of a
+    cached table charges nothing: a block of at most _BLOCK_POINTS points
+    per cell, and a larger leaf alone, copied from its subcube view.  Other
+    leaves are read from their objects, one per block.
     """
     flats = [arrays(tree) for tree in trees]
     at = np.flatnonzero(read)
@@ -415,31 +458,13 @@ def leaf_blocks(trees: list[DecisionTree], read: np.ndarray, point_queries: bool
                       [flat.oracle.size for flat in flats])
     fixed = (fixed | owner << n)[oracle]
     free = tested[oracle] ^ ((1 << n) - 1)
-    stack, cube = stacked_table(list(sources.values())), (-1,) + (2,) * n
-    dims = popcount(free[at])
+    stack = stacked_table(list(sources.values()))
     if point_queries:
-        queries = np.bincount(fixed[at[dims == 0]] >> n, minlength=len(sources))
+        queries = np.bincount(fixed[at[free[at] == 0]] >> n, minlength=len(sources))
         for source, k in zip(sources.values(), queries.tolist()):
             source.charge(k)
-    order = np.argsort(dims, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(dims))]).tolist()
-    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        members = at[order[a:b]]
-        if 1 << k > _BLOCK_POINTS:
-            for j in members.tolist():
-                view = stack.reshape(cube)[_subcube_index(n, int(fixed[j]), int(free[j]))]
-                yield np.array([j]), np.ascontiguousarray(view).reshape(1, -1)
-            continue
-        step = _BLOCK_POINTS >> k
-        for r in range(0, members.size, step):
-            rows = members[r:r + step]
-            points = np.empty((rows.size, 1 << k), dtype=np.int64)
-            points[:, 0], left = fixed[rows], free[rows]
-            for j in range(k):
-                low = left & -left  # each row's j-th free coordinate
-                left ^= low
-                np.bitwise_or(points[:, :1 << j], low[:, None], out=points[:, 1 << j:2 << j])
-            yield rows, stack[points]
+    for rows, cell in _leaf_cells(n, fixed, free, at):
+        yield rows, _take(stack, n, cell).reshape(rows.size, -1)
 
 
 def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> tuple:
@@ -448,14 +473,15 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
     stacked as `funcs.stacked_table` stacks tables: point k * 2^n + x holds
     tree k at x.
 
-    The array form of each tree gives each leaf's subcube.  When every tree
-    is a whole decomposition, its leaves read the stack of the sources'
-    tables where they lie, and each source is charged its 2^n points.
-    Otherwise the points of an oracle leaf, taken in ascending order, are
-    its local points in order, so its whole table (`_Flat.oracle_tables`)
-    fills them in one scatter; each oracle leaf is charged its 2^k points,
-    as `funcs.full_tables` charges them.  A leaf of more than _LEAF_GROUP points fills the view of its
-    subcube (`_subcube_index`) in the cube-shaped stack.
+    The array form of each tree gives each leaf's subcube, and the leaves
+    are written cell by cell as `_leaf_cells` lists them, so no other array
+    of 2^n values is built: a constant leaf broadcasts its value, and an
+    oracle leaf is charged its 2^k points, as `funcs.full_tables` charges
+    them.  When every tree is a decomposition, whole or truncated, whose
+    source's table is cached, the oracle leaves read the stack of those
+    tables, tree k's at k * 2^n, at each cell.  Otherwise an oracle leaf is
+    read from its object (a decomposition's is its source restricted to its
+    subcube), the leaves of a cell in one `funcs.full_tables`.
     """
     n = trees[0].n
     check_enumerable(n, what)
@@ -466,60 +492,31 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
         parts[0] if len(parts) == 1 else np.concatenate(parts)
         for parts in zip(*((f.tested, f.fixed | k << n, f.oracle, f.value) for k, f in enumerate(flats)))
     )
-    stack = None
-    if oracle.all() and all(flat.source is not None for flat in flats):
-        # a decomposition's leaves cover its cube: the charge is 2^n
-        tables = full_tables([flat.source for flat in flats])
-        stack = tables[0] if len(tables) == 1 else np.concatenate(tables)
-    else:
-        tables = [t for flat in flats if flat.oracle.any() for t in flat.oracle_tables()]
-        if len(tables) > 1:
-            tables = [np.concatenate(tables)]
     free = tested ^ ((1 << n) - 1)
-    sizes = np.int64(1) << popcount(free).astype(np.int64)
-    ends = np.cumsum(sizes * oracle)  # of each leaf's table in tables[0]
-    starts = ends - sizes * oracle
-    alone = np.zeros(len(oracle), dtype=bool)
-    bounds = [0, len(oracle)]
-    if len(trees) << n > _LEAF_GROUP:
-        alone = sizes > _LEAF_GROUP
-        window = (np.cumsum(sizes) - sizes) // _LEAF_GROUP
-        cuts = np.flatnonzero((np.diff(window) != 0) | alone[1:] | alone[:-1]) + 1
-        bounds[1:1] = cuts.tolist()
-    cube = (-1,) + (2,) * n
-    values = levels = None
-    for a, b in zip(bounds, bounds[1:]):
-        if alone[a]:
-            idx = _subcube_index(n, int(fixed[a]), int(free[a]))
-            if stack is not None:
-                fill = stack.reshape(cube)[idx]
-            elif oracle[a]:
-                fill = tables[0][starts[a]:ends[a]].reshape((2,) * popcount(int(free[a])))
+    at = np.flatnonzero(oracle)
+    stack = None
+    if all(flat.source is not None and flat.source.cached for flat in flats):
+        stack = stacked_table([flat.source for flat in flats])
+        sizes = np.int64(1) << popcount(free[at]).astype(np.int64)
+        for flat, k in zip(flats, np.bincount(fixed[at] >> n, weights=sizes, minlength=len(flats)).tolist()):
+            flat.source.charge(int(k))
+    elif at.size:
+        objects = [lf.oracle for f in flats if f.oracle.any() for lf in f.leaf_objects() if isinstance(lf, OracleLeaf)]
+        ordinal = np.cumsum(oracle) - 1  # each oracle leaf's object
+    values = np.empty(len(trees) << n)
+    levels = np.empty(len(trees) << n, dtype=np.int64) if depths else None
+    depth = popcount(tested)[:, None] if depths else None
+    for is_oracle, leaves in ((True, at), (False, np.flatnonzero(~oracle))):
+        for rows, cell in _leaf_cells(n, fixed, free, leaves):
+            if not is_oracle:
+                fill = constants[rows, None]
+            elif stack is not None:
+                fill = _take(stack, n, cell)
             else:
-                fill = constants[a]
-        else:
-            points, group_sizes = subcube_points(fixed[a:b], free[a:b])
-            if stack is not None:
-                in_order = stack[points]
-            elif oracle[a:b].all():
-                in_order = tables[0][starts[a]:ends[b - 1]]
-            else:
-                in_order = np.repeat(constants[a:b], group_sizes)
-                if oracle[a:b].any():
-                    in_order[np.repeat(oracle[a:b], group_sizes)] = tables[0][starts[a]:ends[b - 1]]
-        if values is None:
-            # allocated before the first group's arrays, the table kept 8 MB
-            # more resident after a decompose at n = 20
-            values = np.empty(len(trees) << n)
-            levels = np.empty(len(trees) << n, dtype=np.int64) if depths else None
-        if alone[a]:
-            values.reshape(cube)[idx] = fill
+                fill = np.array(full_tables([objects[k] for k in ordinal[rows].tolist()]))
+            _put(values, n, cell, fill)
             if depths:
-                levels.reshape(cube)[idx] = popcount(int(tested[a]))
-        else:
-            values[points] = in_order
-            if depths:
-                levels[points] = np.repeat(popcount(tested[a:b]).astype(np.int64), group_sizes)
+                _put(levels, n, cell, depth[rows])
     return values, levels
 
 
@@ -664,8 +661,8 @@ def exact_distances(
 ) -> list[float]:
     """`exact_distance` (uniform weights) of each oracle and the tree at its
     position, all of one dimension, bit for bit: the trees' tables are
-    filled by stacks of STACK_POINTS points, one pass over the leaves of
-    all the trees of a stack."""
+    filled by stacks of STACK_POINTS points, one pass of `_cube_values` over
+    the leaves of all the trees of a stack, a cell of leaves at a time."""
     n = fs[0].n
     if any(g.n != n for g in fs) or len(trees) != len(fs):
         raise ValueError("exact_distances needs one tree per oracle, all of one dimension")

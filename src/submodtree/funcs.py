@@ -525,16 +525,15 @@ def stacked_pair_maxima(t: np.ndarray, n: int) -> np.ndarray:
 
 
 def leaf_violations(
-    t: np.ndarray, n: int, alpha, known_submodular: bool = False
+    t: np.ndarray, n: int, alpha: float, known_submodular: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per table of a stack of 2^n-point tables, such as the leaf tables of
     decompositions (`dtree.leaf_blocks`), whether it fails the
     alpha-monotone, alpha-Lipschitz and submodular checks:
     `is_alpha_monotone_decreasing`, `lipschitz_constant` <= alpha + TOL and
-    `is_submodular`, as three bool arrays, with ``alpha`` one per table (or
-    one for all).  A NaN difference fails none of them; a table fails the
-    submodular check when some mixed difference is above TOL, even in a row
-    that holds a NaN.
+    `is_submodular`, as three bool arrays.  A NaN difference fails none of
+    them; a table fails the submodular check when some mixed difference is
+    above TOL, even in a row that holds a NaN.
 
     ``known_submodular`` says that no mixed difference of tables of which
     these are restrictions exceeds TOL, so no table can fail, and the pair
@@ -542,7 +541,7 @@ def leaf_violations(
     """
     rows = t.size >> n
     mono, lip, sub = np.zeros((3, rows), dtype=bool)
-    bound = (np.asarray(alpha, dtype=float) + TOL).reshape(-1, 1)
+    bound = alpha + TOL
     for _, d in _derivative_rows(t, n):
         # |d| > bound, without a float temporary the size of d
         d = d.reshape(rows, -1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from submodtree import dtree
-from submodtree.cube import subcube_points
+from submodtree.cube import popcount
 from submodtree.dtree import ConstLeaf, DecisionTree, Node, OracleLeaf
 from submodtree.fourier import Spectrum
 from submodtree.funcs import (
@@ -53,6 +53,33 @@ def tree_from_json(text: str, n: int) -> DecisionTree:
         return Node(int(o["var"]) - 1, conv(o["lo"]), conv(o["hi"]))
 
     return DecisionTree(n, conv(json.loads(text)))
+
+
+def subcube_points(bits: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points of subcubes, one subcube after another, each in ascending
+    order, and the size of each subcube: the reference lister of leaf points,
+    which lists every point of every subcube at once.
+
+    Subcube k holds the points that read ``bits[k]`` outside its mask of
+    free coordinates ``free[k]`` (``bits[k]`` has no free bit set).  A point
+    is its subcube's bits OR a subset of its free mask; the ascending subsets
+    of each distinct mask are built once, by doubling.
+    """
+    masks = free.tolist()
+    subsets: dict[int, np.ndarray] = {}
+    for m in set(masks):
+        out = subsets[m] = np.zeros(1 << m.bit_count(), dtype=np.int64)
+        size = 1
+        for i in range(m.bit_length()):
+            if m >> i & 1:
+                np.bitwise_or(out[:size], 1 << i, out=out[size:2 * size])
+                size *= 2
+    one = len(masks) == 1  # one subcube: its points are its subsets, not a copy of them
+    points = subsets[masks[0]] if one else np.concatenate([subsets[m] for m in masks])
+    subsets.clear()  # at most 2^n values, no longer needed
+    sizes = np.int64(1) << popcount(free).astype(np.int64)
+    points |= bits[0] if one else np.repeat(bits, sizes)
+    return points, sizes
 
 
 def leaf_map(tree):

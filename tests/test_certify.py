@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import leaf_map, leaves_of, random_table, with_oracle_leaves
-from submodtree import cube, decompose, dtree
+from submodtree import decompose, dtree
 from submodtree.cube import check_enumerable, enum_cap
 from submodtree.decompose import (
     LeafCertificate,
@@ -312,12 +312,6 @@ def test_certification_lists_at_most_a_block_of_points(family, alpha, monkeypatc
     # through its subcube view
     f = instantiate(generate_random(family, 18, 1))
     sizes = []
-    listed = cube.subcube_points
-
-    def spy(bits, free):
-        points, counts = listed(bits, free)
-        sizes.append(points.size)
-        return points, counts
 
     class Gathered(np.ndarray):
         """A stack of tables that lists the size of each gather from it."""
@@ -327,9 +321,6 @@ def test_certification_lists_at_most_a_block_of_points(family, alpha, monkeypatc
                 sizes.append(index.size)
             return np.asarray(super().__getitem__(index))
 
-    for module in (cube, dtree, decompose):
-        if hasattr(module, "subcube_points"):
-            monkeypatch.setattr(module, "subcube_points", spy)
     stacked = dtree.stacked_table
     monkeypatch.setattr(dtree, "stacked_table", lambda fs: stacked(fs).view(Gathered))
     report = build_lipschitz_tree(f, alpha)

@@ -19,9 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import test_certify
-from conftest import leaves_of, tree_text, with_oracle_leaves
+from conftest import leaves_of, subcube_points, tree_text, with_oracle_leaves
 from submodtree import decompose, dtree, funcs
-from submodtree.cube import subcube_points
 from submodtree.decompose import build_lipschitz_trees, constantize_leaves
 from submodtree.dtree import ConstLeaf, DecisionTree, Node, OracleLeaf
 from submodtree.funcs import GENERATED_FAMILIES, ValueOracle, full_tables, generate_random, instantiate

@@ -3,10 +3,10 @@
 Within the enumeration cap the package once found the leaf of every point by
 sending all 2^n points through the tree's node arrays, grouped the
 points by leaf with a stable argsort, and read each leaf's table from that
-order.  It now lists the points of each leaf subcube directly
-(`cube.subcube_points`).  The references below are the descent code: the
-leaf ids, free masks, leaf tables, tree tables and leaf depths must be the
-same, bit for bit, with the same query charges.
+order.  It now lists the points of each leaf subcube directly, a block of
+leaves at a time (`dtree._leaf_cells`).  The references below are the
+descent code: the leaf ids, free masks, leaf tables, tree tables and leaf
+depths must be the same, bit for bit, with the same query charges.
 
 Certification takes the submodular flags from the input check when that
 check ran on the same table: the flags must equal the recomputed ones, and
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import leaf_map, leaves_of, random_table, tree_from_json, with_oracle_leaves
-from submodtree import cube, decompose, dtree, funcs
+from submodtree import decompose, dtree, funcs
 from submodtree.cube import popcount
 from submodtree.decompose import _grow, build_lipschitz_tree, build_monotone_tree
 from submodtree.dtree import ConstLeaf, DecisionTree, Node, OracleLeaf
@@ -137,19 +137,30 @@ def ref_grown_partition(f, alpha, phases):
     n=st.integers(min_value=0, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     count=st.integers(min_value=1, max_value=12),
+    block=st.sampled_from([1, 2, 4, 16, 1 << 16]),
 )
-def test_subcube_points_list_each_subcube_in_ascending_order(n, seed, count):
-    # any subcubes, repeated masks included, not only a partition of the cube
+def test_subcube_points_list_each_subcube_in_ascending_order(n, seed, count, block):
+    # any subcubes, repeated masks included, not only a partition of the cube;
+    # each in exactly one cell, whose rows ascend: listed points below the
+    # block size, a subcube view above it
     rng = np.random.default_rng(seed)
     full = (1 << n) - 1
     free = rng.integers(0, full + 1, size=count, dtype=np.int64)
     fixed = rng.integers(0, full + 1, size=count, dtype=np.int64) & ~free
-    points, sizes = cube.subcube_points(fixed, free)
     cube_points = np.arange(1 << n, dtype=np.int64)
     want = [cube_points[cube_points & ~m == b] for b, m in zip(fixed.tolist(), free.tolist())]
-    assert sizes.dtype == points.dtype == np.int64
-    assert sizes.tolist() == [w.size for w in want]
-    assert points.tolist() == np.concatenate(want).tolist()
+    listed = {}
+    with mock.patch.object(dtree, "_BLOCK_POINTS", block):
+        for rows, cell in dtree._leaf_cells(n, fixed, free, np.arange(count)):
+            assert np.all(np.diff(rows) > 0)
+            assert isinstance(cell, tuple) == (rows.size == 1 and want[rows[0]].size > block)
+            if not isinstance(cell, tuple):
+                assert cell.dtype == np.int64 and cell.size <= block
+            points = dtree._take(cube_points, n, cell).reshape(rows.size, -1)
+            listed.update(zip(rows.tolist(), points))
+    assert sorted(listed) == list(range(count))
+    for k, points in listed.items():
+        assert points.tolist() == want[k].tolist()
 
 
 # --- leaf map, tree tables and leaf profiles ----------------------------------------
@@ -190,11 +201,12 @@ def test_leaf_map_tables_and_profiles_match_the_descent(n, seed, kind):
     group=st.sampled_from([1, 2, 4, 16]),
 )
 def test_leaves_above_the_group_size_fill_their_subcube_views(n, seed, kind, group):
-    # with a small group size most leaves are written through their subcube
-    # views; with the default one, all leaves of n <= 20 form one group
+    # with a small block size most leaves are written through their subcube
+    # views; with the default one, every leaf of n <= 16 is written at listed
+    # points
     f, f_ref = table_oracles(n, seed)
     tree, ref_tree = make_tree(kind, n, seed, f), make_tree(kind, n, seed, f_ref)
-    with mock.patch.object(dtree, "_LEAF_GROUP", group):
+    with mock.patch.object(dtree, "_BLOCK_POINTS", group):
         table = dtree.tree_table(tree)
         values, depths = dtree.leaf_profile(tree)
     assert bits(table) == bits(dtree.tree_table(ref_tree))
@@ -214,12 +226,12 @@ def test_leaves_above_the_group_size_fill_their_subcube_views(n, seed, kind, gro
 )
 def test_decomposition_leaves_above_the_group_size_read_their_subcube_views(family, n, seed, alpha, group):
     # a decomposition's leaves read the input's table where it lies: through
-    # subcube views above the group and block sizes, at listed points below
+    # subcube views above the block size, at listed points below
     spec = generate_random(family, max(n, 2), seed)
     f, f_ref = instantiate(spec), instantiate(spec)
     report = build_lipschitz_tree(f, alpha, certify=False)
     ref_report = build_lipschitz_tree(f_ref, alpha, certify=False)
-    with mock.patch.object(dtree, "_LEAF_GROUP", group), mock.patch.object(dtree, "_BLOCK_POINTS", group):
+    with mock.patch.object(dtree, "_BLOCK_POINTS", group):
         table = dtree.tree_table(report.tree)
         values, depths = dtree.leaf_profile(report.tree)
         means = decompose.constantize_leaves(report)
@@ -289,6 +301,57 @@ def test_decomposition_tables_match_the_descent(family, n, seed, alpha):
     assert_same_cube_values(tree, ref_tree, f, f_ref)
     mixed, ref_mixed = mixed_leaves(tree, f, seed), mixed_leaves(ref_tree, f_ref, seed)
     assert_same_cube_values(mixed, ref_mixed, f, f_ref)
+
+
+def test_tree_tables_and_distances_gather_at_most_a_block_of_points():
+    # the leaves of a decomposition are read from its input's table a cell at
+    # a time: no gather lists the points of every leaf at once
+    g = instantiate(generate_random("coverage", 18, 1))
+    sizes = []
+
+    class Gathered(np.ndarray):
+        """A table that lists the size of each gather from it."""
+
+        def __getitem__(self, index):
+            if isinstance(index, np.ndarray) and index.dtype.kind == "i":
+                sizes.append(index.size)
+            return np.asarray(super().__getitem__(index))
+
+    table = g.table().view(Gathered)
+    f = ValueOracle(g.n, table.__getitem__, table=table)
+    tree = build_lipschitz_tree(f, 0.1, certify=False).tree
+    sizes.clear()
+    values = dtree.tree_table(tree)
+    profile, _ = dtree.leaf_profile(tree)
+    (distance,) = dtree.exact_distances([f], [tree], metric="l1")
+    assert dtree.tree_size(tree) > 1 and sizes != []
+    assert max(sizes) <= dtree._BLOCK_POINTS
+    assert bits(values) == bits(profile) == bits(g.table()) and distance == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5])
+def test_truncations_without_a_cached_source_charge_their_oracle_leaves(alpha, monkeypatch):
+    # built beyond the cap, a decomposition holds no table of its input; read
+    # within the cap, each truncation's table is the descent's, and each is
+    # charged the points of its oracle leaves, with nothing cached
+    spec = generate_random("coverage", 9, 1)
+    f, f_ref = instantiate(spec), instantiate(spec)
+    with monkeypatch.context() as mp:
+        mp.setenv("SUBMODTREE_ENUM_CAP", "4")
+        tree = build_lipschitz_tree(f, alpha).tree
+        ref_tree = build_lipschitz_tree(f_ref, alpha).tree
+    charges = []
+    for d in range(dtree.tree_depth(tree) + 1):
+        cut, ref_cut = dtree.truncate(tree, d), dtree.truncate(ref_tree, d)
+        flat = dtree.arrays(cut)
+        count = f.query_count
+        table = dtree.tree_table(cut)
+        charges.append(f.query_count - count)
+        assert charges[-1] == int(np.sum(np.int64(1) << popcount(flat.free()[flat.oracle]).astype(np.int64)))
+        assert bits(table) == bits(ref_cube_values(ref_cut)[0])
+        assert f.query_count == f_ref.query_count
+    assert charges[0] == 0 and charges[-1] == 1 << f.n and len(set(charges)) > 2
+    assert not f.cached
 
 
 # --- the leaves of a build -----------------------------------------------------------
