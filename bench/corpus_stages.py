@@ -6,10 +6,11 @@ Run from the repository root.  The corpus workload's job
 (`perfbench/job.py verify-corpus`) runs `verify all` with the corpus seeds
 shifted by the workload seed; this script runs the same suites in-process,
 with the same n, seeds, smax and k as ``perfbench/workloads.CORPUS`` at
-workload seed S, in a fresh process per side: this checkout, and the
-checkout at ``--parent`` when given (parent first).  Each side prints, in
-seconds, every suite's time (``suite_s``), the corpus build
-(``corpus_build_s``) and the stages of ``cli.suite_rank``
+workload seed S, in a fresh process per side with the BLAS and OpenMP
+thread counts set to 1: this checkout, and the checkout at ``--parent``
+when given, the parent first at an even seed and second at an odd one.
+Each side prints, in seconds, every suite's time (``suite_s``), the corpus
+build (``corpus_build_s``) and the stages of ``cli.suite_rank``
 (``rank_stages_s``), and in MB the process's VmHWM after each suite
 (``hwm_mb``):
 
@@ -53,6 +54,7 @@ STAGES = {
 }
 CORPUS_BUILD = [("funcs", "generate_random"), ("funcs", "instantiate"), ("funcs", "ValueOracle.table")]
 CORPUS_SUITES = ("variance", "parseval", "pairwise", "rank")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def vm_hwm_mb() -> float:
@@ -130,6 +132,7 @@ def child(seed: int) -> dict:
 def run_side(src: Path, seed: int) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "SUBMODTREE_ENUM_CAP"}
     env["PYTHONPATH"] = str(src)
+    env.update({var: "1" for var in THREAD_VARS})
     proc = subprocess.run(
         [sys.executable, __file__, "--child", str(seed)],
         env=env, capture_output=True, text=True, check=True,
@@ -148,7 +151,9 @@ def main() -> int:
     opts = parser.parse_args()
     sides = {"change": ROOT / "src"}
     if opts.parent is not None:
-        sides = {"parent": opts.parent.resolve() / "src", **sides}
+        sides["parent"] = opts.parent.resolve() / "src"
+        if opts.seed % 2 == 0:
+            sides = dict(reversed(sides.items()))
     result = {
         "what": __doc__.split("\n")[0],
         "machine": f"{os.cpu_count()}-core {platform.machine()}, "

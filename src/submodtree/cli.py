@@ -185,8 +185,9 @@ def suite_pairwise(ns, seeds) -> tuple[list[dict], float]:
 
 
 def _rank_row(inst: str, alpha: float, report, err: float) -> dict:
-    """Rank bound ceil(2/alpha), exact l1 reconstruction and leaf certificates."""
-    bound = math.ceil(2.0 / alpha)
+    """Rank bound ceil(2/alpha) (the report's `rank_bound`), exact l1
+    reconstruction and leaf certificates."""
+    bound = report.rank_bound()
     return {
         "instance": f"{inst}-a{alpha:g}",
         "lhs": report.rank,
@@ -473,6 +474,9 @@ def cmd_decompose(args) -> int:
 def cmd_learn(args) -> int:
     inst, f = _resolve_target(args)
     exact_possible = f.n <= enum_cap()
+    if args.competitor and not exact_possible:
+        print(f"error: --competitor needs n <= {enum_cap()}, got n={f.n}", file=sys.stderr)
+        return EXIT_USAGE
     if args.mode == "pac":
         if args.exact and not exact_possible:
             print(
@@ -516,7 +520,7 @@ def cmd_learn(args) -> int:
     }
     if exact_possible:
         run["exact_l2_error"] = dtree.exact_distance(f, hyp.spectrum, metric="l2")
-    if args.competitor and exact_possible:
+    if args.competitor:
         g = funcs.instantiate(_load_family_file(args.competitor))
         delta = dtree.exact_distance(f, g, metric="l2")
         run["competitor_l2"] = delta

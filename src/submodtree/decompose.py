@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,8 +72,13 @@ class DecompositionReport:
     phase: str = "lipschitz"
     leaf_mean_samples: int | None = None
 
+    def rank_bound(self) -> int:
+        """The claimed bound as an integer: a bound within TOL above an
+        integer is that integer."""
+        return math.ceil(self.claimed_rank_bound - TOL)
+
     def rank_bound_ok(self) -> bool:
-        return self.rank <= math.ceil(self.claimed_rank_bound - TOL)
+        return self.rank <= self.rank_bound()
 
     def certificates_ok(self) -> bool:
         certs = _distinct(self.leaf_certificates)
@@ -296,11 +301,10 @@ def _certify(
     one of a leaf, a restriction of a source, and the pair pass is skipped.
     A larger leaf gets None; constant leaves pass.
     """
-    flats = [dtree.arrays(tree) for tree in trees]
-    oracle = np.concatenate([flat.oracle for flat in flats])
-    dims = trees[0].n - popcount(np.concatenate([flat.tested for flat in flats])[oracle])
+    oracle = np.concatenate([tree.oracle for tree in trees])
+    dims = trees[0].n - popcount(np.concatenate([tree.tested for tree in trees])[oracle])
     # the oracle leaves of tree k end before oracle leaf ends[k]
-    ends = np.cumsum([np.count_nonzero(flat.oracle) for flat in flats])
+    ends = np.cumsum([np.count_nonzero(tree.oracle) for tree in trees])
     alphas = np.asarray(alphas, dtype=float)
     outcome = np.where(dims <= enum_cap(), 7, 8)
     for rows, block in dtree.leaf_blocks(trees, outcome == 7):
@@ -313,7 +317,7 @@ def _certify(
     leaves = np.full(oracle.size, 7)
     leaves[oracle] = outcome
     certificates = _CERTIFICATES[leaves].tolist()
-    counts = np.cumsum([flat.oracle.size for flat in flats]).tolist()
+    counts = np.cumsum([tree.oracle.size for tree in trees]).tolist()
     return [certificates[a:b] for a, b in zip([0, *counts], counts)]
 
 
@@ -421,16 +425,16 @@ def constantize_leaves(
     With alpha = eps^2 / 2 the result is within l2 distance eps of the
     represented function.
     """
-    flat = dtree.arrays(report.tree)
-    dims = popcount(flat.free()[flat.oracle])
+    tree = report.tree
+    dims = popcount(tree.free()[tree.oracle])
     exact = dims <= enum_cap()
-    means = _means(dtree.leaf_blocks([report.tree], exact, point_queries=True), dims.size)
+    means = _means(dtree.leaf_blocks([tree], exact, point_queries=True), dims.size)
     if not exact.all():
         m = mc_samples if mc_samples is not None else default_mean_samples(report.alpha)
-        oracle = [lf for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
+        oracle = [lf for lf in tree.leaf_objects() if isinstance(lf, OracleLeaf)]
         means[~exact] = [_sampled_mean(oracle[k], m, seed) for k in np.flatnonzero(~exact).tolist()]
         report.leaf_mean_samples = m
-    return flat.with_constants(means)
+    return tree.with_constants(means)
 
 
 def _means(blocks, count: int) -> np.ndarray:
@@ -485,14 +489,13 @@ def build_exact_discrete_tree(
             )
     alpha = 1.0 / (k + 1.0 / 3.0)
     report = build_lipschitz_tree(f, alpha, check=check, certify=certify)
-    flat = dtree.arrays(report.tree)
-    values = np.empty(np.count_nonzero(flat.oracle))
+    values = np.empty(np.count_nonzero(report.tree.oracle))
     for rows, block in dtree.leaf_blocks([report.tree], np.ones(values.size, dtype=bool), point_queries=True):
         if np.any(block.max(axis=1) - block.min(axis=1) > TOL):
             raise NonDiscreteRange("leaf is not constant; range is not 1/k-discrete")
         values[rows] = block[:, 0]
     return DecompositionReport(
-        tree=flat.with_constants(values),
+        tree=report.tree.with_constants(values),
         alpha=alpha,
         rank=report.rank,
         claimed_rank_bound=float(2 * k),
@@ -502,16 +505,14 @@ def build_exact_discrete_tree(
 
 
 def _lift(tree: DecisionTree, J: list[int], n: int) -> DecisionTree:
-    """The tree over coordinates J[0] < J[1] < ... of dimension n that reads
-    coordinate J[i] where ``tree`` reads i: its coordinates and path masks
-    mapped through J."""
-    flat = dtree.arrays(tree)
-    tested, fixed = np.zeros_like(flat.tested), np.zeros_like(flat.fixed)
-    for i, j in enumerate(J):
-        tested |= (flat.tested >> i & 1) << j
-        fixed |= (flat.fixed >> i & 1) << j
-    var = np.array(J + [-1], dtype=np.int64)[flat.var]  # a leaf's -1 stays -1
-    return DecisionTree.of(replace(flat, n=n, var=var, tested=tested, fixed=fixed))
+    """The constant-leaf tree over coordinates J[0] < J[1] < ... of
+    dimension n that reads coordinate J[i] where ``tree`` reads i: its nodes
+    sorted by depth, ties kept in preorder, are the lifted tree in level
+    order (`dtree.from_levels`), with their coordinates mapped through J."""
+    level = np.argsort(tree.depth, kind="stable")
+    var = np.array(J + [-1], dtype=np.int64)[tree.var[level]]  # a leaf's -1 stays -1
+    number = (np.cumsum(tree.leaf) - 1)[level]  # each leaf's constant, read at leaves only
+    return dtree.from_levels(n, tree.leaf[level], var, tree.depth[level], tree.value[number], tree.oracle[number])[0]
 
 
 @dataclass

@@ -5,21 +5,21 @@ on a path); a leaf either holds a constant or an oracle over the coordinates
 left free on its path.  `rank` is the Ehrenfeucht-Haussler complexity
 measure: the depth of the largest complete binary tree embeddable in T.
 
-Every consumer of a tree reads one array form of it (`arrays`, a `_Flat`):
-per node in preorder, lo before hi, its coordinate and depth; per leaf, its
-path's tested and fixed bits and either a constant or an oracle.  One
-constructor, `from_levels`, builds every tree in this form from arrays in
-level order, one numpy pass per depth level for the subtree sizes and ranks
-(bottom-up) and the positions and path masks (top-down).  Decompositions
-grow in level order (`decompose._grow`); each of their leaves is the source
-oracle restricted to the leaf's subcube, read from the source's table where
-it lies.  `random_tree` draws its nodes in preorder, and `truncate` keeps
-the nodes above a depth in preorder; a stable sort by depth puts either in
-level order.  A tree made of `Node` objects, the way to build one by hand,
-is walked once, level by level, and its form kept on the tree.  Rank, size,
-depth, leaf subcubes, tree tables, leaf means, values at points and the
-JSON text are all read from the arrays; a tree made from them builds its
-`Node` and leaf objects only when ``root`` is read or trees are compared.
+A `DecisionTree` is its array form: per node in preorder, lo before hi, its
+coordinate and depth; per leaf, its path's tested and fixed bits and either
+a constant or an oracle.  One constructor, `from_levels`, builds every tree
+from arrays in level order, one numpy pass per depth level for the subtree
+sizes and ranks (bottom-up) and the positions and path masks (top-down).
+Decompositions grow in level order (`decompose._grow`); each of their leaves
+is the source oracle restricted to the leaf's subcube, read from the
+source's table where it lies.  `random_tree` draws its nodes in preorder,
+and `truncate` keeps the nodes above a depth in preorder; a stable sort by
+depth puts either in level order.  ``DecisionTree(n, root)``, the way to
+build a tree of `Node` objects by hand, walks it once, level by level, into
+`from_levels`.  Rank, size, depth, leaf subcubes, tree tables, leaf means,
+values at points and the JSON text are all read from the arrays; a tree
+made from them builds its `Node` and leaf objects only when ``root`` is
+read or trees are compared.
 One reader, `_leaf_cells`, lists the leaves' subcubes for tree tables, leaf
 profiles, distances, certification and leaf means alike: the leaves of one
 dimension in blocks of at most _BLOCK_POINTS listed points, a larger leaf
@@ -34,11 +34,12 @@ that bound and its inversion.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -81,79 +82,69 @@ class Node:
 
 
 class DecisionTree:
-    """A tree plus its ambient dimension.
+    """A tree of dimension n in its array form.
 
-    ``DecisionTree(n, root)`` holds a tree of nodes; `DecisionTree.of` holds
-    an array form, whose nodes are built the first time ``root`` is read.
-    Trees compare equal when their dimensions and their nodes do.
+    Per node, in preorder (lo before hi): whether it is a leaf (``leaf``),
+    its coordinate (``var``, -1 at a leaf), its ``depth``, the nodes of its
+    subtree (``count``) and the index of its first piece of `to_json_chunks`
+    (``piece``).  Per leaf, in the same order: the masks of the coordinates
+    its path tests (``tested``) and of the bits it fixes (``fixed``), its
+    constant (``value``, 0.0 at an oracle leaf) and whether it is an oracle
+    leaf (``oracle``).  The oracle leaves of a decomposition (and of its
+    truncations) are ``source`` restricted to their subcubes; a tree made of
+    objects keeps its leaf objects in ``leaves``.  ``bad`` is the coordinate
+    of the first node in preorder that tests a coordinate twice on its path
+    or one outside the dimension, else None.  ``json`` keeps the distinct
+    pieces of `to_json_chunks` and each position's piece index once they
+    are rendered.
+
+    ``DecisionTree(n, root)`` walks a tree of nodes once, level by level,
+    into `from_levels`, and keeps ``root``; a tree that `from_levels` makes
+    builds its nodes the first time ``root`` is read.  Trees compare equal
+    when their dimensions and their nodes do.
     """
 
-    __slots__ = ("n", "_root", "_flat")
+    __slots__ = (
+        "n", "_root", "leaf", "var", "depth", "count", "piece", "rank", "bad",
+        "tested", "fixed", "value", "oracle", "source", "leaves", "json",
+    )
 
     def __init__(self, n: int, root: TreeNode) -> None:
-        check_packable(n, "a tree", 0)
-        self.n = n
+        nodes, depth, level, d = [], [], [root], 0
+        while level:
+            nodes += level
+            depth += [d] * len(level)
+            level, d = [c for node in level if isinstance(node, Node) for c in (node.lo, node.hi)], d + 1
+        leaf = [not isinstance(node, Node) for node in nodes]
+        objects = np.empty(len(nodes), dtype=object)
+        objects[:] = nodes
+        var = [-1 if is_leaf else node.var for is_leaf, node in zip(leaf, nodes)]
+        walked = from_levels(
+            n, np.array(leaf), np.array(var, dtype=np.int64), np.array(depth, dtype=np.int64),
+            np.array([node.value if isinstance(node, ConstLeaf) else 0.0 for node in nodes], dtype=float),
+            np.array([isinstance(node, OracleLeaf) for node in nodes]), objects,
+        )[0]
+        for name in self.__slots__:
+            setattr(self, name, getattr(walked, name))
         self._root = root
-        self._flat = None
 
-    @staticmethod
-    def of(flat: "_Flat") -> "DecisionTree":
-        tree = DecisionTree(flat.n, None)
-        tree._flat = flat
-        return tree
-
-    def _nodes(self) -> TreeNode:
+    @property
+    def root(self) -> TreeNode:
+        """The root node; a tree that `from_levels` makes builds its nodes once."""
         if self._root is None:
-            self._root = self._flat.nodes()
+            self._root = self.nodes()
         return self._root
-
-    root = property(_nodes, doc="The root node; a tree made from its array form builds its nodes once.")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not DecisionTree:
             return NotImplemented
-        return (self.n, self._nodes()) == (other.n, other._nodes())
+        return (self.n, self.root) == (other.n, other.root)
 
     def __hash__(self) -> int:
-        return hash((self.n, self._nodes()))
+        return hash((self.n, self.root))
 
     def __repr__(self) -> str:
-        return f"DecisionTree(n={self.n!r}, root={self._nodes()!r})"
-
-
-@dataclass(eq=False)
-class _Flat:
-    """The array form of a tree of dimension n.
-
-    Per node, in preorder (lo before hi): whether it is a leaf, its
-    coordinate (-1 at a leaf), its depth, the nodes of its subtree and the
-    index of its first piece of `to_json_chunks`.  Per leaf,
-    in the same order: the masks of the coordinates its path tests and of
-    the bits it fixes, its constant (0.0 at an oracle leaf) and whether it
-    is an oracle leaf.  The oracle leaves of a decomposition (and of its
-    truncations) are ``source`` restricted to their subcubes; a tree made
-    of objects keeps its leaf objects in ``leaves``.  ``bad`` is the
-    coordinate of the first node in preorder that tests a coordinate twice
-    on its path or one outside the dimension, else None.  ``json`` keeps
-    the distinct pieces of `to_json_chunks` and each position's piece index
-    once they are rendered.
-    """
-
-    n: int
-    leaf: np.ndarray
-    var: np.ndarray
-    depth: np.ndarray
-    count: np.ndarray
-    piece: np.ndarray
-    rank: int
-    bad: int | None
-    tested: np.ndarray
-    fixed: np.ndarray
-    value: np.ndarray
-    oracle: np.ndarray
-    source: ValueOracle | None = None
-    leaves: list | None = None
-    json: tuple | None = None
+        return f"DecisionTree(n={self.n!r}, root={self.root!r})"
 
     def free(self) -> np.ndarray:
         """The mask of the coordinates each leaf leaves free."""
@@ -177,12 +168,13 @@ class _Flat:
 
     def with_constants(self, values: np.ndarray) -> DecisionTree:
         """The tree with ``values`` at its oracle leaves, in preorder, as
-        constants."""
-        value = self.value.copy()
-        value[self.oracle] = values
-        return DecisionTree.of(
-            replace(self, value=value, oracle=np.zeros_like(self.oracle), source=None, leaves=None)
-        )
+        constants; it shares the other arrays of this one."""
+        tree = copy.copy(self)
+        tree.value = self.value.copy()
+        tree.value[self.oracle] = values
+        tree.oracle = np.zeros_like(self.oracle)
+        tree._root = tree.source = tree.leaves = tree.json = None
+        return tree
 
     def nodes(self) -> TreeNode:
         """The nodes of the tree, assembled from the last node back."""
@@ -215,6 +207,7 @@ def from_levels(
     subtree sizes and ranks; one from the top gives positions and path
     masks.
     """
+    check_packable(n, "a tree", 0)
     roots, size = len(sources), leaf.size
     inner = np.flatnonzero(~leaf)
     levels = int(depth[-1])
@@ -265,49 +258,29 @@ def from_levels(
     trees = []
     for k, source in enumerate(sources):
         a, b, la, lb = node_at[k], node_at[k + 1], leaf_at[k], leaf_at[k + 1]
-        trees.append(DecisionTree.of(_Flat(
-            n, leaf_p[a:b], var_p[a:b], depth_p[a:b], count_p[a:b], piece_p[a:b], int(rank[k]),
-            next((int(var_p[i]) for i in first if a <= i < b), None) if first else None,
-            tested_l[la:lb], fixed_l[la:lb], value_l[la:lb], oracle_l[la:lb], source=source,
-            leaves=None if leaves is None else leaves[ends[la:lb]].tolist(),
-        )))
+        tree = object.__new__(DecisionTree)
+        tree.n, tree._root, tree.rank, tree.source, tree.json = n, None, int(rank[k]), source, None
+        tree.leaf, tree.var, tree.depth, tree.count = leaf_p[a:b], var_p[a:b], depth_p[a:b], count_p[a:b]
+        tree.piece, tree.tested, tree.fixed = piece_p[a:b], tested_l[la:lb], fixed_l[la:lb]
+        tree.value, tree.oracle = value_l[la:lb], oracle_l[la:lb]
+        tree.bad = next((int(var_p[i]) for i in first if a <= i < b), None) if first else None
+        tree.leaves = None if leaves is None else leaves[ends[la:lb]].tolist()
+        trees.append(tree)
     return trees
 
 
-def arrays(tree: DecisionTree) -> _Flat:
-    """The array form of the tree: a tree of objects is walked once, level
-    by level, into `from_levels`, and its form kept on the tree."""
-    if tree._flat is None:
-        nodes, depth, level, d = [], [], [tree._root], 0
-        while level:
-            nodes += level
-            depth += [d] * len(level)
-            level, d = [c for node in level if isinstance(node, Node) for c in (node.lo, node.hi)], d + 1
-        leaf = [not isinstance(node, Node) for node in nodes]
-        objects = np.empty(len(nodes), dtype=object)
-        objects[:] = nodes
-        var = [-1 if is_leaf else node.var for is_leaf, node in zip(leaf, nodes)]
-        tree._flat = from_levels(
-            tree.n, np.array(leaf), np.array(var, dtype=np.int64), np.array(depth, dtype=np.int64),
-            np.array([node.value if isinstance(node, ConstLeaf) else 0.0 for node in nodes], dtype=float),
-            np.array([isinstance(node, OracleLeaf) for node in nodes]), objects,
-        )[0]._flat
-    return tree._flat
-
-
-def _leaf_subcubes(tree: DecisionTree) -> _Flat:
-    """The array form of a tree whose leaf subcubes partition the cube: leaf
-    k's subcube holds the points that read fixed[k] on tested[k].
+def _leaf_subcubes(tree: DecisionTree) -> DecisionTree:
+    """The tree, whose leaf subcubes partition the cube: leaf k's subcube
+    holds the points that read fixed[k] on tested[k].
 
     The subcubes partition the cube only when no path tests a coordinate
     twice or one outside the dimension; any other tree is rejected.
     """
-    flat = arrays(tree)
-    if flat.bad is not None:
+    if tree.bad is not None:
         raise ValueError(
-            f"coordinate {flat.bad} tested twice on a path or outside dimension {tree.n}"
+            f"coordinate {tree.bad} tested twice on a path or outside dimension {tree.n}"
         )
-    return flat
+    return tree
 
 
 def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
@@ -324,21 +297,21 @@ def evaluate_many(tree: DecisionTree, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     if np.any((xs < 0) | (xs >> tree.n != 0)):
         raise ValueError(f"points outside dimension {tree.n}")
-    flat, points = arrays(tree), xs.reshape(-1)
+    points = xs.reshape(-1)
     node = np.zeros(points.size, dtype=np.int64)
-    going = np.flatnonzero(~flat.leaf[node])
+    going = np.flatnonzero(~tree.leaf[node])
     while going.size:
         at = node[going]
-        node[going] = at + 1 + (points[going] >> flat.var[at] & 1) * flat.count[at + 1]
-        going = going[~flat.leaf[node[going]]]
-    reached = (np.cumsum(flat.leaf) - 1)[node]  # the leaf of each point, in preorder
-    out = flat.value[reached]
-    asked = np.flatnonzero(flat.oracle[reached])
-    if asked.size and flat.source is not None:
-        out[asked] = flat.source.eval_many(points[asked])
+        node[going] = at + 1 + (points[going] >> tree.var[at] & 1) * tree.count[at + 1]
+        going = going[~tree.leaf[node[going]]]
+    reached = (np.cumsum(tree.leaf) - 1)[node]  # the leaf of each point, in preorder
+    out = tree.value[reached]
+    asked = np.flatnonzero(tree.oracle[reached])
+    if asked.size and tree.source is not None:
+        out[asked] = tree.source.eval_many(points[asked])
     elif asked.size:
         asked = asked[np.argsort(reached[asked], kind="stable")]
-        objects = flat.leaf_objects()
+        objects = tree.leaf_objects()
         for group in np.split(asked, np.flatnonzero(np.diff(reached[asked])) + 1):
             leaf, local = objects[reached[group[0]]], np.zeros(group.size, dtype=np.int64)
             for j, g in enumerate(leaf.free):
@@ -442,20 +415,19 @@ def leaf_blocks(trees: list[DecisionTree], read: np.ndarray, point_queries: bool
     per cell, and a larger leaf alone, copied from its subcube view.  Other
     leaves are read from their objects, one per block.
     """
-    flats = [arrays(tree) for tree in trees]
     at = np.flatnonzero(read)
-    if not all(flat.source is not None and flat.source.cached for flat in flats):
-        oracles = [lf.oracle for flat in flats for lf in flat.leaf_objects() if isinstance(lf, OracleLeaf)]
+    if not all(tree.source is not None and tree.source.cached for tree in trees):
+        oracles = [lf.oracle for tree in trees for lf in tree.leaf_objects() if isinstance(lf, OracleLeaf)]
         for k in at.tolist():
             g = oracles[k]
             yield np.array([k]), (np.array([g(0)]) if point_queries and not g.n else g.table())[None]
         return
-    n = flats[0].n
-    sources = {id(flat.source): flat.source for flat in flats}
+    n = trees[0].n
+    sources = {id(tree.source): tree.source for tree in trees}
     slot = {key: k for k, key in enumerate(sources)}  # each source's table in the stack
-    tested, fixed, oracle = (np.concatenate(a) for a in zip(*((f.tested, f.fixed, f.oracle) for f in flats)))
-    owner = np.repeat(np.array([slot[id(flat.source)] for flat in flats], dtype=np.int64),
-                      [flat.oracle.size for flat in flats])
+    tested, fixed, oracle = (np.concatenate(a) for a in zip(*((t.tested, t.fixed, t.oracle) for t in trees)))
+    owner = np.repeat(np.array([slot[id(tree.source)] for tree in trees], dtype=np.int64),
+                      [tree.oracle.size for tree in trees])
     fixed = (fixed | owner << n)[oracle]
     free = tested[oracle] ^ ((1 << n) - 1)
     stack = stacked_table(list(sources.values()))
@@ -487,21 +459,22 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
     check_enumerable(n, what)
     if any(tree.n != n for tree in trees):
         raise ValueError(f"trees of dimensions {sorted({tree.n for tree in trees})}")
-    flats = [_leaf_subcubes(tree) for tree in trees]
+    for tree in trees:
+        _leaf_subcubes(tree)
     tested, fixed, oracle, constants = (
         parts[0] if len(parts) == 1 else np.concatenate(parts)
-        for parts in zip(*((f.tested, f.fixed | k << n, f.oracle, f.value) for k, f in enumerate(flats)))
+        for parts in zip(*((t.tested, t.fixed | k << n, t.oracle, t.value) for k, t in enumerate(trees)))
     )
     free = tested ^ ((1 << n) - 1)
     at = np.flatnonzero(oracle)
     stack = None
-    if all(flat.source is not None and flat.source.cached for flat in flats):
-        stack = stacked_table([flat.source for flat in flats])
+    if all(tree.source is not None and tree.source.cached for tree in trees):
+        stack = stacked_table([tree.source for tree in trees])
         sizes = np.int64(1) << popcount(free[at]).astype(np.int64)
-        for flat, k in zip(flats, np.bincount(fixed[at] >> n, weights=sizes, minlength=len(flats)).tolist()):
-            flat.source.charge(int(k))
+        for tree, k in zip(trees, np.bincount(fixed[at] >> n, weights=sizes, minlength=len(trees)).tolist()):
+            tree.source.charge(int(k))
     elif at.size:
-        objects = [lf.oracle for f in flats if f.oracle.any() for lf in f.leaf_objects() if isinstance(lf, OracleLeaf)]
+        objects = [lf.oracle for t in trees if t.oracle.any() for lf in t.leaf_objects() if isinstance(lf, OracleLeaf)]
         ordinal = np.cumsum(oracle) - 1  # each oracle leaf's object
     values = np.empty(len(trees) << n)
     levels = np.empty(len(trees) << n, dtype=np.int64) if depths else None
@@ -562,17 +535,17 @@ def to_oracle(tree: DecisionTree) -> ValueOracle:
 def rank(tree: DecisionTree) -> int:
     """Ehrenfeucht-Haussler rank: 0 on leaves; children's max when the child
     ranks differ, else child rank + 1."""
-    return int(arrays(tree).rank)
+    return int(tree.rank)
 
 
 def tree_size(tree: DecisionTree) -> int:
     """Number of leaves."""
-    return int(arrays(tree).oracle.size)
+    return int(tree.oracle.size)
 
 
 def tree_depth(tree: DecisionTree) -> int:
     """Depth of the deepest leaf."""
-    return int(arrays(tree).depth.max())
+    return int(tree.depth.max())
 
 
 def truncate(tree: DecisionTree, d: int) -> DecisionTree:
@@ -583,16 +556,15 @@ def truncate(tree: DecisionTree, d: int) -> DecisionTree:
     source."""
     if not isinstance(d, (int, np.integer)) or d < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {d!r}")
-    flat = arrays(tree)
-    kept = np.flatnonzero(flat.depth <= d)
-    kept = kept[np.argsort(flat.depth[kept], kind="stable")]
-    leaf = flat.leaf[kept] | (flat.depth[kept] == d)
+    kept = np.flatnonzero(tree.depth <= d)
+    kept = kept[np.argsort(tree.depth[kept], kind="stable")]
+    leaf = tree.leaf[kept] | (tree.depth[kept] == d)
     # each node's leaf in preorder; -1, a constant-0 leaf, at a cut node
-    number = np.where(flat.leaf, np.cumsum(flat.leaf) - 1, -1)[kept]
-    leaves = None if flat.leaves is None else np.array([*flat.leaves, ConstLeaf(0.0)], dtype=object)[number]
+    number = np.where(tree.leaf, np.cumsum(tree.leaf) - 1, -1)[kept]
+    leaves = None if tree.leaves is None else np.array([*tree.leaves, ConstLeaf(0.0)], dtype=object)[number]
     return from_levels(
-        tree.n, leaf, np.where(leaf, -1, flat.var[kept]), flat.depth[kept], np.append(flat.value, 0.0)[number],
-        np.append(flat.oracle, False)[number], leaves, [flat.source],
+        tree.n, leaf, np.where(leaf, -1, tree.var[kept]), tree.depth[kept], np.append(tree.value, 0.0)[number],
+        np.append(tree.oracle, False)[number], leaves, [tree.source],
     )[0]
 
 
@@ -613,12 +585,10 @@ class NonConstantLeaf(ValueError):
     """Raised when an operation needs constant leaves only."""
 
 
-def _constant_leaves(tree: DecisionTree) -> _Flat:
-    """The array form of a tree whose leaves are all constants."""
-    flat = arrays(tree)
-    if flat.oracle.any():
+def _constant_leaves(tree: DecisionTree) -> None:
+    """Rejects a tree with an oracle leaf."""
+    if tree.oracle.any():
         raise NonConstantLeaf("tree has oracle-valued leaves; constantize first")
-    return flat
 
 
 def to_spectrum(tree: DecisionTree):
@@ -762,10 +732,10 @@ def to_json_chunks(tree: DecisionTree, indent: int = 0) -> Iterator[str]:
     With ``indent`` set the json module would run its pure-Python encoder
     over nested dicts that would exist only to be encoded.
     """
-    flat = _constant_leaves(tree)
-    if flat.json is None:
-        flat.json = _json_table(flat)
-    texts, codes = flat.json
+    _constant_leaves(tree)
+    if tree.json is None:
+        tree.json = _json_table(tree)
+    texts, codes = tree.json
     if indent:
         # one replace over all distinct pieces: json.dumps escapes NUL, so
         # no piece holds one
@@ -777,31 +747,31 @@ def to_json_chunks(tree: DecisionTree, indent: int = 0) -> Iterator[str]:
     return chunks if indent else itertools.chain(chunks, ["\n"])
 
 
-def _json_table(flat: _Flat) -> tuple[np.ndarray, np.ndarray]:
+def _json_table(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pieces of the tree's JSON text, as an object array, and
     the index of each position's piece in it."""
-    pad = ["  " * d for d in range(int(flat.depth.max()) + 2)]
-    inner, ends = np.flatnonzero(~flat.leaf), np.flatnonzero(flat.leaf)
-    depth, start = flat.depth[inner], flat.piece[inner]
+    pad = ["  " * d for d in range(int(tree.depth.max()) + 2)]
+    inner, ends = np.flatnonzero(~tree.leaf), np.flatnonzero(tree.leaf)
+    depth, start = tree.depth[inner], tree.piece[inner]
     texts = [f'{{\n{p}"hi": ' for p in pad[1:]] + [f',\n{p}"lo": ' for p in pad[1:]]
-    codes = np.empty(2 * flat.leaf.size - 1, dtype=np.int64)
+    codes = np.empty(2 * tree.leaf.size - 1, dtype=np.int64)
     codes[start] = depth
-    codes[flat.piece[inner + 1] - 1] = len(pad) - 1 + depth
-    variables, var_of = np.unique(flat.var[inner], return_inverse=True)
-    codes[start + 2 * flat.count[inner] - 2] = _rendered(
+    codes[tree.piece[inner + 1] - 1] = len(pad) - 1 + depth
+    variables, var_of = np.unique(tree.var[inner], return_inverse=True)
+    codes[start + 2 * tree.count[inner] - 2] = _rendered(
         texts, depth, var_of, [str(var + 1) for var in variables.tolist()],
         lambda d, text: f',\n{pad[d + 1]}"var": {text}\n{pad[d]}}}',
     )
-    if flat.leaves is None:
-        _, first, value_of = np.unique(flat.value.view(np.uint64), return_index=True, return_inverse=True)
-        distinct = flat.value[first].tolist()
+    if tree.leaves is None:
+        _, first, value_of = np.unique(tree.value.view(np.uint64), return_index=True, return_inverse=True)
+        distinct = tree.value[first].tolist()
         labels = list(map(float.__repr__, distinct))
-        for k in np.flatnonzero(~np.isfinite(flat.value[first])).tolist():
+        for k in np.flatnonzero(~np.isfinite(tree.value[first])).tolist():
             labels[k] = json.dumps(distinct[k])
     else:  # a leaf object's value may be an int, written as one
-        value_of, labels = np.arange(ends.size), [_json_scalar(lf.value) for lf in flat.leaves]
-    codes[flat.piece[ends]] = _rendered(
-        texts, flat.depth[ends], value_of, labels,
+        value_of, labels = np.arange(ends.size), [_json_scalar(lf.value) for lf in tree.leaves]
+    codes[tree.piece[ends]] = _rendered(
+        texts, tree.depth[ends], value_of, labels,
         lambda d, text: f'{{\n{pad[d + 1]}"leaf": {text}\n{pad[d]}}}',
     )
     table = np.empty(len(texts), dtype=object)

@@ -96,7 +96,7 @@ def leaf_map(tree):
 def leaves_of(tree):
     """The leaf objects of a tree in the array form's order: preorder, lo
     before hi, the same objects that ``tree.root`` holds."""
-    return dtree.arrays(tree).leaf_objects()
+    return tree.leaf_objects()
 
 
 def spectrum_of(n: int, coeffs: dict) -> Spectrum:

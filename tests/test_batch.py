@@ -190,11 +190,11 @@ def assert_same_grid(make_fs, alphas, check=True, certify=True):
             assert (report.rank, report.claimed_rank_bound, report.phase) == (
                 ref.rank, ref.claimed_rank_bound, ref.phase)
             assert report.leaf_certificates == ref.leaf_certificates
-            flat, ref_flat = dtree.arrays(report.tree), dtree.arrays(ref.tree)
-            assert flat.source is f
-            assert (flat.n, flat.rank, flat.bad) == (ref_flat.n, ref_flat.rank, ref_flat.bad)
+            tree, ref_tree = report.tree, ref.tree
+            assert tree.source is f
+            assert (tree.n, tree.rank, tree.bad) == (ref_tree.n, ref_tree.rank, ref_tree.bad)
             for name in FLAT_ARRAYS:
-                a, b = getattr(flat, name), getattr(ref_flat, name)
+                a, b = getattr(tree, name), getattr(ref_tree, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert [f.query_count for f in fs] == [g.query_count for g in refs]
 

@@ -341,8 +341,7 @@ def build_charges(family, alpha):
     report = build_lipschitz_tree(f, alpha)
     certified = f.query_count - bare.query_count
     constantize_leaves(report, mc_samples=50)
-    flat = dtree.arrays(report.tree)
-    dims = np.bitwise_count(flat.free()[flat.oracle])
+    dims = np.bitwise_count(report.tree.free()[report.tree.oracle])
     return dims, report, certified, f.query_count - bare.query_count - certified
 
 

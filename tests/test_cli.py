@@ -115,6 +115,33 @@ def test_learn_agnostic_with_competitor(tmp_path):
     assert report["contract_ok"] is True
 
 
+def test_learn_competitor_respects_cap(tmp_path, capsys):
+    # above the cap the competitor's exact distance cannot be computed: the
+    # flag is refused before learning starts, not ignored
+    out = tmp_path / "learn"
+    code = run(
+        ["learn", "agnostic-l2", "--family", "cut", "--n", "30", "--epsilon", "0.5", "--L", "1",
+         "--competitor", "/nonexistent/spec.json", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--competitor" in err
+    assert not out.exists()
+
+
+def test_rank_rows_write_the_bound_they_check(tmp_path):
+    # 2 / alpha at alpha = 1/49 as a float is 98.00000000000001; the rank is
+    # checked against 98, so the row writes 98, not its ceiling 99
+    out = tmp_path / "out"
+    code = run(
+        ["decompose", "--family", "cut", "--n", "4", "--seed", "0",
+         "--alpha", "0.02040816326530612", "--out", str(out)]
+    )
+    assert code == 0
+    _, lhs, rhs, margin, ok = (out / "rank.csv").read_text().splitlines()[1].split(",")
+    assert (int(rhs), int(margin), ok) == (98, 98 - int(lhs), "true")
+
+
 def test_hardness_correlation(tmp_path):
     out = tmp_path / "h"
     assert run(["hardness", "correlation", "--smax", "10", "--out", str(out)]) == 0

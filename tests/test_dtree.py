@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,12 +118,12 @@ def test_dimensions_outside_the_int64_packing_are_rejected():
         with pytest.raises(DimensionTooLarge, match=f"got n={n}$"):
             DecisionTree(n, Node(n - 1, ConstLeaf(0.0), ConstLeaf(1.0)))
         with pytest.raises(DimensionTooLarge):
-            DecisionTree.of(replace(dtree.arrays(DecisionTree(1, ConstLeaf(0.0))), n=n))
+            dtree.from_levels(n, np.array([True]), np.array([-1]), np.array([0]), np.array([0.0]), np.array([False]))
         with pytest.raises(DimensionTooLarge):
             random_tree(n, 0)
     assert rank(DecisionTree(0, ConstLeaf(1.0))) == 0
     wide = DecisionTree(62, Node(61, ConstLeaf(0.0), ConstLeaf(1.0)))
-    assert dtree.arrays(wide).tested.tolist() == [1 << 61] * 2
+    assert wide.tested.tolist() == [1 << 61] * 2
     assert tree_size(random_tree(62, 0, max_depth=3)) >= 1
 
 

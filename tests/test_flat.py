@@ -1,6 +1,6 @@
 """The array form of trees against the object walkers it replaced, bit for bit.
 
-Every consumer of a tree reads its array form (`dtree._Flat`); decompositions
+Every consumer of a tree reads its array form (`dtree.DecisionTree`); decompositions
 are built in that form straight from the level arrays of `_grow`.  The
 references below are the walkers the package used before: the recursive
 rank, the leaf iterator, the leaf-subcube walk, the JSON emitter, the
@@ -236,7 +236,7 @@ def test_random_trees_read_as_the_walkers_read_them(n, seed, leaf_prob, values, 
     assert tree_text(tree) == ref_json(tree)
     assert bits(dtree.tree_table(tree)) == bits(ref_table(tree))
     # the same tree made from its array form builds equal nodes on demand
-    again = DecisionTree.of(dtree.arrays(tree))
+    again = dtree.truncate(tree, dtree.tree_depth(tree))
     assert tree_text(again) == ref_json(tree)
     assert ref_json(again) == ref_json(tree)
 
@@ -282,7 +282,7 @@ def assert_same_decompositions(specs, alpha):
             assert bits(lf.oracle.table()) == bits(ref_lf.oracle.table())
         means, ref_means_ = constantize_leaves(report), ref_constantize(ref_tree)
         assert f.query_count == f_ref.query_count
-        assert bits(dtree.arrays(means).value) == bits([lf.value for lf in leaves_of(ref_means_)])
+        assert bits(means.value) == bits([lf.value for lf in leaves_of(ref_means_)])
         assert tree_text(means) == ref_json(ref_means_)
 
 
@@ -331,14 +331,14 @@ def test_a_grown_tree_holds_no_copy_of_the_table():
     # at n = 16 holds its nodes and masks, not 2^16 values of 8 bytes
     f = instantiate(generate_random("coverage", 16, 1))
     report = build_lipschitz_trees([f], 0.1)[0]
-    flat = dtree.arrays(report.tree)
-    assert flat.oracle.size == 470 and flat.leaves is None
-    held = sum(a.nbytes for a in vars(flat).values() if isinstance(a, np.ndarray))
+    tree = report.tree
+    assert tree.oracle.size == 470 and tree.leaves is None
+    held = sum(a.nbytes for a in (getattr(tree, name) for name in DecisionTree.__slots__) if isinstance(a, np.ndarray))
     assert held < 8 * (1 << 16) // 8
     # reading the leaves' tables and means leaves the tree as it was
     dtree.tree_table(report.tree)
     constantize_leaves(report)
-    assert sum(a.nbytes for a in vars(flat).values() if isinstance(a, np.ndarray)) == held
+    assert sum(a.nbytes for a in (getattr(tree, name) for name in DecisionTree.__slots__) if isinstance(a, np.ndarray)) == held
 
 
 @settings(max_examples=4, deadline=None)

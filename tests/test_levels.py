@@ -94,18 +94,18 @@ def assert_same_tree(tree, ref):
     """The same shape, coordinates, leaf masks, leaf kinds and leaf values,
     read from the array form against the reference's nodes; the JSON bytes
     when every leaf is a constant."""
-    flat, (leaves, tested, fixed) = dtree.arrays(tree), ref_leaf_subcubes(ref)
+    leaves, tested, fixed = ref_leaf_subcubes(ref)
     assert tree.n == ref.n
     assert dtree.rank(tree) == ref_rank(ref.root)
     assert dtree.tree_depth(tree) == ref_depth(ref.root)
     assert dtree.tree_size(tree) == len(leaves)
-    assert flat.tested.tolist() == tested.tolist() and flat.fixed.tolist() == fixed.tolist()
-    assert flat.oracle.tolist() == [isinstance(lf, OracleLeaf) for lf in leaves]
-    assert bits(flat.value) == bits(leaf_values(leaves))
+    assert tree.tested.tolist() == tested.tolist() and tree.fixed.tolist() == fixed.tolist()
+    assert tree.oracle.tolist() == [isinstance(lf, OracleLeaf) for lf in leaves]
+    assert bits(tree.value) == bits(leaf_values(leaves))
     got = ref_leaf_subcubes(tree)[0]
     assert [type(lf) for lf in got] == [type(lf) for lf in leaves]
     assert bits(leaf_values(got)) == bits(leaf_values(leaves))
-    if not flat.oracle.any():
+    if not tree.oracle.any():
         assert tree_text(tree) == tree_text(ref)
 
 
@@ -182,7 +182,7 @@ def test_truncations_match_the_recursive_cut(n, seed, values, built):
     # a hand-built tree keeps its leaf objects; one from the arrays has none
     tree = relabeled(dtree.random_tree(n, seed), values)
     if not built:
-        tree = dtree.arrays(tree).with_constants(np.zeros(0))
+        tree = tree.with_constants(np.zeros(0))
     for d in range(dtree.tree_depth(tree) + 2):
         assert_same_tree(dtree.truncate(tree, d), ref_truncate(tree, d))
         assert_same_tree(dtree.truncate(dtree.truncate(tree, d + 1), d), ref_truncate(tree, d))
@@ -240,7 +240,7 @@ def test_decompositions_truncate_and_evaluate_as_their_restricted_leaves(family,
             for d in range(dtree.tree_depth(tree) + 1):
                 cut, ref_cut = dtree.truncate(tree, d), ref_truncate(ref, d)
                 assert_same_tree(cut, ref_cut)
-                assert dtree.arrays(cut).source is f
+                assert cut.source is f
                 assert_same_values(cut, ref_cut, f, f_ref, xs)
                 cuts.append((f, f_ref, tree, ref, d, ref_cut))
     for f, f_ref, tree, ref, d, ref_cut in cuts:
@@ -270,4 +270,4 @@ def test_evaluate_many_matches_the_recursive_walk(n, seed, values, shape):
     xs = np.random.default_rng(seed).integers(0, 1 << n, size=shape, dtype=np.int64)
     f = ValueOracle.from_table(np.zeros(1))
     assert_same_values(tree, tree, f, f, xs)
-    assert_same_values(DecisionTree.of(dtree.arrays(tree)), tree, f, f, xs)
+    assert_same_values(dtree.truncate(tree, dtree.tree_depth(tree)), tree, f, f, xs)

@@ -240,7 +240,7 @@ def test_decomposition_leaves_above_the_group_size_read_their_subcube_views(fami
     assert bits(values) == bits(ref_values)
     assert np.array_equal(depths, ref_depths)
     ref_means = decompose.constantize_leaves(ref_report)
-    assert bits(dtree.arrays(means).value) == bits(dtree.arrays(ref_means).value)
+    assert bits(means.value) == bits(ref_means.value)
     assert f.query_count == f_ref.query_count
 
 
@@ -343,11 +343,10 @@ def test_truncations_without_a_cached_source_charge_their_oracle_leaves(alpha, m
     charges = []
     for d in range(dtree.tree_depth(tree) + 1):
         cut, ref_cut = dtree.truncate(tree, d), dtree.truncate(ref_tree, d)
-        flat = dtree.arrays(cut)
         count = f.query_count
         table = dtree.tree_table(cut)
         charges.append(f.query_count - count)
-        assert charges[-1] == int(np.sum(np.int64(1) << popcount(flat.free()[flat.oracle]).astype(np.int64)))
+        assert charges[-1] == int(np.sum(np.int64(1) << popcount(cut.free()[cut.oracle]).astype(np.int64)))
         assert bits(table) == bits(ref_cube_values(ref_cut)[0])
         assert f.query_count == f_ref.query_count
     assert charges[0] == 0 and charges[-1] == 1 << f.n and len(set(charges)) > 2
@@ -365,7 +364,7 @@ def assert_same_build(make_f, alpha, phases):
     builder = build_monotone_tree if phases == 1 else build_lipschitz_tree
     report = builder(f, alpha, check=False)
     ref_leaf_of, ref_free = ref_grown_partition(f_ref, alpha, phases)
-    free = dtree.arrays(report.tree).free()
+    free = report.tree.free()
     assert free.dtype == ref_free.dtype and np.array_equal(free, ref_free)
     leaves = leaves_of(report.tree)
     assert len(leaves) == free.size
