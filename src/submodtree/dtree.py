@@ -658,7 +658,7 @@ def _distances(tf, tg, n: int, dist: ProductDistribution | None, metric: str, ou
     if metric == "disagreement":
         differ = (tf != tg).reshape(-1, 1 << n)
         if dist is None:
-            return [float(np.count_nonzero(row) * w) for row in differ]
+            return (np.count_nonzero(differ, axis=1) * w).tolist()
         return [float(np.sum(w[row])) for row in differ]
     if metric not in ("l1", "l2"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -669,7 +669,9 @@ def _distances(tf, tg, n: int, dist: ProductDistribution | None, metric: str, ou
     else:
         np.square(d, out=d)
     np.multiply(d, w, out=d)
-    totals = [float(np.sum(row)) for row in d]
+    # a row sum along the contiguous axis adds in the same pairwise order as
+    # np.sum over that row alone
+    totals = d.sum(axis=1).tolist()
     return totals if metric == "l1" else [math.sqrt(total) for total in totals]
 
 

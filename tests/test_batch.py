@@ -11,6 +11,7 @@ batch at several alphas at once, and must give what `build_lipschitz_trees`
 gives at each alpha in turn.
 """
 
+import math
 import os
 from unittest import mock
 
@@ -153,6 +154,42 @@ def test_stacked_distances_sum_each_table_alone(n):
         got = dtree.exact_distances(fs, trees, metric=metric)
         want = [dtree.exact_distance(f, t, metric=metric) for f, t in zip(fs, trees)]
         assert bits(got) == bits(want)
+
+
+def distances_row_by_row(tf, tg, n, metric):
+    """The uniform distances of `dtree._distances`, one np.sum or
+    np.count_nonzero per table: the reference for its one-reduction sums."""
+    w = 0.5**n
+    if metric == "disagreement":
+        return [float(np.count_nonzero(row) * w) for row in (tf != tg).reshape(-1, 1 << n)]
+    d = (tf - tg).reshape(-1, 1 << n)
+    d = np.abs(d) if metric == "l1" else np.square(d)
+    totals = [float(np.sum(row)) for row in d * w]
+    return totals if metric == "l1" else [math.sqrt(total) for total in totals]
+
+
+SPECIAL_VALUES = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e308, 5e-324)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 16),
+    tables=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(st.tuples(st.booleans(), st.integers(0, 2**31), st.sampled_from(SPECIAL_VALUES)),
+                      max_size=8),
+    metric=st.sampled_from(("l1", "l2", "disagreement")),
+)
+def test_distance_rows_sum_as_each_row_alone(n, tables, seed, specials, metric):
+    rng = np.random.default_rng(seed)
+    size = tables << n
+    tf = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size)
+    tg = np.where(rng.random(size) < 0.5, tf, rng.standard_normal(size))
+    for in_f, at, value in specials:
+        (tf if in_f else tg)[at % size] = value
+    with np.errstate(all="ignore"):  # inf - inf, and squares past the largest float
+        want = distances_row_by_row(tf, tg, n, metric)
+        assert bits(dtree._distances(tf, tg.copy(), n, None, metric)) == bits(want)
 
 
 # --- alpha grids ------------------------------------------------------------------

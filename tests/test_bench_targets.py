@@ -2,6 +2,8 @@
 wrap functions by name and skip a name that is not there, so a renamed
 function would make its stage read 0; a rename must fail these tests
 instead.  The scripts are loaded read-only; nothing is wrapped.
+`bench/exit_cost.py` calls `cli.main` and `perfbench/job.py`'s
+`verify_corpus` by name, so one small job of each kind runs through it.
 """
 
 import importlib
@@ -20,7 +22,7 @@ def _load(name):
     return script
 
 
-decompose_stages, corpus_stages = _load("decompose_stages"), _load("corpus_stages")
+decompose_stages, corpus_stages, exit_cost = map(_load, ("decompose_stages", "corpus_stages", "exit_cost"))
 
 
 def resolves(module: str, path: str) -> bool:
@@ -48,3 +50,13 @@ def test_every_rank_stage_wraps_a_function(stage):
 @pytest.mark.parametrize("module,path", corpus_stages.CORPUS_BUILD)
 def test_every_corpus_build_target_is_a_function(module, path):
     assert resolves(module, path)
+
+
+@pytest.mark.parametrize("args", [
+    ["decompose", "--family", "cut", "--n", "5", "--alpha", "0.5"],
+    ["verify-corpus", "0", "4", "1", "2", "1"],
+])
+def test_exit_cost_times_a_job(args):
+    run = exit_cost.run_once(BENCH.parent / "src", args)
+    assert all(run[t] > 0 for t in exit_cost.TIMES)
+    assert len(run["collections"]) == 3

@@ -230,15 +230,32 @@ def test_spectrum_to_a_pipe_closed_before_the_first_byte(tmp_path):
          "--samples", "4096"],
     ],
 )
-def test_reports_are_byte_identical_across_reruns(tmp_path, argv):
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+def test_reports_are_byte_identical_across_reruns(tmp_path, capsys, argv):
+    # the third run is `python -m submodtree.cli` in a fresh interpreter,
+    # whose import of the module freezes the collector's heap
+    out1, out2, out3 = tmp_path / "r1", tmp_path / "r2", tmp_path / "r3"
     assert run(argv + ["--out", str(out1)]) == 0
+    stdout1 = capsys.readouterr().out
     assert run(argv + ["--out", str(out2)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(submodtree.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "submodtree.cli", *argv, "--out", str(out3)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stdout1
     files1 = sorted(p.name for p in out1.iterdir())
-    files2 = sorted(p.name for p in out2.iterdir())
-    assert files1 == files2 and files1
-    for name in files1:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert files1
+    for out in (out2, out3):
+        assert sorted(p.name for p in out.iterdir()) == files1
+        for name in files1:
+            assert (out1 / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_only_the_cli_module_freezes_the_heap():
+    env = {**os.environ, "PYTHONPATH": str(Path(submodtree.__file__).parents[1])}
+    for module, frozen in (("submodtree", False), ("submodtree.cli", True)):
+        proc = subprocess.run([sys.executable, "-c", f"import gc, {module}; print(gc.get_freeze_count())"],
+                              env=env, capture_output=True, text=True, check=True)
+        assert (int(proc.stdout) > 0) == frozen, module
 
 
 @pytest.mark.parametrize(
