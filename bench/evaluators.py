@@ -1,4 +1,4 @@
-"""Per-family evaluator costs: sampled batches, whole tables and the corpus.
+"""Per-family evaluator costs: sampled batches, whole tables, the corpus and KM bucket estimates.
 
     python3 bench/evaluators.py --out FILE [--parent DIR] [--families coverage cut ...]
 
@@ -14,11 +14,16 @@ from row to row.  For every generated family (instance seed 1) it records:
   after `instantiate`, and the process's VmHWM after it;
 - ``corpus_s``: `instantiate` plus `table()` over the verify corpus
   (`funcs.iter_corpus`'s instances, n = 4..10, seeds 0..19), the median of
-  REPEATS passes; the specs are generated outside the timed region.
+  REPEATS passes; the specs are generated outside the timed region;
+- ``km_bucket_us`` (coverage and budget_additive only): one
+  `learn._bucket_weight_estimate` at n = 30 and m = 6000, the estimate of
+  `km_search`'s bucket search, per prefix length k in KM_KS (pattern
+  2^(k-1), the child that sets coordinate k), BATCHES estimates per pass with
+  their own seeds, the median of REPEATS passes, in us per estimate.
 
 With ``--parent`` every row also checks that the two sides' values are
-equal bit for bit (sha256 of the evaluated points, the tables and the corpus
-tables).  Results are written to FILE as JSON.
+equal bit for bit (sha256 of the evaluated points, the tables, the corpus
+tables and the estimates).  Results are written to FILE as JSON.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ FAMILIES = ("coverage", "cut", "budget_additive", "matroid_rank_partition", "con
 SEED = 1
 BATCH, BATCHES, REPEATS = 6000, 50, 5
 EVAL_NS, TABLE_NS = (30, 62), (19, 24)
+KM_FAMILIES, KM_N, KM_KS = ("coverage", "budget_additive"), 30, (1, 15, 29)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
@@ -51,7 +57,7 @@ def child(kind: str, family: str, n: int) -> dict:
     """Runs in the measured process and returns one JSON-able result."""
     import numpy as np
 
-    from submodtree import funcs
+    from submodtree import funcs, learn
 
     digest = hashlib.sha256()
     if kind == "eval":
@@ -67,6 +73,19 @@ def child(kind: str, family: str, n: int) -> dict:
             digest.update(v.tobytes())
         return {"eval_ns_per_point": statistics.median(times) / (BATCH * BATCHES) * 1e9,
                 "sha256": digest.hexdigest()}
+    if kind == "km":
+        f = funcs.instantiate(funcs.generate_random(family, n, SEED))
+        per_k = {}
+        for k in KM_KS:
+            times = []
+            for _ in range(REPEATS):
+                rngs = [np.random.default_rng((SEED, k, j)) for j in range(BATCHES)]
+                start = time.perf_counter()
+                estimates = [learn._bucket_weight_estimate(f, k, 1 << (k - 1), BATCH, r) for r in rngs]
+                times.append(time.perf_counter() - start)
+            per_k[str(k)] = statistics.median(times) / BATCHES * 1e6
+            digest.update(np.array(estimates).tobytes())
+        return {"km_bucket_us": per_k, "sha256": digest.hexdigest()}
     if kind == "table":
         start = time.perf_counter()
         table = funcs.instantiate(funcs.generate_random(family, n, SEED)).table()
@@ -111,7 +130,7 @@ def main() -> int:
     plan = [("eval", n) for n in EVAL_NS] + [("table", n) for n in TABLE_NS] + [("corpus", 10)]
     rows = []
     for family in opts.families:
-        for kind, n in plan:
+        for kind, n in plan + [("km", KM_N)] * (family in KM_FAMILIES):
             names = list(sides)
             if len(rows) % 2:
                 names.reverse()

@@ -715,17 +715,24 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
             masks.append(m)
         words = max(1, -(-len(number) // 64))
         rows = np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks), dtype="<u8")
-        # per chunk of coordinates, the union of the sets of each of its subsets
+        rows = rows.reshape(n, words).T
+        # per chunk of coordinates and per word, that word of the union of
+        # the sets of each of the chunk's subsets: one 1-D table each
         (_, first), *rest = [
-            (lo, _doubling_table(rows.reshape(n, words)[lo : lo + _COVER_WIDTH], np.bitwise_or))
+            (lo, [_doubling_table(word[lo : lo + _COVER_WIDTH], np.bitwise_or) for word in rows])
             for lo in range(0, n, _COVER_WIDTH)
         ]
 
         def cov(xs: np.ndarray) -> np.ndarray:
-            covered = first[xs & (len(first) - 1)]
-            for lo, t in rest:
-                covered |= t[(xs >> lo) & (len(t) - 1)]
-            return np.bitwise_count(covered).sum(axis=1, dtype=np.int64) / u
+            covered = [t[xs & (len(t) - 1)] for t in first]
+            for lo, tables in rest:
+                key = (xs >> lo) & (len(tables[0]) - 1)
+                for c, t in zip(covered, tables):
+                    c |= t[key]
+            count = np.zeros(xs.shape, dtype=np.int64)
+            for c in covered:
+                count += np.bitwise_count(c)
+            return count / u
 
         return ValueOracle(n, _by_chunks(cov))
 
@@ -774,11 +781,14 @@ def _instantiate(spec: FamilySpec) -> ValueOracle:
         # coordinate changes no sum, so this is the left-to-right order
         k = min(n, _PREFIX_WIDTH)
         prefix = _doubling_table(np.array(w[:k]), np.add)
+        high = np.min_scalar_type((1 << (n - k)) - 1)  # holds the coordinates above k
 
         def badd(xs: np.ndarray) -> np.ndarray:
             total = prefix[xs & (len(prefix) - 1)]
-            for i in range(k, n):
-                total += ((xs >> i) & 1) * w[i]
+            if n > k:
+                top = (xs >> k).astype(high)
+                for i, wi in enumerate(w[k:]):
+                    total += ((top >> i) & 1) * wi
             return np.minimum(total, b) / b
 
         return ValueOracle(n, _by_chunks(badd))

@@ -131,20 +131,16 @@ def _bucket_weight_estimate(
     f: ValueOracle, k: int, pattern: int, m: int, rng: np.random.Generator
 ) -> float:
     """Paired-sample estimate of sum of coeff(S)^2 over S with S cap [k] =
-    pattern: E[f(x1,y) f(x2,y) chi(x1) chi(x2)] with shared suffix y."""
-    n = f.n
-    x1 = rng.integers(0, 1 << k, size=m, dtype=np.int64)
-    x2 = rng.integers(0, 1 << k, size=m, dtype=np.int64)
-    y = rng.integers(0, 1 << (n - k), size=m, dtype=np.int64) if n > k else np.zeros(m, np.int64)
-    p1 = x1 | (y << k)
-    p2 = x2 | (y << k)
-    terms = (
-        f.eval_many(p1)
-        * f.eval_many(p2)
-        * parity_signs(pattern, x1)
-        * parity_signs(pattern, x2)
-    )
-    return float(np.mean(terms))
+    pattern: E[f(x1,y) f(x2,y) chi(x1) chi(x2)] with shared suffix y, as
+    E[f(x1,y) f(x2,y) chi(x1 ^ x2)]: one parity and one evaluator call."""
+    # x1 then x2 (the draws of two size-m calls), then y above k on both,
+    # where it cancels in x1 ^ x2
+    points = rng.integers(0, 1 << k, size=(2, m), dtype=np.int64)
+    if f.n > k:
+        points |= rng.integers(0, 1 << (f.n - k), size=m, dtype=np.int64) << k
+    signs = parity_signs(pattern, points[0] ^ points[1])
+    values = f.eval_many(points)
+    return float(np.mean(values[0] * values[1] * signs))
 
 
 def _default_sample_count(factor: float, theta: float, power: int, n: int) -> int:
@@ -185,6 +181,9 @@ def km_search(
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
+    for name, count in (("bucket_samples", bucket_samples), ("coeff_samples", coeff_samples)):
+        if count is not None and not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     n = f.n
     d = degree if degree is not None else n
     mb = bucket_samples if bucket_samples is not None else _default_sample_count(64.0, theta, 4, n)

@@ -560,6 +560,25 @@ GOLDEN_SPECTRUM_AND_LEARN = [
       "--epsilon", "0.5", "--gamma", "0.2", "--degree", "2", "--samples", "2048", "--seed", "1"],
      {"hypothesis.csv": "f092baaf2d3c2f63aaacdb194a36397c2c539b6779fbd34b02d511924cf6c915",
       "run.json": "3512e79765336b557fe6bdb33469788bd685a9bbd9bff9b10921a7a0e4030170"}),
+    # the learner beyond the enumeration cap: coverage with one and with two
+    # uint64 words of owned elements (70 at n = 40), budget-additive with 14
+    # and with 34 coordinates above its prefix table
+    (["learn", "agnostic-l2", "--family", "coverage", "--n", "30", "--seed", "27",
+      "--epsilon", "0.35", "--L", "1", "--bucket-samples", "2000", "--coeff-samples", "2000"],
+     {"hypothesis.csv": "0525e2bb7d4d786ff99ac4635a6737e0ebd89c61ee1c63ba9dec1066c433bb50",
+      "run.json": "cc2d5d66441ee54efc41cd160bbd29276df2f0481e1fc74261e91aa339bc9656"}),
+    (["learn", "agnostic-l2", "--family", "coverage", "--n", "40", "--seed", "0",
+      "--epsilon", "0.35", "--L", "1", "--bucket-samples", "2000", "--coeff-samples", "2000"],
+     {"hypothesis.csv": "5229fdf762c9b49c0ce1a172cf270ff91a4a23003cd69fccdd8543a44ebb4e03",
+      "run.json": "a7bc0d0b33badbbccc53586f47d770ba03c5a186b2aff3297e315bf2e11b881d"}),
+    (["learn", "agnostic-l2", "--family", "budget_additive", "--n", "30", "--seed", "12",
+      "--epsilon", "0.35", "--L", "1", "--bucket-samples", "2000", "--coeff-samples", "2000"],
+     {"hypothesis.csv": "a12c6c9ed297d5fb4061f5904c4c3a4aeafbb3e5e374edf18a7a12eba75394ac",
+      "run.json": "6acdcb502bde3a43605f2297f1dd86f5ffc811220a99ec4f74d1c0573ec93131"}),
+    (["learn", "agnostic-l2", "--family", "budget_additive", "--n", "50", "--seed", "0",
+      "--epsilon", "0.35", "--L", "1", "--bucket-samples", "2000", "--coeff-samples", "2000"],
+     {"hypothesis.csv": "02595d00fb9dcb8b3c2ba920b52b0945f178cc503a575291838f4a48743284f0",
+      "run.json": "bd37121f7b25d2424f3408edd19e60535bd559791cb9c85254761506ce828016"}),
 ]
 
 

@@ -237,9 +237,14 @@ def ref_budget_passes(weights, budget):
     return badd
 
 
-# dimensions at the edges of the lookup chunks, and batch sizes around the
-# point chunk and around the chunk width in coordinates and in table entries
-KERNEL_NS = st.sampled_from([1, 2, 11, 12, 13, 15, 16, 17, 23, 24, 25, 61, 62]) | st.integers(1, MAX_N)
+# dimensions at the edges of the lookup chunks and of the budget-additive
+# high coordinates' unsigned types (n - 16 = 16, 17, 32, 33), and batch sizes
+# around the point chunk and around the chunk width in coordinates and in
+# table entries
+KERNEL_NS = (
+    st.sampled_from([1, 2, 11, 12, 13, 15, 16, 17, 23, 24, 25, 32, 33, 48, 49, 61, 62])
+    | st.integers(1, MAX_N)
+)
 BATCHES = sorted({
     1, 2, 3,
     _COVER_WIDTH - 1, _COVER_WIDTH, _COVER_WIDTH + 1,

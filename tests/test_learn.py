@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import as_dict, small_corpus, spectrum_of
-from submodtree.cube import mask_of
+from submodtree.cube import MAX_PACKED_N, mask_of
 from submodtree.dtree import exact_distance, tree_table
 from submodtree import fourier
 from submodtree.fourier import Spectrum, parity_signs, spectral_l1, transform
-from submodtree.funcs import FamilySpec, ValueOracle, generate_random, instantiate
+from submodtree.funcs import GENERATED_FAMILIES, FamilySpec, ValueOracle, generate_random, instantiate, view
 from submodtree.learn import (
     LabeledSample,
+    _bucket_weight_estimate,
     agnostic_l2_learn,
     draw_sample,
     find_influential_variables,
@@ -264,6 +265,76 @@ class TestKmSearch:
         assert f.query_count == before
         # given counts are used as they are
         assert km_search(f, theta=1e-100, seed=0, bucket_samples=4, coeff_samples=4).queries_used
+
+    @pytest.mark.parametrize("counts,name", [
+        (dict(bucket_samples=0), "bucket_samples"),
+        (dict(bucket_samples=-3), "bucket_samples"),
+        (dict(bucket_samples=2.5), "bucket_samples"),
+        (dict(coeff_samples=0), "coeff_samples"),
+    ])
+    def test_sample_counts_are_checked_at_entry(self, counts, name):
+        f = planted_oracle(4, {1: 1.0})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            km_search(f, theta=0.5, seed=0, **{**KM_FAST, **counts})
+        assert f.query_count == 0
+
+
+def ref_bucket_weight_estimate(f, k, pattern, m, rng):
+    """`_bucket_weight_estimate` before it shared one parity of x1 ^ x2 and
+    one evaluator call between its two point halves."""
+    n = f.n
+    x1 = rng.integers(0, 1 << k, size=m, dtype=np.int64)
+    x2 = rng.integers(0, 1 << k, size=m, dtype=np.int64)
+    y = rng.integers(0, 1 << (n - k), size=m, dtype=np.int64) if n > k else np.zeros(m, np.int64)
+    p1 = x1 | (y << k)
+    p2 = x2 | (y << k)
+    terms = (
+        f.eval_many(p1)
+        * f.eval_many(p2)
+        * parity_signs(pattern, x1)
+        * parity_signs(pattern, x2)
+    )
+    return float(np.mean(terms))
+
+
+# the table-backed oracles hold 2^n values, so their n stays small; their
+# values include -0.0, +-inf and NaN
+TABLE_VALUES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["family", "table", "view"]),
+    family=st.sampled_from(GENERATED_FAMILIES),
+    m=st.sampled_from([1, 2, 3, 4, 6000, 8191, 8192, 8193]) | st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_bucket_estimate_matches_the_two_call_reference(kind, family, m, seed, data):
+    if kind == "table":
+        n = data.draw(st.integers(1, 10))
+        values = np.array(data.draw(st.lists(TABLE_VALUES, min_size=1, max_size=8)))
+        table = values[np.random.default_rng(seed).integers(0, values.size, size=1 << n)]
+
+        def make():
+            return ValueOracle.from_table(table)
+
+    else:
+        n = data.draw(st.integers(1, MAX_PACKED_N) | st.sampled_from([1, 2, 30, MAX_PACKED_N]))
+        spec = generate_random(family if n >= 2 else "coverage", n, seed % 1000)  # cut needs n >= 2
+
+        def make():
+            f = instantiate(spec)  # the view is the unit-range map of `agnostic_l2_learn`
+            return f if kind == "family" else view(f, values=lambda v: 2.0 * v - 1.0)
+
+    k = data.draw(st.integers(1, n) | st.just(n))
+    pattern = data.draw(st.integers(0, (1 << k) - 1))
+    f, f_ref = make(), make()
+    with np.errstate(all="ignore"):  # inf - inf and overflowing sums in the tables' means
+        got = _bucket_weight_estimate(f, k, pattern, m, np.random.default_rng(seed))
+        want = ref_bucket_weight_estimate(f_ref, k, pattern, m, np.random.default_rng(seed))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes() or (math.isnan(got) and math.isnan(want))
+    assert f.query_count == f_ref.query_count == 2 * m
 
 
 class TestAgnostic:
