@@ -1,24 +1,30 @@
-"""In-process stage times and peaks of `submodtree decompose`, one run per side and seed.
+"""In-process stage times and peaks of `submodtree decompose` or `spectrum`, one run per side and seed.
 
-    python3 bench/decompose_stages.py [--parent DIR] [--out FILE]
-        [--kinds decompose-matroid-n16 ...] [--seeds S ...]
+    python3 bench/decompose_stages.py [--command spectrum] [--parent DIR]
+        [--out FILE] [--kinds decompose-matroid-n16 ...] [--seeds S ...]
 
-Run from the repository root.  For every job kind (default: the deep-tree
-workload's, ``perfbench/workloads.WORKLOADS["deep-tree"]``) and every seed
-(default: that kind's seeds in ``perfbench/pool.json``), each side runs
-`decompose ... --out DIR` once with the kind's arguments, in a fresh process
+Run from the repository root.  For every job kind of the command (default:
+for `decompose` the deep-tree workload's,
+``perfbench/workloads.WORKLOADS["deep-tree"]``, and for `spectrum` the
+big-cube workload's spectrum kinds) and every seed (default: that kind's
+seeds in ``perfbench/pool.json``), each side runs
+`decompose ... --out DIR` (or `spectrum ... --out DIR`) once with the kind's
+arguments, in a fresh process
 with the program imported from that side's ``src/``: this checkout, and the
 checkout at ``--parent`` when given.  The sides alternate which runs first
 from row to row.  A run prints, in seconds, the self time of each stage:
 the time spent in its functions, and in reading the chunks they return,
 less the time of the other stages they call, so that the stages are
-disjoint and sum to no more than ``total``:
+disjoint and sum to no more than ``total``.  The stages of `decompose`:
 
 - ``check``: the input's submodularity check (`decompose._check_submodular`);
 - ``grow``: the level-by-level growth (`decompose._grow`);
 - ``gather``: the rest of `decompose._build`: the input's table and the trees;
 - ``certify``: `decompose._certify`;
-- ``distance``: `dtree.exact_distance`;
+- ``distance``: `dtree.exact_distance`, less its ``windows``;
+- ``windows``: `dtree._cube_values`, the tree's values for the distance:
+  filled a window at a time where the distance reads the tree in windows,
+  the whole table at once where it makes the tree's table;
 - ``constantize``: `decompose.constantize_leaves`;
 - ``tree_json``: `dtree.to_json_chunks` (`to_json_text` on a side without
   it), both calls: the one for tree.json and the one that renders the tree
@@ -27,6 +33,17 @@ disjoint and sum to no more than ``total``:
   less the tree inside it;
 - ``writes``: `cli._write`, less the chunks it reads from the writers;
 - ``total``: `cli.main`, interpreter start and imports excluded.
+
+The stages of `spectrum`:
+
+- ``table``: the input's table, in a fresh array (`funcs.fresh_table`);
+- ``butterfly``: the transform in place (`fourier._fwht_in_place`);
+- ``coefficients``: the division and rounding to zero
+  (`fourier._to_coefficients`);
+- ``csv``: the scan for nonzero coefficients and the rows' bytes
+  (`fourier._dense_csv_chunks`);
+- ``writes``: `cli._stream`, less the chunks it reads;
+- ``total``, as above.
 
 Beside each stage's time, ``peak_mb`` holds the process's VmHWM read from
 ``/proc/self/status`` when the stage last returned (at the end for
@@ -39,6 +56,7 @@ given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -59,11 +77,20 @@ STAGES = {
     "gather": ("decompose", "_build"),
     "certify": ("decompose", "_certify"),
     "distance": ("dtree", "exact_distance"),
+    "windows": ("dtree", "_cube_values"),
     "constantize": ("decompose", "constantize_leaves"),
     "tree_json": ("dtree", "to_json_chunks", "to_json_text"),
     "report_json": ("decompose", "DecompositionReport.to_json_chunks", "DecompositionReport.to_json_text"),
     "writes": ("cli", "_write"),
 }
+SPECTRUM_STAGES = {
+    "table": ("funcs", "fresh_table"),
+    "butterfly": ("fourier", "_fwht_in_place"),
+    "coefficients": ("fourier", "_to_coefficients"),
+    "csv": ("fourier", "_dense_csv_chunks"),
+    "writes": ("cli", "_stream"),
+}
+STAGES_OF = {"decompose": STAGES, "spectrum": SPECTRUM_STAGES}
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
@@ -74,11 +101,12 @@ def peak_mb() -> float:
 
 def child(out: str, args: list[str]) -> dict:
     """Runs in the measured process: one CLI call with its stages timed."""
-    from submodtree import cli, decompose, dtree
+    from submodtree import cli, decompose, dtree, fourier, funcs
 
-    modules = {"cli": cli, "decompose": decompose, "dtree": dtree}
-    spent = dict.fromkeys(STAGES, 0.0)
-    peaks = dict.fromkeys(STAGES, 0.0)
+    modules = {"cli": cli, "decompose": decompose, "dtree": dtree, "fourier": fourier, "funcs": funcs}
+    stages = STAGES_OF[args[0]]
+    spent = dict.fromkeys(stages, 0.0)
+    peaks = dict.fromkeys(stages, 0.0)
     running = []  # the stages entered and not yet left, innermost last
 
     def within(stage, step):
@@ -111,7 +139,7 @@ def child(out: str, args: list[str]) -> dict:
 
         return wrapper
 
-    for stage, (module, *paths) in STAGES.items():
+    for stage, (module, *paths) in stages.items():
         for path in paths:
             owner, *rest = path.split(".")
             holder = modules[module]
@@ -121,7 +149,9 @@ def child(out: str, args: list[str]) -> dict:
                 setattr(holder, owner, timed(stage, getattr(holder, owner)))
                 break
     start = time.perf_counter()
-    rc = cli.main(args + ["--out", out])
+    # stdout goes to /dev/null, as in the benchmark's jobs
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        rc = cli.main(args + ["--out", out])
     spent["total"] = time.perf_counter() - start
     peaks["total"] = peak_mb()
     sha = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out).iterdir())}
@@ -150,9 +180,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--out")
-    parser.add_argument("--kinds", nargs="+", default=WORKLOADS["deep-tree"], choices=sorted(KINDS))
+    parser.add_argument("--command", choices=sorted(STAGES_OF), default="decompose")
+    parser.add_argument("--kinds", nargs="+", choices=sorted(KINDS))
     parser.add_argument("--seeds", nargs="+", type=int)
     opts = parser.parse_args()
+    if opts.kinds is None:
+        workload = "deep-tree" if opts.command == "decompose" else "big-cube"
+        opts.kinds = [kind for kind in WORKLOADS[workload] if KINDS[kind].command == opts.command]
+    if any(KINDS[kind].command != opts.command for kind in opts.kinds):
+        sys.exit(f"--kinds must be {opts.command} kinds")
     pool = json.loads((ROOT / "perfbench" / "pool.json").read_text())
     sides = {"change": ROOT / "src"}
     if opts.parent is not None:

@@ -734,7 +734,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, InvalidFamilySpec, ValueError) as e:
+    except (OSError, json.JSONDecodeError, InvalidFamilySpec, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -439,21 +439,22 @@ def leaf_blocks(trees: list[DecisionTree], read: np.ndarray, point_queries: bool
         yield rows, _take(stack, n, cell).reshape(rows.size, -1)
 
 
-def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> tuple:
+def _cube_values(trees: list[DecisionTree], what: str, level: int = 0, depths=False, stack=None) -> Iterator:
     """Each tree's value at every point and, with ``depths``, the depth of
     the leaf every point reaches (else None), for trees of one dimension n,
-    stacked as `funcs.stacked_table` stacks tables: point k * 2^n + x holds
-    tree k at x.
-
-    The array form of each tree gives each leaf's subcube, and the leaves
-    are written cell by cell as `_leaf_cells` lists them, so no other array
-    of 2^n values is built: a constant leaf broadcasts its value, and an
-    oracle leaf is charged its 2^k points, as `funcs.full_tables` charges
-    them.  When every tree is a decomposition, whole or truncated, whose
-    source's table is cached, the oracle leaves read the stack of those
-    tables, tree k's at k * 2^n, at each cell.  Otherwise an oracle leaf is
-    read from its object (a decomposition's is its source restricted to its
-    subcube), the leaves of a cell in one `funcs.full_tables`.
+    stacked as `funcs.stacked_table` stacks tables (point k * 2^n + x holds
+    tree k at x), as (start, values, depths) of aligned windows of 2^level
+    points (by default _BLOCK_POINTS, at least 128: np.sum adds parts of
+    fewer in another order).  A window is written cell by cell as
+    `_leaf_cells` lists the parts of the leaves that meet it over its low
+    min(n, level) coordinates, or as a slice by a leaf that covers it: a
+    constant leaf broadcasts its value, and an oracle leaf is charged its
+    2^k points once, as `funcs.full_tables` charges them.  When every tree
+    is a decomposition, whole or truncated, whose source's table is cached,
+    the oracle leaves read the same window of the stack of those tables
+    (``stack``, if the caller has it).  Otherwise an oracle leaf is read from
+    its object (a decomposition's is its source restricted to its subcube),
+    the leaves of a cell in one `funcs.full_tables`, in one window.
     """
     n = trees[0].n
     check_enumerable(n, what)
@@ -465,37 +466,53 @@ def _cube_values(trees: list[DecisionTree], what: str, depths: bool = False) -> 
         parts[0] if len(parts) == 1 else np.concatenate(parts)
         for parts in zip(*((t.tested, t.fixed | k << n, t.oracle, t.value) for k, t in enumerate(trees)))
     )
+    depth = popcount(tested)[:, None] if depths else None
     free = tested ^ ((1 << n) - 1)
-    at = np.flatnonzero(oracle)
-    stack = None
+    at, size = np.flatnonzero(oracle), len(trees) << n
+    level = level or max(_BLOCK_POINTS, 128).bit_length() - 1
     if all(tree.source is not None and tree.source.cached for tree in trees):
-        stack = stacked_table([tree.source for tree in trees])
+        stack = stacked_table([tree.source for tree in trees]) if stack is None else stack
         sizes = np.int64(1) << popcount(free[at]).astype(np.int64)
         for tree, k in zip(trees, np.bincount(fixed[at] >> n, weights=sizes, minlength=len(trees)).tolist()):
             tree.source.charge(int(k))
     elif at.size:
         objects = [lf.oracle for t in trees if t.oracle.any() for lf in t.leaf_objects() if isinstance(lf, OracleLeaf)]
         ordinal = np.cumsum(oracle) - 1  # each oracle leaf's object
-    values = np.empty(len(trees) << n)
-    levels = np.empty(len(trees) << n, dtype=np.int64) if depths else None
-    depth = popcount(tested)[:, None] if depths else None
-    for is_oracle, leaves in ((True, at), (False, np.flatnonzero(~oracle))):
-        for rows, cell in _leaf_cells(n, fixed, free, leaves):
-            if not is_oracle:
-                fill = constants[rows, None]
-            elif stack is not None:
-                fill = _take(stack, n, cell)
-            else:
-                fill = np.array(full_tables([objects[k] for k in ordinal[rows].tolist()]))
-            _put(values, n, cell, fill)
+        level = max(level, (size - 1).bit_length())
+    width, cells, near = 1 << level, min(n, level), None
+    if width < size:  # what a leaf fixes above a window: its tree and its tested bits
+        high = (tested | -1 << n) & -width
+        key, fixed, free = fixed & high, fixed & (width - 1), free & (width - 1)
+    for start in range(0, size, width):
+        stop = min(start + width, size)
+        window = None if stack is None else stack if width >= size else stack[start:stop]
+        values = np.empty(stop - start)
+        levels = np.empty(stop - start, dtype=np.int64) if depths else None
+        if width < size:
+            near = np.flatnonzero(start & high == key)  # the leaves that meet the window
+        if near is not None and near.size == 1:  # one leaf covers the window
+            values[:] = window if oracle[near[0]] else constants[near[0]]
             if depths:
-                _put(levels, n, cell, depth[rows])
-    return values, levels
+                levels[:] = depth[near[0]]
+            near = near[:0]
+        groups = (at, np.flatnonzero(~oracle)) if near is None else (near[oracle[near]], near[~oracle[near]])
+        for is_oracle, leaves in zip((True, False), groups):
+            for rows, cell in _leaf_cells(cells, fixed, free, leaves):
+                if not is_oracle:
+                    fill = constants[rows, None]
+                elif window is not None:
+                    fill = _take(window, cells, cell)
+                else:
+                    fill = np.array(full_tables([objects[k] for k in ordinal[rows].tolist()]))
+                _put(values, cells, cell, fill)
+                if depths:
+                    _put(levels, cells, cell, depth[rows])
+        yield start, values, levels
 
 
 def tree_table(tree: DecisionTree) -> np.ndarray:
     """Truth table of the tree, little-endian point order."""
-    return _cube_values([tree], "tree table")[0]
+    return next(_cube_values([tree], "tree table", tree.n))[1]
 
 
 def leaf_profile(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
@@ -505,7 +522,7 @@ def leaf_profile(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
     exceeds d and its value is nonzero, so this one traversal determines the
     truncation disagreement at every depth at once.
     """
-    return _cube_values([tree], "leaf profile", depths=True)
+    return next(_cube_values([tree], "leaf profile", tree.n, depths=True))[1:]
 
 
 def truncation_disagreements(tree: DecisionTree, dist: ProductDistribution | None = None) -> np.ndarray:
@@ -614,64 +631,79 @@ def exact_distance(f, g, dist: ProductDistribution | None = None, metric: str = 
 
     Metrics: ``l1`` = E|f-g|, ``l2`` = sqrt(E[(f-g)^2]), ``disagreement`` =
     Pr[f != g] (exact float inequality).  The expectation is over ``dist``
-    (uniform when omitted).
+    (uniform when omitted).  A tree is read a window at a time
+    (`_cube_values`); of two trees, the first is made into a table.
     """
+    if isinstance(f, DecisionTree) and not isinstance(g, DecisionTree):
+        f, g = g, f  # every metric is symmetric: |f - g| = |g - f|
     tf, nf = _as_table(f)
-    tg, ng = _as_table(g)
+    tg, ng = (_cube_values([g], "tree table"), g.n) if isinstance(g, DecisionTree) else _as_table(g)
     if nf != ng:
         raise ValueError(f"dimension mismatch: {nf} vs {ng}")
     if dist is not None and dist.n != nf:
         raise ValueError(f"distribution dimension {dist.n} != {nf}")
-    # a tree's table is made for this call, so the differences can overwrite it
-    return _distances(tf, tg, nf, dist, metric, out=tg if isinstance(g, DecisionTree) else None)[0]
+    return _distances(tf, tg, nf, dist, metric)[0]
 
 
 def exact_distances(
     fs: list[ValueOracle], trees: list[DecisionTree], metric: str = "l2"
 ) -> list[float]:
     """`exact_distance` (uniform weights) of each oracle and the tree at its
-    position, all of one dimension, bit for bit: the trees' tables are
-    filled by stacks of STACK_POINTS points, one pass of `_cube_values` over
-    the leaves of all the trees of a stack, a cell of leaves at a time."""
+    position, all of one dimension, bit for bit: one pass of `_cube_values`
+    over the leaves of all the trees, whose stack of sources is the stack
+    of the oracles' tables when each tree is a decomposition of its oracle."""
     n = fs[0].n
     if any(g.n != n for g in fs) or len(trees) != len(fs):
         raise ValueError("exact_distances needs one tree per oracle, all of one dimension")
-    step = max(1, STACK_POINTS >> n)
-    distances = []
-    for k in range(0, len(fs), step):
-        tg = _cube_values(trees[k:k + step], "tree table")[0]
-        distances += _distances(stacked_table(fs[k:k + step]), tg, n, None, metric, out=tg)
-    return distances
+    tf = stacked_table(fs)
+    own = all(tree.source is g for tree, g in zip(trees, fs))
+    return _distances(tf, _cube_values(trees, "tree table", stack=tf if own else None), n, None, metric)
 
 
-def _distances(tf, tg, n: int, dist: ProductDistribution | None, metric: str, out=None) -> list[float]:
+def _distances(tf, tg, n: int, dist: ProductDistribution | None, metric: str) -> list[float]:
     """The distance of each 2^n-point table of the stack tf from the table
-    at its position in tg, each summed over its own 2^n values; ``out``
-    (tf's shape; tg itself when no one else reads it) receives the
-    differences."""
-    if dist is None:
-        # every point weighs 2^-n: the same products and sums as the uniform
-        # probability vector, without building it
-        w = 0.5**n
-    else:
-        w = dist.probability_vector()
-    if metric == "disagreement":
-        differ = (tf != tg).reshape(-1, 1 << n)
-        if dist is None:
-            return (np.count_nonzero(differ, axis=1) * w).tolist()
-        return [float(np.sum(w[row])) for row in differ]
-    if metric not in ("l1", "l2"):
+    at its position in tg, each summed over its own 2^n values: tg is a
+    stack, copied, or yields one in windows (start, values, _) of whole
+    tables or aligned 2^k-point parts of one, which receive the differences.
+
+    The parts of a table are summed alone, then pairwise in order, as np.sum
+    adds the whole row.  A part's weights are its k low coordinates' (the
+    doubling of `ProductDistribution.probability_vector`) times each higher
+    coordinate's factor in turn, as the whole vector's entries are made;
+    the disagreement sums the weights of a table's differing points at once.
+    """
+    if metric not in ("l1", "l2", "disagreement"):
         raise ValueError(f"unknown metric {metric!r}")
-    # the only 2^n array written: |f - g| or (f - g)^2, then the weights, in place
-    d = np.subtract(tf, tg, out=out).reshape(-1, 1 << n)
-    if metric == "l1":
-        np.abs(d, out=d)
-    else:
-        np.square(d, out=d)
-    np.multiply(d, w, out=d)
-    # a row sum along the contiguous axis adds in the same pairwise order as
-    # np.sum over that row alone
-    totals = d.sum(axis=1).tolist()
+    parts, lows = [], None
+    for start, g, _ in [(0, np.array(tg, dtype=float), None)] if isinstance(tg, np.ndarray) else tg:
+        f, low = tf[start:start + g.size], min(g.size, 1 << n)  # the points of each part
+        # every point weighs 2^-n without dist: the same products and sums as
+        # the uniform probability vector, without building it
+        w, k = 0.5**n, low.bit_length() - 1
+        if dist is not None:
+            lows = ProductDistribution(dist.mu[:k]).probability_vector() if lows is None else lows
+            w = lows
+            for i in range(k, n):
+                w = w * (dist.mu[i] if start >> i & 1 else 1.0 - dist.mu[i])
+        if metric == "disagreement":
+            differ = (f != g).reshape(-1, low)
+            parts += [w[row] for row in differ] if dist is not None else [np.count_nonzero(differ, axis=1)]
+            continue
+        d = np.subtract(f, g, out=g).reshape(-1, low)
+        (np.abs if metric == "l1" else np.square)(d, out=d)
+        np.multiply(d, w, out=d)
+        # a row sum along the contiguous axis adds in the same pairwise order
+        # as np.sum over that row alone
+        parts.append(d.sum(axis=1))
+    each = (1 << n) // low  # the parts of a table
+    if metric == "disagreement" and dist is not None:
+        return [float(np.sum(np.concatenate(parts[k:k + each]))) for k in range(0, len(parts), each)]
+    sums = np.concatenate(parts).reshape(-1, each)
+    if metric == "disagreement":
+        return (sums.sum(axis=1) * w).tolist()
+    while sums.shape[1] > 1:
+        sums = sums[:, 0::2] + sums[:, 1::2]
+    totals = sums[:, 0].tolist()
     return totals if metric == "l1" else [math.sqrt(total) for total in totals]
 
 

@@ -109,7 +109,7 @@ def _fwht_in_place(flat: np.ndarray, m: int) -> None:
 # exponent is below -1; 17 digits after the point; the exponent and "\n".
 # Bytes a row does not use hold 0 and are deleted when the rows are joined.
 
-_CSV_CHUNK = 1 << 14  # rows per pass: a row buffer of about 1 MB
+_CSV_CHUNK = 1 << 13  # rows per pass: a row buffer of about 0.5 MB
 _TIE_TOL = 1e-9
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
@@ -261,13 +261,13 @@ def _csv_chunks(masks: np.ndarray, coeffs: np.ndarray) -> Iterator[bytes]:
         yield _csv_chunk(masks[i : i + _CSV_CHUNK], coeffs[i : i + _CSV_CHUNK])
 
 
-_SCAN = _CSV_CHUNK << 4  # entries of a dense array searched for nonzeros at a time
+_SCAN = _CSV_CHUNK  # entries of a dense array searched for nonzeros at a time
 
 
 def _dense_csv_chunks(c: np.ndarray) -> Iterator[bytes]:
     """The rows of the nonzero entries of a 1-D coefficient array, by
     ascending mask, as `_csv_chunks` of `Spectrum.from_dense` writes them,
-    with no array of the whole support."""
+    with no array of the whole support, one chunk's rows at a time."""
     for start in range(0, c.size, _SCAN):
         masks = np.flatnonzero(c[start : start + _SCAN])
         masks += start

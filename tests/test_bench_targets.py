@@ -42,6 +42,12 @@ def test_every_decompose_stage_wraps_a_function(stage):
     assert any(resolves(module, path) for path in paths)
 
 
+@pytest.mark.parametrize("stage", decompose_stages.SPECTRUM_STAGES)
+def test_every_spectrum_stage_wraps_a_function(stage):
+    module, *paths = decompose_stages.SPECTRUM_STAGES[stage]
+    assert any(resolves(module, path) for path in paths)
+
+
 @pytest.mark.parametrize("stage", corpus_stages.STAGES)
 def test_every_rank_stage_wraps_a_function(stage):
     assert any(resolves(module, path) for module, path in corpus_stages.STAGES[stage])

@@ -398,6 +398,19 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, ar
         assert "argument --seed: must be >= 0, got '-1'" in err, err
 
 
+@pytest.mark.parametrize("command", [["spectrum"], ["decompose", "--alpha", "0.5"]])
+def test_a_refused_allocation_exits_1_with_one_line(tmp_path, capsys, monkeypatch, command):
+    # with the cap raised, the table of 2^50 values (8 PiB) is refused at
+    # once: no memory is touched, and the error is one line, not a traceback
+    monkeypatch.setenv("SUBMODTREE_ENUM_CAP", "62")
+    out = tmp_path / "out"
+    argv = [command[0], "--family", "cut", "--n", "50", "--seed", "1", *command[1:], "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate"), err
+    assert not out.exists()
+
+
 # sha256 of the report files of `decompose --n 12 --alpha 0.25`, as written
 # before leaf certification became one strided pass over the parent table
 GOLDEN_DECOMPOSE_N12 = {

@@ -140,8 +140,8 @@ def _spectrum_bytes(tmp_path, capsys, table: np.ndarray) -> tuple[bytes, bytes]:
     return capsys.readouterr().out.encode(), (tmp_path / "out" / "spectrum.csv").read_bytes()
 
 
-@pytest.mark.parametrize("rows", [0, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
-@pytest.mark.parametrize("scan", [fourier._SCAN, _CSV_CHUNK])
+@pytest.mark.parametrize("rows", [0, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK - 1, 2 * _CSV_CHUNK, 2 * _CSV_CHUNK + 1])
+@pytest.mark.parametrize("scan", [fourier._SCAN, _CSV_CHUNK, 2 * _CSV_CHUNK, 4 * _CSV_CHUNK, 32 * _CSV_CHUNK])
 def test_streamed_spectrum_matches_to_csv(tmp_path, capsys, monkeypatch, rows, scan):
     monkeypatch.setattr(fourier, "_SCAN", scan)
     n = 16
@@ -157,7 +157,7 @@ def test_streamed_spectrum_matches_to_csv(tmp_path, capsys, monkeypatch, rows, s
     assert f.query_count == 1 << n and f._table is None
 
 
-@pytest.mark.parametrize("scan", [fourier._SCAN, _CSV_CHUNK])
+@pytest.mark.parametrize("scan", [fourier._SCAN, _CSV_CHUNK, 2 * _CSV_CHUNK, 4 * _CSV_CHUNK, 32 * _CSV_CHUNK])
 @pytest.mark.parametrize("edge", [-1, 0])
 def test_streamed_spectrum_with_a_zero_on_a_chunk_edge(tmp_path, capsys, monkeypatch, scan, edge):
     monkeypatch.setattr(fourier, "_SCAN", scan)
