@@ -267,11 +267,17 @@ _SCAN = _CSV_CHUNK  # entries of a dense array searched for nonzeros at a time
 def _dense_csv_chunks(c: np.ndarray) -> Iterator[bytes]:
     """The rows of the nonzero entries of a 1-D coefficient array, by
     ascending mask, as `_csv_chunks` of `Spectrum.from_dense` writes them,
-    with no array of the whole support, one chunk's rows at a time."""
+    with no array of the whole support, one chunk's rows at a time.  The
+    nonzeros of a window that do not fill a chunk wait for the next window,
+    so a sparse array is not written in many small chunks."""
+    masks = np.empty(0, dtype=np.int64)
     for start in range(0, c.size, _SCAN):
-        masks = np.flatnonzero(c[start : start + _SCAN])
-        masks += start
-        yield from _csv_chunks(masks, c[masks])
+        found = np.flatnonzero(c[start : start + _SCAN])
+        found += start
+        masks = np.concatenate([masks, found])
+        cut = masks.size if start + _SCAN >= c.size else masks.size - masks.size % _CSV_CHUNK
+        yield from _csv_chunks(masks[:cut], c[masks[:cut]])
+        masks = masks[cut:]
 
 
 @dataclass(eq=False)
